@@ -10,12 +10,8 @@
      dune exec bench/main.exe -- all -j 4     # figure cells on 4 domains
 
    Experiments: table1 fig9 fig10 fig11 fig12 fixed128 ablation micro
-   engine-smoke (the last only when named explicitly: it is the bytecode
-   engine's throughput acceptance gate and exits 1 below 5x).
-
-   --engine=closure|bytecode selects the simulator execution engine for
-   the figure experiments (results are identical; only wall clock
-   changes). *)
+   engine-smoke (the last only when named explicitly: it is the VM's
+   allocation acceptance gate and exits 1 on failure). *)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -71,7 +67,7 @@ let micro () =
                    ~granularity:(Dpopt.Aggregation.Multi_block 8) ())
               prog);
         mk "simulator-compile" (fun () ->
-            Gpusim.Compile.compile Gpusim.Config.default prog);
+            Gpusim.Bytecode.compile Gpusim.Config.default prog);
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
@@ -97,21 +93,20 @@ let micro () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Engine smoke: bytecode-vs-closure throughput gate                   *)
+(* Engine smoke: the VM's allocation gate                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Micro-kernel throughput comparison of the two execution engines, used
-   by the [@ir] alias as an acceptance gate: the bytecode VM must beat the
-   closure interpreter by at least 5x on the counting-loop micro kernel,
-   and outputs must match bit-for-bit on every kernel. The loop trip
-   count is tunable via BYTECODE_SMOKE_ITERS (see Harness.Env) so CI can
-   trade gate stability for wall clock. *)
+(* Deterministic acceptance gate of the [@ir] alias. On two loop micro
+   kernels, every output must equal its closed-form value, and one launch
+   must allocate no more minor-heap words at twice the loop trip count
+   than at the trip count itself: the VM's steady state allocates nothing
+   per loop iteration. The trip count is BYTECODE_SMOKE_ITERS (see
+   Harness.Env). *)
 let engine_smoke () =
   let iters = Harness.Env.get "BYTECODE_SMOKE_ITERS" in
   let kernels =
     [
-      (* gated: the rotated-loop bottom is one fused VM dispatch, the
-         shape where flat dispatch pays off most *)
+      (* the rotated-loop bottom is one fused VM dispatch *)
       ( "count-loop",
         {|
 __global__ void micro(int* out, int iters) {
@@ -119,9 +114,9 @@ __global__ void micro(int* out, int iters) {
   for (int k = 0; k < iters; k = k + 1) { }
   out[threadIdx.x] = s;
 }
-|}
-      );
-      (* reported, not gated: one arithmetic instruction per iteration *)
+|},
+        fun _ -> 0 );
+      (* one arithmetic instruction per iteration *)
       ( "int-accumulate",
         {|
 __global__ void micro(int* out, int iters) {
@@ -129,56 +124,50 @@ __global__ void micro(int* out, int iters) {
   for (int k = 0; k < iters; k = k + 1) { s = s + k; }
   out[threadIdx.x] = s;
 }
-|}
-      );
+|},
+        fun n -> n * (n - 1) / 2 );
     ]
   in
-  let time_engine engine src =
-    let cfg = { Gpusim.Config.default with Gpusim.Config.engine } in
-    let prog = Minicu.Parser.program src in
-    let dev = Gpusim.Device.create ~cfg () in
-    Gpusim.Device.load_program dev prog;
+  (* Minor words allocated by one launch at trip count [n], measured after
+     a warm-up launch has sized the scheduler's thread arena, and whether
+     every thread wrote [expected n]. *)
+  let measure src expected n =
+    let dev = Gpusim.Device.create () in
+    Gpusim.Device.load_program dev (Minicu.Parser.program src);
     let out = Gpusim.Device.alloc_int_zeros dev 256 in
     let launch () =
       Gpusim.Device.launch dev ~kernel:"micro" ~grid:(1, 1, 1)
         ~block:(256, 1, 1)
-        ~args:[ Gpusim.Value.Ptr out; Gpusim.Value.Int iters ];
+        ~args:[ Gpusim.Value.Ptr out; Gpusim.Value.Int n ];
       ignore (Gpusim.Device.sync dev)
     in
-    (* warm-up run outside the timed region; then best-of-3 timed
-       launches — the min filters out scheduler/frequency noise, which
-       on shared machines dwarfs the per-launch variance of either
-       engine *)
     launch ();
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      launch ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    (!best, Gpusim.Device.read_ints dev out 256)
+    let w0 = Gc.minor_words () in
+    launch ();
+    let words = Gc.minor_words () -. w0 in
+    ( words,
+      Array.for_all (( = ) (expected n)) (Gpusim.Device.read_ints dev out 256)
+    )
   in
-  Printf.printf "\n=== Engine smoke: closure vs bytecode (%d iters) ===\n"
-    iters;
-  Printf.printf "%-16s %10s %10s %8s %s\n" "kernel" "closure" "bytecode"
-    "speedup" "outputs";
+  Printf.printf "\n=== Engine smoke: VM allocation per launch (%d, %d iters) ===\n"
+    iters (2 * iters);
+  Printf.printf "%-16s %12s %12s %s\n" "kernel" "words@1x" "words@2x"
+    "outputs";
   let gate_ok = ref true in
   List.iter
-    (fun (name, src) ->
-      let tc, rc = time_engine Gpusim.Config.Closure src in
-      let tb, rb = time_engine Gpusim.Config.Bytecode src in
-      let speedup = tc /. tb in
-      let same = rc = rb in
-      if not same then gate_ok := false;
-      if name = "count-loop" && speedup < 5.0 then gate_ok := false;
-      Printf.printf "%-16s %9.3fs %9.3fs %7.2fx %s\n" name tc tb speedup
-        (if same then "identical" else "MISMATCH"))
+    (fun (name, src, expected) ->
+      let w1, ok1 = measure src expected iters in
+      let w2, ok2 = measure src expected (2 * iters) in
+      let pinned = ok1 && ok2 in
+      if w2 > w1 || not pinned then gate_ok := false;
+      Printf.printf "%-16s %12.0f %12.0f %s\n" name w1 w2
+        (if pinned then "pinned" else "MISMATCH"))
     kernels;
   if not !gate_ok then begin
     Printf.printf
-      "engine smoke FAILED: bytecode engine below 5x on the gated kernel, \
-       or an output mismatch\n";
+      "engine smoke FAILED: a launch allocates more at 2x the trip count \
+       (per-iteration allocation in the VM), or an output differs from its \
+       pinned value\n";
     exit 1
   end
 
@@ -494,22 +483,6 @@ let () =
         else None)
       args
   in
-  (* --engine=closure|bytecode: execution engine for the figure cells *)
-  let engine =
-    List.find_map
-      (fun a ->
-        if String.length a > 9 && String.sub a 0 9 = "--engine=" then
-          match
-            Gpusim.Config.engine_of_string
-              (String.sub a 9 (String.length a - 9))
-          with
-          | Some engine -> Some engine
-          | None ->
-              Printf.eprintf "unknown engine in %s (closure | bytecode)\n" a;
-              exit 2
-        else None)
-      args
-  in
   let sampling =
     if exact then None
     else if sample || size = Benchmarks.Registry.Large then
@@ -517,17 +490,9 @@ let () =
     else None
   in
   let cfg =
-    match (engine, sampling, block_jobs) with
-    | None, None, 1 -> None
-    | _ ->
-        Some
-          {
-            Gpusim.Config.default with
-            engine =
-              Option.value engine ~default:Gpusim.Config.default.engine;
-            sampling;
-            block_jobs;
-          }
+    match (sampling, block_jobs) with
+    | None, 1 -> None
+    | _ -> Some { Gpusim.Config.default with sampling; block_jobs }
   in
   (match csv_dir with
   | Some d when not (Sys.file_exists d) -> Sys.mkdir d 0o755

@@ -17,9 +17,6 @@
                                             # variant must be caught
     dpfuzz --iters 200 --check              # also run the dpcheck
                                             # sanitizer on every variant
-    dpfuzz --iters 200 --engine both        # cross-engine differential:
-                                            # every variant under both the
-                                            # closure and bytecode engines
     dpfuzz --iters 5 --backend native       # true-parallelism oracle: also
                                             # transpile, compile and run each
                                             # supported variant as parallel
@@ -78,17 +75,6 @@ let configs =
     & opt (list string) (List.map fst Difftest.Oracle.sim_configs)
     & info [ "configs" ] ~docv:"C"
         ~doc:"Simulator configurations to replay under (unit, volta, one-sm).")
-
-let engine =
-  Arg.(
-    value & opt string "closure"
-    & info [ "engine" ] ~docv:"E"
-        ~doc:
-          "Execution engine(s) to replay under: $(b,closure), $(b,bytecode), \
-           or $(b,both). With $(b,both) the oracle runs every variant under \
-           both engines against the closure-engine baseline — a \
-           cross-engine differential fuzz that catches bytecode-engine \
-           miscompiles even when they are transformation-independent.")
 
 let backend =
   Arg.(
@@ -174,14 +160,8 @@ let report_failure ~shrunk_from (case : Difftest.Gen.case)
     Fmt.pr "(structurally shrunk: no longer seed-derivable; original seed \
             printed above)@."
 
-let parse_engines = function
-  | "closure" -> Ok [ Difftest.Oracle.closure_engine ]
-  | "bytecode" -> Ok [ Difftest.Oracle.bytecode_engine ]
-  | "both" -> Ok Difftest.Oracle.all_engines
-  | s -> Error (Fmt.str "unknown engine %S (expected closure|bytecode|both)" s)
-
-let run iters seed passes threshold cfactor config_names engine_name backend
-    inject_bug sanitize progress_every jobs =
+let run iters seed passes threshold cfactor config_names backend inject_bug
+    sanitize progress_every jobs =
   let native = backend = `Native in
   let iters =
     match iters with
@@ -189,11 +169,11 @@ let run iters seed passes threshold cfactor config_names engine_name backend
     | None ->
         Harness.Env.get (if sanitize then "DPCHECK_ITERS" else "DPFUZZ_ITERS")
   in
-  match (parse_passes passes, parse_engines engine_name) with
-  | Error msg, _ | _, Error msg ->
+  match parse_passes passes with
+  | Error msg ->
       Fmt.epr "dpfuzz: %s@." msg;
       2
-  | Ok (with_thresholding, with_coarsening, with_aggregation), Ok engines -> (
+  | Ok (with_thresholding, with_coarsening, with_aggregation) -> (
       let configs =
         List.filter
           (fun (name, _) -> List.mem name config_names)
@@ -234,8 +214,7 @@ let run iters seed passes threshold cfactor config_names engine_name backend
             else
               let case = Difftest.Gen.case_of_seed (seed + i) in
               let outcome =
-                Difftest.Oracle.check ~sanitize ~native ~engines ~variants
-                  ~configs case
+                Difftest.Oracle.check ~sanitize ~native ~variants ~configs case
               in
               (match outcome with
               | Fail _ ->
@@ -286,10 +265,9 @@ let run iters seed passes threshold cfactor config_names engine_name backend
           (match fail with
           | None ->
               Fmt.pr
-                "dpfuzz: %d cases x %d variants x %d configs x %d engines: \
-                 all equivalent%s@."
+                "dpfuzz: %d cases x %d variants x %d configs: all \
+                 equivalent%s@."
                 iters (List.length variants) (List.length configs)
-                (List.length engines)
                 (if !invalid > 0 then
                    Fmt.str " (%d invalid cases skipped)" !invalid
                  else "");
@@ -304,24 +282,13 @@ let run iters seed passes threshold cfactor config_names engine_name backend
               let failing_config =
                 List.filter (fun (n, _) -> n = f.f_config) configs
               in
-              (* Shrink under the failing engine only — but keep the
-                 baseline engine in front so cross-engine comparisons
-                 still compare against the same baseline. *)
-              let failing_engines =
-                match f.f_engine with
-                | Some e when e <> fst (List.hd engines) ->
-                    [ List.hd engines ]
-                    @ List.filter (fun (n, _) -> n = e) engines
-                | _ -> [ List.hd engines ]
-              in
               (* shrink under the native axis only when the failure came
                  from it — keeps shrinking fast for simulator failures *)
-              let native = native && f.f_engine = Some "native" in
+              let native = native && f.f_native in
               let still_fails c =
                 match
                   Difftest.Oracle.check ~sanitize ~native
-                    ~engines:failing_engines ~variants:failing_variant
-                    ~configs:failing_config c
+                    ~variants:failing_variant ~configs:failing_config c
                 with
                 | Fail _ -> true
                 | Pass | Invalid _ -> false
@@ -331,8 +298,7 @@ let run iters seed passes threshold cfactor config_names engine_name backend
               let f' =
                 match
                   Difftest.Oracle.check ~sanitize ~native
-                    ~engines:failing_engines ~variants:failing_variant
-                    ~configs:failing_config small
+                    ~variants:failing_variant ~configs:failing_config small
                 with
                 | Fail f' -> f'
                 | Pass | Invalid _ -> f (* unreachable: minimize preserves failure *)
@@ -353,6 +319,6 @@ let cmd =
     (Cmd.info "dpfuzz" ~version:"1.0.0" ~doc)
     Term.(
       const run $ iters $ seed $ passes $ threshold $ cfactor $ configs
-      $ engine $ backend $ inject_bug $ check $ progress_every $ jobs)
+      $ backend $ inject_bug $ check $ progress_every $ jobs)
 
 let () = exit (Cmd.eval' cmd)

@@ -3,7 +3,7 @@
     mechanism would charge if its fitted coefficient were exactly 1.
 
     The extractor mirrors the simulator's laws ({!Gpusim.Sched},
-    {!Gpusim.Exec}) symbolically:
+    {!Gpusim.Vm}) symbolically:
 
     - block compute = Σ over warps of the max-lane cost, divided by
       [sm_warp_parallelism]; one block per SM at a time, so device

@@ -1,6 +1,6 @@
 (** Static per-thread cost of MiniCU code, mirroring the simulator's
-    charging rules ({!Gpusim.Compile}): same expression costs
-    ([Gpusim.Compile.expr_cost]), same per-statement constants, with
+    charging rules: same expression costs ([Gpusim.Runtime.expr_cost]),
+    same per-statement constants as {!Gpusim.Bytecode}'s lowering, with
     lockstep [If] = max of branches, data-dependent loops assumed to run
     [trip] iterations, and [Launch] costing zero (launch issue is a
     separate model term). *)

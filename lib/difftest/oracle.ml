@@ -295,20 +295,6 @@ let sim_configs : (string * Gpusim.Config.t) list =
     );
   ]
 
-(** {1 Execution engines}
-
-    The engine axis of {!check}: the baseline runs under the {e first}
-    engine in the list, every variant runs under {e every} engine, and all
-    runs must agree. With [all_engines] that is a cross-engine
-    differential test — the identity variant under the bytecode engine is
-    compared bit-for-bit against the closure-engine baseline, so an
-    engine-level miscompile is caught even when both engines transform
-    consistently ([dpfuzz --engine=both]). *)
-
-let closure_engine = ("closure", Gpusim.Config.Closure)
-let bytecode_engine = ("bytecode", Gpusim.Config.Bytecode)
-let all_engines = [ closure_engine; bytecode_engine ]
-
 (** {1 Running and comparing} *)
 
 (** What the oracle observes from one run. *)
@@ -475,15 +461,16 @@ let native_host (prog : Ast.program) (case : Gen.case) : Native.Hostspec.t =
 type failure = {
   f_variant : string;
   f_config : string;
-  f_engine : string option;
-      (** [None] for engine-independent failures (static sanitizer). *)
+  f_native : bool;
+      (** The failure came from the native backend's run, not the
+          simulator or the static sanitizer. *)
   f_reason : string;
 }
 
 let pp_failure ppf f =
-  Fmt.pf ppf "variant %s under config %s%a: %s" f.f_variant f.f_config
-    Fmt.(option (fmt ", engine %s"))
-    f.f_engine f.f_reason
+  Fmt.pf ppf "variant %s under config %s%s: %s" f.f_variant f.f_config
+    (if f.f_native then ", native backend" else "")
+    f.f_reason
 
 (** Outcome of checking one case. [Invalid] means the {e generator} (or a
     shrinking step) produced a program the baseline itself cannot compile
@@ -525,7 +512,7 @@ let check_native ~(compiled : (variant * (compiled, exn) result) list)
           {
             f_variant = v_label;
             f_config = "(native)";
-            f_engine = Some "native";
+            f_native = true;
             f_reason = reason;
           }
       in
@@ -558,10 +545,9 @@ let check_native ~(compiled : (variant * (compiled, exn) result) list)
                        native sim_dump))
             units)
 
-(** [check ?sanitize ?engines ?variants ?configs case] — compile every
-    variant once, then for each configuration run the baseline (under the
-    first engine of [engines]) and every variant under every engine, and
-    compare. Returns the first failure found.
+(** [check ?sanitize ?native ?variants ?configs case] — compile every
+    variant once, then for each configuration run the baseline and every
+    variant, and compare. Returns the first failure found.
 
     With [~sanitize:true] (dpfuzz's [--check] mode) the oracle also
     requires every program — the fuzzed input and every variant's output
@@ -575,10 +561,8 @@ let check_native ~(compiled : (variant * (compiled, exn) result) list)
     its memory dump compared against the simulated baseline — slow (a
     nested dune build per case) but a true-parallelism oracle. *)
 let check ?(sanitize = false) ?(native = false)
-    ?(engines = [ closure_engine ]) ?(variants = default_variants ())
-    ?(configs = sim_configs) (case : Gen.case) : outcome =
-  let engines = match engines with [] -> [ closure_engine ] | l -> l in
-  let base_engine_label, base_engine = List.hd engines in
+    ?(variants = default_variants ()) ?(configs = sim_configs)
+    (case : Gen.case) : outcome =
   let configs =
     if sanitize then
       List.map
@@ -621,7 +605,7 @@ let check ?(sanitize = false) ?(native = false)
                     {
                       f_variant = baseline_variant.v_label;
                       f_config = "(static)";
-                      f_engine = None;
+                      f_native = false;
                       f_reason = "static sanitizer: " ^ d;
                     }
               | None ->
@@ -635,18 +619,14 @@ let check ?(sanitize = false) ?(native = false)
                               {
                                 f_variant = v.v_label;
                                 f_config = "(static)";
-                                f_engine = None;
+                                f_native = false;
                                 f_reason = "static sanitizer: " ^ d;
                               })
                             (first_error c.c_prog))
                     compiled
           in
           let check_config (cfg_label, cfg) =
-            match
-              run
-                ~cfg:{ cfg with Gpusim.Config.engine = base_engine }
-                base_compiled case
-            with
+            match run ~cfg base_compiled case with
             | exception exn ->
                 Some (`Invalid (Fmt.str "baseline run raised under %s: %s"
                                   cfg_label (Printexc.to_string exn)))
@@ -656,57 +636,45 @@ let check ?(sanitize = false) ?(native = false)
                      {
                        f_variant = baseline_variant.v_label;
                        f_config = cfg_label;
-                       f_engine = Some base_engine_label;
+                       f_native = false;
                        f_reason = "race detected: " ^ List.hd base.obs_races;
                      })
             | base ->
                 List.find_map
                   (fun (v, c) ->
+                    let fail reason =
+                      Some
+                        (`Fail
+                           {
+                             f_variant = v.v_label;
+                             f_config = cfg_label;
+                             f_native = false;
+                             f_reason = reason;
+                           })
+                    in
                     match c with
                     | Error exn ->
-                        Some
-                          (`Fail
-                             {
-                               f_variant = v.v_label;
-                               f_config = cfg_label;
-                               f_engine = None;
-                               f_reason =
-                                 Fmt.str "compilation raised: %s"
-                                   (Printexc.to_string exn);
-                             })
-                    | Ok c ->
-                        List.find_map
-                          (fun (engine_label, engine) ->
-                            let fail reason =
-                              Some
-                                (`Fail
-                                   {
-                                     f_variant = v.v_label;
-                                     f_config = cfg_label;
-                                     f_engine = Some engine_label;
-                                     f_reason = reason;
-                                   })
-                            in
-                            match
-                              run ~cfg:{ cfg with Gpusim.Config.engine } c case
-                            with
-                            | exception exn ->
-                                fail
-                                  (Fmt.str "execution raised: %s"
-                                     (Printexc.to_string exn))
-                            | got -> (
-                                match mem_diff base.obs_mem got.obs_mem with
-                                | Some d -> fail ("device memory differs: " ^ d)
-                                | None -> (
-                                    match metric_diff ~v ~base got with
-                                    | Some d -> fail ("launch metrics: " ^ d)
-                                    | None ->
-                                        if got.obs_races <> [] then
-                                          fail
-                                            ("race detected: "
-                                            ^ List.hd got.obs_races)
-                                        else None)))
-                          engines)
+                        fail
+                          (Fmt.str "compilation raised: %s"
+                             (Printexc.to_string exn))
+                    | Ok c -> (
+                        match run ~cfg c case with
+                        | exception exn ->
+                            fail
+                              (Fmt.str "execution raised: %s"
+                                 (Printexc.to_string exn))
+                        | got -> (
+                            match mem_diff base.obs_mem got.obs_mem with
+                            | Some d -> fail ("device memory differs: " ^ d)
+                            | None -> (
+                                match metric_diff ~v ~base got with
+                                | Some d -> fail ("launch metrics: " ^ d)
+                                | None ->
+                                    if got.obs_races <> [] then
+                                      fail
+                                        ("race detected: "
+                                        ^ List.hd got.obs_races)
+                                    else None))))
                   compiled
           in
           match static_fail with

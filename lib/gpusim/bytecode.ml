@@ -1,17 +1,16 @@
-(** Flat bytecode/register IR for MiniCU device code — the second execution
-    engine ({!Config.engine} = [Bytecode]).
+(** Flat bytecode/register IR for MiniCU device code — the lowering half
+    of the simulator's execution engine; the VM ({!Vm}) runs it over
+    unboxed register banks (separate int/float arrays) with no per-step
+    allocation.
 
     Kernel bodies are lowered to a single flat instruction array over a
-    per-function register file; the VM ({!Vm}) runs it over unboxed register
-    banks (separate int/float arrays) with no per-step allocation.
-
-    The lowering mirrors the closure compiler ({!Compile}) case for case:
-    the same costs are charged at the same program points, the same runtime
-    errors are raised with the same messages, and — crucially — side effects
-    (loads, stores, atomics, launches, coercion failures) happen in the same
-    order the closure trees evaluate them. The cross-engine differential
-    suite pins this equivalence bit-for-bit; when in doubt about an
-    evaluation order, consult the corresponding [Compile] case, not C.
+    per-function register file. The lowering fixes the simulator's
+    observable semantics: where each statement's cost is charged, which
+    runtime errors are raised with which messages, and the order of side
+    effects (loads, stores, atomics, launches, coercion failures) — e.g. a
+    binary operator evaluates its right operand first. The golden suite
+    ([test/test_bytecode.ml]) pins all of this bit for bit, and the native
+    backend ({e lib/native}) mirrors it.
 
     Registers are frame-relative indices. Parameters occupy registers
     [0 .. nparams-1]; locals and expression temporaries follow. Register
@@ -219,10 +218,9 @@ let slot_of env x loc_hint =
 let mark env = env.next_reg
 let reset env m = env.next_reg <- m
 
-(* Save/restore lexical scope around nested blocks. Unlike the closure
-   compiler, the register counter is restored too: sibling scopes reuse
-   registers, which is safe because every [Decl] (re)writes its register
-   before any use. *)
+(* Save/restore lexical scope around nested blocks. The register counter
+   is restored too: sibling scopes reuse registers, which is safe because
+   every [Decl] (re)writes its register before any use. *)
 let scoped env f =
   let slots = env.slots and regs = env.next_reg in
   let r = f () in
@@ -342,8 +340,7 @@ let rec lower_expr env (e : expr) : int =
       ins (I_binop_float (op, d, ra, f));
       d
   | Binop (op, a, b) ->
-      (* The closure engine evaluates [eval_binop op (ca t) (cb t)]:
-         right-to-left application order runs [b] before [a]. *)
+      (* Right-to-left evaluation order: [b] before [a]. *)
       let rb = lower_expr env b in
       let ra = lower_expr env a in
       let d = tmp env in
@@ -673,8 +670,8 @@ let default_value : ty -> Value.t = function
 
 (* --- Charge coalescing -------------------------------------------------
 
-   The closure engine charges each statement's (statically computed) cost
-   as the statement starts executing. Costs are observable at exactly two
+   Each statement's (statically computed) cost is charged as the
+   statement starts executing. Costs are observable at exactly two
    points: a launch records the thread's running total ([lr_issue_cost]),
    and per-tag totals are aggregated when the block completes. A thread
    that enters a straight-line statement run either executes all of it or
@@ -690,27 +687,27 @@ let default_value : ty -> Value.t = function
 let stmt_charge (cfg : Config.t) (s : stmt) : (int * int) option =
   let tag = Metrics.index_of_tag s.stag in
   match s.sdesc with
-  | Decl (_, _, Some e) -> Some (tag, Compile.expr_cost cfg e + cfg.arith_cost)
+  | Decl (_, _, Some e) -> Some (tag, Runtime.expr_cost cfg e + cfg.arith_cost)
   | Decl (_, _, None) -> Some (tag, 0)
   | Decl_shared _ -> Some (tag, cfg.arith_cost)
   | Assign (lv, e) ->
       Some
         ( tag,
-          Compile.expr_cost cfg e
+          Runtime.expr_cost cfg e
           + (match lv with
             | Index _ -> cfg.mem_cost + cfg.arith_cost
             | Member (Index _, _) -> (2 * cfg.mem_cost) + cfg.arith_cost
             | _ -> cfg.arith_cost) )
-  | Expr_stmt e -> Some (tag, Compile.expr_cost cfg e)
-  | Return (Some e) -> Some (tag, Compile.expr_cost cfg e)
+  | Expr_stmt e -> Some (tag, Runtime.expr_cost cfg e)
+  | Return (Some e) -> Some (tag, Runtime.expr_cost cfg e)
   | Return None -> Some (tag, 0)
   | Launch l ->
       Some
         ( tag,
           cfg.launch_issue_cost
-          + Compile.expr_cost cfg l.l_grid
-          + Compile.expr_cost cfg l.l_block
-          + List.fold_left (fun acc a -> acc + Compile.expr_cost cfg a) 0 l.l_args
+          + Runtime.expr_cost cfg l.l_grid
+          + Runtime.expr_cost cfg l.l_block
+          + List.fold_left (fun acc a -> acc + Runtime.expr_cost cfg a) 0 l.l_args
         )
   | Sync | Syncwarp -> Some (tag, cfg.sync_cost)
   | Threadfence -> Some (tag, cfg.fence_cost)
@@ -826,7 +823,7 @@ let rec lower_stmt ?(self_charge = true) env (s : stmt) : unit =
       | _ -> Value.error "in %s: invalid assignment target" env.fname);
       reset env m
   | If (c, a, b) ->
-      charge (Compile.expr_cost cfg c + cfg.branch_cost);
+      charge (Runtime.expr_cost cfg c + cfg.branch_cost);
       let jf = lower_cond_jf env c in
       scoped env (fun () -> lower_stmts env a);
       if b = [] then patch_target env.em jf env.em.len
@@ -840,9 +837,9 @@ let rec lower_stmt ?(self_charge = true) env (s : stmt) : unit =
       (* Rotated: the test is emitted twice — an entry guard, then again at
          the bottom of the body where the back edge becomes a fall-through
          test — so an iteration executes no unconditional jump. Both copies
-         charge the iteration cost first, like the closure engine's
-         per-iteration charge; [continue] targets the bottom test. *)
-      let iter_cost = float_of_int (Compile.expr_cost cfg c + cfg.branch_cost) in
+         charge the iteration cost first, before the test evaluates;
+         [continue] targets the bottom test. *)
+      let iter_cost = float_of_int (Runtime.expr_cost cfg c + cfg.branch_cost) in
       let charge_iter () =
         if iter_cost <> 0.0 then ins (I_charge (tag, iter_cost))
       in
@@ -869,14 +866,13 @@ let rec lower_stmt ?(self_charge = true) env (s : stmt) : unit =
          charge (one [I_charge] covering step + test; same sum at every
          observable point, since neither can launch once call-bearing
          steps are excluded). [continue] targets the step. The body is
-         lowered before the step here, unlike the closure compiler;
-         typechecking runs before lowering, so the swap cannot reorder
-         any user-visible error. *)
+         lowered before the step; typechecking runs before lowering, so
+         lowering order cannot reorder any user-visible error. *)
       scoped env (fun () ->
           (match init with Some s -> lower_stmt env s | None -> ());
           let iter_cost =
             float_of_int
-              ((match cond with Some c -> Compile.expr_cost cfg c | None -> 0)
+              ((match cond with Some c -> Runtime.expr_cost cfg c | None -> 0)
               + cfg.branch_cost)
           in
           let charge_iter () =
@@ -1600,7 +1596,7 @@ let compile (cfg : Config.t) (prog : program) : prog =
              bf_nparams = List.length f.f_params;
              bf_contains_launch = Ast_util.contains_launch f.f_body;
              bf_is_serial =
-               f.f_kind = Device && Compile.has_serial_suffix f.f_name;
+               f.f_kind = Device && Runtime.has_serial_suffix f.f_name;
              bf_safety = Blocksafe.analyze prog f;
              bf_static_work = Blocksafe.static_work cfg f;
              bf_entry = 0;
@@ -1635,8 +1631,8 @@ let compile (cfg : Config.t) (prog : program) : prog =
       let followup =
         Option.map
           (fun ss ->
-            (* Like the closure compiler, the followup shares the body's
-               environment: top-level body locals stay visible. *)
+            (* The followup shares the body's environment: top-level
+               body locals stay visible. *)
             let fe = em.len in
             lower_stmts env ss;
             ignore (emit em I_ret_unit);

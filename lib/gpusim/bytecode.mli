@@ -1,11 +1,8 @@
-(** Flat bytecode/register IR for MiniCU device code.
-
-    Lowers kernel bodies to a flat instruction array over a per-function
-    register file, executed by {!Vm} over unboxed register banks. The
-    lowering mirrors {!Compile} case for case — same cost charging points,
-    same runtime error messages, same side-effect order — so the two engines
-    are observationally identical (pinned by the cross-engine differential
-    suite, [test/test_bytecode.ml]). *)
+(** Flat bytecode/register IR for MiniCU device code: the lowering half of
+    the simulator's execution engine, run by {!Vm} over unboxed register
+    banks. The lowering fixes the observable semantics — cost charging
+    points, runtime error messages, side-effect order — pinned bit for bit
+    by the golden suite ([test/test_bytecode.ml]). *)
 
 type special = Sp_thread_idx | Sp_block_idx | Sp_block_dim | Sp_grid_dim
 
@@ -87,7 +84,7 @@ type func = {
           reused across sibling scopes. *)
   bf_nparams : int;
   bf_contains_launch : bool;
-      (** Drives {!Config.cdp_entry_cost}, as in the closure engine. *)
+      (** Drives {!Config.cdp_entry_cost}. *)
   bf_is_serial : bool;
   bf_safety : Blocksafe.summary;
       (** Cross-block independence proof for parallel dispatch

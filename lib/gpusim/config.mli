@@ -6,14 +6,13 @@
     underutilization, divergence), not the absolute values. All times are
     cycles of a nominal SM clock. *)
 
-(** Which execution engine runs device code: the closure-tree interpreter
-    ([Compile]/[Exec]) or the flat bytecode/register VM ([Bytecode]/[Vm]).
-    Semantics are identical (pinned by the cross-engine differential
-    suite); bytecode avoids per-step boxing and fibers. *)
-type engine = Closure | Bytecode
+(** The execution engine that runs device code. There is one, the
+    bytecode VM ({!Bytecode}/{!Vm}); the type and {!t.engine} exist only so
+    that host-time benchmark records can stamp which engine produced
+    them. *)
+type engine = Bytecode
 
 val pp_engine : Format.formatter -> engine -> unit
-val engine_of_string : string -> engine option
 
 (** Stratified grid sampling: grids with at least [block_threshold] blocks
     simulate only a deterministic stratified sample of their blocks, and
@@ -21,7 +20,7 @@ val engine_of_string : string -> engine option
     a sample of them; skipped work is represented by weights (scaled
     metrics, weighted launch-queue service, clock correction at drain).
     Samples are a pure function of [seed] and grid identity — identical at
-    any [block_jobs] and across engines. *)
+    any [block_jobs]. *)
 type sampling = {
   block_threshold : int;
   block_frac : float;  (** In (0, 1]. *)
@@ -38,7 +37,7 @@ val default_sampling : sampling
 
 type t = {
   (* execution engine *)
-  engine : engine;
+  engine : engine;  (** Always [Bytecode]; see {!engine}. *)
   block_jobs : int;
       (** Worker domains for within-run parallel block execution of
           provably conflict-free batches ({!Blocksafe}); results commit in
@@ -77,7 +76,8 @@ type t = {
   (* sanitizer *)
   check : bool;
       (** Enable the dynamic sanitizer ({!Racecheck}). Off by default;
-          instrumentation is chosen at closure-compile time, so
+          instrumentation is chosen when {!Bytecode.compile} lowers the
+          program (checked instruction variants only under [check]), so
           [check = false] runs pay nothing. *)
 }
 
@@ -88,7 +88,7 @@ val test_config : t
 
 (** {2 Derived constants}
 
-    Plain-number views of the scheduler's machine laws ([Sched]/[Exec]),
+    Plain-number views of the scheduler's machine laws ([Sched]/[Vm]),
     exposed for the analytical cost model ({e lib/costmodel}). *)
 
 (** Launches the grid-management unit serves per cycle

@@ -6,7 +6,7 @@
 
     Slots outside the live prefix [0 .. size - 1] are kept at [None]: both
     {!pop} (the vacated slot) and the growth path clear them, so a popped
-    payload — a grid record with its kernel closures and argument values —
+    payload — a grid record with its lowered kernel and argument values —
     becomes garbage as soon as the simulator drops it, instead of being
     retained by the heap array for the rest of the run. *)
 

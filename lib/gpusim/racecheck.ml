@@ -1,7 +1,7 @@
 (** Dynamic intra-block race detector (the "racecheck" half of dpcheck).
 
     One [t] shadows one thread block. Every instrumented global/shared
-    memory access (see {!Compile}, [Config.check]) is recorded against a
+    memory access (see {!Vm}, [Config.check]) is recorded against a
     per-address cell holding the last write and up to two same-epoch reads
     from distinct threads — the classic two-reader trick: if any reader
     other than a later writer exists in the epoch, one of the two retained

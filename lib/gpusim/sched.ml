@@ -47,7 +47,7 @@
     of their blocks: the flat block range splits into contiguous strata and
     each stratum contributes a systematic sample (hashed phase, so the
     sample is a pure function of the seed and grid identity — identical at
-    any [block_jobs] and across engines). Every sampled block carries the
+    any [block_jobs]). Every sampled block carries the
     weight [N_h/k_h] of the stratum it represents; commits scale metrics by
     the weight, advance the launch queue by the weighted service time, and
     fold the skipped compute into the clock at the next drain. Blocks that
@@ -60,29 +60,10 @@
 
 type dim3 = int * int * int
 
-(** A loaded program / resolved kernel, under either execution engine
-    ({!Config.engine}). The two engines are observationally identical;
-    the scheduler only needs name/arity/followup access, routed through
-    the accessors below. *)
-type prog = P_closure of Compile.cprog | P_bytecode of Bytecode.prog
+(** A loaded program and a resolved kernel. *)
+type prog = Bytecode.prog
 
-type kernel = K_closure of Compile.cfunc | K_bytecode of Bytecode.func
-
-let kernel_name = function
-  | K_closure cf -> cf.Compile.cf_name
-  | K_bytecode bf -> bf.Bytecode.bf_name
-
-let kernel_nparams = function
-  | K_closure cf -> cf.Compile.cf_nparams
-  | K_bytecode bf -> bf.Bytecode.bf_nparams
-
-let kernel_safety = function
-  | K_closure cf -> cf.Compile.cf_safety
-  | K_bytecode bf -> bf.Bytecode.bf_safety
-
-let kernel_static_work = function
-  | K_closure cf -> cf.Compile.cf_static_work
-  | K_bytecode bf -> bf.Bytecode.bf_static_work
+type kernel = Bytecode.func
 
 (** One host stream / tenant sharing the device. Grid ids are dense per
     stream (a per-stream namespace), and every launch, block and compute
@@ -157,8 +138,7 @@ type t = {
   mutable next_stream_id : int;
   trace : Trace.t;
   scratch : Vm.scratch;
-      (** Reusable per-block thread arena for the bytecode engine (serial
-          path). *)
+      (** Reusable per-block thread arena for the VM (serial path). *)
   mutable scratches : Vm.scratch array;
       (** Per-worker arenas for parallel batches; sized on first use. *)
   mutable par_batches : int;
@@ -204,11 +184,7 @@ let new_stream t =
   s
 
 let load_stream t (s : stream) (prog : Minicu.Ast.program) =
-  s.st_prog <-
-    Some
-      (match t.cfg.engine with
-      | Config.Closure -> P_closure (Compile.compile t.cfg prog)
-      | Config.Bytecode -> P_bytecode (Bytecode.compile t.cfg prog))
+  s.st_prog <- Some (Bytecode.compile t.cfg prog)
 
 let stream_prog_exn (s : stream) =
   match s.st_prog with
@@ -223,7 +199,7 @@ let stream_prog_exn (s : stream) =
 
 (* A small xorshift-multiply mixer over OCaml's 63-bit ints (constants kept
    under 2^62). Quality only needs to decorrelate sample phases across
-   grids and strata; determinism across runs, engines and [block_jobs] is
+   grids and strata; determinism across runs and [block_jobs] is
    the real requirement. *)
 let mix h =
   let h = (h lxor (h lsr 33)) * 0x2545F4914F6CDD1D in
@@ -298,10 +274,10 @@ let launch_grid ?issue ?(from_host = false) ?job ?(weight = 1.0) t
   let gx, gy, gz = grid in
   let nblocks = gx * gy * gz in
   if nblocks <= 0 then
-    Value.error "launch of %S with empty grid" (kernel_name kernel);
+    Value.error "launch of %S with empty grid" kernel.bf_name;
   if Value.dim3_total block > t.cfg.max_threads_per_block then
     Value.error "launch of %S with %d threads per block (max %d)"
-      (kernel_name kernel) (Value.dim3_total block)
+      kernel.bf_name (Value.dim3_total block)
       t.cfg.max_threads_per_block;
   let gid = stream.st_next_grid_id in
   let selection =
@@ -310,7 +286,7 @@ let launch_grid ?issue ?(from_host = false) ?job ?(weight = 1.0) t
       when sp.block_threshold > 0
            && nblocks >= sp.block_threshold
            && sp.block_frac < 1.0
-           && kernel_static_work kernel >= sp.min_static_work ->
+           && kernel.bf_static_work >= sp.min_static_work ->
         select_blocks sp ~stream_id:stream.st_id ~gid ~nblocks
     | _ -> None
   in
@@ -354,7 +330,7 @@ let launch_grid ?issue ?(from_host = false) ?job ?(weight = 1.0) t
        {
          t_tenant = stream.st_id;
          t_grid_id = g.g_id;
-         t_kernel = kernel_name kernel;
+         t_kernel = kernel.bf_name;
          t_blocks = nblocks;
          t_from_host = from_host;
          t_issue = Option.value issue ~default:ready;
@@ -428,20 +404,13 @@ let process_host_launch ?(weight = 1.0) t (stream : stream) ~issue =
   ready
 
 let resolve_kernel (stream : stream) name =
-  match stream_prog_exn stream with
-  | P_closure cp ->
-      let cf = Compile.find_func_exn cp name in
-      if cf.Compile.cf_kind <> Minicu.Ast.Global then
-        Value.error "%S is not a __global__ kernel" name;
-      K_closure cf
-  | P_bytecode bp ->
-      let bf = Bytecode.find_func_exn bp name in
-      if bf.Bytecode.bf_kind <> Minicu.Ast.Global then
-        Value.error "%S is not a __global__ kernel" name;
-      K_bytecode bf
+  let bf = Bytecode.find_func_exn (stream_prog_exn stream) name in
+  if bf.bf_kind <> Minicu.Ast.Global then
+    Value.error "%S is not a __global__ kernel" name;
+  bf
 
 let dispatch_launch_req ?(weight = 1.0) t (stream : stream) ?job
-    ~(base : float) (lr : Compile.launch_req) =
+    ~(base : float) (lr : Runtime.launch_req) =
   let kernel = resolve_kernel stream lr.lr_kernel in
   let ready =
     if lr.lr_from_host then process_host_launch ~weight t stream ~issue:base
@@ -489,30 +458,16 @@ let grid_completed t (g : grid) =
      launch once the parent grid has drained (Section V-A). *)
   let stream = g.g_stream in
   let launches =
-    match g.g_kernel with
-    | K_closure cf -> (
-        match cf.Compile.cf_followup with
-        | None -> []
-        | Some followup ->
-            Exec.run_host_stmts cf followup ~args:g.g_args ~grid:g.g_grid
-              ~block:g.g_block ~mem:t.mem ~cfg:t.cfg
-              ~metrics:stream.st_metrics)
-    | K_bytecode bf -> (
-        match bf.Bytecode.bf_followup with
-        | None -> []
-        | Some entry ->
-            let bp =
-              match stream_prog_exn stream with
-              | P_bytecode bp -> bp
-              | P_closure _ -> assert false
-            in
-            Vm.run_host_stmts bp bf ~entry ~args:g.g_args ~grid:g.g_grid
-              ~block:g.g_block ~mem:t.mem ~cfg:t.cfg
-              ~metrics:stream.st_metrics)
+    match g.g_kernel.bf_followup with
+    | None -> []
+    | Some entry ->
+        Vm.run_host_stmts (stream_prog_exn stream) g.g_kernel ~entry
+          ~args:g.g_args ~grid:g.g_grid ~block:g.g_block ~mem:t.mem
+          ~cfg:t.cfg ~metrics:stream.st_metrics
   in
   fold_strata g;
   List.iter
-    (fun (lr : Compile.launch_req) ->
+    (fun (lr : Runtime.launch_req) ->
       dispatch_launch_req ~weight:g.g_weight t stream ?job:g.g_job
         ~base:g.g_last_finish
         { lr with lr_from_host = true })
@@ -530,20 +485,13 @@ let grid_completed t (g : grid) =
    reach the stream's metrics, as they would have under direct
    accumulation. *)
 let exec_block t scratch (g : grid) ~bidx :
-    (Exec.result, exn) result * Metrics.t =
+    (Runtime.result, exn) result * Metrics.t =
   let priv = Metrics.create () in
   let r =
     match
-      match (stream_prog_exn g.g_stream, g.g_kernel) with
-      | P_closure cp, K_closure cf ->
-          Exec.run_block cp cf ~args:g.g_args ~gdim:g.g_grid ~bdim:g.g_block
-            ~bidx ~mem:t.mem ~cfg:t.cfg ~metrics:priv
-            ~default_idx:g.g_default_idx
-      | P_bytecode bp, K_bytecode bf ->
-          Vm.run_block scratch bp bf ~args:g.g_args ~gdim:g.g_grid
-            ~bdim:g.g_block ~bidx ~mem:t.mem ~cfg:t.cfg ~metrics:priv
-            ~default_idx:g.g_default_idx
-      | (P_closure _ | P_bytecode _), _ -> assert false
+      Vm.run_block scratch (stream_prog_exn g.g_stream) g.g_kernel
+        ~args:g.g_args ~gdim:g.g_grid ~bdim:g.g_block ~bidx ~mem:t.mem
+        ~cfg:t.cfg ~metrics:priv ~default_idx:g.g_default_idx
     with
     | r -> Ok r
     | exception e -> Error e
@@ -562,7 +510,7 @@ let abort_block (g : grid) priv e =
    at weight 1, see {!Metrics.merge}), trace, launch dispatch (with launch
    sampling), stratum bookkeeping, grid completion. *)
 let commit_block t ~te (Block_ready (g, bidx, bw, stratum))
-    (r : Exec.result) (priv : Metrics.t) =
+    (r : Runtime.result) (priv : Metrics.t) =
   let stream = g.g_stream in
   let w = g.g_weight *. bw in
   (* earliest-free SM *)
@@ -617,8 +565,8 @@ let commit_block t ~te (Block_ready (g, bidx, bw, stratum))
              are static and ties break on position, so the pick is as
              deterministic as the plain systematic one. *)
           let threads i =
-            let cgx, cgy, cgz = arr.(i).Compile.lr_grid in
-            let cbx, cby, cbz = arr.(i).Compile.lr_block in
+            let cgx, cgy, cgz = arr.(i).Runtime.lr_grid in
+            let cbx, cby, cbz = arr.(i).Runtime.lr_block in
             cgx * cgy * cgz * cbx * cby * cbz
           in
           let order = Array.init n Fun.id in
@@ -664,7 +612,7 @@ let commit_block t ~te (Block_ready (g, bidx, bw, stratum))
     | _ -> List.map (fun lr -> (lr, 1.0)) r.r_launches
   in
   List.iter
-    (fun ((lr : Compile.launch_req), lw) ->
+    (fun ((lr : Runtime.launch_req), lw) ->
       let offset = Float.min (lr.lr_issue_cost /. par) r.r_compute_cycles in
       dispatch_launch_req ~weight:(w *. lw) t stream ?job:g.g_job
         ~base:(start +. sched +. offset)
@@ -812,7 +760,7 @@ let admit bt (g : grid) (s : Blocksafe.summary) =
 let collect_batch t =
   let (te, ev) = Event_queue.pop t.events in
   let (Block_ready (g, _, _, _)) = ev in
-  let s = kernel_safety g.g_kernel in
+  let s = g.g_kernel.bf_safety in
   if not (batchable g s) then [| (te, ev) |]
   else begin
     let bt =
@@ -831,7 +779,7 @@ let collect_batch t =
       while not !stop do
         match Event_queue.peek t.events with
         | Some (te', (Block_ready (g', _, _, _) as ev')) ->
-            let s' = kernel_safety g'.g_kernel in
+            let s' = g'.g_kernel.bf_safety in
             if batchable g' s' && admit bt g' s' then begin
               ignore (Event_queue.pop t.events);
               acc := (te', ev') :: !acc;

@@ -30,22 +30,13 @@
 
 type dim3 = int * int * int
 
-(** A loaded program / resolved kernel under either execution engine
-    ({!Config.engine}); {!Device.load_program} picks the variant. *)
-type prog = P_closure of Compile.cprog | P_bytecode of Bytecode.prog
+(** A loaded program and a resolved kernel: the VM's lowered form. A
+    kernel carries its cross-block independence proof
+    ([bf_safety], {!Blocksafe.analyze}) and static per-thread work
+    estimate ([bf_static_work], {!Blocksafe.static_work}). *)
+type prog = Bytecode.prog
 
-type kernel = K_closure of Compile.cfunc | K_bytecode of Bytecode.func
-
-val kernel_name : kernel -> string
-val kernel_nparams : kernel -> int
-
-(** The kernel's cross-block independence proof ({!Blocksafe.analyze}),
-    computed at compile time under either engine. *)
-val kernel_safety : kernel -> Blocksafe.summary
-
-(** The kernel's static per-thread work estimate
-    ({!Blocksafe.static_work}). *)
-val kernel_static_work : kernel -> float
+type kernel = Bytecode.func
 
 (** One host stream / tenant. Every launch, block and compute cycle of the
     stream's grids is charged to [st_metrics]; grid ids are dense per
@@ -116,8 +107,7 @@ type t = {
   mutable next_stream_id : int;
   trace : Trace.t;  (** Off by default; see {!Trace.enable}. *)
   scratch : Vm.scratch;
-      (** Reusable per-block thread arena for the bytecode engine (serial
-          path). *)
+      (** Reusable per-block thread arena for the VM (serial path). *)
   mutable scratches : Vm.scratch array;
       (** Per-worker arenas for parallel batches; sized on first use. *)
   mutable par_batches : int;
@@ -139,7 +129,7 @@ val default_stream : t -> stream
     its own metrics record and grid-id namespace. *)
 val new_stream : t -> stream
 
-(** [load_stream t s prog] compiles [prog] under {!Config.engine} and loads
+(** [load_stream t s prog] lowers [prog] ({!Bytecode.compile}) and loads
     it onto stream [s]. Streams are independent: loading one does not
     disturb another. *)
 val load_stream : t -> stream -> Minicu.Ast.program -> unit

@@ -1,4 +1,5 @@
-(** Register VM for the bytecode engine ({!Bytecode}).
+(** Register VM: the simulator's execution engine for lowered MiniCU
+    ({!Bytecode}).
 
     Executes lowered MiniCU over unboxed per-thread register banks: a tag
     byte per register (unit/int/float/bool/dim3/ptr) with payload lanes in
@@ -14,17 +15,32 @@
     from the program's side pools.
 
     Threads are explicit state machines (program counter, frame base, call
-    stack), not fibers: a thread runs until it finishes or parks at a
-    barrier / warp collective, and resuming it runs it immediately to its
-    next suspension — the same interleaving {!Exec} gets from
-    [Effect.Deep.continue]. Block-level semantics (warp-by-warp advance,
-    barrier epochs, divergent-collective errors, cost aggregation,
-    {!Racecheck} hooks) mirror {!Exec} exactly; the cross-engine
-    differential suite pins the two engines bit-for-bit.
+    stack): a thread runs until it finishes or parks at a barrier or warp
+    collective, and resuming it runs it immediately to its next
+    suspension. A block advances warp by warp:
+
+    - within a warp, threads run in lane order until every live lane has
+      either reached the same warp collective (which is then evaluated and
+      all lanes resumed) or reached the block barrier / finished;
+    - when every warp has reached the barrier, all waiting threads are
+      released and the next barrier epoch begins.
+
+    Threads that return before a barrier count as arrived at every later
+    barrier — the CUDA idiom of early-exit guard threads; truly divergent
+    barriers (some lanes at a warp collective while others sit at
+    [__syncthreads]) are errors. Cost accounting: each thread accumulates
+    per-tag cycles; a warp's cost per tag is the maximum over its lanes
+    (lockstep execution makes the straggler the critical path), and a
+    block's cost is the sum over warps, scaled by
+    {!Config.sm_warp_parallelism}. The golden suite
+    ([test/test_bytecode.ml]) pins all of this bit for bit.
 
     Per-block metadata lives in a {!scratch} arena owned by the scheduler:
     thread records, register banks and call stacks are preallocated and
-    reused across blocks, so steady-state execution does not allocate. *)
+    reused across blocks, so a launch allocates nothing per loop
+    iteration (the [@ir] gate checks that it allocates no more at twice
+    the trip count); what it does allocate is per block and per boxed
+    value crossing the edges above. *)
 
 open Bytecode
 
@@ -32,7 +48,7 @@ type status =
   | T_not_started
   | T_running
   | T_at_sync
-  | T_at_warp of Compile.warp_req
+  | T_at_warp of Runtime.warp_req
   | T_done
 
 (* Register tag codes (one byte per register). *)
@@ -62,14 +78,15 @@ type thread = {
   mutable st_dst : int array;  (** Absolute result register in the caller. *)
   mutable st_nregs : int array;
   mutable depth : int;
-  (* Cost accounting, as in {!Compile.tctx}. [tot] is a one-element
-     array rather than a mutable float field: mixed records box their
-     float fields, and charging is on the hottest interpreter path. *)
+  (* Cost accounting: per-tag cycles and their running total. [tot] is a
+     one-element array rather than a mutable float field: mixed records
+     box their float fields, and charging is on the hottest interpreter
+     path. *)
   costs : float array;
   tot : float array;
   mutable default_idx : int;
   mutable tidx : int * int * int;
-  mutable blk : Compile.bctx;
+  mutable blk : Runtime.bctx;
   mutable status : status;
   mutable wdst : int;  (** Absolute register awaiting a warp result. *)
 }
@@ -214,34 +231,36 @@ let get_dim3 t r =
   | _ -> Value.error "expected a dim3 or int, got %a" Value.pp (box t r)
 
 (* ------------------------------------------------------------------ *)
-(* Cost charging and sanitizer hooks (mirroring {!Compile})            *)
+(* Cost charging and sanitizer hooks                                   *)
 (* ------------------------------------------------------------------ *)
 
-let charge_tag (t : thread) idx (c : float) =
+(* Inlined so the float argument stays unboxed: an out-of-line call boxes
+   it, i.e. allocates on every [charge] of every loop iteration. *)
+let[@inline] charge_tag (t : thread) idx (c : float) =
   let idx = if idx = Metrics.tag_default then t.default_idx else idx in
   Array.unsafe_set t.costs idx (Array.unsafe_get t.costs idx +. c);
   Array.unsafe_set t.tot 0 (Array.unsafe_get t.tot 0 +. c)
 
 let check_access (t : thread) ~kind ~loc (ptr : Value.ptr) =
-  match t.blk.Compile.racecheck with
+  match t.blk.Runtime.racecheck with
   | None -> ()
   | Some rc ->
       let x, y, z = t.tidx in
-      let bx, by, _ = t.blk.Compile.bdim in
+      let bx, by, _ = t.blk.Runtime.bdim in
       let tid = x + (y * bx) + (z * bx * by) in
       Racecheck.record rc ~tid ~kind ~loc ptr
 
 let access_failed (t : thread) ~loc msg =
-  t.blk.Compile.metrics.Metrics.oob_detected <-
-    t.blk.Compile.metrics.Metrics.oob_detected + 1;
+  t.blk.Runtime.metrics.Metrics.oob_detected <-
+    t.blk.Runtime.metrics.Metrics.oob_detected + 1;
   raise (Value.Runtime_error (Fmt.str "%a: %s" Minicu.Loc.pp loc msg))
 
 let checked_load (t : thread) ~loc ptr =
-  try Memory.load t.blk.Compile.mem ptr
+  try Memory.load t.blk.Runtime.mem ptr
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
 let checked_store (t : thread) ~loc ptr v =
-  try Memory.store t.blk.Compile.mem ptr v
+  try Memory.store t.blk.Runtime.mem ptr v
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
 let dim3_member (x, y, z) = function
@@ -250,12 +269,12 @@ let dim3_member (x, y, z) = function
   | "z" -> z
   | f -> Value.error "dim3 has no member %S" f
 
-(* Atomic combine — the exact expressions of the closure engine's
-   [compile_call], so coercion order (and failure order) is identical. *)
+(* Atomic combine; coercion order (and so failure order) is part of the
+   pinned semantics. *)
 let atomic_combine (aop : atomic) (old : Value.t) (v : Value.t) : Value.t =
   match aop with
-  | A_add -> Compile.eval_binop Minicu.Ast.Add old v
-  | A_sub -> Compile.eval_binop Minicu.Ast.Sub old v
+  | A_add -> Runtime.eval_binop Minicu.Ast.Add old v
+  | A_sub -> Runtime.eval_binop Minicu.Ast.Sub old v
   | A_min ->
       if Value.is_float old || Value.is_float v then
         Value.Float (Float.min (Value.as_float old) (Value.as_float v))
@@ -323,7 +342,7 @@ let cmp2 (t : thread) op ra rb : bool =
     | Minicu.Ast.Eq -> a = bf
     | Minicu.Ast.Ne -> a <> bf
     | _ -> assert false
-  else Value.as_bool (Compile.eval_binop op (box t ra) (box t rb))
+  else Value.as_bool (Runtime.eval_binop op (box t ra) (box t rb))
 
 let cmp1 (t : thread) op ra n : bool =
   match tag_of t ra with
@@ -348,7 +367,7 @@ let cmp1 (t : thread) op ra n : bool =
       | Minicu.Ast.Eq -> a = bf
       | Minicu.Ast.Ne -> a <> bf
       | _ -> assert false)
-  | _ -> Value.as_bool (Compile.eval_binop op (box t ra) (Value.Int n))
+  | _ -> Value.as_bool (Runtime.eval_binop op (box t ra) (Value.Int n))
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter loop                                                    *)
@@ -396,9 +415,9 @@ let interp (p : Bytecode.prog) (t : thread) =
         let x, y, z =
           match wd ops (pc + 2) with
           | 0 -> t.tidx
-          | 1 -> t.blk.Compile.bidx
-          | 2 -> t.blk.Compile.bdim
-          | _ -> t.blk.Compile.gdim
+          | 1 -> t.blk.Runtime.bidx
+          | 2 -> t.blk.Runtime.bdim
+          | _ -> t.blk.Runtime.gdim
         in
         set_dim3_v t (b + wd ops (pc + 1)) x y z;
         go (pc + 3)
@@ -406,9 +425,9 @@ let interp (p : Bytecode.prog) (t : thread) =
         let dims =
           match wd ops (pc + 2) with
           | 0 -> t.tidx
-          | 1 -> t.blk.Compile.bidx
-          | 2 -> t.blk.Compile.bdim
-          | _ -> t.blk.Compile.gdim
+          | 1 -> t.blk.Runtime.bidx
+          | 2 -> t.blk.Runtime.bdim
+          | _ -> t.blk.Runtime.gdim
         in
         let f = Array.unsafe_get p.bp_spool (wd ops (pc + 3)) in
         set_int t (b + wd ops (pc + 1)) (dim3_member dims f);
@@ -439,7 +458,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         and rb = b + wd ops (pc + 4) in
         let ta = tag_of t ra and tb = tag_of t rb in
         let fallback () =
-          set_value t rd (Compile.eval_binop op (box t ra) (box t rb))
+          set_value t rd (Runtime.eval_binop op (box t ra) (box t rb))
         in
         if ta = tag_int && tb = tag_int then
           let a = geti t ra and bi = geti t rb in
@@ -495,7 +514,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         and ra = b + wd ops (pc + 3)
         and n = wd ops (pc + 4) in
         let fallback () =
-          set_value t rd (Compile.eval_binop op (box t ra) (Value.Int n))
+          set_value t rd (Runtime.eval_binop op (box t ra) (Value.Int n))
         in
         match tag_of t ra with
         | 1 -> (
@@ -546,7 +565,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         and f = Array.unsafe_get fpool (wd ops (pc + 4)) in
         let ta = tag_of t ra in
         let fallback () =
-          set_value t rd (Compile.eval_binop op (box t ra) (Value.Float f))
+          set_value t rd (Runtime.eval_binop op (box t ra) (Value.Float f))
         in
         if ta = tag_float || ta = tag_int then
           let a = if ta = tag_float then getf t ra else float_of_int (geti t ra)
@@ -605,7 +624,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         go (pc + 3)
     | 23 (* dim3 *) ->
         (* Operands are [cast.int] results, so the coercions cannot fail;
-           bind z, y, x in the closure engine's right-to-left order anyway. *)
+           bind z, y, x in the simulator's right-to-left order anyway. *)
         let vz = get_int t (b + wd ops (pc + 4)) in
         let vy = get_int t (b + wd ops (pc + 3)) in
         let vx = get_int t (b + wd ops (pc + 2)) in
@@ -615,7 +634,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         let ptr = get_ptr t (b + wd ops (pc + 2)) in
         let off = get_int t (b + wd ops (pc + 3)) in
         let ptr = { ptr with Value.off = ptr.Value.off + off } in
-        set_value t (b + wd ops (pc + 1)) (Memory.load t.blk.Compile.mem ptr);
+        set_value t (b + wd ops (pc + 1)) (Memory.load t.blk.Runtime.mem ptr);
         go (pc + 4)
     | 25 (* load.chk *) ->
         let ptr = get_ptr t (b + wd ops (pc + 2)) in
@@ -630,7 +649,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         let off = get_int t (b + wd ops (pc + 2)) in
         let ptr = { ptr with Value.off = ptr.Value.off + off } in
         let v = box t (b + wd ops (pc + 3)) in
-        Memory.store t.blk.Compile.mem ptr v;
+        Memory.store t.blk.Runtime.mem ptr v;
         go (pc + 4)
     | 27 (* store.chk *) ->
         let ptr = get_ptr t (b + wd ops (pc + 1)) in
@@ -691,8 +710,8 @@ let interp (p : Bytecode.prog) (t : thread) =
           | _ -> Float.log x);
         go (pc + 4)
     | 33 (* pow *) ->
-        (* Operands are [cast.float] results; y-side first as in the
-           closure engine's right-to-left application. *)
+        (* Operands are [cast.float] results; y-side first, in the
+           simulator's right-to-left argument order. *)
         let fy = get_float t (b + wd ops (pc + 3)) in
         let fx = get_float t (b + wd ops (pc + 2)) in
         set_float t (b + wd ops (pc + 1)) (Float.pow fx fy);
@@ -702,7 +721,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         let ptr = get_ptr t (b + wd ops (pc + 3)) in
         let v = box t (b + wd ops (pc + 4)) in
         let old =
-          Memory.atomic_rmw t.blk.Compile.mem ptr (fun old ->
+          Memory.atomic_rmw t.blk.Runtime.mem ptr (fun old ->
               atomic_combine aop old v)
         in
         set_value t (b + wd ops (pc + 2)) old;
@@ -722,7 +741,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         let cmpv = box t (b + wd ops (pc + 3)) in
         let v = box t (b + wd ops (pc + 4)) in
         let old =
-          Memory.atomic_rmw t.blk.Compile.mem ptr (fun old ->
+          Memory.atomic_rmw t.blk.Runtime.mem ptr (fun old ->
               if Value.as_int old = Value.as_int cmpv then v else old)
         in
         set_value t (b + wd ops (pc + 1)) old;
@@ -741,10 +760,10 @@ let interp (p : Bytecode.prog) (t : thread) =
         let n = get_int t (b + wd ops (pc + 2)) in
         set_ptr t
           (b + wd ops (pc + 1))
-          (Memory.alloc t.blk.Compile.mem n ~init:(Value.Int 0));
+          (Memory.alloc t.blk.Runtime.mem n ~init:(Value.Int 0));
         go (pc + 3)
     | 39 (* warp *) ->
-        if t.blk.Compile.is_host_ctx then (
+        if t.blk.Runtime.is_host_ctx then (
           (match wd ops (pc + 2) with
           | 3 (* Wk_sync *) -> set_unit t (b + wd ops (pc + 1))
           | _ -> Value.error "warp collective in host context");
@@ -752,18 +771,18 @@ let interp (p : Bytecode.prog) (t : thread) =
         else begin
           let wop =
             match wd ops (pc + 2) with
-            | 0 -> Compile.W_scan_excl
-            | 1 -> Compile.W_sum
-            | 2 -> Compile.W_max
-            | _ -> Compile.W_sync
+            | 0 -> Runtime.W_scan_excl
+            | 1 -> Runtime.W_sum
+            | 2 -> Runtime.W_max
+            | _ -> Runtime.W_sync
           in
           t.pc <- pc + 4;
           t.wdst <- b + wd ops (pc + 1);
           t.status <-
-            T_at_warp { Compile.wop; warg = box t (b + wd ops (pc + 3)) }
+            T_at_warp { Runtime.wop; warg = box t (b + wd ops (pc + 3)) }
         end
     | 40 (* warp.bcast *) ->
-        if t.blk.Compile.is_host_ctx then
+        if t.blk.Runtime.is_host_ctx then
           Value.error "warp collective in host context"
         else begin
           let lane = geti t (b + wd ops (pc + 3)) in
@@ -772,7 +791,7 @@ let interp (p : Bytecode.prog) (t : thread) =
           t.status <-
             T_at_warp
               {
-                Compile.wop = Compile.W_bcast lane;
+                Runtime.wop = Runtime.W_bcast lane;
                 warg = box t (b + wd ops (pc + 2));
               }
         end
@@ -796,8 +815,8 @@ let interp (p : Bytecode.prog) (t : thread) =
         t.base <- nbase;
         t.nregs <- callee.bf_nregs;
         if callee.bf_is_serial then
-          t.blk.Compile.metrics.Metrics.serialized_launches <-
-            t.blk.Compile.metrics.Metrics.serialized_launches + 1;
+          t.blk.Runtime.metrics.Metrics.serialized_launches <-
+            t.blk.Runtime.metrics.Metrics.serialized_launches + 1;
         go (wd ops (pc + 3))
     | 42 (* ret.unit *) ->
         if t.depth = 0 then t.status <- T_done
@@ -859,7 +878,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         let ptr = get_ptr t (b + wd ops (pc + 4)) in
         let off = get_int t (b + wd ops (pc + 5)) in
         let loc_ptr = { ptr with Value.off = ptr.Value.off + off } in
-        let v = Memory.load t.blk.Compile.mem loc_ptr in
+        let v = Memory.load t.blk.Runtime.mem loc_ptr in
         let x, y, z =
           match v with
           | Value.Dim3 d -> d
@@ -902,7 +921,7 @@ let interp (p : Bytecode.prog) (t : thread) =
           | "z" -> (x, y, n)
           | f -> Value.error "dim3 has no member %S" f
         in
-        Memory.store t.blk.Compile.mem loc_ptr (Value.Dim3 d);
+        Memory.store t.blk.Runtime.mem loc_ptr (Value.Dim3 d);
         go (pc + 8)
     | 53 (* mstore.chk *) ->
         let ptr = get_ptr t (b + wd ops (pc + 1)) in
@@ -923,7 +942,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         checked_store t ~loc loc_ptr (Value.Dim3 d);
         go (pc + 9)
     | 54 (* shared.hit *) -> (
-        match Hashtbl.find_opt t.blk.Compile.shared (wd ops (pc + 2)) with
+        match Hashtbl.find_opt t.blk.Runtime.shared (wd ops (pc + 2)) with
         | Some ptr ->
             set_ptr t (b + wd ops (pc + 1)) ptr;
             go (wd ops (pc + 3))
@@ -931,8 +950,8 @@ let interp (p : Bytecode.prog) (t : thread) =
     | 55 (* shared.new *) ->
         let n = get_int t (b + wd ops (pc + 3)) in
         let dv = Array.unsafe_get p.bp_vpool (wd ops (pc + 4)) in
-        let ptr = Memory.alloc t.blk.Compile.mem n ~init:dv in
-        Hashtbl.add t.blk.Compile.shared (wd ops (pc + 2)) ptr;
+        let ptr = Memory.alloc t.blk.Runtime.mem n ~init:dv in
+        Hashtbl.add t.blk.Runtime.shared (wd ops (pc + 2)) ptr;
         set_ptr t (b + wd ops (pc + 1)) ptr;
         go (pc + 5)
     | 56 (* launch.chk *) ->
@@ -943,11 +962,11 @@ let interp (p : Bytecode.prog) (t : thread) =
           Value.error "launch of %S with empty grid (%d,%d,%d)" kernel gx gy gz;
         let blkr = b + wd ops (pc + 3) in
         let block = (geti t blkr, getib t blkr, getic t blkr) in
-        if Value.dim3_total block > t.blk.Compile.cfg.Config.max_threads_per_block
+        if Value.dim3_total block > t.blk.Runtime.cfg.Config.max_threads_per_block
         then
           Value.error "launch of %S with %d threads per block (max %d)" kernel
             (Value.dim3_total block)
-            t.blk.Compile.cfg.Config.max_threads_per_block;
+            t.blk.Runtime.cfg.Config.max_threads_per_block;
         go (pc + 4)
     | 57 (* launch *) ->
         let kernel = Array.unsafe_get p.bp_spool (wd ops (pc + 1)) in
@@ -960,19 +979,19 @@ let interp (p : Bytecode.prog) (t : thread) =
           if i = nargs then [] else box t (b + wd ops (pc + 5 + i)) :: collect (i + 1)
         in
         let args = collect 0 in
-        t.blk.Compile.launches <-
+        t.blk.Runtime.launches <-
           {
-            Compile.lr_kernel = kernel;
+            Runtime.lr_kernel = kernel;
             lr_grid = grid;
             lr_block = block;
             lr_args = args;
             lr_issue_cost = t.tot.(0);
-            lr_from_host = t.blk.Compile.is_host_ctx;
+            lr_from_host = t.blk.Runtime.is_host_ctx;
           }
-          :: t.blk.Compile.launches;
+          :: t.blk.Runtime.launches;
         go (pc + 5 + nargs)
     | 58 (* sync *) ->
-        if t.blk.Compile.is_host_ctx then go (pc + 1)
+        if t.blk.Runtime.is_host_ctx then go (pc + 1)
         else begin
           t.pc <- pc + 1;
           t.status <- T_at_sync
@@ -988,7 +1007,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         | 2 -> set_float t d (getf t d +. 1.0)
         | _ ->
             set_value t d
-              (Compile.eval_binop Minicu.Ast.Add (box t d) (Value.Int 1)));
+              (Runtime.eval_binop Minicu.Ast.Add (box t d) (Value.Int 1)));
         let ra = b + wd ops (pc + 5) and rb = b + wd ops (pc + 6) in
         (* inline the dominant int-int Lt case (counting loops) *)
         let taken =
@@ -1005,7 +1024,7 @@ let interp (p : Bytecode.prog) (t : thread) =
         | 2 -> set_float t d (getf t d +. 1.0)
         | _ ->
             set_value t d
-              (Compile.eval_binop Minicu.Ast.Add (box t d) (Value.Int 1)));
+              (Runtime.eval_binop Minicu.Ast.Add (box t d) (Value.Int 1)));
         let ra = b + wd ops (pc + 5) in
         (* inline the dominant int Lt case (counting loops) *)
         let taken =
@@ -1040,7 +1059,7 @@ let interp (p : Bytecode.prog) (t : thread) =
 (* Thread pool (per-scheduler scratch arena)                           *)
 (* ------------------------------------------------------------------ *)
 
-let make_thread (blk : Compile.bctx) : thread =
+let make_thread (blk : Runtime.bctx) : thread =
   {
     tags = Bytes.make 64 '\000';
     ia = Array.make 64 0;
@@ -1068,7 +1087,7 @@ type scratch = { mutable threads : thread array }
 
 let create_scratch () = { threads = [||] }
 
-let ensure_threads (s : scratch) (blk : Compile.bctx) n =
+let ensure_threads (s : scratch) (blk : Runtime.bctx) n =
   let have = Array.length s.threads in
   if have < n then begin
     let old = s.threads in
@@ -1079,8 +1098,8 @@ let ensure_threads (s : scratch) (blk : Compile.bctx) n =
 (* Reset a pooled thread for a fresh block run: rebind the block context,
    zero the cost counters, point the pc at the kernel entry and seed the
    frame with the launch arguments. Registers beyond the arguments keep
-   stale payloads but get Unit tags, exactly like a fresh closure frame. *)
-let reset_thread (t : thread) (blk : Compile.bctx) ~tidx ~default_idx ~entry
+   stale payloads but get Unit tags, so they read as uninitialized. *)
+let reset_thread (t : thread) (blk : Runtime.bctx) ~tidx ~default_idx ~entry
     ~nregs ~(args : Value.t array) =
   t.blk <- blk;
   t.tidx <- tidx;
@@ -1098,14 +1117,14 @@ let reset_thread (t : thread) (blk : Compile.bctx) ~tidx ~default_idx ~entry
   t.wdst <- 0
 
 (* ------------------------------------------------------------------ *)
-(* Block execution (mirrors {!Exec.run_block})                         *)
+(* Block execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
     ~(args : Value.t list) ~(gdim : int * int * int)
     ~(bdim : int * int * int) ~(bidx : int * int * int) ~(mem : Memory.t)
     ~(cfg : Config.t) ~(metrics : Metrics.t) ~(default_idx : int) :
-    Exec.result =
+    Runtime.result =
   let bx, by, bz = bdim in
   let nthreads = bx * by * bz in
   if nthreads <= 0 then Value.error "empty block dimension";
@@ -1117,7 +1136,7 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
   in
   let blk =
     {
-      Compile.mem;
+      Runtime.mem;
       cfg;
       metrics;
       bidx;
@@ -1181,9 +1200,10 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
                 (i - lo)
           | T_not_started | T_running -> assert false
         done;
-        let results = Exec.eval_warp_op reqs in
-        (* new warp epoch before the lanes resume, as in {!Exec} *)
-        (match blk.Compile.racecheck with
+        let results = Runtime.eval_warp_op reqs in
+        (* the collective orders this warp's accesses across it: new warp
+           epoch before the lanes resume *)
+        (match blk.Runtime.racecheck with
         | Some rc -> Racecheck.bump_wepoch rc w
         | None -> ());
         List.iter
@@ -1213,7 +1233,7 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
     if not (all_done ()) then begin
       (* all remaining threads are at the barrier: release them; the new
          barrier epoch starts before any thread resumes *)
-      (match blk.Compile.racecheck with
+      (match blk.Runtime.racecheck with
       | Some rc -> Racecheck.bump_epoch rc
       | None -> ());
       let waiting = ref 0 in
@@ -1232,12 +1252,12 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
     end
   in
   block_loop ();
-  (match blk.Compile.racecheck with
+  (match blk.Runtime.racecheck with
   | Some rc -> Racecheck.commit rc ~kernel:kernel.bf_name ~bidx metrics
   | None -> ());
   (* free shared-memory buffers *)
-  Hashtbl.iter (fun _ ptr -> Memory.free mem ptr) blk.Compile.shared;
-  (* cost aggregation: per-warp, per-tag maxima — identical to {!Exec} *)
+  Hashtbl.iter (fun _ ptr -> Memory.free mem ptr) blk.Runtime.shared;
+  (* cost aggregation: per-warp, per-tag maxima *)
   let tag_cycles = Array.make Metrics.num_tags 0.0 in
   for w = 0 to nwarps - 1 do
     let lo = w * ws and hi = min ((w + 1) * ws) nthreads in
@@ -1262,22 +1282,23 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
   metrics.Metrics.blocks_executed <- metrics.Metrics.blocks_executed + 1;
   metrics.Metrics.threads_executed <- metrics.Metrics.threads_executed + nthreads;
   {
-    Exec.r_launches = List.rev blk.Compile.launches;
+    Runtime.r_launches = List.rev blk.Runtime.launches;
     r_compute_cycles = compute;
     r_tag_cycles = scaled;
   }
 
-(* Host-followup execution (mirrors {!Exec.run_host_stmts}): one
-   pseudo-thread, host launch semantics, no device cost charged. [entry]
-   is an instruction index ([bf_followup]); translated to its word offset
-   here. *)
+(* Host-followup execution (grid-granularity aggregation): one
+   pseudo-thread, host launch semantics. No device cost is charged: the
+   host CPU is not the simulated device, and the scheduler accounts for
+   host work via {!Config.host_launch_latency}. [entry] is an instruction
+   index ([bf_followup]); translated to its word offset here. *)
 let run_host_stmts (p : Bytecode.prog) (kernel : Bytecode.func)
     ~(entry : int) ~(args : Value.t list) ~(grid : int * int * int)
     ~(block : int * int * int) ~(mem : Memory.t) ~(cfg : Config.t)
-    ~(metrics : Metrics.t) : Compile.launch_req list =
+    ~(metrics : Metrics.t) : Runtime.launch_req list =
   let blk =
     {
-      Compile.mem;
+      Runtime.mem;
       cfg;
       metrics;
       bidx = (0, 0, 0);
@@ -1299,4 +1320,4 @@ let run_host_stmts (p : Bytecode.prog) (kernel : Bytecode.func)
   t.pc <- p.bp_woff.(entry);
   t.status <- T_running;
   interp p t;
-  List.rev blk.Compile.launches
+  List.rev blk.Runtime.launches

@@ -1,12 +1,15 @@
-(** Register VM for the bytecode engine ({!Bytecode}).
+(** Register VM: the simulator's execution engine for lowered MiniCU
+    ({!Bytecode}).
 
-    Executes lowered MiniCU over unboxed per-thread register banks; threads
-    are explicit state machines rather than fibers, and per-block thread
-    records live in a reusable {!scratch} arena owned by the scheduler.
-    Block-level semantics (warp-by-warp advance, barrier epochs, warp
-    collectives, {!Racecheck} hooks, cost aggregation) mirror {!Exec}
-    exactly; the cross-engine differential suite pins both engines
-    bit-for-bit. *)
+    Executes over unboxed per-thread register banks; threads are explicit
+    state machines, and per-block thread records live in a reusable
+    {!scratch} arena owned by the scheduler. A block advances warp by
+    warp: warp collectives evaluate over the live lanes of a warp,
+    [__syncthreads] is a block-wide epoch barrier, and threads that
+    returned early count as arrived. A warp's cost per tag is the maximum
+    over its lanes (lockstep execution makes the straggler the critical
+    path); a block's cost is the sum over warps, scaled by
+    {!Config.sm_warp_parallelism}. *)
 
 (** Reusable per-scheduler arena of thread records (register banks, call
     stacks, cost counters). One scratch must only be used by one block
@@ -15,8 +18,10 @@ type scratch
 
 val create_scratch : unit -> scratch
 
-(** Execute one block under the bytecode engine; same contract (arguments,
-    errors, result, metrics side effects) as {!Exec.run_block}. *)
+(** Execute one block of [kernel]; memory side effects happen
+    immediately, and the block's compute cycles are charged to [metrics].
+    @raise Value.Runtime_error on memory faults, divergent warp
+    collectives, or blocks that neither finish nor reach a barrier. *)
 val run_block :
   scratch ->
   Bytecode.prog ->
@@ -29,10 +34,12 @@ val run_block :
   cfg:Config.t ->
   metrics:Metrics.t ->
   default_idx:int ->
-  Exec.result
+  Runtime.result
 
-(** Execute a host followup starting at code index [entry] (the kernel's
-    [bf_followup]); same contract as {!Exec.run_host_stmts}. *)
+(** Execute a host followup (grid-granularity aggregation) starting at
+    code index [entry] (the kernel's [bf_followup]) in a single
+    pseudo-thread with host-launch semantics; returns the launches issued.
+    No device cost is charged — the host is not the simulated device. *)
 val run_host_stmts :
   Bytecode.prog ->
   Bytecode.func ->
@@ -43,4 +50,4 @@ val run_host_stmts :
   mem:Memory.t ->
   cfg:Config.t ->
   metrics:Metrics.t ->
-  Compile.launch_req list
+  Runtime.launch_req list

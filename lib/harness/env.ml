@@ -20,7 +20,7 @@ let knobs =
     {
       name = "BYTECODE_SMOKE_ITERS";
       default = 60_000;
-      doc = "Loop trip count of the @ir engine-throughput gate";
+      doc = "Loop trip count of the @ir allocation gate";
     };
     {
       name = "NATIVE_SMOKE_ITERS";

@@ -97,7 +97,7 @@ let rec check_expr env (e : expr) : ty =
       TDim3
   | Addr_of lv -> (
       (* Only memory locations are addressable: locals live in registers
-         (frames), matching the interpreter in Gpusim.Compile. *)
+         (frames), matching the simulator's lowering in Gpusim.Bytecode. *)
       match lv with
       | Index _ -> TPtr (check_expr env lv)
       | Var x ->

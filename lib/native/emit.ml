@@ -1,13 +1,14 @@
 (** The MiniCU → native-OCaml transpiler.
 
     Emitted code is dynamically typed over {!Nrt.v} and replicates the
-    simulator's closure interpreter ({!Gpusim.Compile}) construct by
-    construct: the same coercions, the same operator semantics (pointer
-    arithmetic, float-if-either promotion, division-by-zero errors), the
-    same evaluation order (operands are let-bound in source order — OCaml
-    application alone would evaluate right-to-left), the same control-flow
-    exceptions ([Nrt.Ret]/[Brk]/[Cont], with [continue] still running a
-    for-loop's step), and the same shared-memory declaration-id keying.
+    simulator's execution engine ({!Gpusim.Bytecode}, {!Gpusim.Runtime})
+    construct by construct: the same coercions, the same operator
+    semantics (pointer arithmetic, float-if-either promotion,
+    division-by-zero errors), the same evaluation order (operands are
+    let-bound in source order — OCaml application alone would evaluate
+    right-to-left), the same control flow (here as exceptions
+    [Nrt.Ret]/[Brk]/[Cont], with [continue] still running a for-loop's
+    step), and the same shared-memory declaration-id keying.
     Blocks map to pool tasks, [__syncthreads] to the runtime's fiber
     barrier, atomics to the runtime's locked read-modify-writes, child
     launches to deferred task spawns (see {!Nrt}).
@@ -31,7 +32,8 @@ let unsupported loc fmt = Fmt.kstr (fun s -> raise (Unsupported (loc, s))) fmt
 type env = {
   prog : program;
   mutable tmp : int;  (** Fresh let-temp counter (per function). *)
-  mutable shared_ids : int;  (** Per-function shared-decl ids, as Compile. *)
+  mutable shared_ids : int;
+      (** Per-function shared-decl ids, as in {!Gpusim.Bytecode}. *)
   mutable cur_loc : Loc.t;
 }
 

@@ -8,10 +8,10 @@
 
    Execution model (mirrors GpuSim semantics exactly, scheduling aside):
    - values, memory, pointer arithmetic, coercions, and every operator
-     replicate lib/gpusim {Value,Memory,Compile} bit for bit;
+     replicate lib/gpusim {Value,Memory,Runtime,Vm} bit for bit;
    - threads of one block are cooperative fibers advanced in thread-id
      order, suspending at [__syncthreads] via an effect — the same
-     barrier-epoch algorithm as Gpusim.Exec, so intra-block interleaving
+     barrier-epoch algorithm as Gpusim.Vm, so intra-block interleaving
      (including paired-atomic scan idioms) is identical to the simulator;
    - blocks run truly in parallel on a small domain pool; global-memory
      loads/stores are deliberately unsynchronized (racy programs may
@@ -84,7 +84,7 @@ let dim3_total (x, y, z) = x * y * z
 let is_float = function Float _ -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Operators (Gpusim.Compile.eval_binop, verbatim semantics)           *)
+(* Operators (Gpusim.Runtime.eval_binop, verbatim semantics)           *)
 (* ------------------------------------------------------------------ *)
 
 let add a b =
@@ -158,7 +158,7 @@ let member v f =
   | Int n -> Int (dim3_member (n, 1, 1) f)
   | v -> error "member access %S on non-dim3 %s" f (to_string v)
 
-(* Member assignment on a local (Compile.compile_store, Member (Var _)). *)
+(* Member assignment on a local (Gpusim.Vm's split.dim3 / set.dim3). *)
 let set_member cur f n =
   let x', y', z' =
     match cur with
@@ -174,7 +174,7 @@ let set_member cur f n =
   | "z" -> Dim3 (x', y', n)
   | _ -> error "dim3 has no member %S" f
 
-(* Numeric builtins (Compile.compile_call). *)
+(* Numeric builtins (the min/max/abs/float1/pow arms of Gpusim.Vm). *)
 let min_ a b =
   if is_float a || is_float b then Float (Float.min (as_float a) (as_float b))
   else Int (min (as_int a) (as_int b))
@@ -305,8 +305,9 @@ let addr vp vi =
   let p = as_ptr vp in
   Ptr { p with off = p.off + as_int vi }
 
-(* Member assignment through a pointer (Compile, Member (Index _)): the
-   new value is evaluated AFTER the dim3 load, hence the thunk. *)
+(* Member assignment through a pointer (Gpusim.Vm's mload.dim3 /
+   mstore.dim3): the new value is evaluated AFTER the dim3 load, hence the
+   thunk. *)
 let store_member (t : tctx) vp vi f (x : unit -> v) =
   let p = as_ptr vp in
   let i = as_int vi in

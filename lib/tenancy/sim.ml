@@ -150,7 +150,7 @@ let run (cell : cell) ~tenants (app : App.compiled) (jobs : Traffic.job list) :
             specs
     in
     let args = [ d_deg; d_off; d_out; Value.Int n ] @ autos in
-    let expected = Sched.kernel_nparams kernel in
+    let expected = kernel.Bytecode.bf_nparams in
     if List.length args <> expected then
       Value.error "tenancy launch of %S: expected %d arguments, got %d"
         App.parent_kernel expected (List.length args);

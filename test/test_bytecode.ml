@@ -1,25 +1,32 @@
-(* Cross-engine differential suite: the bytecode VM must be
-   observationally identical to the closure interpreter.
+(* The bytecode VM's golden suite: everything the simulator's execution
+   engine must keep producing, pinned as checked-in values.
 
    Four layers, ordered by how bugs have historically surfaced:
 
      1. golden disassembly of the corpus fixtures — ISA/encoding changes
-        become reviewable diffs (CORPUS_PROMOTE=1 rewrites);
+        become reviewable diffs;
      2. hand-written edge-semantics fixtures (NaN/inf, division by zero,
-        checked shared-array OOB, atomics ordering) — where unboxing bugs
-        hide: both engines must produce bit-identical memory, metrics,
-        and *exceptions*;
-     3. sanitizer parity — dpcheck's dynamic findings (race reports, OOB)
-        must be byte-identical under both engines;
-     4. the benchmark matrix — every Table I benchmark under all 8 pass
-        combos, plus the full Small registry under the complete pipeline,
-        asserting bit-identical memory dumps, launch metrics, and
-        simulated time.
+        checked shared-array and global OOB, atomics ordering, float
+        accumulation order, a divergent barrier, a CAS loop) — where
+        unboxing bugs hide: memory, metrics and *exception text* must
+        match their goldens bit for bit;
+     3. sanitizer findings — dpcheck's dynamic race/OOB reports on the
+        bad_* corpus;
+     4. run digests — every Table I benchmark (tiny datasets) and every
+        Small-registry spec under all 8 pass combinations, plus each good
+        corpus fixture: memory-dump digest, simulated cycles, grid,
+        device-launch, block and thread counts, and a digest of every
+        metrics field.
 
-   Comparisons go through a printed representation in which every float
-   (memory values, metric cycle counters, simulated time) is rendered as
-   its IEEE-754 bit pattern, so NaNs compare equal to themselves and
-   nothing is lost to rounding. *)
+   The layer 2-4 goldens were recorded while the simulator still had a
+   second, closure-tree interpreter, and both engines reproduced every
+   entry bit for bit; the "engines-agreed" in test names refers to that.
+   CORPUS_PROMOTE=1 rewrites every golden; review the diff.
+
+   Float observations (memory values, metric cycle counters, simulated
+   time) are rendered as IEEE-754 bit patterns, so NaNs compare equal to
+   themselves and nothing is lost to rounding; digest lines print cycles
+   with %.17g, which round-trips exactly. *)
 
 open Gpusim
 
@@ -62,11 +69,30 @@ let metrics_repr (m : Metrics.t) =
     Fmt.(Dump.list string)
     m.Metrics.race_reports
 
+let device_dump dev = Device.dump_memory dev ~first:(Device.buffer_count dev)
+
 let observe_device dev =
   Fmt.str "time=%Lx\n%s\n%s"
     (Int64.bits_of_float (Device.time dev))
     (metrics_repr (Device.metrics dev))
-    (dump_repr (Device.dump_memory dev ~first:(Device.buffer_count dev)))
+    (dump_repr (device_dump dev))
+
+(* One digest line per run: the layer-4 golden form. *)
+let digest s = Digest.to_hex (Digest.string s)
+
+let run_digest ?fingerprint dev =
+  let m = Device.metrics dev in
+  Fmt.str "mem=%s%s cycles=%.17g grids=%d dev=%d blocks=%d threads=%d \
+           metrics=%s"
+    (digest (dump_repr (device_dump dev)))
+    (match fingerprint with Some fp -> Fmt.str " fp=%d" fp | None -> "")
+    (Device.time dev)
+    m.Metrics.grids_launched m.Metrics.device_launches
+    m.Metrics.blocks_executed m.Metrics.threads_executed
+    (digest (metrics_repr m))
+
+let edges_golden = "vm_edges.golden"
+let digests_golden = "vm_runs.golden"
 
 (* ------------------------------------------------------------------ *)
 (* Layer 1: golden disassembly of corpus fixtures                      *)
@@ -110,14 +136,13 @@ let disasm_tests =
     disasm_fixtures
 
 (* ------------------------------------------------------------------ *)
-(* Layer 2: edge-semantics parity fixtures                             *)
+(* Layer 2: edge-semantics fixtures                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [src] to completion (or to an exception) under one engine and
-   return everything observable: simulated time, metrics, every device
-   buffer bit-for-bit — or the raised exception's rendering. *)
-let run_engine ~cfg ~grid ~block ~kernel ~mk_args engine src =
-  let cfg = { cfg with Config.engine } in
+(* Run [src] to completion (or to an exception) and return everything
+   observable: simulated time, metrics, every device buffer bit for bit —
+   or the raised exception's rendering. *)
+let observe_run ~cfg ~grid ~block ~kernel ~mk_args src =
   let dev = Device.create ~cfg () in
   Device.load_program dev (Minicu.Parser.program src);
   let args = mk_args dev in
@@ -125,35 +150,21 @@ let run_engine ~cfg ~grid ~block ~kernel ~mk_args engine src =
     Device.launch dev ~kernel ~grid ~block ~args;
     ignore (Device.sync dev)
   with
-  | () -> Ok (observe_device dev)
-  | exception e -> Error (Printexc.to_string e)
+  | () -> observe_device dev
+  | exception e -> "raised: " ^ Printexc.to_string e
 
-let engine_parity name ?(cfg = Config.test_config) ?(grid = (1, 1, 1))
+let edge_golden name ?(cfg = Config.test_config) ?(grid = (1, 1, 1))
     ?(block = (1, 1, 1)) ~kernel ~mk_args src =
   t name (fun () ->
-      let run = run_engine ~cfg ~grid ~block ~kernel ~mk_args in
-      let closure = run Config.Closure src in
-      let bytecode = run Config.Bytecode src in
-      match (closure, bytecode) with
-      | Ok c, Ok b ->
-          if c <> b then
-            Alcotest.failf "engines diverge:@.--- closure@.%s@.--- bytecode@.%s"
-              c b
-      | Error c, Error b ->
-          if c <> b then
-            Alcotest.failf
-              "engines raise differently:@.closure:  %s@.bytecode: %s" c b
-      | Ok _, Error e ->
-          Alcotest.failf "closure completed but bytecode raised: %s" e
-      | Error e, Ok _ ->
-          Alcotest.failf "bytecode completed but closure raised: %s" e)
+      Test_corpus.golden_entry ~golden_name:edges_golden ~key:name
+        (observe_run ~cfg ~grid ~block ~kernel ~mk_args src))
 
 let out_ints n dev = [ Value.Ptr (Device.alloc_int_zeros dev n) ]
 let out_floats n dev = [ Value.Ptr (Device.alloc_float_zeros dev n) ]
 
 let edge_tests =
   [
-    engine_parity "NaN and infinity arithmetic is bit-identical" ~kernel:"k"
+    edge_golden "NaN and infinity arithmetic is bit-identical" ~kernel:"k"
       ~mk_args:(out_floats 12)
       {|
 __global__ void k(float* o) {
@@ -174,7 +185,7 @@ __global__ void k(float* o) {
   o[11] = pinf * 0.0;
 }
 |};
-    engine_parity "negative zero and float cast edges" ~kernel:"k"
+    edge_golden "negative zero and float cast edges" ~kernel:"k"
       ~mk_args:(out_floats 6)
       {|
 __global__ void k(float* o) {
@@ -187,15 +198,15 @@ __global__ void k(float* o) {
   o[5] = fabs(nz);
 }
 |};
-    engine_parity "integer division by zero raises identically" ~kernel:"k"
+    edge_golden "integer division by zero raises identically" ~kernel:"k"
       ~mk_args:(fun dev ->
         [ Value.Ptr (Device.alloc_int_zeros dev 1); Value.Int 0 ])
       "__global__ void k(int* o, int n) { o[0] = 7 / n; }";
-    engine_parity "integer modulo by zero raises identically" ~kernel:"k"
+    edge_golden "integer modulo by zero raises identically" ~kernel:"k"
       ~mk_args:(fun dev ->
         [ Value.Ptr (Device.alloc_int_zeros dev 1); Value.Int 0 ])
       "__global__ void k(int* o, int n) { o[0] = 7 % n; }";
-    engine_parity "checked shared-array OOB store raises at the same loc"
+    edge_golden "checked shared-array OOB store raises at the same loc"
       ~cfg:{ Config.test_config with check = true }
       ~kernel:"k" ~mk_args:(out_ints 4)
       {|
@@ -205,7 +216,7 @@ __global__ void k(int* o) {
   o[0] = s[0];
 }
 |};
-    engine_parity "checked shared-array OOB load raises at the same loc"
+    edge_golden "checked shared-array OOB load raises at the same loc"
       ~cfg:{ Config.test_config with check = true }
       ~kernel:"k" ~mk_args:(out_ints 4)
       {|
@@ -215,10 +226,10 @@ __global__ void k(int* o) {
   o[0] = s[threadIdx.x + 9];
 }
 |};
-    engine_parity "global OOB raises identically (unchecked mode)"
+    edge_golden "global OOB raises identically (unchecked mode)"
       ~kernel:"k" ~mk_args:(out_ints 4)
       "__global__ void k(int* o) { o[100] = 1; }";
-    engine_parity "atomics ordering across a block is deterministic"
+    edge_golden "atomics ordering across a block is deterministic"
       ~block:(64, 1, 1) ~kernel:"k" ~mk_args:(out_ints 8)
       {|
 __global__ void k(int* o) {
@@ -230,7 +241,7 @@ __global__ void k(int* o) {
   atomicMin(&o[5], 0 - threadIdx.x);
 }
 |};
-    engine_parity "atomic float accumulation keeps summation order"
+    edge_golden "atomic float accumulation keeps summation order"
       ~block:(32, 1, 1) ~kernel:"k"
       ~mk_args:(fun dev ->
         [ Value.Ptr (Device.alloc_floats dev [| 0.0; 0.1 |]) ])
@@ -239,7 +250,7 @@ __global__ void k(float* o) {
   atomicAdd(&o[0], 0.1 * (float)(threadIdx.x % 3));
 }
 |};
-    engine_parity "divergent barrier resolves identically at runtime"
+    edge_golden "divergent barrier resolves identically at runtime"
       ~block:(32, 1, 1) ~kernel:"k" ~mk_args:(out_ints 32)
       {|
 __global__ void k(int* o) {
@@ -250,7 +261,7 @@ __global__ void k(int* o) {
   o[0] = 2;
 }
 |};
-    engine_parity "CAS retry loop converges identically" ~block:(16, 1, 1)
+    edge_golden "CAS retry loop converges identically" ~block:(16, 1, 1)
       ~kernel:"k" ~mk_args:(out_ints 2)
       {|
 __global__ void k(int* o) {
@@ -264,80 +275,125 @@ __global__ void k(int* o) {
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Layer 3: sanitizer parity (Racecheck under the bytecode engine)     *)
+(* Layer 3: sanitizer findings                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* dpoptc --check runs Analysis.Dynamic over the program; its findings
-   embed source locations and are deduplicated per address. Both engines
-   must report byte-identical findings — epoch tags, locs, and dedup all
-   survive the engine switch. *)
-let sanitizer_parity base =
-  t (base ^ ": dynamic sanitizer findings identical across engines")
-    (fun () ->
+   embed source locations and are deduplicated per address, so epoch
+   tags, locs and dedup are all pinned here. *)
+let sanitizer_golden base =
+  t (base ^ ": dynamic sanitizer findings match golden") (fun () ->
       let file = base ^ ".minicu" in
       let src =
         Test_corpus.read_file (Filename.concat Test_corpus.corpus_dir file)
       in
       let prog = Minicu.Parser.program ~file src in
       let dirs = Analysis.Dynamic.directives src in
-      let findings engine =
-        Analysis.Dynamic.run
-          ~cfg:{ Config.test_config with engine }
-          prog dirs
-      in
-      let closure = findings Config.Closure in
-      let bytecode = findings Config.Bytecode in
-      Alcotest.(check (list string)) base closure bytecode;
-      if closure = [] then
-        Alcotest.failf "%s: expected at least one dynamic finding" base)
+      let findings = Analysis.Dynamic.run ~cfg:Config.test_config prog dirs in
+      if findings = [] then
+        Alcotest.failf "%s: expected at least one dynamic finding" base;
+      Test_corpus.golden_entry ~golden_name:edges_golden
+        ~key:("sanitizer " ^ base)
+        (String.concat "\n" findings))
 
 let sanitizer_tests =
-  List.map sanitizer_parity [ "bad_race_rw"; "bad_race_ww"; "bad_oob_dynamic" ]
+  List.map sanitizer_golden [ "bad_race_rw"; "bad_race_ww"; "bad_oob_dynamic" ]
 
 (* ------------------------------------------------------------------ *)
-(* Layer 4: benchmark matrix                                           *)
+(* Layer 4: run digests                                                *)
 (* ------------------------------------------------------------------ *)
 
-let observe_spec engine (spec : Benchmarks.Bench_common.spec) v =
-  let cfg = { Config.default with engine } in
-  let dev = Benchmarks.Bench_common.load_variant ~cfg spec v in
-  let fp = spec.run dev in
-  (fp, observe_device dev)
-
-let spec_parity tier (spec : Benchmarks.Bench_common.spec) (vname, v) =
-  tier
-    (Fmt.str "%s/%s under %s: engines bit-identical" spec.name spec.dataset
-       vname)
+let spec_digest ~tier (spec : Benchmarks.Bench_common.spec) (vname, v) =
+  slow
+    (Fmt.str "%s/%s under %s: engines-agreed golden digest (%s)" spec.name
+       spec.dataset vname tier)
     (fun () ->
-      let fp_c, obs_c = observe_spec Config.Closure spec v in
-      let fp_b, obs_b = observe_spec Config.Bytecode spec v in
-      if fp_c <> fp_b then
-        Alcotest.failf "fingerprints diverge: closure %d, bytecode %d" fp_c
-          fp_b;
-      if obs_c <> obs_b then
-        Alcotest.failf
-          "memory/metrics diverge:@.--- closure@.%s@.--- bytecode@.%s" obs_c
-          obs_b)
+      let dev = Benchmarks.Bench_common.load_variant ~cfg:Config.default spec v in
+      let fingerprint = spec.run dev in
+      Test_corpus.golden_entry ~golden_name:digests_golden
+        ~key:(Fmt.str "%s %s/%s %s" tier spec.name spec.dataset vname)
+        (run_digest ~fingerprint dev))
 
-(* Every Table I benchmark (tiny datasets) under all 8 pass combos. *)
-let combo_tests =
-  let combos =
-    List.map (fun (l, o) -> (l, `Cdp o)) (Dpopt.Pipeline.enumerate ())
-  in
+let combos =
+  List.map (fun (l, o) -> (l, `Cdp o)) (Dpopt.Pipeline.enumerate ())
+
+(* Every Table I benchmark on tiny datasets, under all 8 pass combos. *)
+let tiny_tests =
   List.concat_map
-    (fun spec -> List.map (spec_parity slow spec) combos)
+    (fun spec -> List.map (spec_digest ~tier:"tiny" spec) combos)
     (Test_benchmarks.specs ())
 
-(* The full Small registry under the complete pipeline. *)
-let registry_tests =
-  let full =
-    `Cdp
-      (Dpopt.Pipeline.make ~threshold:32 ~cfactor:4
-         ~granularity:Dpopt.Aggregation.Block ())
-  in
-  List.map
-    (fun spec -> spec_parity slow spec ("CDP+T+C+A", full))
+(* The full Small registry under all 8 pass combos. *)
+let small_tests =
+  List.concat_map
+    (fun spec -> List.map (spec_digest ~tier:"small" spec) combos)
     (Benchmarks.Registry.all ~size:Benchmarks.Registry.Small ())
 
+(* How each good corpus fixture is driven: entry kernel, grid and block
+   widths, arguments. [ramp] is nondecreasing, so it doubles as CSR row
+   offsets; [mixed] spans negatives, zero, small and large values. *)
+type arg = Ints of int array | Zeros of int | Float_zeros of int | Int of int
+
+let ramp n = Array.init n (fun i -> 3 * i / 2)
+let mixed n = Array.init n (fun i -> (i * 37 mod 211) - 20)
+
+let corpus_runs =
+  [
+    ("atomics", "tally", 2, 32, [ Zeros 8; Ints (mixed 64); Int 50 ]);
+    ("barriers", "reduce", 3, 128, [ Ints (mixed 300); Zeros 3; Int 300 ]);
+    ("collectives", "scan", 1, 32, [ Ints (mixed 32); Zeros 64 ]);
+    ("controlflow", "classify", 2, 32, [ Zeros 64; Ints (mixed 64); Int 60 ]);
+    ("device_calls", "k", 2, 32, [ Zeros 64; Int 40 ]);
+    ("dim3s", "k", 1, 32, [ Zeros 64; Int 3 ]);
+    ("floats", "fmath", 2, 32, [ Float_zeros 64; Ints (mixed 64); Int 60 ]);
+    ("loops", "loops", 1, 32, [ Zeros 32; Int 12 ]);
+    ("multikernel", "driver", 1, 32, [ Ints (ramp 40); Int 40 ]);
+    ("nested", "parent", 2, 32, [ Ints (ramp 65); Zeros 128; Int 64 ]);
+    ("precedence", "k", 1, 1, [ Zeros 10; Int 13; Int 5; Int (-7) ]);
+    ( "promotion",
+      "relax",
+      1,
+      32,
+      [ Ints (mixed 32); Ints (ramp 32); Int 30; Int 0 ] );
+    ("shared_flags", "iterate", 1, 32, [ Ints (ramp 32); Int 28 ]);
+  ]
+
+let corpus_digest (base, kernel, grid, block, args) =
+  t (base ^ ": engines-agreed golden digest") (fun () ->
+      let file = base ^ ".minicu" in
+      let src =
+        Test_corpus.read_file (Filename.concat Test_corpus.corpus_dir file)
+      in
+      let dev = Device.create ~cfg:Config.default () in
+      Device.load_program dev (Minicu.Parser.program ~file src);
+      let arg = function
+        | Ints a -> Value.Ptr (Device.alloc_ints dev a)
+        | Zeros n -> Value.Ptr (Device.alloc_int_zeros dev n)
+        | Float_zeros n -> Value.Ptr (Device.alloc_float_zeros dev n)
+        | Int n -> Value.Int n
+      in
+      Device.launch dev ~kernel ~grid:(grid, 1, 1) ~block:(block, 1, 1)
+        ~args:(List.map arg args);
+      ignore (Device.sync dev);
+      Test_corpus.golden_entry ~golden_name:digests_golden
+        ~key:("corpus " ^ base) (run_digest dev))
+
+(* Every good fixture has a run, so a new fixture cannot go unpinned. *)
+let corpus_coverage =
+  t "every good corpus fixture has a pinned run" (fun () ->
+      let good =
+        List.filter_map
+          (fun f ->
+            let base = Filename.chop_suffix f ".minicu" in
+            if String.length base >= 4 && String.sub base 0 4 = "bad_" then None
+            else Some base)
+          Test_corpus.fixtures
+      in
+      Alcotest.(check (list string))
+        "fixtures with runs" good
+        (List.map (fun (b, _, _, _, _) -> b) corpus_runs))
+
 let suite =
-  disasm_tests @ edge_tests @ sanitizer_tests @ combo_tests @ registry_tests
+  disasm_tests @ edge_tests @ sanitizer_tests @ tiny_tests @ small_tests
+  @ List.map corpus_digest corpus_runs
+  @ [ corpus_coverage ]

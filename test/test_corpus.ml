@@ -8,7 +8,9 @@
         any CHECK-RUN directives — and at least one finding.
 
    After an intentional pretty-printer or diagnostic change, run with
-   CORPUS_PROMOTE=1 to rewrite the goldens, then review the diff. *)
+   CORPUS_PROMOTE=1 to rewrite the goldens, then review the diff. The
+   keyed-golden helpers below also serve the VM golden suite
+   (test_bytecode.ml) and the tenancy artifact pin. *)
 
 module Static = Analysis.Static
 module Dynamic = Analysis.Dynamic
@@ -54,6 +56,56 @@ let golden_check ~what ~fixture ~golden_name actual =
         "%s: %s deviates from its golden (%s).@.--- expected@.%s@.--- got@.%s@.\
          If the change is intentional, rerun with CORPUS_PROMOTE=1."
         fixture what golden_name expected actual
+
+(* Keyed goldens: one file holds a family of small named results, each
+   entry a "== key" header line followed by its value lines, in key order.
+   Each test checks (or, under CORPUS_PROMOTE=1, rewrites) only its own
+   entry, so families of hundreds of runs stay one reviewable file. *)
+
+let parse_entries text =
+  let lines = String.split_on_char '\n' text in
+  (* rendered files end with a newline: drop the empty last line *)
+  let lines = List.filteri (fun i _ -> i < List.length lines - 1) lines in
+  List.fold_left
+    (fun acc line ->
+      match (String.starts_with ~prefix:"== " line, acc) with
+      | true, _ -> (String.sub line 3 (String.length line - 3), []) :: acc
+      | false, (key, value) :: rest -> (key, line :: value) :: rest
+      | false, [] -> acc)
+    [] lines
+  |> List.rev_map (fun (key, value) ->
+         (key, String.concat "\n" (List.rev value)))
+
+let render_entries entries =
+  String.concat ""
+    (List.map (fun (k, v) -> Fmt.str "== %s\n%s\n" k v)
+       (List.sort (fun (a, _) (b, _) -> compare a b) entries))
+
+let golden_entry ~golden_name ~key actual =
+  if promoting then
+    let path = Filename.concat promote_dir golden_name in
+    let entries =
+      if Sys.file_exists path then parse_entries (read_file path) else []
+    in
+    write_file path
+      (render_entries ((key, actual) :: List.remove_assoc key entries))
+  else
+    let committed = Filename.concat corpus_dir golden_name in
+    let entries =
+      if Sys.file_exists committed then parse_entries (read_file committed)
+      else []
+    in
+    match List.assoc_opt key entries with
+    | None ->
+        Alcotest.failf
+          "%s: no entry %S; run with CORPUS_PROMOTE=1 to record it" golden_name
+          key
+    | Some expected ->
+        if expected <> actual then
+          Alcotest.failf
+            "%s [%s] deviates from its golden.@.--- expected@.%s@.--- got@.%s@.\
+             If the change is intentional, rerun with CORPUS_PROMOTE=1."
+            golden_name key expected actual
 
 let diags_of src prog =
   let static =

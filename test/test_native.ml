@@ -1,7 +1,7 @@
 (* The native-backend suite: transpiler goldens, emit-time rejections,
    and the cross-backend differential layer — emitted parallel-OCaml
-   programs must produce memory dumps byte-identical to the simulator
-   (both engines) on order-independent programs.
+   programs must produce memory dumps byte-identical to the simulator on
+   order-independent programs.
 
    Tests that compile and run emitted code shell out to a nested dune
    build (Native.Build); they are tagged `Slow only where they rerun an
@@ -13,10 +13,7 @@ module B = Native.Build
 
 let t name f = Alcotest.test_case name `Quick f
 
-let cfg_closure = Gpusim.Config.test_config
-
-let cfg_bytecode =
-  { Gpusim.Config.test_config with engine = Gpusim.Config.Bytecode }
+let cfg = Gpusim.Config.test_config
 
 let parse src = Minicu.Parser.program ~file:"<test>" src
 
@@ -30,9 +27,9 @@ let check_typed src =
   Minicu.Typecheck.check prog;
   prog
 
-(* Run [host] natively (one baseline variant) and on both simulator
-   engines; all three dumps must be byte-identical. Returns the dump. *)
-let tri_check ?(label = "base") prog host =
+(* Run [host] natively (one baseline variant) and on the simulator; the
+   two dumps must be byte-identical. Returns the dump. *)
+let sim_check ?(label = "base") prog host =
   let source =
     E.unit_source
       ~variants:[ { E.vu_label = label; vu_prog = prog; vu_autos = [] } ]
@@ -46,11 +43,8 @@ let tri_check ?(label = "base") prog host =
         Alcotest.failf "expected one %S section, got %d: %s" label
           (List.length secs) out
   in
-  let sim cfg =
-    H.render_dump (H.run_sim ~cfg prog ~auto_params:[] host)
-  in
-  Alcotest.(check string) "native = closure sim" (sim cfg_closure) native;
-  Alcotest.(check string) "native = bytecode sim" (sim cfg_bytecode) native;
+  let sim = H.render_dump (H.run_sim ~cfg prog ~auto_params:[] host) in
+  Alcotest.(check string) "native = sim" sim native;
   native
 
 (* A feature gauntlet: device calls with break/continue-in-for, shared
@@ -182,7 +176,7 @@ let dump_line n dump =
 
 let test_gauntlet () =
   let prog = check_typed gauntlet_src in
-  let dump = tri_check prog gauntlet_host in
+  let dump = sim_check prog gauntlet_host in
   (* Spot-check hand-computed cells so an all-backends-wrong emitter
      cannot pass by agreeing with itself. spawn's children add i+1 over
      each parent's row [rows[v], rows[v]+deg): rows = 0,2,5,5,9. *)
@@ -201,8 +195,8 @@ let test_gauntlet () =
     (List.filteri (fun i _ -> i >= 34 && i < 38) cells)
 
 (* ------------------------------------------------------------------ *)
-(* Benchmark matrix: every pass combination, both engines, plus the
-   pure-OCaml reference                                                *)
+(* Benchmark matrix: every pass combination, native against the
+   simulator, plus the pure-OCaml reference                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Decode dump cells back into values for the reference leg. *)
@@ -239,7 +233,7 @@ let combos =
 
 (* Run a benchmark's static host driver across all pass combinations:
    one emitted executable bundling every variant, compared per-variant
-   against both simulator engines, plus [fingerprint] recomputing the
+   against the simulator, plus [fingerprint] recomputing the
    benchmark's pure-OCaml reference from the native dump alone. *)
 let bench_matrix (spec : Benchmarks.Bench_common.spec)
     ~(fingerprint : string -> int) () =
@@ -270,16 +264,12 @@ let bench_matrix (spec : Benchmarks.Bench_common.spec)
         | Some d -> d
         | None -> Alcotest.failf "no native section for %s" label
       in
-      let sim cfg =
+      let sim =
         H.render_dump (H.run_sim ~cfg r.prog ~auto_params:r.auto_params host)
       in
       Alcotest.(check string)
-        (Fmt.str "%s/%s %s: native = closure sim" spec.name spec.dataset label)
-        (sim cfg_closure) native;
-      Alcotest.(check string)
-        (Fmt.str "%s/%s %s: native = bytecode sim" spec.name spec.dataset
-           label)
-        (sim cfg_bytecode) native;
+        (Fmt.str "%s/%s %s: native = sim" spec.name spec.dataset label)
+        sim native;
       Alcotest.(check int)
         (Fmt.str "%s/%s %s: native dump = OCaml reference" spec.name
            spec.dataset label)
@@ -406,7 +396,7 @@ let test_racy_divergence () =
   in
   let prog = compiled.Difftest.Oracle.c_prog in
   let sim () =
-    H.render_dump (H.run_sim ~cfg:cfg_closure prog ~auto_params:[] host)
+    H.render_dump (H.run_sim ~cfg prog ~auto_params:[] host)
   in
   let s1 = sim () in
   Alcotest.(check string) "simulator is deterministic across runs" s1 (sim ());
@@ -435,12 +425,12 @@ let test_racy_divergence () =
 
 let suite =
   [
-    t "gauntlet: native = sim (both engines)" test_gauntlet;
-    t "matrix BT/T0032-C16: 8 combos, both engines, reference"
+    t "gauntlet: native = sim (both backends agree)" test_gauntlet;
+    t "matrix BT/T0032-C16: 8 combos, native = sim = reference"
       (bench_matrix (find_spec "BT" "T0032-C16") ~fingerprint:bt_fingerprint);
-    t "matrix SP/RAND-3: 8 combos, both engines, reference"
+    t "matrix SP/RAND-3: 8 combos, native = sim = reference"
       (bench_matrix (find_spec "SP" "RAND-3") ~fingerprint:sp_fingerprint);
-    t "matrix TC/KRON: 8 combos, both engines, reference"
+    t "matrix TC/KRON: 8 combos, native = sim = reference"
       (bench_matrix (find_spec "TC" "KRON") ~fingerprint:tc_fingerprint);
     t "goldens: one transpiled module compiles against the runtime"
       test_goldens_compile;

@@ -3,8 +3,7 @@
 
    The central invariants pinned here:
    - parallel dispatch ([Config.block_jobs] > 1) is byte-identical to the
-     serial drain — memory dumps and every metrics field — under both
-     execution engines;
+     serial drain — memory dumps and every metrics field;
    - stratified sampling is a deterministic function of (seed, stream,
      grid id): the same config picks the same blocks at any -j, and the
      off-switches ([block_frac = 1.0], [block_threshold = 0], [--exact])
@@ -52,8 +51,6 @@ let check_same_outcome label (a : outcome) (b : outcome) =
   Alcotest.(check (float 0.0)) (label ^ ": simulated time") a.o_time b.o_time;
   Alcotest.(check string) (label ^ ": metrics") a.o_metrics b.o_metrics;
   Alcotest.(check bool) (label ^ ": memory dump") true (a.o_dump = b.o_dump)
-
-let engines = [ (Config.Closure, "closure"); (Config.Bytecode, "bytecode") ]
 
 (* ------------------------------------------------------------------ *)
 (* Kernels                                                             *)
@@ -141,20 +138,14 @@ let test_blocksafe_classify () =
 (* ------------------------------------------------------------------ *)
 
 let par_identity ~src ~drive () =
-  List.iter
-    (fun (engine, ename) ->
-      let cfg = { Config.test_config with engine } in
-      let serial, _ = run_driver ~cfg ~src drive in
-      let par, dev4 =
-        run_driver ~cfg:{ cfg with block_jobs = 4 } ~src drive
-      in
-      check_same_outcome (ename ^ " -j1 vs -j4") serial par;
-      let batches, blocks = Device.par_stats dev4 in
-      Alcotest.(check bool)
-        (ename ^ ": parallel batches formed")
-        true
-        (batches > 0 && blocks >= 2 * batches))
-    engines
+  let serial, _ = run_driver ~src drive in
+  let par, dev4 =
+    run_driver ~cfg:{ Config.test_config with block_jobs = 4 } ~src drive
+  in
+  check_same_outcome "-j1 vs -j4" serial par;
+  let batches, blocks = Device.par_stats dev4 in
+  Alcotest.(check bool) "parallel batches formed" true
+    (batches > 0 && blocks >= 2 * batches)
 
 let test_par_identity_owned = par_identity ~src:owned_src ~drive:drive_owned
 let test_par_identity_reduce = par_identity ~src:reduce_src ~drive:drive_reduce
@@ -162,64 +153,48 @@ let test_par_identity_reduce = par_identity ~src:reduce_src ~drive:drive_reduce
 (* Unsafe (launching) kernels fall back to serial execution inside the
    parallel drain — identical results, no concurrent batches. *)
 let test_par_identity_unsafe () =
-  List.iter
-    (fun (engine, ename) ->
-      let run jobs =
-        let cfg = { Config.test_config with engine; block_jobs = jobs } in
-        let r = Dpopt.Pipeline.run ~opts:Dpopt.Pipeline.none
-            (Minicu.Parser.program Test_helpers.nested_src) in
-        let data, m = Test_helpers.run_nested ~cfg r in
-        (data, metrics_str m)
-      in
-      let d1, m1 = run 1 and d4, m4 = run 4 in
-      Alcotest.(check bool) (ename ^ ": nested output") true (d1 = d4);
-      Alcotest.(check string) (ename ^ ": nested metrics") m1 m4)
-    engines
+  let run jobs =
+    let cfg = { Config.test_config with block_jobs = jobs } in
+    let r = Dpopt.Pipeline.run ~opts:Dpopt.Pipeline.none
+        (Minicu.Parser.program Test_helpers.nested_src) in
+    let data, m = Test_helpers.run_nested ~cfg r in
+    (data, metrics_str m)
+  in
+  let d1, m1 = run 1 and d4, m4 = run 4 in
+  Alcotest.(check bool) "nested output" true (d1 = d4);
+  Alcotest.(check string) "nested metrics" m1 m4
 
 (* Benchmark-level identity: one registry cell, exact, -j1 vs -j4. *)
 let test_par_identity_benchmark () =
   match Benchmarks.Registry.find ~name:"BT" ~dataset:"T0032-C16" () with
   | None -> Alcotest.fail "BT/T0032-C16 missing from registry"
   | Some spec ->
-      List.iter
-        (fun (engine, ename) ->
-          let run jobs =
-            let cfg = { Config.default with engine; block_jobs = jobs } in
-            Harness.Experiment.run ~cfg spec
-              (Harness.Variant.Cdp Dpopt.Pipeline.none)
-          in
-          let a = run 1 and b = run 4 in
-          Alcotest.(check (float 0.0)) (ename ^ ": time") a.time b.time;
-          Alcotest.(check int) (ename ^ ": fingerprint") a.fingerprint
-            b.fingerprint;
-          Alcotest.(check bool) (ename ^ ": snapshot") true (a.snap = b.snap))
-        engines
+      let run jobs =
+        let cfg = { Config.default with block_jobs = jobs } in
+        Harness.Experiment.run ~cfg spec
+          (Harness.Variant.Cdp Dpopt.Pipeline.none)
+      in
+      let a = run 1 and b = run 4 in
+      Alcotest.(check (float 0.0)) "time" a.time b.time;
+      Alcotest.(check int) "fingerprint" a.fingerprint b.fingerprint;
+      Alcotest.(check bool) "snapshot" true (a.snap = b.snap)
 
 (* ------------------------------------------------------------------ *)
 (* Sampling: determinism, off-switches, extrapolation                   *)
 (* ------------------------------------------------------------------ *)
 
-let sampled_cfg ?(engine = Config.Closure) ?(block_jobs = 1) () =
-  {
-    Config.test_config with
-    engine;
-    block_jobs;
-    sampling = Some Config.default_sampling;
-  }
+let sampled_cfg ?(block_jobs = 1) () =
+  { Config.test_config with block_jobs; sampling = Some Config.default_sampling }
 
 let test_sampling_deterministic () =
-  List.iter
-    (fun (engine, ename) ->
-      let run jobs =
-        fst
-          (run_driver
-             ~cfg:(sampled_cfg ~engine ~block_jobs:jobs ())
-             ~src:skewed_src drive_skewed)
-      in
-      let a = run 1 and b = run 1 and c = run 4 in
-      check_same_outcome (ename ^ ": sampled rerun") a b;
-      check_same_outcome (ename ^ ": sampled -j1 vs -j4") a c)
-    engines
+  let run jobs =
+    fst
+      (run_driver ~cfg:(sampled_cfg ~block_jobs:jobs ()) ~src:skewed_src
+         drive_skewed)
+  in
+  let a = run 1 and b = run 1 and c = run 4 in
+  check_same_outcome "sampled rerun" a b;
+  check_same_outcome "sampled -j1 vs -j4" a c
 
 let test_sampling_triggers () =
   let o, dev =

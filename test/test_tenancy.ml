@@ -228,16 +228,16 @@ let determinism_suite =
                 (Tenancy.Report.run ~pool test_cell test_traffic))
         in
         Alcotest.(check string) "-j levels agree" (at 1) (at 4));
-    t "both engines produce the identical experiment artifact" (fun () ->
-        let under engine =
-          let cell =
-            { test_cell with sm_cfg = { Gpusim.Config.default with engine } }
-          in
-          Tenancy.Report.json_of_result (Tenancy.Report.run cell test_traffic)
+    (* The digest was recorded while the simulator had two execution
+       engines, and both produced this artifact byte for byte. *)
+    t "experiment artifact matches its pinned digest" (fun () ->
+        let json =
+          Tenancy.Report.json_of_result
+            (Tenancy.Report.run test_cell test_traffic)
         in
-        Alcotest.(check string) "closure = bytecode"
-          (under Gpusim.Config.Closure)
-          (under Gpusim.Config.Bytecode));
+        Test_corpus.golden_entry ~golden_name:"vm_runs.golden"
+          ~key:"tenancy fair 4-tenant artifact"
+          (Digest.to_hex (Digest.string json)));
     t "priority bound 1 serializes each tenant's jobs" (fun () ->
         let cell =
           { test_cell with policy = Tenancy.Policy.Priority { bound = 1 } }
