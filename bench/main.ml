@@ -96,12 +96,13 @@ let micro () =
 (* Engine smoke: the VM's allocation gate                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic acceptance gate of the [@ir] alias. On two loop micro
+(* Deterministic acceptance gate of the [@ir] alias. On five loop micro
    kernels, every output must equal its closed-form value, and one launch
    must allocate no more minor-heap words at twice the loop trip count
    than at the trip count itself: the VM's steady state allocates nothing
-   per loop iteration. The trip count is BYTECODE_SMOKE_ITERS (see
-   Harness.Env). *)
+   per loop iteration, neither in its registers nor on the memory path
+   (the last three read the 256-element host buffer [out] every
+   iteration). The trip count is BYTECODE_SMOKE_ITERS (see Harness.Env). *)
 let engine_smoke () =
   let iters = Harness.Env.get "BYTECODE_SMOKE_ITERS" in
   let kernels =
@@ -126,6 +127,40 @@ __global__ void micro(int* out, int iters) {
 }
 |},
         fun n -> n * (n - 1) / 2 );
+      (* one indexed load per iteration, fused with both operand coercions *)
+      ( "load-local",
+        {|
+__global__ void micro(int* out, int iters) {
+  int s = 0;
+  int j = threadIdx.x;
+  for (int k = 0; k < iters; k = k + 1) { s = s + out[j]; }
+  out[threadIdx.x] = s;
+}
+|},
+        fun _ -> 0 );
+      (* an index expression between the pointer and index coercions *)
+      ( "load-expr",
+        {|
+__global__ void micro(int* out, int iters) {
+  int s = 0;
+  for (int k = 0; k < iters; k = k + 1) { s = s + out[k & 255]; }
+  out[threadIdx.x] = s;
+}
+|},
+        fun _ -> 0 );
+      (* a pointer formed with & and loaded through *)
+      ( "load-addr",
+        {|
+__global__ void micro(int* out, int iters) {
+  int s = 0;
+  for (int k = 0; k < iters; k = k + 1) {
+    int* q = &out[k & 255];
+    s = s + q[0];
+  }
+  out[threadIdx.x] = s;
+}
+|},
+        fun _ -> 0 );
     ]
   in
   (* Minor words allocated by one launch at trip count [n], measured after

@@ -1037,13 +1037,17 @@ and lower_stmts env ss =
     28 addr         [d; p; i]        58 sync         []
     29 min          [d; a; b]
 
-   Superinstructions — rotated-loop bottoms fused to one dispatch by the
-   packer (guarded: no jump target may land on an interior instruction):
+   Superinstructions — rotated-loop bottoms and indexed loads fused to one
+   dispatch by the packer (guarded: no jump target may land on an interior
+   instruction):
 
     59 loop.cc   [tag; f#; d; op; a; b; @]   charge; d += 1; cmp.jt
     60 loop.cci  [tag; f#; d; op; a; n; @]   charge; d += 1; cmp.jt.int
     61 charge.jt  [tag; f#; op; a; b; @]     charge; cmp.jt
     62 charge.jti [tag; f#; op; a; n; @]     charge; cmp.jt.int
+    63 as_ptr.ld  [tp; s; ti; si; d]         as_ptr tp, s; cast.int ti, si;
+                                             load d, tp, ti
+    64 cast.ld    [ti; si; d; p]             cast.int ti, si; load d, p, ti
 
    ([f#]/[s#]/[v#]/[l#] are pool indices; [@] a word-offset jump target;
    [w@] the callee's pre-resolved entry word offset.) *)
@@ -1143,15 +1147,19 @@ let pack_width = function
 (* [pack code funcs] flattens [code]; [funcs] must already have their
    [bf_entry] set (call targets are resolved to word offsets here).
 
-   The packer also fuses rotated-loop bottom sequences into one dispatch:
+   The packer also fuses two families of sequences into one dispatch:
 
      charge; d = d + 1; cmp.jt ...  ->  loop.cc / loop.cci   (For bottoms)
      charge; cmp.jt ...             ->  charge.jt / charge.jti (While bottoms)
+     as_ptr tp; cast.int ti; load   ->  as_ptr.ld  (a[j], j a variable)
+     cast.int ti; load              ->  cast.ld    (a[e], the index coercion)
 
    only when no jump target (or function entry/followup) lands on an
    interior instruction — a [continue] into a For step keeps the unfused
-   encoding. The fused VM arms run the exact sub-step bodies in the same
-   order, so fusion changes dispatch count and nothing else. *)
+   encoding. A load fuses only unchecked, reading exactly the temporaries
+   the coercions just wrote, and those must be distinct registers. The
+   fused VM arms run the exact sub-step bodies in the same order, so fusion
+   changes dispatch count and nothing else. *)
 let pack (code : instr array) (funcs : func array) =
   let n = Array.length code in
   let target = Array.make (n + 1) false in
@@ -1193,6 +1201,16 @@ let pack (code : instr array) (funcs : func array) =
           | Some (I_cmp_jt _), _ -> (2, 61)
           | Some (I_cmp_jt_int _), _ -> (2, 62)
           | _ -> (1, 0))
+      | I_as_ptr (tp, _) -> (
+          match (nxt 1, nxt 2) with
+          | Some (I_cast_int (ti, _)), Some (I_load (_, p, ix, None))
+            when p = tp && ix = ti && tp <> ti ->
+              (3, 63)
+          | _ -> (1, 0))
+      | I_cast_int (ti, _) -> (
+          match nxt 1 with
+          | Some (I_load (_, p, ix, None)) when ix = ti && p <> ti -> (2, 64)
+          | _ -> (1, 0))
       | _ -> (1, 0)
     in
     if len > 1 then begin
@@ -1208,7 +1226,9 @@ let pack (code : instr array) (funcs : func array) =
     | 0 -> pack_width code.(i)
     | -1 -> 0
     | 59 | 60 -> 8
-    | _ -> 7
+    | 61 | 62 -> 7
+    | 63 -> 6
+    | _ -> 5
   in
   let woff = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
@@ -1264,6 +1284,25 @@ let pack (code : instr array) (funcs : func array) =
         put sop;
         put_charge i;
         put_cmp_jt (i + 1)
+    | 63 -> (
+        put 63;
+        match (code.(i), code.(i + 1), code.(i + 2)) with
+        | I_as_ptr (tp, s), I_cast_int (ti, si), I_load (d, _, _, _) ->
+            put tp;
+            put s;
+            put ti;
+            put si;
+            put d
+        | _ -> assert false)
+    | 64 -> (
+        put 64;
+        match (code.(i), code.(i + 1)) with
+        | I_cast_int (ti, si), I_load (d, p, _, _) ->
+            put ti;
+            put si;
+            put d;
+            put p
+        | _ -> assert false)
     | _ -> (
     match code.(i) with
     | I_const_unit d ->

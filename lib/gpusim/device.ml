@@ -101,10 +101,12 @@ let launch ?(role = `Parent) t ~kernel ~(grid : dim3) ~(block : dim3)
     match List.assoc_opt kernel t.auto_params with
     | None -> []
     | Some specs ->
+        (* Capture buffers hold argument values of any kind (pointers,
+           floats, ints): boxed storage at every size. *)
         List.map
           (fun ap ->
             let n = ap.ap_elems ~grid ~block in
-            Value.Ptr (Memory.alloc t.mem n ~init:(Value.Int 0)))
+            Value.Ptr (Memory.alloc_boxed t.mem n ~init:(Value.Int 0)))
           specs
   in
   let args = args @ auto in

@@ -1,31 +1,41 @@
 (** Simulated device global memory.
 
-    Memory is a table of buffers; each buffer holds an array of {!Value.t}
-    elements. Pointers ({!Value.ptr}) are a buffer id plus an element offset,
-    and pointer arithmetic moves the offset within a buffer. Out-of-bounds
-    and use-after-free accesses raise {!Value.Runtime_error} with a precise
-    description — the simulator doubles as a memory checker for transformed
-    code.
+    Memory is a table of buffers. Every element access is keyed by a buffer
+    id and an element offset ({!load_at}, {!store_at}, {!atomic_rmw_at});
+    the VM reads both straight from a pointer register's lanes, and the
+    {!Value.ptr} entry points are one-line wrappers for host code and
+    tests. Out-of-bounds and use-after-free accesses raise
+    {!Value.Runtime_error} with a precise description — the simulator
+    doubles as a memory checker for transformed code.
 
-    {b Representation.} Small buffers store boxed {!Value.t}s directly.
-    Large buffers ([typed_threshold] elements and up) whose initializer is
-    an [Int] or [Float] use an unboxed [int array] / [float array] instead —
-    at paper scale (millions of graph edges) the boxed representation costs
-    3 words and a cache miss per element. A store of a differently-typed
-    value into a typed buffer lands in a per-buffer {e spill} table keyed by
-    offset; loads consult it only when non-empty (an {!Atomic} counter keeps
-    the common path branch-cheap). The typed array is never replaced or
-    promoted, so concurrent matching-type stores from parallel block
-    execution are never lost; the spill table itself is guarded by the
-    memory's mutex. Observable behavior is identical to the boxed
-    representation — loads return the exact values stored.
+    {b Representation.} A buffer's storage follows whoever knows its
+    element kind:
+
+    - Host drivers do ({!alloc}): buffers of [typed_threshold] elements and
+      up whose initializer is an [Int] or [Float] use an unboxed
+      [int array] / [float array] — at paper scale (millions of graph
+      edges) the boxed representation costs 3 words and a cache miss per
+      element. Smaller buffers store boxed {!Value.t}s.
+    - Nobody does ({!alloc_boxed}): the aggregation pass's capture buffers
+      (argument, configuration and counter arrays allocated at launch) and
+      device [malloc] hold pointers, floats and ints alike, so they are
+      always boxed, whatever their size.
+
+    A store of a differently-typed value into a typed buffer lands in a
+    per-buffer {e spill} table keyed by offset; loads consult it only when
+    non-empty (an {!Atomic} counter keeps the common path branch-cheap).
+    The typed array is never replaced or promoted, so concurrent
+    matching-type stores from parallel block execution are never lost; the
+    spill table itself is guarded by the memory's mutex. Observable
+    behavior is identical to the boxed representation — loads return the
+    exact values stored.
 
     Thread-safety: buffer {e allocation} is single-domain (kernels that
     allocate are never dispatched in parallel batches — {!Blocksafe} rejects
     [malloc] and [__shared__]), while loads and stores may race across
     domains only at provably-disjoint offsets, which is safe on both boxed
-    and unboxed arrays. {!atomic_rmw} is the one primitive that may target
-    the same element from several domains at once. *)
+    and unboxed arrays. {!atomic_rmw_at} is the one primitive that may
+    target the same element from several domains at once. *)
 
 type storage =
   | Boxed of Value.t array
@@ -48,8 +58,8 @@ type t = {
   mutable count : int;
   mutable allocated_elems : int;  (** Total elements ever allocated. *)
   lock : Mutex.t;
-      (** Guards spill tables and {!atomic_rmw}; never held by the common
-          typed/boxed access paths. *)
+      (** Guards spill tables and {!atomic_rmw_at}; never held by the
+          common typed/boxed access paths. *)
 }
 
 let create () =
@@ -72,8 +82,8 @@ let grow t =
    boxed, byte-for-byte as before. *)
 let typed_threshold = 1024
 
-let make_storage n (init : Value.t) =
-  if n < typed_threshold then (Boxed (Array.make n init), None)
+let make_storage ~typed n (init : Value.t) =
+  if (not typed) || n < typed_threshold then (Boxed (Array.make n init), None)
   else
     let spill () =
       Some { tbl = Hashtbl.create 8; count = Atomic.make 0 }
@@ -83,17 +93,24 @@ let make_storage n (init : Value.t) =
     | Value.Float v -> (Floats (Array.make n v), spill ())
     | _ -> (Boxed (Array.make n init), None)
 
-(** [alloc t n ~init] allocates a buffer of [n] elements initialized to
-    [init], returning a pointer to its first element. *)
-let alloc t n ~init : Value.ptr =
+let add_buffer ~typed t n ~init : Value.ptr =
   if n < 0 then Value.error "negative allocation size %d" n;
   grow t;
   let id = t.count in
-  let storage, spill = make_storage n init in
+  let storage, spill = make_storage ~typed n init in
   t.table.(id) <- Some { storage; spill; live = true };
   t.count <- t.count + 1;
   t.allocated_elems <- t.allocated_elems + n;
   { buf = id; off = 0 }
+
+(** [alloc t n ~init] allocates a buffer of [n] elements initialized to
+    [init], returning a pointer to its first element. Large [Int]/[Float]
+    initializers get typed storage. *)
+let alloc t n ~init = add_buffer ~typed:true t n ~init
+
+(** [alloc_boxed t n ~init] is {!alloc} with boxed storage at any size, for
+    buffers whose element kind the allocator cannot know. *)
+let alloc_boxed t n ~init = add_buffer ~typed:false t n ~init
 
 let buffer_exn t id =
   if id < 0 || id >= t.count then Value.error "invalid buffer id %d" id;
@@ -115,88 +132,118 @@ let free t (p : Value.ptr) =
   if p.off <> 0 then Value.error "free of interior pointer (offset %d)" p.off;
   b.live <- false
 
-let check_access t (p : Value.ptr) =
-  let b = buffer_exn t p.buf in
-  if not b.live then Value.error "use after free (buffer %d)" p.buf;
-  if p.off < 0 || p.off >= storage_len b then
-    Value.error "out-of-bounds access: offset %d in buffer %d of size %d"
-      p.off p.buf (storage_len b);
+(* The one implementation of the access checks, for every load, store and
+   atomic: buffer id, then liveness, then bounds. *)
+let check t buf off =
+  let b = buffer_exn t buf in
+  if not b.live then Value.error "use after free (buffer %d)" buf;
+  if off < 0 || off >= storage_len b then
+    Value.error "out-of-bounds access: offset %d in buffer %d of size %d" off
+      buf (storage_len b);
   b
 
 let has_spill b =
   match b.spill with Some s -> Atomic.get s.count > 0 | None -> false
 
 (* Spill-aware element access; caller holds the lock (or is provably the
-   only accessor, as in host-side [dump]). *)
+   only accessor, as in host-side [dump]). Top-level helpers rather than
+   local closures, which would be allocated on every call. *)
+let spilled b off =
+  match b.spill with
+  | Some s when Atomic.get s.count > 0 -> Hashtbl.find_opt s.tbl off
+  | _ -> None
+
 let raw_load b off : Value.t =
-  let spilled () =
-    match b.spill with
-    | Some s when Atomic.get s.count > 0 -> Hashtbl.find_opt s.tbl off
-    | _ -> None
-  in
   match b.storage with
   | Boxed a -> a.(off)
-  | Ints a -> (
-      match spilled () with Some v -> v | None -> Value.Int a.(off))
+  | Ints a -> ( match spilled b off with Some v -> v | None -> Value.Int a.(off))
   | Floats a -> (
-      match spilled () with Some v -> v | None -> Value.Float a.(off))
+      match spilled b off with Some v -> v | None -> Value.Float a.(off))
+
+let unspill b off =
+  match b.spill with
+  | Some s when Hashtbl.mem s.tbl off ->
+      Hashtbl.remove s.tbl off;
+      Atomic.decr s.count
+  | _ -> ()
 
 let raw_store b off (v : Value.t) =
-  let unspill () =
-    match b.spill with
-    | Some s when Hashtbl.mem s.tbl off ->
-        Hashtbl.remove s.tbl off;
-        Atomic.decr s.count
-    | _ -> ()
-  and spill v =
-    match b.spill with
-    | Some s ->
-        if not (Hashtbl.mem s.tbl off) then Atomic.incr s.count;
-        Hashtbl.replace s.tbl off v
-    | None -> assert false
-  in
   match (b.storage, v) with
   | Boxed a, _ -> a.(off) <- v
   | Ints a, Value.Int n ->
-      unspill ();
+      unspill b off;
       a.(off) <- n
   | Floats a, Value.Float f ->
-      unspill ();
+      unspill b off;
       a.(off) <- f
-  | (Ints _ | Floats _), _ -> spill v
+  | (Ints _ | Floats _), _ -> (
+      match b.spill with
+      | Some s ->
+          if not (Hashtbl.mem s.tbl off) then Atomic.incr s.count;
+          Hashtbl.replace s.tbl off v
+      | None -> assert false)
 
-let with_lock t f =
+(* [with_lock t f x y] is [f x y] under the memory's mutex, which is
+   released on every exit before the exception is re-raised: a plain
+   lock/unlock pair, not a [Fun.protect] closure. Spill-table traffic only;
+   the atomic below inlines the same discipline so that it builds no
+   closure at all. *)
+let with_lock t f x y =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  match f x y with
+  | r ->
+      Mutex.unlock t.lock;
+      r
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
 
-let load t (p : Value.ptr) : Value.t =
-  let b = check_access t p in
+(** [load_at t buf off] reads element [off] of buffer [buf]. *)
+let load_at t buf off : Value.t =
+  let b = check t buf off in
   match b.storage with
-  | Boxed a -> a.(p.off)
-  | Ints a when not (has_spill b) -> Value.Int a.(p.off)
-  | Floats a when not (has_spill b) -> Value.Float a.(p.off)
-  | _ -> with_lock t (fun () -> raw_load b p.off)
+  | Boxed a -> Array.unsafe_get a off
+  | Ints a when not (has_spill b) -> Value.Int (Array.unsafe_get a off)
+  | Floats a when not (has_spill b) -> Value.Float (Array.unsafe_get a off)
+  | Ints _ | Floats _ -> with_lock t raw_load b off
 
-let store t (p : Value.ptr) (v : Value.t) =
-  let b = check_access t p in
+(** [store_at t buf off v] writes [v] to element [off] of buffer [buf]. *)
+let store_at t buf off (v : Value.t) =
+  let b = check t buf off in
   match (b.storage, v) with
-  | Boxed a, _ -> a.(p.off) <- v
-  | Ints a, Value.Int n when not (has_spill b) -> a.(p.off) <- n
-  | Floats a, Value.Float f when not (has_spill b) -> a.(p.off) <- f
-  | _ -> with_lock t (fun () -> raw_store b p.off v)
+  | Boxed a, _ -> Array.unsafe_set a off v
+  | Ints a, Value.Int n when not (has_spill b) -> Array.unsafe_set a off n
+  | Floats a, Value.Float f when not (has_spill b) -> Array.unsafe_set a off f
+  | (Ints _ | Floats _), _ -> with_lock t (raw_store b) off v
 
-(** [atomic_rmw t p f] atomically replaces the element at [p] with [f old]
-    and returns [old]. The one memory primitive that may legitimately race
-    across domains on the {e same} element: parallel block batches funnel
-    their [Reduce]-mode atomics ({!Blocksafe.Reduce}) through it. Serial
-    execution uses it too (the mutex is uncontended there), so both paths
-    run identical code. *)
-let atomic_rmw t (p : Value.ptr) (f : Value.t -> Value.t) : Value.t =
-  with_lock t (fun () ->
-      let b = check_access t p in
-      let old = raw_load b p.off in
-      raw_store b p.off (f old);
-      old)
+(** [atomic_rmw_at t buf off f x y] atomically replaces element [off] of
+    buffer [buf] with [f x y old] and returns [old]. The one memory
+    primitive that may legitimately race across domains on the {e same}
+    element: parallel block batches funnel their [Reduce]-mode atomics
+    ({!Blocksafe.Reduce}) through it. Serial execution uses it too (the
+    mutex is uncontended there), so both paths run identical code. [f]'s
+    operands travel separately, so a caller passing a closed [f] builds no
+    closure per atomic. *)
+let atomic_rmw_at t buf off f x y : Value.t =
+  let b = check t buf off in
+  Mutex.lock t.lock;
+  match
+    let old = raw_load b off in
+    raw_store b off (f x y old);
+    old
+  with
+  | old ->
+      Mutex.unlock t.lock;
+      old
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
+
+let load t (p : Value.ptr) = load_at t p.buf p.off
+let store t (p : Value.ptr) v = store_at t p.buf p.off v
+
+let atomic_rmw t (p : Value.ptr) f =
+  atomic_rmw_at t p.buf p.off (fun f () old -> f old) f ()
 
 let allocated_elems t = t.allocated_elems
 
@@ -244,7 +291,7 @@ let write_ints t (p : Value.ptr) (vs : int array) =
   let n = Array.length vs in
   if n = 0 then ()
   else
-    let b = check_access t p in
+    let b = check t p.buf p.off in
     match b.storage with
     | Ints a when (not (has_spill b)) && p.off + n <= Array.length a ->
         Array.blit vs 0 a p.off n
@@ -253,7 +300,7 @@ let write_ints t (p : Value.ptr) (vs : int array) =
 let read_ints t (p : Value.ptr) n =
   if n = 0 then [||]
   else
-    let b = check_access t p in
+    let b = check t p.buf p.off in
     match b.storage with
     | Ints a when (not (has_spill b)) && p.off + n <= Array.length a ->
         Array.sub a p.off n
@@ -263,7 +310,7 @@ let write_floats t (p : Value.ptr) (vs : float array) =
   let n = Array.length vs in
   if n = 0 then ()
   else
-    let b = check_access t p in
+    let b = check t p.buf p.off in
     match b.storage with
     | Floats a when (not (has_spill b)) && p.off + n <= Array.length a ->
         Array.blit vs 0 a p.off n
@@ -272,7 +319,7 @@ let write_floats t (p : Value.ptr) (vs : float array) =
 let read_floats t (p : Value.ptr) n =
   if n = 0 then [||]
   else
-    let b = check_access t p in
+    let b = check t p.buf p.off in
     match b.storage with
     | Floats a when (not (has_spill b)) && p.off + n <= Array.length a ->
         Array.sub a p.off n

@@ -1,40 +1,63 @@
-(** Simulated device global memory: a table of buffers of {!Value.t}
-    elements. Out-of-bounds and use-after-free accesses raise
+(** Simulated device global memory: a table of buffers addressed by buffer
+    id and element offset. Out-of-bounds and use-after-free accesses raise
     {!Value.Runtime_error}, so the simulator doubles as a memory checker for
     transformed code.
 
-    Large [Int]/[Float]-initialized buffers are stored unboxed ([int array]
-    / [float array]) with a spill table for the rare mismatched-type store;
-    observable behavior is identical to the boxed representation (see the
-    implementation notes).
+    Storage follows whoever knows the element kind. Host drivers' large
+    [Int]/[Float]-initialized buffers ({!alloc}) are stored unboxed
+    ([int array] / [float array]) with a spill table for the rare
+    mismatched-type store; buffers whose element kind the allocator cannot
+    know — aggregation capture buffers and device [malloc]
+    ({!alloc_boxed}) — and all small buffers are boxed. Observable behavior
+    is identical either way (see the implementation notes).
 
     Thread-safety: allocation, [free] and the bulk accessors belong to the
-    single domain driving the owning {!Device.t}. [load]/[store] may
+    single domain driving the owning {!Device.t}. Loads and stores may
     additionally be called from parallel block batches ({!Sched}), which
     only ever race at provably-disjoint offsets; same-element cross-domain
-    traffic must go through {!atomic_rmw}. Distinct [t] values are fully
+    traffic must go through {!atomic_rmw_at}. Distinct [t] values are fully
     independent. *)
 
 type t
 
 val create : unit -> t
 
-(** [alloc t n ~init] allocates [n] elements initialized to [init].
+(** [alloc t n ~init] allocates [n] elements initialized to [init]; large
+    [Int]/[Float] initializers get typed storage.
     @raise Value.Runtime_error if [n < 0]. *)
 val alloc : t -> int -> init:Value.t -> Value.ptr
+
+(** [alloc_boxed t n ~init] is {!alloc} with boxed storage at any size, for
+    buffers that may hold values of any kind. *)
+val alloc_boxed : t -> int -> init:Value.t -> Value.ptr
 
 (** [free t p] releases [p]'s buffer. [p] must be the base pointer of a
     live buffer. *)
 val free : t -> Value.ptr -> unit
 
-val load : t -> Value.ptr -> Value.t
-val store : t -> Value.ptr -> Value.t -> unit
+(** {1 Element access}
 
-(** [atomic_rmw t p f] atomically replaces the element at [p] with
-    [f old], returning [old]. The one primitive that may target the same
+    Keyed by buffer id and element offset. Every access runs the same
+    checks in the same order — buffer id ([invalid buffer id N]), liveness
+    ([use after free (buffer N)]), bounds ([out-of-bounds access: offset O
+    in buffer N of size S]) — and takes no lock unless the buffer has
+    spilled elements, except {!atomic_rmw_at}. *)
+
+val load_at : t -> int -> int -> Value.t
+val store_at : t -> int -> int -> Value.t -> unit
+
+(** [atomic_rmw_at t buf off f x y] atomically replaces the element with
+    [f x y old], returning [old]. The one primitive that may target the same
     element from several domains at once — parallel block batches funnel
     commutative-reduction atomics through it; serial execution shares the
     same code path (uncontended mutex). *)
+val atomic_rmw_at :
+  t -> int -> int -> ('a -> 'b -> Value.t -> Value.t) -> 'a -> 'b -> Value.t
+
+(** Pointer forms of the three accessors, for host code and tests. *)
+
+val load : t -> Value.ptr -> Value.t
+val store : t -> Value.ptr -> Value.t -> unit
 val atomic_rmw : t -> Value.ptr -> (Value.t -> Value.t) -> Value.t
 
 (** Element count of the buffer [p] points into. *)

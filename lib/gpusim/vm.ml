@@ -3,8 +3,12 @@
 
     Executes lowered MiniCU over unboxed per-thread register banks: a tag
     byte per register (unit/int/float/bool/dim3/ptr) with payload lanes in
-    parallel [int] and [float] arrays. Values are boxed only at the
-    engine's edges — memory loads/stores, kernel arguments, launch
+    parallel [int] and [float] arrays. A pointer is its buffer id and
+    element offset in the [ia]/[ib] lanes, and every memory access passes
+    those two ints straight to {!Memory}: no pointer record is built. A
+    {!Value.t} is boxed where one crosses the engine's edges — the element
+    a store writes or an atomic combines, a load from typed storage (boxed
+    storage hands back the value it holds), kernel arguments, launch
     requests, warp collectives — and on coercion-error paths.
 
     The interpreter dispatches on the packed word stream
@@ -169,10 +173,12 @@ let[@inline] set_dim3_v t r x y z =
   Array.unsafe_set t.ib r y;
   Array.unsafe_set t.ic r z
 
-let[@inline] set_ptr t r (p : Value.ptr) =
+let[@inline] set_ptr_at t r buf off =
   set_tag t r tag_ptr;
-  Array.unsafe_set t.ia r p.buf;
-  Array.unsafe_set t.ib r p.off
+  Array.unsafe_set t.ia r buf;
+  Array.unsafe_set t.ib r off
+
+let[@inline] set_ptr t r (p : Value.ptr) = set_ptr_at t r p.buf p.off
 
 let box t r : Value.t =
   match tag_of t r with
@@ -219,10 +225,10 @@ let get_bool t r =
   | 2 -> getf t r <> 0.0
   | _ -> Value.error "expected a bool, got %a" Value.pp (box t r)
 
-let get_ptr t r : Value.ptr =
-  match tag_of t r with
-  | 5 -> { buf = geti t r; off = Array.unsafe_get t.ib r }
-  | _ -> Value.error "expected a pointer, got %a" Value.pp (box t r)
+(* A pointer operand stays in its lanes: [need_ptr] only checks the tag,
+   then the caller reads the buffer from [ia] and the offset from [ib]. *)
+let ptr_error t r = Value.error "expected a pointer, got %a" Value.pp (box t r)
+let[@inline] need_ptr t r = if tag_of t r <> tag_ptr then ptr_error t r
 
 let get_dim3 t r =
   match tag_of t r with
@@ -241,26 +247,26 @@ let[@inline] charge_tag (t : thread) idx (c : float) =
   Array.unsafe_set t.costs idx (Array.unsafe_get t.costs idx +. c);
   Array.unsafe_set t.tot 0 (Array.unsafe_get t.tot 0 +. c)
 
-let check_access (t : thread) ~kind ~loc (ptr : Value.ptr) =
+let check_access (t : thread) ~kind ~loc buf off =
   match t.blk.Runtime.racecheck with
   | None -> ()
   | Some rc ->
       let x, y, z = t.tidx in
       let bx, by, _ = t.blk.Runtime.bdim in
       let tid = x + (y * bx) + (z * bx * by) in
-      Racecheck.record rc ~tid ~kind ~loc ptr
+      Racecheck.record rc ~tid ~kind ~loc { Value.buf; off }
 
 let access_failed (t : thread) ~loc msg =
   t.blk.Runtime.metrics.Metrics.oob_detected <-
     t.blk.Runtime.metrics.Metrics.oob_detected + 1;
   raise (Value.Runtime_error (Fmt.str "%a: %s" Minicu.Loc.pp loc msg))
 
-let checked_load (t : thread) ~loc ptr =
-  try Memory.load t.blk.Runtime.mem ptr
+let checked_load (t : thread) ~loc buf off =
+  try Memory.load_at t.blk.Runtime.mem buf off
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
-let checked_store (t : thread) ~loc ptr v =
-  try Memory.store t.blk.Runtime.mem ptr v
+let checked_store (t : thread) ~loc buf off v =
+  try Memory.store_at t.blk.Runtime.mem buf off v
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
 let dim3_member (x, y, z) = function
@@ -270,8 +276,9 @@ let dim3_member (x, y, z) = function
   | f -> Value.error "dim3 has no member %S" f
 
 (* Atomic combine; coercion order (and so failure order) is part of the
-   pinned semantics. *)
-let atomic_combine (aop : atomic) (old : Value.t) (v : Value.t) : Value.t =
+   pinned semantics. Closed, with its operands first, so that
+   [Memory.atomic_rmw_at] takes it without a closure per atomic. *)
+let atomic_combine (aop : atomic) (v : Value.t) (old : Value.t) : Value.t =
   match aop with
   | A_add -> Runtime.eval_binop Minicu.Ast.Add old v
   | A_sub -> Runtime.eval_binop Minicu.Ast.Sub old v
@@ -284,6 +291,16 @@ let atomic_combine (aop : atomic) (old : Value.t) (v : Value.t) : Value.t =
         Value.Float (Float.max (Value.as_float old) (Value.as_float v))
       else Value.Int (max (Value.as_int old) (Value.as_int v))
   | A_exch -> v
+
+let cas_combine (cmpv : Value.t) (v : Value.t) (old : Value.t) : Value.t =
+  if Value.as_int old = Value.as_int cmpv then v else old
+
+(* [mload.dim3]'s view of a stored value: a dim3, or the all-ones default
+   of a never-written slot. *)
+let stored_dim3 = function
+  | Value.Dim3 d -> d
+  | Value.Unit | Value.Int 0 -> (1, 1, 1)
+  | v -> Value.error "member assignment on non-dim3 %a" Value.pp v
 
 (* Decode tables — inverses of the [Bytecode] [*_code] encoders. *)
 
@@ -386,6 +403,7 @@ let cmp1 (t : thread) op ra n : bool =
 let interp (p : Bytecode.prog) (t : thread) =
   let ops = p.bp_ops in
   let fpool = p.bp_fpool in
+  let mem = t.blk.Runtime.mem in
   let rec go pc =
     let b = t.base in
     match Array.unsafe_get ops pc with
@@ -620,7 +638,9 @@ let interp (p : Bytecode.prog) (t : thread) =
         set_dim3_v t (b + wd ops (pc + 1)) x y z;
         go (pc + 3)
     | 22 (* as_ptr *) ->
-        set_ptr t (b + wd ops (pc + 1)) (get_ptr t (b + wd ops (pc + 2)));
+        let s = b + wd ops (pc + 2) in
+        need_ptr t s;
+        set_ptr_at t (b + wd ops (pc + 1)) (geti t s) (getib t s);
         go (pc + 3)
     | 23 (* dim3 *) ->
         (* Operands are [cast.int] results, so the coercions cannot fail;
@@ -631,41 +651,44 @@ let interp (p : Bytecode.prog) (t : thread) =
         set_dim3_v t (b + wd ops (pc + 1)) vx vy vz;
         go (pc + 5)
     | 24 (* load *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 2)) in
-        let off = get_int t (b + wd ops (pc + 3)) in
-        let ptr = { ptr with Value.off = ptr.Value.off + off } in
-        set_value t (b + wd ops (pc + 1)) (Memory.load t.blk.Runtime.mem ptr);
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
+        let i = get_int t (b + wd ops (pc + 3)) in
+        set_value t
+          (b + wd ops (pc + 1))
+          (Memory.load_at mem (geti t rp) (getib t rp + i));
         go (pc + 4)
     | 25 (* load.chk *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 2)) in
-        let off = get_int t (b + wd ops (pc + 3)) in
-        let ptr = { ptr with Value.off = ptr.Value.off + off } in
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
+        let i = get_int t (b + wd ops (pc + 3)) in
+        let buf = geti t rp and off = getib t rp + i in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 4)) in
-        check_access t ~kind:Racecheck.Read ~loc ptr;
-        set_value t (b + wd ops (pc + 1)) (checked_load t ~loc ptr);
+        check_access t ~kind:Racecheck.Read ~loc buf off;
+        set_value t (b + wd ops (pc + 1)) (checked_load t ~loc buf off);
         go (pc + 5)
     | 26 (* store *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 1)) in
-        let off = get_int t (b + wd ops (pc + 2)) in
-        let ptr = { ptr with Value.off = ptr.Value.off + off } in
+        let rp = b + wd ops (pc + 1) in
+        need_ptr t rp;
+        let i = get_int t (b + wd ops (pc + 2)) in
         let v = box t (b + wd ops (pc + 3)) in
-        Memory.store t.blk.Runtime.mem ptr v;
+        Memory.store_at mem (geti t rp) (getib t rp + i) v;
         go (pc + 4)
     | 27 (* store.chk *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 1)) in
-        let off = get_int t (b + wd ops (pc + 2)) in
-        let ptr = { ptr with Value.off = ptr.Value.off + off } in
+        let rp = b + wd ops (pc + 1) in
+        need_ptr t rp;
+        let i = get_int t (b + wd ops (pc + 2)) in
+        let buf = geti t rp and off = getib t rp + i in
         let v = box t (b + wd ops (pc + 3)) in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 4)) in
-        check_access t ~kind:Racecheck.Write ~loc ptr;
-        checked_store t ~loc ptr v;
+        check_access t ~kind:Racecheck.Write ~loc buf off;
+        checked_store t ~loc buf off v;
         go (pc + 5)
     | 28 (* addr *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 2)) in
-        let off = get_int t (b + wd ops (pc + 3)) in
-        set_ptr t
-          (b + wd ops (pc + 1))
-          { ptr with Value.off = ptr.Value.off + off };
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
+        let i = get_int t (b + wd ops (pc + 3)) in
+        set_ptr_at t (b + wd ops (pc + 1)) (geti t rp) (getib t rp + i);
         go (pc + 4)
     | 29 (* min *) ->
         (let ra = b + wd ops (pc + 2) and rb = b + wd ops (pc + 3) in
@@ -718,49 +741,56 @@ let interp (p : Bytecode.prog) (t : thread) =
         go (pc + 4)
     | 34 (* atomic *) ->
         let aop = Array.unsafe_get atomic_tbl (wd ops (pc + 1)) in
-        let ptr = get_ptr t (b + wd ops (pc + 3)) in
+        let rp = b + wd ops (pc + 3) in
+        need_ptr t rp;
         let v = box t (b + wd ops (pc + 4)) in
         let old =
-          Memory.atomic_rmw t.blk.Runtime.mem ptr (fun old ->
-              atomic_combine aop old v)
+          Memory.atomic_rmw_at mem (geti t rp) (getib t rp) atomic_combine aop
+            v
         in
         set_value t (b + wd ops (pc + 2)) old;
         go (pc + 5)
     | 35 (* atomic.chk *) ->
         let aop = Array.unsafe_get atomic_tbl (wd ops (pc + 1)) in
-        let ptr = get_ptr t (b + wd ops (pc + 3)) in
+        let rp = b + wd ops (pc + 3) in
+        need_ptr t rp;
+        let buf = geti t rp and off = getib t rp in
         let v = box t (b + wd ops (pc + 4)) in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 5)) in
-        check_access t ~kind:Racecheck.Atomic ~loc ptr;
-        let old = checked_load t ~loc ptr in
-        checked_store t ~loc ptr (atomic_combine aop old v);
+        check_access t ~kind:Racecheck.Atomic ~loc buf off;
+        let old = checked_load t ~loc buf off in
+        checked_store t ~loc buf off (atomic_combine aop v old);
         set_value t (b + wd ops (pc + 2)) old;
         go (pc + 6)
     | 36 (* cas *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 2)) in
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
         let cmpv = box t (b + wd ops (pc + 3)) in
         let v = box t (b + wd ops (pc + 4)) in
         let old =
-          Memory.atomic_rmw t.blk.Runtime.mem ptr (fun old ->
-              if Value.as_int old = Value.as_int cmpv then v else old)
+          Memory.atomic_rmw_at mem (geti t rp) (getib t rp) cas_combine cmpv v
         in
         set_value t (b + wd ops (pc + 1)) old;
         go (pc + 5)
     | 37 (* cas.chk *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 2)) in
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
+        let buf = geti t rp and off = getib t rp in
         let cmpv = box t (b + wd ops (pc + 3)) in
         let v = box t (b + wd ops (pc + 4)) in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 5)) in
-        check_access t ~kind:Racecheck.Atomic ~loc ptr;
-        let old = checked_load t ~loc ptr in
-        if Value.as_int old = Value.as_int cmpv then checked_store t ~loc ptr v;
+        check_access t ~kind:Racecheck.Atomic ~loc buf off;
+        let old = checked_load t ~loc buf off in
+        if Value.as_int old = Value.as_int cmpv then
+          checked_store t ~loc buf off v;
         set_value t (b + wd ops (pc + 1)) old;
         go (pc + 6)
     | 38 (* malloc *) ->
+        (* Boxed storage: device code may store any kind of value. *)
         let n = get_int t (b + wd ops (pc + 2)) in
         set_ptr t
           (b + wd ops (pc + 1))
-          (Memory.alloc t.blk.Runtime.mem n ~init:(Value.Int 0));
+          (Memory.alloc_boxed mem n ~init:(Value.Int 0));
         go (pc + 3)
     | 39 (* warp *) ->
         if t.blk.Runtime.is_host_ctx then (
@@ -875,41 +905,33 @@ let interp (p : Bytecode.prog) (t : thread) =
         set_dim3_v t (b + wd ops (pc + 1)) x y z;
         go (pc + 7)
     | 50 (* mload.dim3 *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 4)) in
-        let off = get_int t (b + wd ops (pc + 5)) in
-        let loc_ptr = { ptr with Value.off = ptr.Value.off + off } in
-        let v = Memory.load t.blk.Runtime.mem loc_ptr in
+        let rp = b + wd ops (pc + 4) in
+        need_ptr t rp;
+        let i = get_int t (b + wd ops (pc + 5)) in
         let x, y, z =
-          match v with
-          | Value.Dim3 d -> d
-          | Value.Unit | Value.Int 0 -> (1, 1, 1)
-          | v -> Value.error "member assignment on non-dim3 %a" Value.pp v
+          stored_dim3 (Memory.load_at mem (geti t rp) (getib t rp + i))
         in
         set_int t (b + wd ops (pc + 1)) x;
         set_int t (b + wd ops (pc + 2)) y;
         set_int t (b + wd ops (pc + 3)) z;
         go (pc + 6)
     | 51 (* mload.chk *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 4)) in
-        let off = get_int t (b + wd ops (pc + 5)) in
-        let loc_ptr = { ptr with Value.off = ptr.Value.off + off } in
+        let rp = b + wd ops (pc + 4) in
+        need_ptr t rp;
+        let i = get_int t (b + wd ops (pc + 5)) in
+        let buf = geti t rp and off = getib t rp + i in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 6)) in
-        check_access t ~kind:Racecheck.Write ~loc loc_ptr;
-        let v = checked_load t ~loc loc_ptr in
-        let x, y, z =
-          match v with
-          | Value.Dim3 d -> d
-          | Value.Unit | Value.Int 0 -> (1, 1, 1)
-          | v -> Value.error "member assignment on non-dim3 %a" Value.pp v
-        in
+        check_access t ~kind:Racecheck.Write ~loc buf off;
+        let x, y, z = stored_dim3 (checked_load t ~loc buf off) in
         set_int t (b + wd ops (pc + 1)) x;
         set_int t (b + wd ops (pc + 2)) y;
         set_int t (b + wd ops (pc + 3)) z;
         go (pc + 7)
     | 52 (* mstore.dim3 *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 1)) in
-        let off = get_int t (b + wd ops (pc + 2)) in
-        let loc_ptr = { ptr with Value.off = ptr.Value.off + off } in
+        let rp = b + wd ops (pc + 1) in
+        need_ptr t rp;
+        let i = get_int t (b + wd ops (pc + 2)) in
+        let buf = geti t rp and off = getib t rp + i in
         let n = get_int t (b + wd ops (pc + 7)) in
         let x = geti t (b + wd ops (pc + 4))
         and y = geti t (b + wd ops (pc + 5))
@@ -921,12 +943,13 @@ let interp (p : Bytecode.prog) (t : thread) =
           | "z" -> (x, y, n)
           | f -> Value.error "dim3 has no member %S" f
         in
-        Memory.store t.blk.Runtime.mem loc_ptr (Value.Dim3 d);
+        Memory.store_at mem buf off (Value.Dim3 d);
         go (pc + 8)
     | 53 (* mstore.chk *) ->
-        let ptr = get_ptr t (b + wd ops (pc + 1)) in
-        let off = get_int t (b + wd ops (pc + 2)) in
-        let loc_ptr = { ptr with Value.off = ptr.Value.off + off } in
+        let rp = b + wd ops (pc + 1) in
+        need_ptr t rp;
+        let i = get_int t (b + wd ops (pc + 2)) in
+        let buf = geti t rp and off = getib t rp + i in
         let n = get_int t (b + wd ops (pc + 7)) in
         let x = geti t (b + wd ops (pc + 4))
         and y = geti t (b + wd ops (pc + 5))
@@ -939,7 +962,7 @@ let interp (p : Bytecode.prog) (t : thread) =
           | f -> Value.error "dim3 has no member %S" f
         in
         let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 8)) in
-        checked_store t ~loc loc_ptr (Value.Dim3 d);
+        checked_store t ~loc buf off (Value.Dim3 d);
         go (pc + 9)
     | 54 (* shared.hit *) -> (
         match Hashtbl.find_opt t.blk.Runtime.shared (wd ops (pc + 2)) with
@@ -950,7 +973,7 @@ let interp (p : Bytecode.prog) (t : thread) =
     | 55 (* shared.new *) ->
         let n = get_int t (b + wd ops (pc + 3)) in
         let dv = Array.unsafe_get p.bp_vpool (wd ops (pc + 4)) in
-        let ptr = Memory.alloc t.blk.Runtime.mem n ~init:dv in
+        let ptr = Memory.alloc mem n ~init:dv in
         Hashtbl.add t.blk.Runtime.shared (wd ops (pc + 2)) ptr;
         set_ptr t (b + wd ops (pc + 1)) ptr;
         go (pc + 5)
@@ -1051,6 +1074,27 @@ let interp (p : Bytecode.prog) (t : thread) =
           (if cmp1 t op (b + wd ops (pc + 4)) (wd ops (pc + 5)) then
              wd ops (pc + 6)
            else pc + 7)
+    (* Load superinstructions — an indexed load's operand coercions fused
+       with it by the packer. Each arm runs the unfused sub-steps in order,
+       register writes included. *)
+    | 63 (* as_ptr.ld: as_ptr tp; cast.int ti; load d, tp, ti *) ->
+        let rp = b + wd ops (pc + 2) in
+        need_ptr t rp;
+        let buf = geti t rp and off = getib t rp in
+        set_ptr_at t (b + wd ops (pc + 1)) buf off;
+        let i = get_int t (b + wd ops (pc + 4)) in
+        set_int t (b + wd ops (pc + 3)) i;
+        set_value t (b + wd ops (pc + 5)) (Memory.load_at mem buf (off + i));
+        go (pc + 6)
+    | 64 (* cast.ld: cast.int ti; load d, p, ti *) ->
+        let i = get_int t (b + wd ops (pc + 2)) in
+        set_int t (b + wd ops (pc + 1)) i;
+        let rp = b + wd ops (pc + 4) in
+        need_ptr t rp;
+        set_value t
+          (b + wd ops (pc + 3))
+          (Memory.load_at mem (geti t rp) (getib t rp + i));
+        go (pc + 5)
     | _ -> assert false
   in
   go t.pc

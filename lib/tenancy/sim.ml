@@ -146,7 +146,7 @@ let run (cell : cell) ~tenants (app : App.compiled) (jobs : Traffic.job list) :
                 ap.ap_elems ~grid_blocks:(gx * gy * gz)
                   ~block_threads:(bx * by * bz)
               in
-              Value.Ptr (Memory.alloc mem elems ~init:(Value.Int 0)))
+              Value.Ptr (Memory.alloc_boxed mem elems ~init:(Value.Int 0)))
             specs
     in
     let args = [ d_deg; d_off; d_out; Value.Int n ] @ autos in

@@ -393,7 +393,74 @@ let corpus_coverage =
         "fixtures with runs" good
         (List.map (fun (b, _, _, _, _) -> b) corpus_runs))
 
+(* ------------------------------------------------------------------ *)
+(* Load superinstructions                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Opcode words the packer emitted, one per dispatch: an instruction
+   consumed by a preceding superinstruction packs to zero words. *)
+let packed_opcodes (p : Bytecode.prog) =
+  List.filter_map
+    (fun i ->
+      let w = p.Bytecode.bp_woff.(i) in
+      if p.Bytecode.bp_woff.(i + 1) > w then Some p.Bytecode.bp_ops.(w)
+      else None)
+    (List.init (Array.length p.Bytecode.bp_code) Fun.id)
+
+let load_kernel body =
+  Fmt.str
+    {|
+__global__ void k(int* o, int n) {
+  int s = 0;
+  for (int k = 0; k < n; k = k + 1) { %s }
+  o[0] = s;
+}
+|}
+    body
+
+let fusion_tests =
+  let fused ~cfg body =
+    packed_opcodes (Bytecode.compile cfg (Minicu.Parser.program (load_kernel body)))
+  in
+  let has op ops = List.mem op ops in
+  [
+    t "indexed loads fuse with their operand coercions" (fun () ->
+        let cfg = Config.test_config in
+        let local = fused ~cfg "int j = k; s = s + o[j];" in
+        Alcotest.(check bool) "as_ptr.ld for o[j]" true (has 63 local);
+        let expr = fused ~cfg "s = s + o[k & 3];" in
+        Alcotest.(check bool) "cast.ld for o[k & 3]" true (has 64 expr);
+        Alcotest.(check bool) "no as_ptr.ld for o[k & 3]" false (has 63 expr);
+        let checked =
+          fused ~cfg:{ cfg with Config.check = true } "int j = k; s = s + o[j];"
+        in
+        Alcotest.(check bool) "checked loads stay unfused" false
+          (has 63 checked || has 64 checked));
+    (* The fused arms run the unfused sub-steps in order, so a failing
+       operand or access raises exactly what the separate instructions
+       raise. *)
+    t "fused loads raise the unfused diagnostics" (fun () ->
+        let run body =
+          observe_run ~cfg:Config.test_config ~grid:(1, 1, 1) ~block:(1, 1, 1)
+            ~kernel:"k"
+            ~mk_args:(fun dev -> out_ints 4 dev @ [ Value.Int 1 ])
+            (load_kernel body)
+        in
+        let raised msg =
+          "raised: " ^ Printexc.to_string (Value.Runtime_error msg)
+        in
+        Alcotest.(check string) "as_ptr.ld, non-pointer operand"
+          (raised "expected a pointer, got ()")
+          (run "int* q; int j = k; s = s + q[j];");
+        Alcotest.(check string) "as_ptr.ld, past the end"
+          (raised "out-of-bounds access: offset 4 in buffer 0 of size 4")
+          (run "int j = k + 4; s = s + o[j];");
+        Alcotest.(check string) "cast.ld, before the start"
+          (raised "out-of-bounds access: offset -1 in buffer 0 of size 4")
+          (run "s = s + o[k - 1];"));
+  ]
+
 let suite =
   disasm_tests @ edge_tests @ sanitizer_tests @ tiny_tests @ small_tests
   @ List.map corpus_digest corpus_runs
-  @ [ corpus_coverage ]
+  @ [ corpus_coverage ] @ fusion_tests

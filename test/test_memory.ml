@@ -10,6 +10,25 @@ let raises_rte name f =
       | _ -> Alcotest.fail "expected a runtime error"
       | exception Value.Runtime_error _ -> ())
 
+(* [access_fails name msg setup] pins the exact diagnostic of a bad access
+   on every element-access primitive: [setup m] returns the pointer to
+   access, and [load], [store] and [atomic_rmw] through it must each raise
+   [msg]. *)
+let access_fails name msg setup =
+  t name (fun () ->
+      let expect op f =
+        let m = Memory.create () in
+        let p = setup m in
+        match f m p with
+        | _ -> Alcotest.failf "%s: expected a runtime error" op
+        | exception Value.Runtime_error got ->
+            Alcotest.(check string) op msg got
+      in
+      expect "load" (fun m p -> ignore (Memory.load m p));
+      expect "store" (fun m p -> Memory.store m p (Value.Int 1));
+      expect "atomic_rmw" (fun m p ->
+          ignore (Memory.atomic_rmw m p (fun v -> v))))
+
 let mem_suite =
   [
     t "alloc and rw" (fun () ->
@@ -48,19 +67,18 @@ let mem_suite =
         let m = Memory.create () in
         let p = Memory.alloc m 7 ~init:(Value.Int 0) in
         Alcotest.(check int) "size" 7 (Memory.size m p));
-    raises_rte "out of bounds high" (fun () ->
-        let m = Memory.create () in
+    access_fails "out of bounds high"
+      "out-of-bounds access: offset 4 in buffer 0 of size 4" (fun m ->
         let p = Memory.alloc m 4 ~init:(Value.Int 0) in
-        Memory.load m { p with off = 4 });
-    raises_rte "out of bounds negative" (fun () ->
-        let m = Memory.create () in
+        { p with off = 4 });
+    access_fails "out of bounds negative"
+      "out-of-bounds access: offset -1 in buffer 0 of size 4" (fun m ->
         let p = Memory.alloc m 4 ~init:(Value.Int 0) in
-        Memory.load m { p with off = -1 });
-    raises_rte "use after free" (fun () ->
-        let m = Memory.create () in
+        { p with off = -1 });
+    access_fails "use after free" "use after free (buffer 0)" (fun m ->
         let p = Memory.alloc m 4 ~init:(Value.Int 0) in
         Memory.free m p;
-        Memory.load m p);
+        p);
     raises_rte "double free" (fun () ->
         let m = Memory.create () in
         let p = Memory.alloc m 4 ~init:(Value.Int 0) in
@@ -77,9 +95,8 @@ let mem_suite =
         let m = Memory.create () in
         let p = Memory.alloc m 0 ~init:(Value.Int 0) in
         Alcotest.(check int) "size 0" 0 (Memory.size m p));
-    raises_rte "invalid buffer id" (fun () ->
-        let m = Memory.create () in
-        Memory.load m { Value.buf = 99; off = 0 });
+    access_fails "invalid buffer id" "invalid buffer id 99" (fun _ ->
+        { Value.buf = 99; off = 0 });
     (* Large Int/Float-initialized buffers take the unboxed typed-storage
        path; everything observable must match the boxed representation. *)
     t "typed int buffer round-trips and dumps" (fun () ->
@@ -195,4 +212,15 @@ let value_suite =
         Value.as_int (Value.Ptr { buf = 0; off = 0 }));
   ]
 
-let suite = mem_suite @ eq_suite @ value_suite
+(* Appended after the other suites so the earlier tests keep their
+   indices. *)
+let typed_suite =
+  [
+    access_fails "out of bounds in a typed buffer"
+      "out-of-bounds access: offset 2048 in buffer 1 of size 2048" (fun m ->
+        ignore (Memory.alloc m 8 ~init:(Value.Int 0));
+        let p = Memory.alloc m 2048 ~init:(Value.Float 0.0) in
+        { p with off = 2048 });
+  ]
+
+let suite = mem_suite @ eq_suite @ value_suite @ typed_suite
