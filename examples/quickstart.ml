@@ -29,8 +29,7 @@ __global__ void scale_parent(int* offsets, int* data, int n_rows) {
 let run_on_device (r : Dpopt.Pipeline.result) =
   let open Gpusim in
   let dev = Device.create () in
-  Device.load_program dev r.prog
-    ~auto_params:(Benchmarks.Bench_common.to_device_auto r.auto_params);
+  Device.load_program dev r.prog ~auto_params:r.auto_params;
   let n_rows = 256 in
   let offsets = Array.init (n_rows + 1) (fun v -> v * (v - 1) / 2) in
   let total = offsets.(n_rows) in

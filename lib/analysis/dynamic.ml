@@ -112,36 +112,17 @@ let directives (src : string) : directive list =
                (parse_directive
                   (String.sub line start (String.length line - start))))
 
-(* Mirrors Bench_common.to_device_auto: the aggregation pass's appended
-   buffer parameters, sized from the actual launch configuration. *)
-let to_device_auto (aps : (string * Dpopt.Aggregation.auto_param list) list) :
-    (string * Device.auto_param list) list =
-  List.map
-    (fun (k, l) ->
-      ( k,
-        List.map
-          (fun (ap : Dpopt.Aggregation.auto_param) ->
-            {
-              Device.ap_name = ap.ap_name;
-              ap_elems =
-                (fun ~grid:(gx, gy, gz) ~block:(bx, by, bz) ->
-                  ap.ap_elems ~grid_blocks:(gx * gy * gz)
-                    ~block_threads:(bx * by * bz));
-            })
-          l ))
-    aps
-
 (** [run ?cfg ?auto_params prog ds] — execute each directive on a fresh
     device with the sanitizer on; returns all findings (race reports and
     runtime errors, e.g. out-of-bounds), in directive order. Empty means
     clean. *)
-let run ?(cfg = Config.test_config) ?(auto_params = []) prog
+let run ?(cfg = Config.test_config) ?auto_params prog
     (ds : directive list) : string list =
   let cfg = { cfg with Config.check = true } in
   List.concat_map
     (fun d ->
       let dev = Device.create ~cfg () in
-      Device.load_program dev prog ~auto_params:(to_device_auto auto_params);
+      Device.load_program dev prog ?auto_params;
       let args =
         List.map
           (function

@@ -27,12 +27,6 @@ exception Bad_directive of string
     @raise Bad_directive on malformed ones. *)
 val directives : string -> directive list
 
-(** Convert the aggregation pass's runtime-allocated parameter specs to
-    the device form (as [Benchmarks.Bench_common.to_device_auto]). *)
-val to_device_auto :
-  (string * Dpopt.Aggregation.auto_param list) list ->
-  (string * Gpusim.Device.auto_param list) list
-
 (** [run ?cfg ?auto_params prog ds] — execute each directive under the
     sanitizer; returns all findings, in directive order. Empty = clean. *)
 val run :

@@ -4,10 +4,9 @@ type entry = {
   ps_kernel : string;
   ps_params : string list;
   ps_summary : Gpusim.Blocksafe.summary;
-  ps_static_work : float;
 }
 
-let report ?(cfg = Gpusim.Config.default) (prog : Minicu.Ast.program) =
+let report (prog : Minicu.Ast.program) =
   List.filter_map
     (fun (f : Minicu.Ast.func) ->
       match f.f_kind with
@@ -19,7 +18,6 @@ let report ?(cfg = Gpusim.Config.default) (prog : Minicu.Ast.program) =
               ps_params =
                 List.map (fun (p : Minicu.Ast.param) -> p.p_name) f.f_params;
               ps_summary = Gpusim.Blocksafe.analyze prog f;
-              ps_static_work = Gpusim.Blocksafe.static_work cfg f;
             })
     prog
 
@@ -38,13 +36,9 @@ let pp_entry ppf e =
           Fmt.str "%s: %a" name pp_mode s.Gpusim.Blocksafe.bs_modes.(i))
         e.ps_params
     in
-    Fmt.pf ppf "parsafety %s: parallel-safe (%s%s~%.0f cycles/thread)"
-      e.ps_kernel
+    Fmt.pf ppf "parsafety %s: parallel-safe (%s%s)" e.ps_kernel
       (String.concat ", " modes)
-      (if s.Gpusim.Blocksafe.bs_needs_1d then "; needs 1-D dims; "
-       else if e.ps_params = [] then ""
-       else "; ")
-      e.ps_static_work
+      (if s.Gpusim.Blocksafe.bs_needs_1d then "; needs 1-D dims" else "")
   else
     Fmt.pf ppf "parsafety %s: serial (%s)" e.ps_kernel
       s.Gpusim.Blocksafe.bs_reason

@@ -2,9 +2,8 @@
 
     Surfaces what the scheduler's {!Gpusim.Blocksafe} analysis concluded
     for every [__global__] kernel of a program: whether its blocks can be
-    dispatched concurrently with bit-identical results, why not when they
-    cannot, and the static per-thread work estimate the grid sampler
-    stratifies on. [dpoptc --report] prints this so users can see, before
+    dispatched concurrently with bit-identical results, and why not when
+    they cannot. [dpoptc --report] prints this so users can see, before
     any simulation, which kernels will run batched and which fall back to
     serial dispatch. *)
 
@@ -13,16 +12,12 @@ type entry = {
   ps_params : string list;
       (** Parameter names, aligned with [ps_summary.bs_modes]. *)
   ps_summary : Gpusim.Blocksafe.summary;
-  ps_static_work : float;
-      (** {!Gpusim.Blocksafe.static_work}: estimated cycles per thread. *)
 }
 
-(** [report ?cfg prog] — one entry per [__global__] kernel, in program
-    order. [cfg] feeds the static-work estimator (instruction costs);
-    defaults to {!Gpusim.Config.default}. *)
-val report : ?cfg:Gpusim.Config.t -> Minicu.Ast.program -> entry list
+(** [report prog] — one entry per [__global__] kernel, in program order. *)
+val report : Minicu.Ast.program -> entry list
 
 (** Renders one line per kernel:
-    ["parsafety bfs_child: parallel-safe (out: owned x1, frontier: read-only; needs 1-D dims; ~42 cycles/thread)"]
+    ["parsafety bfs_child: parallel-safe (out: owned x1, frontier: read-only; needs 1-D dims)"]
     or ["parsafety bfs_parent: serial (launches child grids)"]. *)
 val pp : Format.formatter -> entry list -> unit

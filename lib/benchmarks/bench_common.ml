@@ -67,23 +67,10 @@ let upload_graph dev (g : Workloads.Csr.t) =
     Gpusim.Device.alloc_ints dev g.col,
     Gpusim.Device.alloc_ints dev g.weight )
 
-(** Convert the aggregation pass's allocation specs to the runtime's. *)
-let to_device_auto (aps : (string * Dpopt.Aggregation.auto_param list) list) :
-    (string * Gpusim.Device.auto_param list) list =
-  List.map
-    (fun (k, l) ->
-      ( k,
-        List.map
-          (fun (ap : Dpopt.Aggregation.auto_param) ->
-            {
-              Gpusim.Device.ap_name = ap.ap_name;
-              ap_elems =
-                (fun ~grid:(gx, gy, gz) ~block:(bx, by, bz) ->
-                  ap.ap_elems ~grid_blocks:(gx * gy * gz)
-                    ~block_threads:(bx * by * bz));
-            })
-          l ))
-    aps
+(** The identity: the device takes the aggregation pass's specs as they
+    are. Kept only for the benchmark driver in perfbench/sim.ml. *)
+let to_device_auto (aps : (string * Dpopt.Aggregation.auto_param list) list) =
+  aps
 
 (** [load_variant dev spec variant] compiles the right source through the
     optimization pipeline and loads it. [variant] is [`No_cdp] or
@@ -96,8 +83,7 @@ let load_variant ?cfg spec variant : Gpusim.Device.t =
   | `Cdp opts ->
       let prog = Minicu.Parser.program spec.cdp_src in
       let r = Dpopt.Pipeline.run ~opts prog in
-      Gpusim.Device.load_program dev r.prog
-        ~auto_params:(to_device_auto r.auto_params));
+      Gpusim.Device.load_program dev r.prog ~auto_params:r.auto_params);
   dev
 
 (** [run_variant ?cfg spec variant] — load, run, return

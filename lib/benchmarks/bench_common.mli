@@ -54,10 +54,11 @@ val upload_graph :
   Workloads.Csr.t ->
   Gpusim.Value.ptr * Gpusim.Value.ptr * Gpusim.Value.ptr
 
-(** Adapt the aggregation pass's buffer specs to the runtime's. *)
+(** The identity, kept only for the benchmark driver in perfbench/sim.ml:
+    the device takes the aggregation pass's specs as they are. *)
 val to_device_auto :
   (string * Dpopt.Aggregation.auto_param list) list ->
-  (string * Gpusim.Device.auto_param list) list
+  (string * Dpopt.Aggregation.auto_param list) list
 
 (** Compile the right source through the pipeline and load it onto a fresh
     device. *)

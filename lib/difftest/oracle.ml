@@ -32,13 +32,10 @@
 open Minicu
 
 (** A compiled program variant: transformed source plus the
-    runtime-allocated trailing parameters its kernels expect — in the
-    simulator runtime's form ([c_auto]) and the pass's own form
-    ([c_auto_raw], which the native backend's emitter consumes). *)
+    runtime-allocated trailing parameters its kernels expect. *)
 type compiled = {
   c_prog : Ast.program;
-  c_auto : (string * Gpusim.Device.auto_param list) list;
-  c_auto_raw : (string * Dpopt.Aggregation.auto_param list) list;
+  c_auto : (string * Dpopt.Aggregation.auto_param list) list;
 }
 
 (** A program transformer under test. [v_opts] is the pipeline combination
@@ -51,26 +48,6 @@ type variant = {
   v_compile : Ast.program -> compiled;
 }
 
-(* The adapter from the aggregation pass's allocation specs to the
-   runtime's (same as Benchmarks.Bench_common.to_device_auto, duplicated so
-   difftest does not pull the benchmark suite in). *)
-let to_device_auto (aps : (string * Dpopt.Aggregation.auto_param list) list) :
-    (string * Gpusim.Device.auto_param list) list =
-  List.map
-    (fun (k, l) ->
-      ( k,
-        List.map
-          (fun (ap : Dpopt.Aggregation.auto_param) ->
-            {
-              Gpusim.Device.ap_name = ap.ap_name;
-              ap_elems =
-                (fun ~grid:(gx, gy, gz) ~block:(bx, by, bz) ->
-                  ap.ap_elems ~grid_blocks:(gx * gy * gz)
-                    ~block_threads:(bx * by * bz));
-            })
-          l ))
-    aps
-
 (** [pipeline_variant label opts] — an honest pipeline run at [opts]. *)
 let pipeline_variant (label, opts) : variant =
   {
@@ -81,8 +58,7 @@ let pipeline_variant (label, opts) : variant =
         let r = Dpopt.Pipeline.run ~opts prog in
         {
           c_prog = r.prog;
-          c_auto = to_device_auto r.auto_params;
-          c_auto_raw = r.auto_params;
+          c_auto = r.auto_params;
         });
   }
 
@@ -184,8 +160,7 @@ let broken_coarsening ?(cfactor = 2) () : variant =
         in
         {
           c_prog = prog;
-          c_auto = to_device_auto r.auto_params;
-          c_auto_raw = r.auto_params;
+          c_auto = r.auto_params;
         });
   }
 
@@ -220,8 +195,7 @@ let racy_injection () : variant =
         in
         {
           c_prog = prog;
-          c_auto = to_device_auto r.auto_params;
-          c_auto_raw = r.auto_params;
+          c_auto = r.auto_params;
         });
   }
 
@@ -274,8 +248,7 @@ let racy_global_injection ?(iters = 400) () : variant =
         in
         {
           c_prog = prog;
-          c_auto = to_device_auto r.auto_params;
-          c_auto_raw = r.auto_params;
+          c_auto = r.auto_params;
         });
   }
 
@@ -503,7 +476,7 @@ let check_native ~(compiled : (variant * (compiled, exn) result) list)
                     {
                       Native.Emit.vu_label = v.v_label;
                       vu_prog = c.c_prog;
-                      vu_autos = c.c_auto_raw;
+                      vu_autos = c.c_auto;
                     } ))
           ((baseline_variant, Ok base_compiled) :: compiled)
       in
@@ -529,7 +502,7 @@ let check_native ~(compiled : (variant * (compiled, exn) result) list)
           let sim_dump =
             Native.Hostspec.render_dump
               (Native.Hostspec.run_sim ~cfg:Gpusim.Config.test_config
-                 base_compiled.c_prog ~auto_params:base_compiled.c_auto_raw
+                 base_compiled.c_prog ~auto_params:base_compiled.c_auto
                  host)
           in
           List.find_map

@@ -24,10 +24,10 @@
          the final contents are independent of execution order.}}
     - parameters that are only read are unrestricted.
 
-    Whether two grids' {e concrete} pointer arguments alias is not decidable
-    here; the scheduler performs the cheap dynamic check (distinct buffer
-    ids for owned parameters across a batch) at dispatch time using the
-    {!summary}'s per-parameter modes. Anything the analysis cannot prove
+    Whether concrete pointer arguments alias is not decidable here; at
+    dispatch the scheduler admits a grid into a parallel batch only if
+    every buffer it shares (with itself or another grid of the batch) is
+    shared by uses of the same mode, never by an [Owned] use. Anything the analysis cannot prove
     falls back to serial execution — unprovable never means wrong, only
     slow. *)
 
@@ -575,112 +575,3 @@ let analyze (prog : program) (f : func) : summary =
             { bs_safe = true; bs_reason = ""; bs_modes = modes; bs_needs_1d = needs_1d }
         )
     | exception Reject r -> unsafe r
-
-(* ------------------------------------------------------------------ *)
-(* Static per-block work estimate                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Default trip-count assumption for loops whose bounds are not constant:
-   enough to make loopy kernels register as heavy without pretending to
-   know their data. *)
-let assumed_trips = 8.0
-
-let rec expr_work (cfg : Config.t) (e : expr) : float =
-  let ec = expr_work cfg in
-  let c = float_of_int in
-  match e with
-  | Int_lit _ | Float_lit _ | Bool_lit _ | Var _ -> 0.0
-  | Unop (_, a) -> c cfg.arith_cost +. ec a
-  | Binop (_, a, b) -> c cfg.arith_cost +. ec a +. ec b
-  | Ternary (x, a, b) -> c cfg.branch_cost +. ec x +. Float.max (ec a) (ec b)
-  | Index (p, i) -> c cfg.mem_cost +. ec p +. ec i
-  | Member (a, _) | Cast (_, a) | Addr_of a -> ec a
-  | Dim3_ctor (a, b, x) -> c cfg.arith_cost +. ec a +. ec b +. ec x
-  | Call (f, args) ->
-      let argc = List.fold_left (fun acc a -> acc +. ec a) 0.0 args in
-      let base =
-        match f with
-        | "atomicAdd" | "atomicSub" | "atomicMin" | "atomicMax"
-        | "atomicExch" | "atomicCAS" ->
-            cfg.atomic_cost
-        | "malloc" -> cfg.alloc_cost
-        | "warp_scan_excl" | "warp_sum" | "warp_max" | "warp_bcast" ->
-            cfg.warp_collective_cost
-        | "min" | "max" | "abs" | "fabs" | "ceil" | "floor" | "sqrt" | "exp"
-        | "log" | "pow" ->
-            cfg.arith_cost
-        | _ -> cfg.call_cost
-      in
-      c base +. argc
-
-(* Constant trip count of a counted loop, if syntactically evident. *)
-let const_trips (init : stmt option) (cond : expr option) (step : stmt option)
-    =
-  match (init, cond, step) with
-  | ( Some { sdesc = Decl (TInt, x, Some (Int_lit a)); _ },
-      Some (Binop ((Lt | Le) as cmp, Var x', Int_lit b)),
-      Some { sdesc = Assign (Var x'', Binop (Add, Var x''', Int_lit s)); _ } )
-    when x = x' && x = x'' && x = x''' && s > 0 ->
-      let last = match cmp with Lt -> b - 1 | _ -> b in
-      if last < a then Some 0.0
-      else Some (float_of_int (((last - a) / s) + 1))
-  | _ -> None
-
-let rec stmts_work cfg depth (ss : stmt list) =
-  List.fold_left (fun acc s -> acc +. stmt_work cfg depth s) 0.0 ss
-
-and stmt_work (cfg : Config.t) depth (s : stmt) : float =
-  let c = float_of_int in
-  if depth > 8 then 0.0
-  else
-    match s.sdesc with
-    | Decl (_, _, Some e) -> expr_work cfg e +. c cfg.arith_cost
-    | Decl (_, _, None) -> 0.0
-    | Decl_shared (_, _, e) -> expr_work cfg e +. c cfg.arith_cost
-    | Assign (lv, e) ->
-        expr_work cfg e
-        +. (match lv with
-           | Index _ -> c (cfg.mem_cost + cfg.arith_cost)
-           | Member (Index _, _) -> c ((2 * cfg.mem_cost) + cfg.arith_cost)
-           | _ -> c cfg.arith_cost)
-    | If (cnd, a, b) ->
-        expr_work cfg cnd +. c cfg.branch_cost
-        +. Float.max (stmts_work cfg depth a) (stmts_work cfg depth b)
-    | For (init, cond, step, body) ->
-        let trips =
-          match const_trips init cond step with
-          | Some n -> n
-          | None -> assumed_trips
-        in
-        let per_iter =
-          (match cond with Some cnd -> expr_work cfg cnd | None -> 0.0)
-          +. c cfg.branch_cost
-          +. (match step with
-             | Some st_ -> stmt_work cfg (depth + 1) st_
-             | None -> 0.0)
-          +. stmts_work cfg (depth + 1) body
-        in
-        (match init with Some i -> stmt_work cfg (depth + 1) i | None -> 0.0)
-        +. (trips *. per_iter)
-    | While (cond, body) ->
-        assumed_trips
-        *. (expr_work cfg cond +. c cfg.branch_cost
-           +. stmts_work cfg (depth + 1) body)
-    | Return (Some e) -> expr_work cfg e
-    | Return None -> 0.0
-    | Expr_stmt e -> expr_work cfg e
-    | Launch l ->
-        c cfg.launch_issue_cost +. expr_work cfg l.l_grid
-        +. expr_work cfg l.l_block
-        +. List.fold_left (fun acc a -> acc +. expr_work cfg a) 0.0 l.l_args
-    | Sync -> c cfg.sync_cost
-    | Syncwarp -> c cfg.sync_cost
-    | Threadfence -> c cfg.fence_cost
-    | Break | Continue -> 0.0
-
-(** [static_work cfg f] — statically-estimated cycles for one {e thread} of
-    [f] (loop-weighted instruction costs; unknown loop bounds assume
-    {!assumed_trips} iterations). The sampler stratifies and gates on this
-    estimate; it needs ordering fidelity, not absolute accuracy. *)
-let static_work (cfg : Config.t) (f : func) : float =
-  stmts_work cfg 0 f.f_body

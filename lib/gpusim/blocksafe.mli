@@ -4,10 +4,10 @@
     concurrently with results bit-identical to sequential execution. The
     analysis classifies every pointer parameter into one of three usage
     modes; anything it cannot prove makes the kernel fall back to serial
-    dispatch — unprovable never means wrong, only slow. The scheduler
-    combines the static {!summary} with a cheap dynamic check (distinct
-    owned-buffer ids across a batch, 1-D dims where required) at dispatch
-    time. *)
+    dispatch — unprovable never means wrong, only slow. At dispatch the
+    scheduler adds one dynamic rule over the concrete buffers: a buffer
+    may be shared within a batch only by uses of the same mode, never by
+    an [Owned] use (plus 1-D dims where required). *)
 
 (** How a pointer parameter is used by the kernel. *)
 type mode =
@@ -35,9 +35,3 @@ type summary = {
     of kernel [f]. Total: never raises; failures come back as
     [{ bs_safe = false; bs_reason; _ }]. *)
 val analyze : Minicu.Ast.program -> Minicu.Ast.func -> summary
-
-(** [static_work cfg f] — statically-estimated cycles for one {e thread} of
-    [f] (loop-weighted instruction costs; unknown loop bounds assume a
-    fixed trip count). The grid sampler stratifies and gates on this
-    estimate; it needs ordering fidelity, not absolute accuracy. *)
-val static_work : Config.t -> Minicu.Ast.func -> float

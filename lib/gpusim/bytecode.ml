@@ -123,7 +123,6 @@ type func = {
   bf_is_serial : bool;
   bf_safety : Blocksafe.summary;
       (** Cross-block independence proof for parallel dispatch. *)
-  bf_static_work : float;  (** Per-thread static work estimate. *)
   mutable bf_entry : int;  (** Body entry pc. *)
   mutable bf_followup : int option;  (** Host-followup entry pc. *)
 }
@@ -1637,7 +1636,6 @@ let compile (cfg : Config.t) (prog : program) : prog =
              bf_is_serial =
                f.f_kind = Device && Runtime.has_serial_suffix f.f_name;
              bf_safety = Blocksafe.analyze prog f;
-             bf_static_work = Blocksafe.static_work cfg f;
              bf_entry = 0;
              bf_followup = None;
            })

@@ -89,9 +89,6 @@ type func = {
   bf_safety : Blocksafe.summary;
       (** Cross-block independence proof for parallel dispatch
           ({!Blocksafe.analyze}). *)
-  bf_static_work : float;
-      (** Per-thread static work estimate ({!Blocksafe.static_work});
-          gates and stratifies grid sampling. *)
   mutable bf_entry : int;
   mutable bf_followup : int option;
 }

@@ -27,16 +27,12 @@ let pp_engine ppf Bytecode = Fmt.string ppf "bytecode"
 type sampling = {
   block_threshold : int;  (** Sample grids with at least this many blocks. *)
   block_frac : float;  (** Fraction of blocks to simulate, in (0, 1]. *)
-  strata : int;  (** Contiguous strata per sampled grid (>= 1). *)
+  strata : int;  (** Strata (contiguous block-index ranges) per grid, >= 1. *)
   seed : int;  (** Seed for the deterministic sample positions. *)
   launch_threshold : int;
       (** Sample the launch list of blocks issuing at least this many
           device launches. *)
   launch_frac : float;  (** Fraction of such launches to dispatch. *)
-  min_static_work : float;
-      (** Skip sampling grids whose statically-estimated per-block work
-          ({!Blocksafe.static_work}) falls below this floor: tiny blocks are
-          cheaper to run than to extrapolate. *)
 }
 
 let default_sampling =
@@ -47,7 +43,6 @@ let default_sampling =
     seed = 0x5eed;
     launch_threshold = 48;
     launch_frac = 0.25;
-    min_static_work = 0.0;
   }
 
 type t = {

@@ -24,13 +24,10 @@ val pp_engine : Format.formatter -> engine -> unit
 type sampling = {
   block_threshold : int;
   block_frac : float;  (** In (0, 1]. *)
-  strata : int;  (** Contiguous strata per sampled grid (>= 1). *)
+  strata : int;  (** Strata (contiguous block-index ranges) per grid, >= 1. *)
   seed : int;
   launch_threshold : int;
   launch_frac : float;
-  min_static_work : float;
-      (** Grids whose {!Blocksafe.static_work} estimate is below this floor
-          are simulated exactly. *)
 }
 
 val default_sampling : sampling

@@ -1,10 +1,9 @@
-(** Host-side device API — the MiniCU analogue of the CUDA runtime.
-
-    A typical driver:
+(** Host-side device API — the MiniCU analogue of the CUDA runtime: one
+    program on the default stream of a {!Sched}. A typical driver:
 
     {[
       let dev = Device.create () in
-      Device.load_program dev prog ~auto_params;
+      Device.load_program dev r.prog ~auto_params:r.auto_params;
       let d_data = Device.alloc_ints dev data in
       Device.launch dev ~kernel:"parent" ~grid:(n_blocks, 1, 1)
         ~block:(256, 1, 1) ~args:[ Ptr d_data; Int n ];
@@ -15,43 +14,23 @@
 
 type dim3 = int * int * int
 
-(** Runtime-allocated trailing parameters for transformed kernels.
-
-    The aggregation pass appends buffer parameters to the parent kernel
-    (argument/configuration arrays and counters — the "pre-allocated memory
-    buffer" of the paper's Fig. 7 line 17). Drivers keep launching with the
-    original arguments; the runtime allocates each auto buffer, zero-filled,
-    sized by [ap_elems] from the actual launch configuration, and appends the
-    pointers. *)
-type auto_param = {
-  ap_name : string;  (** Parameter name, for debugging. *)
-  ap_elems : grid:dim3 -> block:dim3 -> int;
-}
-
-type t = {
-  cfg : Config.t;
-  mem : Memory.t;
-  metrics : Metrics.t;
-  sched : Sched.t;
-  mutable auto_params : (string * auto_param list) list;
-}
+type t = { cfg : Config.t; mem : Memory.t; metrics : Metrics.t; sched : Sched.t }
 
 let create ?(cfg = Config.default) () =
   let mem = Memory.create () in
   let metrics = Metrics.create () in
-  { cfg; mem; metrics; sched = Sched.create cfg mem metrics; auto_params = [] }
+  { cfg; mem; metrics; sched = Sched.create cfg mem metrics }
 
 let metrics t = t.metrics
 let memory t = t.mem
 let config t = t.cfg
 
 (** [load_program t prog ~auto_params] typechecks [prog] and lowers it
-    onto the device ({!Bytecode.compile}).
+    onto the device's default stream ({!Sched.load_stream}).
     [auto_params] maps kernel names to the runtime-allocated trailing
     parameters their transformed signatures expect. *)
-let load_program ?(auto_params = []) t (prog : Minicu.Ast.program) =
-  Sched.load_stream t.sched (Sched.default_stream t.sched) prog;
-  t.auto_params <- auto_params
+let load_program ?auto_params t (prog : Minicu.Ast.program) =
+  Sched.load_stream ?auto_params t.sched (Sched.default_stream t.sched) prog
 
 (** {1 Memory management} *)
 
@@ -89,44 +68,12 @@ let free t p = Memory.free t.mem p
 
 (** {1 Kernel launch} *)
 
-(** [launch t ~kernel ~grid ~block ~args] issues a host-side launch,
-    asynchronously (as in CUDA: work runs at the next {!sync}). Untagged
-    kernel time is attributed to parent work; pass [~role:`Child] for
-    kernels that represent child work launched from the host. *)
-let launch ?(role = `Parent) t ~kernel ~(grid : dim3) ~(block : dim3)
-    ~(args : Value.t list) =
-  let stream = Sched.default_stream t.sched in
-  let cf = Sched.resolve_kernel stream kernel in
-  let auto =
-    match List.assoc_opt kernel t.auto_params with
-    | None -> []
-    | Some specs ->
-        (* Capture buffers hold argument values of any kind (pointers,
-           floats, ints): boxed storage at every size. *)
-        List.map
-          (fun ap ->
-            let n = ap.ap_elems ~grid ~block in
-            Value.Ptr (Memory.alloc_boxed t.mem n ~init:(Value.Int 0)))
-          specs
-  in
-  let args = args @ auto in
-  let expected = cf.Bytecode.bf_nparams in
-  if List.length args <> expected then
-    Value.error
-      "launch of %S: expected %d arguments (%d user + %d auto), got %d user"
-      kernel expected
-      (expected - List.length auto)
-      (List.length auto)
-      (List.length args - List.length auto);
-  let issue = t.sched.clock in
-  let ready = Sched.process_host_launch t.sched stream ~issue in
-  let default_idx =
-    match role with
-    | `Parent -> Metrics.tag_parent
-    | `Child -> Metrics.tag_child
-  in
-  Sched.launch_grid t.sched stream ~issue ~from_host:true ~kernel:cf ~grid
-    ~block ~args ~ready ~default_idx
+(** [launch t ~kernel ~grid ~block ~args] issues a host-side launch on the
+    default stream ({!Sched.host_launch}), asynchronously (as in CUDA: work
+    runs at the next {!sync}). *)
+let launch ?role t ~kernel ~grid ~block ~args =
+  Sched.host_launch ?role t.sched (Sched.default_stream t.sched) ~kernel ~grid
+    ~block ~args
 
 (** [sync t] drains all pending work and returns the simulated clock. *)
 let sync t = Sched.run_to_idle t.sched
@@ -134,16 +81,16 @@ let sync t = Sched.run_to_idle t.sched
 (** Parallel-dispatch occupancy: (batches of >= 2 blocks run concurrently,
     blocks executed in them). Both zero unless [Config.block_jobs] > 1.
     Host-side accounting only; simulated results are unaffected. *)
-let par_stats t = (t.sched.Sched.par_batches, t.sched.Sched.par_batch_blocks)
+let par_stats t = Sched.par_stats t.sched
 
 (** Current simulated time (cycles since device creation). *)
-let time t = t.sched.clock
+let time t = Sched.clock t.sched
 
 (** Execution tracing (see {!Gpusim.Trace}). *)
 
-let enable_trace t = Trace.enable t.sched.trace
-let trace_events t = Trace.events t.sched.trace
-let clear_trace t = Trace.clear t.sched.trace
+let enable_trace t = Trace.enable (Sched.trace t.sched)
+let trace_events t = Trace.events (Sched.trace t.sched)
+let clear_trace t = Trace.clear (Sched.trace t.sched)
 
 (** [elapsed t f] runs [f ()] (typically launches plus a sync) and returns
     the simulated cycles it took. *)

@@ -1,8 +1,10 @@
-(** Host-side device API — the MiniCU analogue of the CUDA runtime.
+(** Host-side device API — the MiniCU analogue of the CUDA runtime: one
+    program on the default stream of a {!Sched}, which owns every launch.
 
     {[
+      let r = Dpopt.Pipeline.run ~opts prog in
       let dev = Device.create () in
-      Device.load_program dev prog;
+      Device.load_program dev r.prog ~auto_params:r.auto_params;
       let d_data = Device.alloc_ints dev data in
       Device.launch dev ~kernel:"parent" ~grid:(blocks, 1, 1)
         ~block:(256, 1, 1) ~args:[ Ptr d_data; Int n ];
@@ -20,17 +22,6 @@
 
 type dim3 = int * int * int
 
-(** Runtime-allocated trailing parameter of a transformed kernel: the
-    aggregation pass appends buffer parameters to parent kernels (the
-    "pre-allocated memory buffer" of the paper's Fig. 7); the runtime
-    allocates each one, zero-filled, sized by [ap_elems] from the actual
-    launch configuration, and appends the pointers — so host drivers keep
-    launching with the original arguments. *)
-type auto_param = {
-  ap_name : string;
-  ap_elems : grid:dim3 -> block:dim3 -> int;
-}
-
 type t
 
 val create : ?cfg:Config.t -> unit -> t
@@ -39,9 +30,14 @@ val memory : t -> Memory.t
 val config : t -> Config.t
 
 (** [load_program t prog ~auto_params] typechecks and compiles [prog] onto
-    the device. *)
+    the device. [auto_params] is the aggregation pass's result
+    ([Dpopt.Aggregation.result.auto_params]): the trailing buffer
+    parameters it appended to parent kernels (the "pre-allocated memory
+    buffer" of the paper's Fig. 7). Host launches keep passing the
+    original arguments; each launch allocates those buffers, zero-filled
+    and sized from its configuration, and appends the pointers. *)
 val load_program :
-  ?auto_params:(string * auto_param list) list ->
+  ?auto_params:(string * Dpopt.Aggregation.auto_param list) list ->
   t ->
   Minicu.Ast.program ->
   unit
@@ -76,11 +72,12 @@ val dump_memory : t -> first:int -> Value.t array list
 
 (** {1 Kernel launch} *)
 
-(** [launch t ~kernel ~grid ~block ~args] issues a host-side launch,
-    asynchronously (work runs at the next {!sync}). [role] selects how
-    untagged kernel time is attributed: [`Parent] (default) or [`Child].
+(** [launch t ~kernel ~grid ~block ~args] issues a host-side launch on the
+    default stream through {!Sched.host_launch}, asynchronously (work runs
+    at the next {!sync}). [role] selects how untagged kernel time is
+    attributed: [`Parent] (default) or [`Child].
     @raise Value.Runtime_error on unknown kernels, argument-count mismatch,
-    or invalid configurations. *)
+    or a grid or block component below 1 or too many threads per block. *)
 val launch :
   ?role:[ `Parent | `Child ] ->
   t ->

@@ -51,6 +51,16 @@ type result = {
   r_tag_cycles : float array;  (** Parallelism-scaled cycles per tag index. *)
 }
 
+let check_launch_shape (cfg : Config.t) ~kernel ~grid:(gx, gy, gz)
+    ~block:(bx, by, bz) =
+  if gx < 1 || gy < 1 || gz < 1 then
+    Value.error "launch of %S with empty grid (%d,%d,%d)" kernel gx gy gz;
+  if bx < 1 || by < 1 || bz < 1 then
+    Value.error "launch of %S with empty block (%d,%d,%d)" kernel bx by bz;
+  if bx * by * bz > cfg.max_threads_per_block then
+    Value.error "launch of %S with %d threads per block (max %d)" kernel
+      (bx * by * bz) cfg.max_threads_per_block
+
 (* ------------------------------------------------------------------ *)
 (* Dynamic semantics                                                   *)
 (* ------------------------------------------------------------------ *)

@@ -46,6 +46,18 @@ type result = {
   r_tag_cycles : float array;  (** Per-tag scaled cycles. *)
 }
 
+(** The one launch-shape rule, applied by the VM to launches from kernels
+    and host followups and by {!Sched.host_launch} to host launches: each
+    grid and block component is at least 1, and a block has at most
+    [cfg.max_threads_per_block] threads.
+    @raise Value.Runtime_error naming [kernel] and the offending shape. *)
+val check_launch_shape :
+  Config.t ->
+  kernel:string ->
+  grid:int * int * int ->
+  block:int * int * int ->
+  unit
+
 (** Dynamic semantics of a binary operator on runtime values (C-style:
     float wins, pointers admit arithmetic).
     @raise Value.Runtime_error on division by zero or type mismatches. *)

@@ -15,13 +15,15 @@
       contend with the device launch queue.
 
     {b Multi-tenancy.} The device hosts any number of {e streams}. Each
-    stream has its own loaded program, its own grid-id namespace, and its
-    own {!Metrics.t}; all streams share the SMs, the grid-management launch
-    queue, device memory and the clock — contention between tenants is the
-    point of the model (see {e lib/tenancy}). A device always has a
-    {e default stream} (id 0) whose metrics record is the device-wide one,
-    so the classic single-program API ({!Device}) is exactly the one-stream
-    special case, bit-identical to the pre-tenancy scheduler.
+    stream has its own loaded program and aggregation auto-parameters, its
+    own grid-id namespace, and its own {!Metrics.t}; all streams share the
+    SMs, the grid-management launch queue, device memory and the clock —
+    contention between tenants is the point of the model (see
+    {e lib/tenancy}). A device always has a {e default stream} (id 0) whose
+    metrics record is the device-wide one, so the classic single-program
+    API ({!Device}) is exactly the one-stream special case. Every host
+    launch, from {!Device} or the tenancy driver, goes through
+    {!host_launch}.
 
     Block side effects on memory happen when the block is {e committed}, in
     deterministic event order, so programs whose cross-block communication
@@ -32,31 +34,33 @@
     memory, accumulating into a private {!Metrics.t}) and a {e commit}
     phase (SM assignment, timing, trace, metrics merge, launch dispatch,
     grid completion). {!run_to_idle} pops a maximal prefix of ready events
-    whose kernels {!Blocksafe} proved free of cross-block conflicts — and
-    whose concrete buffer arguments pass a cheap pairwise-disjointness
-    check — executes them concurrently on worker domains, then commits the
-    results one by one in pop order. Because the execute phases commute on
-    memory (proved) and commits replay the exact serial accumulation order,
-    dumps and metrics are byte-identical at any [block_jobs]. Kernels the
-    analysis cannot prove safe simply run serially, as do all blocks under
-    [Config.check]. Provably-safe kernels never launch (the analysis
-    rejects launches), so a batch never feeds events back into the queue.
+    whose kernels {!Blocksafe} proved free of cross-block conflicts and
+    whose concrete buffers obey one rule — a buffer may be shared only by
+    uses of the same class, never by an [Owned] use, within a grid or
+    across grids — executes them concurrently on worker domains, then
+    commits the results one by one in pop order. Because the execute
+    phases commute on memory (proved) and commits replay the exact serial
+    accumulation order, dumps and metrics are byte-identical at any
+    [block_jobs]. Kernels the analysis cannot prove safe simply run
+    serially, as do all blocks under [Config.check]. Provably-safe kernels
+    never launch (the analysis rejects launches), so a batch never feeds
+    events back into the queue.
 
     {b Stratified grid sampling} ([Config.sampling]). Grids with at least
     [block_threshold] blocks enqueue only a deterministic stratified sample
-    of their blocks: the flat block range splits into contiguous strata and
-    each stratum contributes a systematic sample (hashed phase, so the
-    sample is a pure function of the seed and grid identity — identical at
-    any [block_jobs]). Every sampled block carries the
-    weight [N_h/k_h] of the stratum it represents; commits scale metrics by
-    the weight, advance the launch queue by the weighted service time, and
-    fold the skipped compute into the clock at the next drain. Blocks that
-    issue at least [launch_threshold] device launches likewise dispatch a
-    systematic sample with multiplicative inherited weights — the case that
-    matters for CDP child swarms. Per-stratum sums and sum-of-squares
-    accumulate into {!Metrics.sampling_stats} at grid completion, giving
-    the stratified-variance error bound reported with extrapolated
-    results. *)
+    of their blocks ({!select_blocks}): the flat block range splits into
+    contiguous strata and each stratum contributes a systematic sample
+    (hashed phase, so the sample is a pure function of the seed and grid
+    identity — identical at any [block_jobs]). Every sampled block carries
+    the weight [N_h/k_h] of the stratum it represents; commits scale
+    metrics by the weight, advance the launch queue by the weighted service
+    time, and fold the skipped compute into the clock at the next drain.
+    Blocks that issue at least [launch_threshold] device launches likewise
+    dispatch a sample of them ({!select_launches}) with multiplicative
+    inherited weights — the case that matters for CDP child swarms.
+    Per-stratum sums and sum-of-squares accumulate into
+    {!Metrics.sampling_stats} at grid completion, giving the
+    stratified-variance error bound reported with extrapolated results. *)
 
 type dim3 = int * int * int
 
@@ -71,6 +75,8 @@ type kernel = Bytecode.func
 type stream = {
   st_id : int;  (** Tenant id; 0 is the device's default stream. *)
   mutable st_prog : prog option;
+  mutable st_auto : (string * Dpopt.Aggregation.auto_param list) list;
+      (** Kernel name -> the trailing buffers {!host_launch} allocates. *)
   st_metrics : Metrics.t;
   mutable st_next_grid_id : int;
 }
@@ -80,16 +86,10 @@ type stream = {
     [j_open_grids] counts launched-but-unfinished grids; the job is
     complete when it returns to 0, at which point [j_finish] holds the
     last finish time over all its grids. Maintained by {!launch_grid} /
-    {!step}; consumed by the tenancy scheduler ({e lib/tenancy}). *)
-type job = {
-  j_id : int;
-  j_tenant : int;
-  mutable j_open_grids : int;
-  mutable j_finish : float;
-}
+    {!commit_block}; consumed by the tenancy scheduler ({e lib/tenancy}). *)
+type job = { mutable j_open_grids : int; mutable j_finish : float }
 
-let make_job ~tenant ~id =
-  { j_id = id; j_tenant = tenant; j_open_grids = 0; j_finish = 0.0 }
+let make_job () = { j_open_grids = 0; j_finish = 0.0 }
 
 (* Per-stratum accounting of a sampled grid: committed blocks, sum and
    sum-of-squares of their compute cycles. Folded into the stream's
@@ -149,6 +149,15 @@ type t = {
   mutable par_batch_blocks : int;  (** Blocks executed in those batches. *)
 }
 
+let fresh_stream id metrics =
+  {
+    st_id = id;
+    st_prog = None;
+    st_auto = [];
+    st_metrics = metrics;
+    st_next_grid_id = 0;
+  }
+
 let create (cfg : Config.t) (mem : Memory.t) (metrics : Metrics.t) =
   {
     cfg;
@@ -159,8 +168,7 @@ let create (cfg : Config.t) (mem : Memory.t) (metrics : Metrics.t) =
     launch_q_free = 0.0;
     clock = 0.0;
     deferred_work = 0.0;
-    default_stream =
-      { st_id = 0; st_prog = None; st_metrics = metrics; st_next_grid_id = 0 };
+    default_stream = fresh_stream 0 metrics;
     next_stream_id = 1;
     trace = Trace.create ();
     scratch = Vm.create_scratch ();
@@ -172,19 +180,19 @@ let create (cfg : Config.t) (mem : Memory.t) (metrics : Metrics.t) =
 let default_stream t = t.default_stream
 
 let new_stream t =
-  let s =
-    {
-      st_id = t.next_stream_id;
-      st_prog = None;
-      st_metrics = Metrics.create ();
-      st_next_grid_id = 0;
-    }
-  in
+  let s = fresh_stream t.next_stream_id (Metrics.create ()) in
   t.next_stream_id <- t.next_stream_id + 1;
   s
 
-let load_stream t (s : stream) (prog : Minicu.Ast.program) =
-  s.st_prog <- Some (Bytecode.compile t.cfg prog)
+let stream_metrics (s : stream) = s.st_metrics
+let clock t = t.clock
+let trace t = t.trace
+let par_stats t = (t.par_batches, t.par_batch_blocks)
+
+let load_stream ?(auto_params = []) t (s : stream) (prog : Minicu.Ast.program)
+    =
+  s.st_prog <- Some (Bytecode.compile t.cfg prog);
+  s.st_auto <- auto_params
 
 let stream_prog_exn (s : stream) =
   match s.st_prog with
@@ -192,6 +200,12 @@ let stream_prog_exn (s : stream) =
   | None ->
       if s.st_id = 0 then Value.error "no program loaded on the device"
       else Value.error "no program loaded on stream %d" s.st_id
+
+let resolve_kernel (stream : stream) name =
+  let bf = Bytecode.find_func_exn (stream_prog_exn stream) name in
+  if bf.bf_kind <> Minicu.Ast.Global then
+    Value.error "%S is not a __global__ kernel" name;
+  bf
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic sample selection                                      *)
@@ -225,70 +239,189 @@ let systematic ~key ~n ~k =
   let phase = phase01 key *. stepf in
   Array.init k (fun j -> int_of_float (phase +. (float_of_int j *. stepf)))
 
-(* Stratified block selection for a grid of [nblocks] blocks: flat indices
-   (ascending) with per-block weight and stratum index, plus the stratum
-   population counts. Returns [None] when the sample covers every block —
-   the caller then treats the grid as unsampled (bit-identical metrics). *)
-let select_blocks (sp : Config.sampling) ~stream_id ~gid ~nblocks =
-  let nh = max 1 (min sp.strata nblocks) in
-  let counts =
-    Array.init nh (fun h -> ((h + 1) * nblocks / nh) - (h * nblocks / nh))
-  in
-  let sel = ref [] in
-  let total = ref 0 in
-  for h = nh - 1 downto 0 do
-    let lo = h * nblocks / nh in
-    let n_h = counts.(h) in
-    if n_h > 0 then begin
-      let k = take_count sp.block_frac n_h in
-      if k >= n_h then begin
-        for i = lo + n_h - 1 downto lo do
-          sel := (i, 1.0, h) :: !sel
-        done;
-        total := !total + n_h
-      end
-      else begin
-        let key = sample_key sp ~stream_id ~gid ~salt:h in
-        let idx = systematic ~key ~n:n_h ~k in
-        let w = float_of_int n_h /. float_of_int k in
-        for j = k - 1 downto 0 do
-          sel := (lo + idx.(j), w, h) :: !sel
-        done;
-        total := !total + k
-      end
-    end
-  done;
-  if !total >= nblocks then None else Some (counts, !sel)
+(* Stratified block selection for a grid of [nblocks] blocks: the stratum
+   population counts and the flat indices (ascending) with per-block
+   weight and stratum index. [None] when the grid runs exactly — sampling
+   is off, the grid is below the threshold, or the sample would cover
+   every block. *)
+let select_blocks (sampling : Config.sampling option) ~stream_id ~gid
+    ~nblocks =
+  match sampling with
+  | Some sp
+    when sp.block_threshold > 0
+         && nblocks >= sp.block_threshold
+         && sp.block_frac < 1.0 ->
+      let nh = max 1 (min sp.strata nblocks) in
+      let counts =
+        Array.init nh (fun h -> ((h + 1) * nblocks / nh) - (h * nblocks / nh))
+      in
+      let sel = ref [] in
+      let total = ref 0 in
+      for h = nh - 1 downto 0 do
+        let lo = h * nblocks / nh in
+        let n_h = counts.(h) in
+        if n_h > 0 then begin
+          let k = take_count sp.block_frac n_h in
+          if k >= n_h then begin
+            for i = lo + n_h - 1 downto lo do
+              sel := (i, 1.0, h) :: !sel
+            done;
+            total := !total + n_h
+          end
+          else begin
+            let key = sample_key sp ~stream_id ~gid ~salt:h in
+            let idx = systematic ~key ~n:n_h ~k in
+            let w = float_of_int n_h /. float_of_int k in
+            for j = k - 1 downto 0 do
+              sel := (lo + idx.(j), w, h) :: !sel
+            done;
+            total := !total + k
+          end
+        end
+      done;
+      if !total >= nblocks then None else Some (counts, !sel)
+  | _ -> None
 
-(** Enqueue the blocks of a grid, schedulable from [ready]. [issue] is when
-    the launch was issued (for tracing queue waits); defaults to [ready].
-    The grid id comes out of [stream]'s namespace; with [?job] the grid is
-    attached to that job's open-grid accounting. [weight] is the
-    launch-sampling weight this grid inherits (1 on exact paths). Under
-    [Config.sampling], grids with enough blocks (and enough statically
-    estimated work, {!Blocksafe.static_work}) enqueue only a stratified
-    sample of their blocks. *)
-let launch_grid ?issue ?(from_host = false) ?job ?(weight = 1.0) t
-    (stream : stream) ~(kernel : kernel) ~(grid : dim3) ~(block : dim3)
-    ~(args : Value.t list) ~(ready : float) ~(default_idx : int) =
+(* Launch sampling for the launches one block of grid [g] issued, in issue
+   order: the launches to dispatch, each with its weight. [None] when all
+   of them dispatch at weight 1 — sampling is off, the block issued fewer
+   than the threshold, or the sample would keep every launch.
+
+   Child-launch sizes are heavy-tailed (hub vertices spawn grids orders of
+   magnitude larger than the median), so a uniform position sample
+   under-covers exactly the launches that carry the cycles. Certainty
+   stratum: the top ceil(k/2) launches by child thread count are always
+   dispatched at weight 1; the remaining budget is a systematic sample
+   over the other positions, weighted by that sub-population alone. Launch
+   dims are static and ties break on position, so the pick is as
+   deterministic as the plain systematic one. *)
+let select_launches (sampling : Config.sampling option) (g : grid)
+    (bx, by, bz) (launches : Runtime.launch_req list) =
+  match sampling with
+  | Some sp
+    when sp.launch_threshold > 0
+         && List.compare_length_with launches sp.launch_threshold >= 0
+         && sp.launch_frac < 1.0 ->
+      let n = List.length launches in
+      let k = take_count sp.launch_frac n in
+      if k >= n then None
+      else begin
+        let gx, gy, _ = g.g_grid in
+        let key =
+          sample_key sp ~stream_id:g.g_stream.st_id ~gid:g.g_id
+            ~salt:((bz * gy * gx) + (by * gx) + bx + 0x51ED)
+        in
+        let arr = Array.of_list launches in
+        let threads i =
+          Value.dim3_total arr.(i).Runtime.lr_grid
+          * Value.dim3_total arr.(i).Runtime.lr_block
+        in
+        let order = Array.init n Fun.id in
+        Array.sort
+          (fun i j ->
+            match compare (threads j) (threads i) with
+            | 0 -> compare i j
+            | d -> d)
+          order;
+        (* k = 1 leaves no budget for the sampled stratum; degrade to the
+           plain systematic sample (c = 0) rather than dropping the tail
+           mass entirely. *)
+        let c = if k >= 2 then (k + 1) / 2 else 0 in
+        let wsel = Array.make n 0.0 in
+        for j = 0 to c - 1 do
+          wsel.(order.(j)) <- 1.0
+        done;
+        let rest = Array.make (n - c) 0 in
+        let ri = ref 0 in
+        for i = 0 to n - 1 do
+          if wsel.(i) = 0.0 then begin
+            rest.(!ri) <- i;
+            incr ri
+          end
+        done;
+        let ks = k - c in
+        let lw = float_of_int (n - c) /. float_of_int ks in
+        Array.iter
+          (fun j -> wsel.(rest.(j)) <- lw)
+          (systematic ~key ~n:(n - c) ~k:ks);
+        let out = ref [] in
+        for i = n - 1 downto 0 do
+          if wsel.(i) > 0.0 then out := (arr.(i), wsel.(i)) :: !out
+        done;
+        Some !out
+      end
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Launches                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** Route a device-side launch through the grid-management unit. Returns the
+    time at which the child grid becomes schedulable. The queue is shared
+    device-wide; the wait is charged to the issuing [stream]'s metrics, so
+    under tenancy each tenant sees the congestion {e it experienced}
+    (including the part caused by other tenants' launches ahead of it).
+    With [weight] > 1 (launch sampling) the one serviced launch stands for
+    [weight] identical ones: the queue advances by the weighted service
+    time and the charged busy time includes the arithmetic-series wait of
+    the represented copies; at [weight = 1.0] every expression reduces
+    bitwise to the unweighted one. *)
+let process_device_launch ?(weight = 1.0) t (stream : stream) ~issue =
+  let cfg = t.cfg in
+  let m = stream.st_metrics in
+  let interval = float_of_int cfg.launch_service_interval in
+  let start = Float.max issue t.launch_q_free in
+  t.launch_q_free <- start +. (weight *. interval);
+  let ready = start +. interval +. float_of_int cfg.device_launch_latency in
+  m.device_launches <-
+    m.device_launches + max 1 (int_of_float (Float.round weight));
+  m.breakdown.launch_cycles <-
+    m.breakdown.launch_cycles
+    +. (weight *. (ready -. issue))
+    +. (interval *. weight *. (weight -. 1.0) /. 2.0);
+  (* Queue depth seen by this launch: launches ahead of it, i.e. the time
+     it waited for service in units of the service interval. [start] (not
+     the post-service [launch_q_free]) is the right numerator — using the
+     latter would count the launch just serviced as pending ahead of
+     itself, overstating the congestion metric by one. *)
+  let pending =
+    if cfg.launch_service_interval <= 0 then 0
+    else
+      int_of_float
+        ((start -. issue) /. float_of_int cfg.launch_service_interval)
+  in
+  if pending > m.max_pending_launches then m.max_pending_launches <- pending;
+  ready
+
+let process_host_launch ~weight t (stream : stream) ~issue =
+  let m = stream.st_metrics in
+  let ready = issue +. float_of_int t.cfg.host_launch_latency in
+  m.host_launches <-
+    m.host_launches + max 1 (int_of_float (Float.round weight));
+  m.breakdown.launch_cycles <-
+    m.breakdown.launch_cycles +. (weight *. (ready -. issue));
+  ready
+
+(* Route a launch (host latency or the device launch queue) and enqueue
+   the blocks of its grid — under [Config.sampling], a stratified sample of
+   them. The shape was checked when the launch was issued: by
+   {!host_launch}, or by the VM for launches from kernels and host
+   followups. The grid id comes out of [stream]'s
+   namespace; with [?job] the grid is attached to that job's open-grid
+   accounting. [weight] is the launch-sampling weight the grid inherits
+   (1 on exact paths). *)
+let launch_grid ?job t (stream : stream) ~weight ~from_host ~issue
+    ~(kernel : kernel) ~(grid : dim3) ~(block : dim3) ~(args : Value.t list)
+    ~default_idx =
+  let ready =
+    if from_host then process_host_launch ~weight t stream ~issue
+    else process_device_launch ~weight t stream ~issue
+  in
   let gx, gy, gz = grid in
   let nblocks = gx * gy * gz in
-  if nblocks <= 0 then
-    Value.error "launch of %S with empty grid" kernel.bf_name;
-  if Value.dim3_total block > t.cfg.max_threads_per_block then
-    Value.error "launch of %S with %d threads per block (max %d)"
-      kernel.bf_name (Value.dim3_total block)
-      t.cfg.max_threads_per_block;
   let gid = stream.st_next_grid_id in
   let selection =
-    match t.cfg.sampling with
-    | Some sp
-      when sp.block_threshold > 0
-           && nblocks >= sp.block_threshold
-           && sp.block_frac < 1.0
-           && kernel.bf_static_work >= sp.min_static_work ->
-        select_blocks sp ~stream_id:stream.st_id ~gid ~nblocks
-    | _ -> None
+    select_blocks t.cfg.sampling ~stream_id:stream.st_id ~gid ~nblocks
   in
   let g =
     {
@@ -333,7 +466,7 @@ let launch_grid ?issue ?(from_host = false) ?job ?(weight = 1.0) t
          t_kernel = kernel.bf_name;
          t_blocks = nblocks;
          t_from_host = from_host;
-         t_issue = Option.value issue ~default:ready;
+         t_issue = issue;
          t_ready = ready;
        });
   match selection with
@@ -357,67 +490,51 @@ let launch_grid ?issue ?(from_host = false) ?job ?(weight = 1.0) t
             (Block_ready (g, (rem mod gx, rem / gx, bz), w, h)))
         sel
 
-(** Route a device-side launch through the grid-management unit. Returns the
-    time at which the child grid becomes schedulable. The queue is shared
-    device-wide; the wait is charged to the issuing [stream]'s metrics, so
-    under tenancy each tenant sees the congestion {e it experienced}
-    (including the part caused by other tenants' launches ahead of it).
-    With [weight] > 1 (launch sampling) the one serviced launch stands for
-    [weight] identical ones: the queue advances by the weighted service
-    time and the charged busy time includes the arithmetic-series wait of
-    the represented copies; at [weight = 1.0] every expression reduces
-    bitwise to the unweighted one. *)
-let process_device_launch ?(weight = 1.0) t (stream : stream) ~issue =
-  let cfg = t.cfg in
-  let m = stream.st_metrics in
-  let interval = float_of_int cfg.launch_service_interval in
-  let start = Float.max issue t.launch_q_free in
-  t.launch_q_free <- start +. (weight *. interval);
-  let ready = start +. interval +. float_of_int cfg.device_launch_latency in
-  m.device_launches <-
-    m.device_launches + max 1 (int_of_float (Float.round weight));
-  m.breakdown.launch_cycles <-
-    m.breakdown.launch_cycles
-    +. (weight *. (ready -. issue))
-    +. (interval *. weight *. (weight -. 1.0) /. 2.0);
-  (* Queue depth seen by this launch: launches ahead of it, i.e. the time
-     it waited for service in units of the service interval. [start] (not
-     the post-service [launch_q_free]) is the right numerator — using the
-     latter would count the launch just serviced as pending ahead of
-     itself, overstating the congestion metric by one. *)
-  let pending =
-    if cfg.launch_service_interval <= 0 then 0
-    else
-      int_of_float
-        ((start -. issue) /. float_of_int cfg.launch_service_interval)
+(** The one host-launch path. Resolves [kernel] on [stream], checks the
+    launch shape, allocates the stream's aggregation capture buffers for
+    it (boxed, zero-filled, sized from this launch's configuration) and
+    appends them to [args], checks the argument count, and issues the
+    launch at [issue] (default: the current clock). *)
+let host_launch ?job ?(role = `Parent) ?issue t (stream : stream)
+    ~kernel:name ~(grid : dim3) ~(block : dim3) ~(args : Value.t list) =
+  let kernel = resolve_kernel stream name in
+  Runtime.check_launch_shape t.cfg ~kernel:name ~grid ~block;
+  let auto =
+    match List.assoc_opt name stream.st_auto with
+    | None -> []
+    | Some specs ->
+        let grid_blocks = Value.dim3_total grid
+        and block_threads = Value.dim3_total block in
+        (* Capture buffers hold argument values of any kind (pointers,
+           floats, ints): boxed storage at every size. *)
+        List.map
+          (fun (ap : Dpopt.Aggregation.auto_param) ->
+            Value.Ptr
+              (Memory.alloc_boxed t.mem
+                 (ap.ap_elems ~grid_blocks ~block_threads)
+                 ~init:(Value.Int 0)))
+          specs
   in
-  if pending > m.max_pending_launches then m.max_pending_launches <- pending;
-  ready
+  let nauto = List.length auto and nuser = List.length args in
+  if nuser + nauto <> kernel.bf_nparams then
+    Value.error
+      "launch of %S: expected %d arguments (%d user + %d auto), got %d user"
+      name kernel.bf_nparams
+      (kernel.bf_nparams - nauto)
+      nauto nuser;
+  launch_grid ?job t stream ~weight:1.0 ~from_host:true
+    ~issue:(Option.value issue ~default:t.clock)
+    ~kernel ~grid ~block ~args:(args @ auto)
+    ~default_idx:
+      (match role with
+      | `Parent -> Metrics.tag_parent
+      | `Child -> Metrics.tag_child)
 
-let process_host_launch ?(weight = 1.0) t (stream : stream) ~issue =
-  let m = stream.st_metrics in
-  let ready = issue +. float_of_int t.cfg.host_launch_latency in
-  m.host_launches <-
-    m.host_launches + max 1 (int_of_float (Float.round weight));
-  m.breakdown.launch_cycles <-
-    m.breakdown.launch_cycles +. (weight *. (ready -. issue));
-  ready
-
-let resolve_kernel (stream : stream) name =
-  let bf = Bytecode.find_func_exn (stream_prog_exn stream) name in
-  if bf.bf_kind <> Minicu.Ast.Global then
-    Value.error "%S is not a __global__ kernel" name;
-  bf
-
-let dispatch_launch_req ?(weight = 1.0) t (stream : stream) ?job
-    ~(base : float) (lr : Runtime.launch_req) =
-  let kernel = resolve_kernel stream lr.lr_kernel in
-  let ready =
-    if lr.lr_from_host then process_host_launch ~weight t stream ~issue:base
-    else process_device_launch ~weight t stream ~issue:base
-  in
-  launch_grid t stream ?job ~issue:base ~from_host:lr.lr_from_host ~weight
-    ~kernel ~grid:lr.lr_grid ~block:lr.lr_block ~args:lr.lr_args ~ready
+let dispatch_launch_req ?job t (stream : stream) ~weight ~base
+    (lr : Runtime.launch_req) =
+  launch_grid ?job t stream ~weight ~from_host:lr.lr_from_host ~issue:base
+    ~kernel:(resolve_kernel stream lr.lr_kernel)
+    ~grid:lr.lr_grid ~block:lr.lr_block ~args:lr.lr_args
     ~default_idx:Metrics.tag_child
 
 (* Fold a sampled grid's per-stratum sums into the stream's sampling stats:
@@ -468,7 +585,7 @@ let grid_completed t (g : grid) =
   fold_strata g;
   List.iter
     (fun (lr : Runtime.launch_req) ->
-      dispatch_launch_req ~weight:g.g_weight t stream ?job:g.g_job
+      dispatch_launch_req t stream ?job:g.g_job ~weight:g.g_weight
         ~base:g.g_last_finish
         { lr with lr_from_host = true })
     launches
@@ -484,7 +601,7 @@ let grid_completed t (g : grid) =
    reports, serialized launches) charged before the failure must still
    reach the stream's metrics, as they would have under direct
    accumulation. *)
-let exec_block t scratch (g : grid) ~bidx :
+let exec_block t scratch (Block_ready (g, bidx, _, _)) :
     (Runtime.result, exn) result * Metrics.t =
   let priv = Metrics.create () in
   let r =
@@ -498,17 +615,11 @@ let exec_block t scratch (g : grid) ~bidx :
   in
   (r, priv)
 
-(* A block whose execution aborted: fold what it did charge into the
-   stream's metrics (exactly what direct accumulation would have left
-   behind), then re-raise at the commit position. *)
-let abort_block (g : grid) priv e =
-  Metrics.merge ~into:g.g_stream.st_metrics ~weight:1.0 priv;
-  raise e
-
 (* Commit one executed block, in deterministic event order: SM assignment
    and timing, weighted metrics merge (bit-identical to direct accumulation
-   at weight 1, see {!Metrics.merge}), trace, launch dispatch (with launch
-   sampling), stratum bookkeeping, grid completion. *)
+   at weight 1, see {!Metrics.merge}), trace, launch dispatch at the
+   weights {!select_launches} chose, stratum bookkeeping, grid
+   completion. *)
 let commit_block t ~te (Block_ready (g, bidx, bw, stratum))
     (r : Runtime.result) (priv : Metrics.t) =
   let stream = g.g_stream in
@@ -537,87 +648,21 @@ let commit_block t ~te (Block_ready (g, bidx, bw, stratum))
          b_finish = finish;
        });
   let par = float_of_int t.cfg.sm_warp_parallelism in
-  let launches =
-    let n = List.length r.r_launches in
-    match t.cfg.sampling with
-    | Some sp
-      when sp.launch_threshold > 0
-           && n >= sp.launch_threshold
-           && sp.launch_frac < 1.0 ->
-        let k = take_count sp.launch_frac n in
-        if k >= n then List.map (fun lr -> (lr, 1.0)) r.r_launches
-        else begin
-          let gx, gy, _ = g.g_grid in
-          let bx, by, bz = bidx in
-          let flat = (bz * gy * gx) + (by * gx) + bx in
-          let key =
-            sample_key sp ~stream_id:stream.st_id ~gid:g.g_id
-              ~salt:(flat + 0x51ED)
-          in
-          let arr = Array.of_list r.r_launches in
-          (* Child-launch sizes are heavy-tailed (hub vertices spawn grids
-             orders of magnitude larger than the median), so a uniform
-             position sample under-covers exactly the launches that carry
-             the cycles. Certainty stratum: the top ceil(k/2) launches by
-             child thread count are always dispatched at weight 1; the
-             remaining budget is a systematic sample over the other
-             positions, weighted by that sub-population alone. Launch dims
-             are static and ties break on position, so the pick is as
-             deterministic as the plain systematic one. *)
-          let threads i =
-            let cgx, cgy, cgz = arr.(i).Runtime.lr_grid in
-            let cbx, cby, cbz = arr.(i).Runtime.lr_block in
-            cgx * cgy * cgz * cbx * cby * cbz
-          in
-          let order = Array.init n Fun.id in
-          Array.sort
-            (fun i j ->
-              match compare (threads j) (threads i) with
-              | 0 -> compare i j
-              | d -> d)
-            order;
-          (* k = 1 leaves no budget for the sampled stratum; degrade to the
-             plain systematic sample (c = 0) rather than dropping the tail
-             mass entirely. *)
-          let c = if k >= 2 then (k + 1) / 2 else 0 in
-          let certain = Array.make n false in
-          for j = 0 to c - 1 do
-            certain.(order.(j)) <- true
-          done;
-          let rest = Array.make (n - c) 0 in
-          let ri = ref 0 in
-          for i = 0 to n - 1 do
-            if not certain.(i) then begin
-              rest.(!ri) <- i;
-              incr ri
-            end
-          done;
-          let ks = k - c in
-          let idx = systematic ~key ~n:(n - c) ~k:ks in
-          let lw = float_of_int (n - c) /. float_of_int ks in
-          let wsel = Array.make n 0.0 in
-          for i = 0 to n - 1 do
-            if certain.(i) then wsel.(i) <- 1.0
-          done;
-          Array.iter (fun j -> wsel.(rest.(j)) <- lw) idx;
-          let ss = stream.st_metrics.sampling in
-          ss.sampled_launches <- ss.sampled_launches + k;
-          ss.skipped_launches <- ss.skipped_launches + (n - k);
-          let out = ref [] in
-          for i = n - 1 downto 0 do
-            if wsel.(i) > 0.0 then out := (arr.(i), wsel.(i)) :: !out
-          done;
-          !out
-        end
-    | _ -> List.map (fun lr -> (lr, 1.0)) r.r_launches
+  let dispatch lw (lr : Runtime.launch_req) =
+    let offset = Float.min (lr.lr_issue_cost /. par) r.r_compute_cycles in
+    dispatch_launch_req t stream ?job:g.g_job ~weight:(w *. lw)
+      ~base:(start +. sched +. offset)
+      lr
   in
-  List.iter
-    (fun ((lr : Runtime.launch_req), lw) ->
-      let offset = Float.min (lr.lr_issue_cost /. par) r.r_compute_cycles in
-      dispatch_launch_req ~weight:(w *. lw) t stream ?job:g.g_job
-        ~base:(start +. sched +. offset)
-        lr)
-    launches;
+  (match select_launches t.cfg.sampling g bidx r.r_launches with
+  | None -> List.iter (dispatch 1.0) r.r_launches
+  | Some sel ->
+      let ss = stream.st_metrics.sampling in
+      let k = List.length sel in
+      ss.sampled_launches <- ss.sampled_launches + k;
+      ss.skipped_launches <-
+        ss.skipped_launches + (List.length r.r_launches - k);
+      List.iter (fun (lr, lw) -> dispatch lw lr) sel);
   (match g.g_strata with
   | Some s when stratum >= 0 ->
       s.sa_n.(stratum) <- s.sa_n.(stratum) + 1;
@@ -645,154 +690,89 @@ let commit_block t ~te (Block_ready (g, bidx, bw, stratum))
     | None -> ()
   end
 
+(* The one place an executed block's outcome is handled: commit it, or —
+   when its execution raised — fold what it did charge into the stream's
+   metrics (exactly what direct accumulation would have left behind) and
+   re-raise at its commit position. *)
+let commit_result t (te, ev) ((r, priv) : (Runtime.result, exn) result * _) =
+  match r with
+  | Ok r -> commit_block t ~te ev r priv
+  | Error e ->
+      let (Block_ready (g, _, _, _)) = ev in
+      Metrics.merge ~into:g.g_stream.st_metrics ~weight:1.0 priv;
+      raise e
+
 let step t =
-  let te, ev = Event_queue.pop t.events in
-  let (Block_ready (g, bidx, _, _)) = ev in
-  match exec_block t t.scratch g ~bidx with
-  | Ok r, priv -> commit_block t ~te ev r priv
-  | Error e, priv -> abort_block g priv e
+  let ((_, ev) as popped) = Event_queue.pop t.events in
+  commit_result t popped (exec_block t t.scratch ev)
 
 (** Earliest pending block-event time, for external event loops
     ({e lib/tenancy}) that interleave host-side decisions with device
     progress. *)
 let next_event_time t = Event_queue.peek_time t.events
 
-let has_pending_events t = not (Event_queue.is_empty t.events)
-
 (* ------------------------------------------------------------------ *)
 (* Parallel batch dispatch                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Whether this block may join a parallel batch at all: the kernel's proof
-   holds, and the 1-D dims it may rely on check out. *)
-let batchable (g : grid) (s : Blocksafe.summary) =
+(* A batch under construction: every buffer its grids use so far, mapped
+   to the class of those uses, and the grids admitted. *)
+type batch = { uses : (int, Blocksafe.mode) Hashtbl.t; mutable grids : grid list }
+
+(* Admit a grid into the batch, once per grid (blocks of an admitted grid
+   are compatible with it by construction — within-grid disjointness is
+   what {!Blocksafe} proved). The kernel's proof must hold, with the 1-D
+   dims it may rely on, and then the batch rule: a buffer may be shared
+   only by uses of the same class, never by an [Owned] use, whether the
+   uses are in one grid or in two. A refused grid ends the batch, so the
+   buffers it recorded before the refusal are never consulted. *)
+let admit b (g : grid) =
+  List.memq g b.grids
+  ||
+  let s = g.g_kernel.bf_safety in
+  let rec share i = function
+    | [] -> true
+    | Value.Ptr p :: rest -> (
+        let m = s.bs_modes.(i) in
+        match (Hashtbl.find_opt b.uses p.buf, m) with
+        | None, _ ->
+            Hashtbl.add b.uses p.buf m;
+            share (i + 1) rest
+        | Some Blocksafe.Read_only, Blocksafe.Read_only
+        | Some Blocksafe.Reduce, Blocksafe.Reduce ->
+            share (i + 1) rest
+        | Some _, _ -> false)
+    | _ :: rest -> share (i + 1) rest
+  in
   s.bs_safe
   && ((not s.bs_needs_1d)
      ||
      match (g.g_grid, g.g_block) with
      | (_, 1, 1), (_, 1, 1) -> true
      | _ -> false)
+  && List.length g.g_args = Array.length s.bs_modes
+  && share 0 g.g_args
+  && begin
+       b.grids <- g :: b.grids;
+       true
+     end
 
-(* The concrete buffers a grid touches, as (mode, buffer id) pairs. [None]
-   when the arguments alias in a way the per-parameter proof did not cover
-   (the same buffer bound to an Owned parameter and any other parameter,
-   or to both a Reduce and a read parameter). *)
-let grid_footprint (g : grid) (s : Blocksafe.summary) :
-    (Blocksafe.mode * int) list option =
-  let args = Array.of_list g.g_args in
-  if Array.length args <> Array.length s.bs_modes then None
-  else begin
-    let seen : (int, Blocksafe.mode) Hashtbl.t = Hashtbl.create 4 in
-    let fp = ref [] in
-    let ok = ref true in
-    Array.iteri
-      (fun i arg ->
-        match arg with
-        | Value.Ptr p -> (
-            let m = s.bs_modes.(i) in
-            match Hashtbl.find_opt seen p.buf with
-            | None ->
-                Hashtbl.add seen p.buf m;
-                fp := (m, p.buf) :: !fp
-            | Some prev -> (
-                match (prev, m) with
-                | Blocksafe.Read_only, Blocksafe.Read_only
-                | Blocksafe.Reduce, Blocksafe.Reduce ->
-                    ()
-                | _ -> ok := false))
-        | _ -> ())
-      args;
-    if !ok then Some !fp else None
-  end
-
-(* Cross-grid compatibility tables for one batch: a buffer owned (written
-   through a per-thread window) by one grid must not be visible to any
-   other grid in the batch; reduce targets may be shared only with other
-   reduce uses; reads may share with reads. *)
-type batch_tables = {
-  bt_owned : (int, unit) Hashtbl.t;
-  bt_reduced : (int, unit) Hashtbl.t;
-  bt_read : (int, unit) Hashtbl.t;
-  mutable bt_admitted : grid list;
-}
-
-let fp_compatible bt (m, b) =
-  match (m : Blocksafe.mode) with
-  | Owned _ ->
-      not
-        (Hashtbl.mem bt.bt_owned b
-        || Hashtbl.mem bt.bt_reduced b
-        || Hashtbl.mem bt.bt_read b)
-  | Reduce -> not (Hashtbl.mem bt.bt_owned b || Hashtbl.mem bt.bt_read b)
-  | Read_only ->
-      not (Hashtbl.mem bt.bt_owned b || Hashtbl.mem bt.bt_reduced b)
-
-let fp_insert bt fp =
-  List.iter
-    (fun ((m : Blocksafe.mode), b) ->
-      match m with
-      | Owned _ -> Hashtbl.replace bt.bt_owned b ()
-      | Reduce -> Hashtbl.replace bt.bt_reduced b ()
-      | Read_only -> Hashtbl.replace bt.bt_read b ())
-    fp
-
-(* Admit a grid into the batch (once per grid: blocks of an admitted grid
-   are compatible with it by construction — within-grid disjointness is
-   what {!Blocksafe} proved). *)
-let admit bt (g : grid) (s : Blocksafe.summary) =
-  List.memq g bt.bt_admitted
-  ||
-  match grid_footprint g s with
-  | None -> false
-  | Some fp ->
-      List.for_all (fp_compatible bt) fp
-      && begin
-           fp_insert bt fp;
-           bt.bt_admitted <- g :: bt.bt_admitted;
-           true
-         end
-
-(* Pop a maximal batch: the longest event-queue prefix of provably-safe,
-   pairwise buffer-disjoint blocks. Safe kernels never launch, so nothing
-   is fed back into the queue mid-batch and the prefix is well defined.
-   Returns at least one event; a single-element result (whether unsafe or
-   merely alone) is executed serially by the caller. *)
+(* Pop a maximal batch: the longest event-queue prefix of blocks whose
+   grids {!admit} accepts. Safe kernels never launch, so nothing is fed
+   back into the queue mid-batch and the prefix is well defined. Returns
+   at least one event; a single-element result (whether unsafe or merely
+   alone) is executed serially by the caller. *)
 let collect_batch t =
-  let (te, ev) = Event_queue.pop t.events in
-  let (Block_ready (g, _, _, _)) = ev in
-  let s = g.g_kernel.bf_safety in
-  if not (batchable g s) then [| (te, ev) |]
-  else begin
-    let bt =
-      {
-        bt_owned = Hashtbl.create 8;
-        bt_reduced = Hashtbl.create 8;
-        bt_read = Hashtbl.create 8;
-        bt_admitted = [];
-      }
-    in
-    if not (admit bt g s) then [| (te, ev) |]
-    else begin
-      let acc = ref [ (te, ev) ] in
-      let count = ref 1 in
-      let stop = ref false in
-      while not !stop do
-        match Event_queue.peek t.events with
-        | Some (te', (Block_ready (g', _, _, _) as ev')) ->
-            let s' = g'.g_kernel.bf_safety in
-            if batchable g' s' && admit bt g' s' then begin
-              ignore (Event_queue.pop t.events);
-              acc := (te', ev') :: !acc;
-              incr count
-            end
-            else stop := true
-        | None -> stop := true
-      done;
-      let arr = Array.make !count (te, ev) in
-      List.iteri (fun i e -> arr.(!count - 1 - i) <- e) !acc;
-      arr
-    end
-  end
+  let b = { uses = Hashtbl.create 8; grids = [] } in
+  let rec more acc =
+    match Event_queue.peek t.events with
+    | Some ((_, Block_ready (g, _, _, _)) as e) when admit b g ->
+        ignore (Event_queue.pop t.events);
+        more (e :: acc)
+    | _ -> Array.of_list (List.rev acc)
+  in
+  let ((_, Block_ready (g, _, _, _)) as first) = Event_queue.pop t.events in
+  if admit b g then more [ first ] else [| first |]
 
 let ensure_scratches t jobs =
   if Array.length t.scratches < jobs then
@@ -808,13 +788,9 @@ let ensure_scratches t jobs =
 let run_batch t (evs : (float * event) array) =
   let n = Array.length evs in
   let jobs = max 1 (min t.cfg.block_jobs n) in
-  if n = 1 || jobs = 1 then
+  if jobs = 1 then
     Array.iter
-      (fun (te, ev) ->
-        let (Block_ready (g, bidx, _, _)) = ev in
-        match exec_block t t.scratch g ~bidx with
-        | Ok r, priv -> commit_block t ~te ev r priv
-        | Error e, priv -> abort_block g priv e)
+      (fun ((_, ev) as e) -> commit_result t e (exec_block t t.scratch ev))
       evs
   else begin
     t.par_batches <- t.par_batches + 1;
@@ -822,11 +798,9 @@ let run_batch t (evs : (float * event) array) =
     let scratches = ensure_scratches t jobs in
     let results = Array.make n None in
     let worker w =
-      let scratch = scratches.(w) in
       let i = ref w in
       while !i < n do
-        let (_, Block_ready (g, bidx, _, _)) = evs.(!i) in
-        results.(!i) <- Some (exec_block t scratch g ~bidx);
+        results.(!i) <- Some (exec_block t scratches.(w) (snd evs.(!i)));
         i := !i + jobs
       done
     in
@@ -835,14 +809,7 @@ let run_batch t (evs : (float * event) array) =
     in
     worker 0;
     Array.iter Domain.join domains;
-    Array.iteri
-      (fun i (te, ev) ->
-        let (Block_ready (g, _, _, _)) = ev in
-        match results.(i) with
-        | Some (Ok r, priv) -> commit_block t ~te ev r priv
-        | Some (Error e, priv) -> abort_block g priv e
-        | None -> assert false)
-      evs
+    Array.iteri (fun i e -> commit_result t e (Option.get results.(i))) evs
   end
 
 (** Drain all pending work; returns the simulated clock. With

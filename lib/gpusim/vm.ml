@@ -980,16 +980,10 @@ let interp (p : Bytecode.prog) (t : thread) =
     | 56 (* launch.chk *) ->
         let kernel = Array.unsafe_get p.bp_spool (wd ops (pc + 1)) in
         let g = b + wd ops (pc + 2) in
-        let gx, gy, gz = (geti t g, getib t g, getic t g) in
-        if gx <= 0 || gy <= 0 || gz <= 0 then
-          Value.error "launch of %S with empty grid (%d,%d,%d)" kernel gx gy gz;
         let blkr = b + wd ops (pc + 3) in
-        let block = (geti t blkr, getib t blkr, getic t blkr) in
-        if Value.dim3_total block > t.blk.Runtime.cfg.Config.max_threads_per_block
-        then
-          Value.error "launch of %S with %d threads per block (max %d)" kernel
-            (Value.dim3_total block)
-            t.blk.Runtime.cfg.Config.max_threads_per_block;
+        Runtime.check_launch_shape t.blk.Runtime.cfg ~kernel
+          ~grid:(geti t g, getib t g, getic t g)
+          ~block:(geti t blkr, getib t blkr, getic t blkr);
         go (pc + 4)
     | 57 (* launch *) ->
         let kernel = Array.unsafe_get p.bp_spool (wd ops (pc + 1)) in

@@ -63,8 +63,8 @@ let sampling_for_size (size : Benchmarks.Registry.size) =
       (* large-tier grids run to 100k+ blocks: the default 25% coverage
          would still simulate tens of thousands of them. 2% per stratum
          keeps a large sampled sweep in the same wall-clock ballpark as a
-         medium exact one, and the stratification (by static per-block
-         work) keeps the extrapolation inside the @scale error gate. *)
+         medium exact one, and stratifying over contiguous block-index
+         ranges keeps the extrapolation inside the @scale error gate. *)
       {
         Gpusim.Config.default_sampling with
         block_frac = 0.02;

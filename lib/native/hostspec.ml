@@ -33,26 +33,6 @@ let user_buffers t =
   List.length
     (List.filter (function Launch _ | Sync -> false | _ -> true) t.ops)
 
-(* The adapter from the aggregation pass's allocation specs to the
-   simulator runtime's (same as Benchmarks.Bench_common.to_device_auto;
-   duplicated so native does not pull the benchmark suite in). *)
-let to_device_auto (aps : (string * Dpopt.Aggregation.auto_param list) list) :
-    (string * Gpusim.Device.auto_param list) list =
-  List.map
-    (fun (k, l) ->
-      ( k,
-        List.map
-          (fun (ap : Dpopt.Aggregation.auto_param) ->
-            {
-              Gpusim.Device.ap_name = ap.ap_name;
-              ap_elems =
-                (fun ~grid:(gx, gy, gz) ~block:(bx, by, bz) ->
-                  ap.ap_elems ~grid_blocks:(gx * gy * gz)
-                    ~block_threads:(bx * by * bz));
-            })
-          l ))
-    aps
-
 (** [run_sim ~cfg prog ~auto_params spec] — execute the spec against a
     fresh simulator and snapshot the driver buffers. May raise whatever
     the simulator raises. *)
@@ -60,7 +40,7 @@ let run_sim ~cfg (prog : Minicu.Ast.program)
     ~(auto_params : (string * Dpopt.Aggregation.auto_param list) list)
     (spec : t) : Gpusim.Value.t array list =
   let dev = Gpusim.Device.create ~cfg () in
-  Gpusim.Device.load_program dev prog ~auto_params:(to_device_auto auto_params);
+  Gpusim.Device.load_program dev prog ~auto_params;
   let bufs = ref [] in
   (* allocation-order list, head = latest *)
   let nth_buf i =

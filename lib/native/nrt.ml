@@ -411,17 +411,23 @@ let run_thread (f : unit -> unit) : susp =
           | _ -> None);
     }
 
+(* The simulator's launch-shape rule (Gpusim.Runtime.check_launch_shape),
+   verbatim messages. *)
+let check_launch_shape kernel (gx, gy, gz) (bx, by, bz) =
+  if gx < 1 || gy < 1 || gz < 1 then
+    error "launch of %S with empty grid (%d,%d,%d)" kernel gx gy gz;
+  if bx < 1 || by < 1 || bz < 1 then
+    error "launch of %S with empty block (%d,%d,%d)" kernel bx by bz;
+  if bx * by * bz > max_threads_per_block then
+    error "launch of %S with %d threads per block (max %d)" kernel
+      (bx * by * bz) max_threads_per_block
+
 (* In-kernel launch: validate now (as the simulator does at issue time),
    dispatch when the block completes. *)
 let launch (t : tctx) kernel vgrid vblock (args : v list) =
   let grid = as_dim3 vgrid in
   let block = as_dim3 vblock in
-  let gx, gy, gz = grid in
-  if gx <= 0 || gy <= 0 || gz <= 0 then
-    error "launch of %S with empty grid (%d,%d,%d)" kernel gx gy gz;
-  if dim3_total block > max_threads_per_block then
-    error "launch of %S with %d threads per block (max %d)" kernel
-      (dim3_total block) max_threads_per_block;
+  check_launch_shape kernel grid block;
   t.blk.launches <-
     { lr_kernel = kernel; lr_grid = grid; lr_block = block; lr_args = args }
     :: t.blk.launches
@@ -577,12 +583,7 @@ let shutdown st =
 (* ------------------------------------------------------------------ *)
 
 let host_launch st ~kernel ~grid ~block ~args =
-  let gx, gy, gz = grid in
-  if gx <= 0 || gy <= 0 || gz <= 0 then
-    error "launch of %S with empty grid (%d,%d,%d)" kernel gx gy gz;
-  if dim3_total block > max_threads_per_block then
-    error "launch of %S with %d threads per block (max %d)" kernel
-      (dim3_total block) max_threads_per_block;
+  check_launch_shape kernel grid block;
   run_grid st ~kernel ~grid ~block ~args
 
 let alloc_ints st (vs : int array) : v =

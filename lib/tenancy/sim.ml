@@ -102,11 +102,8 @@ let run (cell : cell) ~tenants (app : App.compiled) (jobs : Traffic.job list) :
   let streams =
     Array.init tenants (fun _ ->
         let s = Sched.new_stream sched in
-        Sched.load_stream sched s app.prog;
+        Sched.load_stream ~auto_params:app.auto_params sched s app.prog;
         s)
-  in
-  let kernels =
-    Array.map (fun s -> Sched.resolve_kernel s App.parent_kernel) streams
   in
   let decisions = Event_queue.create () in
   List.iter (fun j -> Event_queue.push decisions j.Traffic.jb_arrival (Arrive j)) jobs;
@@ -119,7 +116,6 @@ let run (cell : cell) ~tenants (app : App.compiled) (jobs : Traffic.job list) :
 
   let admit (j : Traffic.job) ~now =
     let t = j.jb_tenant in
-    let stream = streams.(t) and kernel = kernels.(t) in
     let n = Array.length j.jb_degs in
     let total = Array.fold_left ( + ) 0 j.jb_degs in
     let off = Array.make n 0 in
@@ -135,29 +131,10 @@ let run (cell : cell) ~tenants (app : App.compiled) (jobs : Traffic.job list) :
     let d_off = alloc_ints off in
     let d_out = Value.Ptr (Memory.alloc mem (max 1 total) ~init:(Value.Int 0)) in
     let grid, block = App.parent_launch ~n in
-    let autos =
-      match List.assoc_opt App.parent_kernel app.auto_params with
-      | None -> []
-      | Some specs ->
-          let (gx, gy, gz), (bx, by, bz) = (grid, block) in
-          List.map
-            (fun (ap : Dpopt.Aggregation.auto_param) ->
-              let elems =
-                ap.ap_elems ~grid_blocks:(gx * gy * gz)
-                  ~block_threads:(bx * by * bz)
-              in
-              Value.Ptr (Memory.alloc_boxed mem elems ~init:(Value.Int 0)))
-            specs
-    in
-    let args = [ d_deg; d_off; d_out; Value.Int n ] @ autos in
-    let expected = kernel.Bytecode.bf_nparams in
-    if List.length args <> expected then
-      Value.error "tenancy launch of %S: expected %d arguments, got %d"
-        App.parent_kernel expected (List.length args);
-    let sjob = Sched.make_job ~tenant:t ~id:j.jb_global in
-    let ready = Sched.process_host_launch sched stream ~issue:now in
-    Sched.launch_grid sched stream ~issue:now ~from_host:true ~job:sjob
-      ~kernel ~grid ~block ~args ~ready ~default_idx:Metrics.tag_parent;
+    let sjob = Sched.make_job () in
+    Sched.host_launch ~job:sjob ~issue:now sched streams.(t)
+      ~kernel:App.parent_kernel ~grid ~block
+      ~args:[ d_deg; d_off; d_out; Value.Int n ];
     inflight.(t) <- inflight.(t) + 1;
     decr free_slots;
     actives := { ac_job = j; ac_sched = sjob; ac_admit = now } :: !actives
@@ -250,8 +227,8 @@ let run (cell : cell) ~tenants (app : App.compiled) (jobs : Traffic.job list) :
   let totals =
     Array.to_list
       (Array.mapi
-         (fun t (s : Sched.stream) ->
-           let m = s.st_metrics in
+         (fun t s ->
+           let m = Sched.stream_metrics s in
            {
              tt_tenant = t;
              tt_grids = m.grids_launched;

@@ -187,8 +187,7 @@ __global__ void parent(int* d) {
         let run opts =
           let r = Pipeline.run ~opts (Parser.program src) in
           let dev = Gpusim.Device.create ~cfg:Gpusim.Config.test_config () in
-          Gpusim.Device.load_program dev r.prog
-            ~auto_params:(Test_helpers.to_device_auto r.auto_params);
+          Gpusim.Device.load_program dev r.prog ~auto_params:r.auto_params;
           let d = Gpusim.Device.alloc_int_zeros dev 2 in
           Gpusim.Device.launch dev ~kernel:"parent" ~grid:(1, 1, 1)
             ~block:(32, 1, 1) ~args:[ Gpusim.Value.Ptr d ];

@@ -48,8 +48,10 @@ __global__ void p(int* o) { c<<<1, 32>>>(o, 1000); }
                 List.map
                   (fun (ap : Dpopt.Aggregation.auto_param) ->
                     {
-                      Device.ap_name = ap.ap_name;
-                      ap_elems = (fun ~grid:_ ~block:_ -> 1) (* way too small *);
+                      ap with
+                      ap_elems =
+                        (fun ~grid_blocks:_ ~block_threads:_ -> 1)
+                        (* way too small *);
                     })
                   aps ))
             r.auto_params
@@ -119,4 +121,49 @@ __global__ void k(int* o) { if (threadIdx.x == 0) { o[0] = down(2000); } }
         match Harness.Experiment.run bad Harness.Variant.No_cdp with
         | _ -> Alcotest.fail "expected Validation_failure"
         | exception Harness.Experiment.Validation_failure _ -> ());
+    t "a non-positive grid or block dimension is rejected at launch"
+      (fun () ->
+        (* a negative pair multiplies to a positive count: the grid would
+           enqueue no block and never complete, the block would run with
+           two threads *)
+        let message f =
+          match f () with
+          | _ -> Alcotest.fail "expected Runtime_error"
+          | exception Value.Runtime_error m -> m
+        in
+        let host ~grid ~block () =
+          let dev = Device.create ~cfg:Config.test_config () in
+          Device.load_program dev
+            (Minicu.Parser.program "__global__ void k(int* o) { o[0] = 1; }");
+          let out = Device.alloc_int_zeros dev 1 in
+          Device.launch dev ~kernel:"k" ~grid ~block ~args:[ Value.Ptr out ];
+          Device.sync dev
+        in
+        Alcotest.(check string) "host grid"
+          "launch of \"k\" with empty grid (-1,-2,1)"
+          (message (host ~grid:(-1, -2, 1) ~block:(32, 1, 1)));
+        Alcotest.(check string) "host block"
+          "launch of \"k\" with empty block (-1,-2,1)"
+          (message (host ~grid:(1, 1, 1) ~block:(-1, -2, 1)));
+        Alcotest.(check string) "in-kernel block"
+          "launch of \"c\" with empty block (-1,-2,1)"
+          (message (fun () ->
+               run_src ~kernel:"p"
+                 {|
+__global__ void c(int* o) { o[0] = 1; }
+__global__ void p(int* o) { c<<<1, dim3(-1, -2, 1)>>>(o); }
+|}));
+        (* the native runtime checks the shape before resolving the kernel *)
+        let st = Native.Nrt.create ~domains:1 () in
+        let native =
+          match
+            Native.Nrt.host_launch st ~kernel:"k" ~grid:(1, 1, 1)
+              ~block:(-1, -2, 1) ~args:[]
+          with
+          | () -> "no error"
+          | exception Native.Nrt.Runtime_error m -> m
+        in
+        Native.Nrt.shutdown st;
+        Alcotest.(check string) "native host block"
+          "launch of \"k\" with empty block (-1,-2,1)" native);
   ]

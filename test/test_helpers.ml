@@ -26,8 +26,6 @@ __global__ void parent(int* rows, int* data, int n) {
 }
 |}
 
-let to_device_auto = Benchmarks.Bench_common.to_device_auto
-
 (* Run [prog] (typically a transformed nested_src) on the standard workload
    and return (data after run, metrics). [n] parents; parent [v] owns a run
    of length [v * (v - 1) / 2 .. ] — triangular sizes, so small and large
@@ -35,7 +33,7 @@ let to_device_auto = Benchmarks.Bench_common.to_device_auto
 let run_nested ?(cfg = Config.test_config) ?(n = 40)
     (r : Dpopt.Pipeline.result) =
   let dev = Device.create ~cfg () in
-  Device.load_program dev r.prog ~auto_params:(to_device_auto r.auto_params);
+  Device.load_program dev r.prog ~auto_params:r.auto_params;
   let rows = Array.init (n + 1) (fun i -> i * (i - 1) / 2) in
   let total = rows.(n) in
   let data = Array.init total (fun i -> i) in

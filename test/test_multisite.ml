@@ -58,8 +58,7 @@ __global__ void parent(int* rows, int* d, int nv) {
 let run src opts =
   let r = Dpopt.Pipeline.run ~opts (Minicu.Parser.program src) in
   let dev = Device.create ~cfg:Config.test_config () in
-  Device.load_program dev r.prog
-    ~auto_params:(Benchmarks.Bench_common.to_device_auto r.auto_params);
+  Device.load_program dev r.prog ~auto_params:r.auto_params;
   let nv = 30 in
   let rows = Array.init (nv + 1) (fun i -> i * (i - 1) / 2) in
   let total = rows.(nv) in

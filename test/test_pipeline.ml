@@ -91,8 +91,7 @@ let suite =
            let dev =
              Gpusim.Device.create ~cfg:Gpusim.Config.test_config ()
            in
-           Gpusim.Device.load_program dev r.prog
-             ~auto_params:(Test_helpers.to_device_auto r.auto_params);
+           Gpusim.Device.load_program dev r.prog ~auto_params:r.auto_params;
            let d_rows = Gpusim.Device.alloc_ints dev rows in
            let d_data =
              Gpusim.Device.alloc_ints dev (Array.init (max total 1) Fun.id)

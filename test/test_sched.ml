@@ -56,14 +56,14 @@ let suite =
            serviced is not pending behind itself, so the last one sees
            exactly 4 ahead of it *)
         let cfg = { Config.test_config with launch_service_interval = 100 } in
-        let sched = Sched.create cfg (Memory.create ()) (Metrics.create ()) in
+        let metrics = Metrics.create () in
+        let sched = Sched.create cfg (Memory.create ()) metrics in
         let stream = Sched.default_stream sched in
         let readies =
           List.init 5 (fun _ ->
               Sched.process_device_launch sched stream ~issue:0.0)
         in
-        Alcotest.(check int) "max pending" 4
-          sched.Sched.metrics.max_pending_launches;
+        Alcotest.(check int) "max pending" 4 metrics.max_pending_launches;
         (* service slots are spaced by the interval *)
         Alcotest.(check bool) "readies strictly increase" true
           (List.sort_uniq compare readies = readies
@@ -181,9 +181,10 @@ __global__ void first(int* o) { o[0] = 42; }
               ( "k",
                 [
                   {
-                    Device.ap_name = "extra";
+                    Dpopt.Aggregation.ap_name = "extra";
                     ap_elems =
-                      (fun ~grid:(gx, _, _) ~block:(bx, _, _) -> gx * bx);
+                      (fun ~grid_blocks ~block_threads ->
+                        grid_blocks * block_threads);
                   };
                 ] );
             ];
@@ -262,4 +263,58 @@ let trace_suite =
           > 10.0 *. List.fold_left Float.min infinity waits))
   ]
 
-let suite = suite @ trace_suite
+(* Appended after the trace suite so earlier test indices stay put. *)
+let stream_suite =
+  [
+    t "auto-parameters belong to the stream they were loaded with" (fun () ->
+        (* stream 1 runs the nested program after aggregation, with its
+           auto-parameters; stream 2 the same program untransformed, on the
+           same scheduler and memory *)
+        let cfg = Config.test_config and n = 40 in
+        let prog = Minicu.Parser.program Test_helpers.nested_src in
+        let agg =
+          Dpopt.Pipeline.run
+            ~opts:(Dpopt.Pipeline.make ~granularity:Dpopt.Aggregation.Grid ())
+            prog
+        in
+        let plain = Dpopt.Pipeline.run ~opts:Dpopt.Pipeline.none prog in
+        let mem = Memory.create () in
+        let sched = Sched.create cfg mem (Metrics.create ()) in
+        let s1 = Sched.new_stream sched in
+        let s2 = Sched.new_stream sched in
+        Sched.load_stream ~auto_params:agg.auto_params sched s1 agg.prog;
+        Sched.load_stream sched s2 plain.prog;
+        (* the driver buffers of Test_helpers.run_nested, then one launch;
+           returns the data buffer and the buffers the launch allocated *)
+        let launch s =
+          let rows = Array.init (n + 1) (fun i -> i * (i - 1) / 2) in
+          let upload a =
+            let p = Memory.alloc mem (Array.length a) ~init:(Value.Int 0) in
+            Memory.write_ints mem p a;
+            p
+          in
+          let d_rows = upload rows in
+          let d_data = upload (Array.init rows.(n) Fun.id) in
+          let before = Memory.buffer_count mem in
+          Sched.host_launch sched s ~kernel:"parent"
+            ~grid:((n + 31) / 32, 1, 1)
+            ~block:(32, 1, 1)
+            ~args:[ Value.Ptr d_rows; Value.Ptr d_data; Value.Int n ];
+          (d_data, Memory.buffer_count mem - before)
+        in
+        let data1, allocated1 = launch s1 in
+        let data2, allocated2 = launch s2 in
+        Alcotest.(check int) "stream 1 allocates its capture buffers"
+          (List.length (List.assoc "parent" agg.auto_params))
+          allocated1;
+        Alcotest.(check int) "stream 2 allocates none" 0 allocated2;
+        ignore (Sched.run_to_idle sched);
+        let total = n * (n - 1) / 2 in
+        let single r = fst (Test_helpers.run_nested ~cfg ~n r) in
+        Alcotest.(check (array int)) "stream 1 = single-stream run"
+          (single agg) (Memory.read_ints mem data1 total);
+        Alcotest.(check (array int)) "stream 2 = single-stream run"
+          (single plain) (Memory.read_ints mem data2 total));
+  ]
+
+let suite = suite @ trace_suite @ stream_suite
