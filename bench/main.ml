@@ -9,9 +9,12 @@
      dune exec bench/main.exe -- fig9 --csv=results/   # also write CSVs
      dune exec bench/main.exe -- all -j 4     # figure cells on 4 domains
 
-   Experiments: table1 fig9 fig10 fig11 fig12 fixed128 ablation micro
-   engine-smoke (the last only when named explicitly: it is the VM's
-   allocation acceptance gate and exits 1 on failure). *)
+   Experiments: table1 fig9 fig10 fig11 fig12 fixed128 ablation micro,
+   plus engine-smoke, scale and scale-smoke, which run only when named
+   explicitly (the two smokes are acceptance gates and exit 1 on failure).
+   Flags: --size=small|medium|large, --sample, --exact, -j N (also
+   --jobs N, --jobs=N) and --csv=DIR. An unknown experiment or flag, a bad
+   size or a malformed -j prints one line on stderr and exits 2. *)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -217,7 +220,7 @@ let json_string s =
    tier (large sampled), plus the Fig. 12 road matrix at large. The paper's
    thesis is that the optimizations matter MORE at scale; the artifact pins
    the CDP+T+C+A-over-No-CDP geomean rising with dataset size. *)
-let scale_trajectory ~pool ~block_jobs () =
+let scale_trajectory ~pool () =
   let headline_nocdp = "CDP+T+C+A over No CDP (paper: 8.7x)" in
   let headline_cdp = "CDP+T+C+A over CDP (paper: 43.0x)" in
   let tier (size, label) =
@@ -227,9 +230,7 @@ let scale_trajectory ~pool ~block_jobs () =
           Some (Harness.Experiment.sampling_for_size size)
       | _ -> None
     in
-    let cfg =
-      { Gpusim.Config.default with sampling; block_jobs = max 1 block_jobs }
-    in
+    let cfg = { Gpusim.Config.default with sampling } in
     Printf.printf "\n=== scale tier %s (%s) ===\n%!" label
       (if sampling = None then "exact" else "sampled");
     let t0 = Unix.gettimeofday () in
@@ -252,7 +253,6 @@ let scale_trajectory ~pool ~block_jobs () =
       Gpusim.Config.default with
       sampling =
         Some (Harness.Experiment.sampling_for_size Benchmarks.Registry.Large);
-      block_jobs = max 1 block_jobs;
     }
   in
   Printf.printf "\n=== scale tier large: Fig. 12 road matrix (sampled) ===\n%!";
@@ -286,9 +286,8 @@ let scale_trajectory ~pool ~block_jobs () =
   Out_channel.with_open_text path (fun oc ->
       let p fmt = Printf.fprintf oc fmt in
       p "{\n";
-      p "  \"schema\": 1,\n";
+      p "  \"schema\": 2,\n";
       p "  \"kind\": \"dpopt.scale\",\n";
-      p "  \"block_jobs\": %d,\n" (max 1 block_jobs);
       p "  \"tiers\": [\n";
       List.iteri
         (fun i (label, sampled, specs, wall, g_nocdp, g_cdp) ->
@@ -305,14 +304,11 @@ let scale_trajectory ~pool ~block_jobs () =
       p "}\n");
   Printf.printf "wrote %s\n" path
 
-(* The @scale acceptance gate. Deterministic parts always run: sampled
-   extrapolation within 10% of exact on SCALE_SMOKE medium-tier cells,
-   parallel dispatch byte-identical with average batch width >= 2 at
-   SCALE_JOBS, large-tier degree skew, and a large sampled cell completing
-   end to end. The wall-clock >= 2x speedup check needs real cores, so it
-   only arms when the host has at least 4. Exits 1 on any failure. *)
+(* The @scale acceptance gate, deterministic throughout: large-tier degree
+   skew, sampled extrapolation within 10% of exact on SCALE_SMOKE
+   medium-tier cells, and a large sampled cell completing end to end.
+   Exits 1 on any failure. *)
 let scale_smoke () =
-  let jobs = Harness.Env.get "SCALE_JOBS" in
   let n_specs = Harness.Env.get "SCALE_SMOKE" in
   let failures = ref [] in
   let gate name ok detail =
@@ -321,8 +317,7 @@ let scale_smoke () =
       name detail;
     if not ok then failures := name :: !failures
   in
-  Printf.printf "\n=== scale smoke (SCALE_JOBS=%d, SCALE_SMOKE=%d) ===\n" jobs
-    n_specs;
+  Printf.printf "\n=== scale smoke (SCALE_SMOKE=%d) ===\n" n_specs;
 
   (* 1. the large tier is in the paper's degree regime *)
   let kron, _, _, _, _, _, _ =
@@ -370,68 +365,7 @@ let scale_smoke () =
                (100.0 *. err) exact.time sampled.time))
     picked;
 
-  (* 3. parallel dispatch: byte-identity plus batch occupancy at -jN.
-     The occupancy measure (average batch width) is deterministic, so it
-     gates even on single-core hosts where wall clock cannot. *)
-  let src =
-    {|
-__global__ void owned(int* out, int n, int iters) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int s = 0;
-  for (int k = 0; k < iters; k = k + 1) { s = s + k; }
-  if (i < n) { out[i] = s + i; }
-}
-|}
-  in
-  let prog = Minicu.Parser.program src in
-  let run_owned ~block_jobs ~blocks ~iters =
-    let cfg = { Gpusim.Config.default with block_jobs } in
-    let dev = Gpusim.Device.create ~cfg () in
-    Gpusim.Device.load_program dev prog;
-    let n = blocks * 32 in
-    let out = Gpusim.Device.alloc_int_zeros dev n in
-    let t0 = Unix.gettimeofday () in
-    Gpusim.Device.launch dev ~kernel:"owned" ~grid:(blocks, 1, 1)
-      ~block:(32, 1, 1)
-      ~args:[ Gpusim.Value.Ptr out; Gpusim.Value.Int n; Gpusim.Value.Int iters ];
-    let time = Gpusim.Device.sync dev in
-    let wall = Unix.gettimeofday () -. t0 in
-    (time, Gpusim.Device.read_ints dev out n, Gpusim.Device.par_stats dev, wall)
-  in
-  let t1, o1, _, _ = run_owned ~block_jobs:1 ~blocks:64 ~iters:100 in
-  let tn, on, (batches, batch_blocks), _ =
-    run_owned ~block_jobs:jobs ~blocks:64 ~iters:100
-  in
-  gate "dispatch-identity"
-    (t1 = tn && o1 = on)
-    (Printf.sprintf "-j1 vs -j%d: time %.0f vs %.0f, outputs %s" jobs t1 tn
-       (if o1 = on then "identical" else "DIFFER"));
-  let width =
-    if batches = 0 then 0.0
-    else float_of_int batch_blocks /. float_of_int batches
-  in
-  gate "dispatch-occupancy"
-    (batches > 0 && width >= 2.0)
-    (Printf.sprintf "%d batches, average width %.1f (floor 2.0)" batches width);
-
-  (* 4. wall-clock speedup, only meaningful with real cores under the
-     domains *)
-  let cores = Domain.recommended_domain_count () in
-  if cores >= 4 then begin
-    let _, _, _, w1 = run_owned ~block_jobs:1 ~blocks:64 ~iters:20000 in
-    let _, _, _, wn = run_owned ~block_jobs:jobs ~blocks:64 ~iters:20000 in
-    gate "dispatch-speedup"
-      (w1 /. wn >= 2.0)
-      (Printf.sprintf "%.2fx at -j%d (floor 2.0x)" (w1 /. wn) jobs)
-  end
-  else
-    Printf.printf
-      "  [--] dispatch-speedup: skipped (%d core%s; needs >= 4 for a \
-       wall-clock gate)\n"
-      cores
-      (if cores = 1 then "" else "s");
-
-  (* 5. a large-tier sampled cell completes end to end with a finite
+  (* 3. a large-tier sampled cell completes end to end with a finite
      error bound *)
   (match
      Benchmarks.Registry.find ~size:Benchmarks.Registry.Large ~name:"BFS"
@@ -472,52 +406,86 @@ __global__ void owned(int* out, int n, int iters) {
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let experiments =
+  [
+    "all"; "table1"; "fig9"; "fig10"; "fig11"; "fig12"; "fixed128";
+    "ablation"; "micro"; "engine-smoke"; "scale"; "scale-smoke";
+  ]
+
+(* A command-line mistake: one line on stderr, exit 2, before the banner. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench/main.exe: " ^ msg);
+      exit 2)
+    fmt
+
+type opts = {
+  size : Benchmarks.Registry.size;
+  sample : bool;
+  exact : bool;
+  jobs : int;
+  csv_dir : string option;
+  names : string list;  (** Experiments named, in order. *)
+}
+
+let parse_args args =
+  let value ~flag a =
+    String.sub a (String.length flag) (String.length a - String.length flag)
+  in
+  let jobs_of s =
+    match int_of_string_opt s with
+    | Some j when j >= 1 -> j
+    | _ -> usage_error "-j needs a positive integer, got %S" s
+  in
+  let rec go o = function
+    | [] -> { o with names = List.rev o.names }
+    | ("-j" | "--jobs") :: n :: rest -> go { o with jobs = jobs_of n } rest
+    | [ ("-j" | "--jobs") ] -> usage_error "-j needs a positive integer"
+    | a :: rest when String.starts_with ~prefix:"--jobs=" a ->
+        go { o with jobs = jobs_of (value ~flag:"--jobs=" a) } rest
+    | a :: rest when String.starts_with ~prefix:"--size=" a ->
+        let size =
+          match value ~flag:"--size=" a with
+          | "small" -> Benchmarks.Registry.Small
+          | "medium" -> Benchmarks.Registry.Medium
+          | "large" -> Benchmarks.Registry.Large
+          | v -> usage_error "unknown size %S (small | medium | large)" v
+        in
+        go { o with size } rest
+    | "--sample" :: rest -> go { o with sample = true } rest
+    | "--exact" :: rest -> go { o with exact = true } rest
+    | a :: rest when String.starts_with ~prefix:"--csv=" a && a <> "--csv=" ->
+        go { o with csv_dir = Some (value ~flag:"--csv=" a) } rest
+    | a :: _ when String.starts_with ~prefix:"-" a ->
+        usage_error
+          "unknown option %S (expected --size=small|medium|large, --sample, \
+           --exact, -j N, --jobs=N or --csv=DIR)"
+          a
+    | a :: rest when List.mem a experiments ->
+        go { o with names = a :: o.names } rest
+    | a :: _ ->
+        usage_error "unknown experiment %S (expected %s)" a
+          (String.concat " | " experiments)
+  in
+  go
+    {
+      size = Benchmarks.Registry.Small;
+      sample = false;
+      exact = false;
+      jobs = 1;
+      csv_dir = None;
+      names = [];
+    }
+    args
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let size =
-    if List.mem "--size=large" args then Benchmarks.Registry.Large
-    else if List.mem "--size=medium" args then Benchmarks.Registry.Medium
-    else Benchmarks.Registry.Small
+  let { size; sample; exact; jobs; csv_dir; names } =
+    parse_args (List.tl (Array.to_list Sys.argv))
   in
   (* --sample forces stratified grid sampling at any size; --exact forces
      full simulation. Default: sampled at --size=large (what makes the
      large tier routine), exact below. *)
-  let sample = List.mem "--sample" args in
-  let exact = List.mem "--exact" args in
-  (* --block-jobs=N: worker domains for within-run parallel block batches *)
-  let block_jobs =
-    Option.value ~default:1
-      (List.find_map
-         (fun a ->
-           if String.length a > 13 && String.sub a 0 13 = "--block-jobs=" then
-             int_of_string_opt (String.sub a 13 (String.length a - 13))
-           else None)
-         args)
-    |> max 1
-  in
-  (* -j N / --jobs=N / --jobs N: worker-domain count for figure cells *)
-  let jobs, args =
-    let rec scan acc = function
-      | [] -> (None, List.rev acc)
-      | ("-j" | "--jobs") :: n :: rest -> (int_of_string_opt n, List.rev_append acc rest)
-      | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
-          (int_of_string_opt (String.sub a 7 (String.length a - 7)),
-           List.rev_append acc rest)
-      | a :: rest -> scan (a :: acc) rest
-    in
-    match scan [] args with
-    | Some j, rest when j >= 1 -> (j, rest)
-    | Some _, rest -> (1, rest)
-    | None, rest -> (1, rest)
-  in
-  let csv_dir =
-    List.find_map
-      (fun a ->
-        if String.length a > 6 && String.sub a 0 6 = "--csv=" then
-          Some (String.sub a 6 (String.length a - 6))
-        else None)
-      args
-  in
   let sampling =
     if exact then None
     else if sample || size = Benchmarks.Registry.Large then
@@ -525,9 +493,9 @@ let () =
     else None
   in
   let cfg =
-    match (sampling, block_jobs) with
-    | None, 1 -> None
-    | _ -> Some { Gpusim.Config.default with sampling; block_jobs }
+    Option.map
+      (fun sp -> { Gpusim.Config.default with sampling = Some sp })
+      sampling
   in
   (match csv_dir with
   | Some d when not (Sys.file_exists d) -> Sys.mkdir d 0o755
@@ -540,10 +508,9 @@ let () =
         write path;
         Printf.printf "wrote %s\n" path
   in
-  let args =
-    List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
+  let wanted =
+    if names = [] || List.mem "all" names then None else Some names
   in
-  let wanted = if args = [] || List.mem "all" args then None else Some args in
   let enabled name =
     match wanted with None -> true | Some l -> List.mem name l
   in
@@ -562,9 +529,6 @@ let () =
          frac %.2f); times are extrapolations, outputs unvalidated\n"
         sp.Gpusim.Config.block_frac sp.Gpusim.Config.launch_frac
   | None -> ());
-  if block_jobs > 1 then
-    Printf.printf "Parallel block dispatch: %d worker domains per device\n"
-      block_jobs;
   Harness.Pool.with_pool ~jobs @@ fun pool ->
   if enabled "table1" then wall (fun () -> Harness.Figures.table1 ~size ());
   if enabled "fig9" then
@@ -593,6 +557,6 @@ let () =
   (* scale experiments: only when named explicitly — the trajectory is a
      long run (three full fig9 tiers), the smoke is the @scale gate *)
   if (match wanted with Some l -> List.mem "scale" l | None -> false) then
-    wall (fun () -> scale_trajectory ~pool ~block_jobs ());
+    wall (fun () -> scale_trajectory ~pool ());
   if (match wanted with Some l -> List.mem "scale-smoke" l | None -> false)
   then wall scale_smoke

@@ -17,29 +17,8 @@
 open Cmdliner
 
 let granularity_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "warp" -> Ok Dpopt.Aggregation.Warp
-    | "block" -> Ok Dpopt.Aggregation.Block
-    | "grid" -> Ok Dpopt.Aggregation.Grid
-    | s -> (
-        match String.index_opt s ':' with
-        | Some i
-          when String.sub s 0 i = "multiblock"
-               || String.sub s 0 i = "multi-block" -> (
-            let g = String.sub s (i + 1) (String.length s - i - 1) in
-            match int_of_string_opt g with
-            | Some g when g > 0 -> Ok (Dpopt.Aggregation.Multi_block g)
-            | _ -> Error (`Msg "multiblock:<n> needs a positive integer"))
-        | _ ->
-            Error
-              (`Msg
-                (Fmt.str
-                   "unknown granularity %S (expected warp | block | \
-                    multiblock:<n> | grid)"
-                   s)))
-  in
-  Arg.conv (parse, fun ppf g -> Dpopt.Aggregation.pp_granularity ppf g)
+  Arg.conv
+    (Dpopt.Aggregation.granularity_of_string, Dpopt.Aggregation.pp_granularity)
 
 let input =
   Arg.(
@@ -341,10 +320,7 @@ let run input output threshold cfactor granularity agg_threshold promote
                 "note: kernel %S gained %d runtime-allocated buffer \
                  parameters@."
                 k (List.length aps))
-            r.auto_params;
-        (* which output kernels the simulator may batch-dispatch in
-           parallel, and which fall back to serial (and why) *)
-        Analysis.Parsafety.pp Fmt.stderr (Analysis.Parsafety.report r.prog)
+            r.auto_params
       end;
       0
 

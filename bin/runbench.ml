@@ -13,22 +13,8 @@
 open Cmdliner
 
 let granularity_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "warp" -> Ok Dpopt.Aggregation.Warp
-    | "block" -> Ok Dpopt.Aggregation.Block
-    | "grid" -> Ok Dpopt.Aggregation.Grid
-    | s -> (
-        match String.index_opt s ':' with
-        | Some i when String.sub s 0 i = "multiblock" -> (
-            match
-              int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-            with
-            | Some g when g > 0 -> Ok (Dpopt.Aggregation.Multi_block g)
-            | _ -> Error (`Msg "multiblock:<n> needs a positive integer"))
-        | _ -> Error (`Msg (Fmt.str "unknown granularity %S" s)))
-  in
-  Arg.conv (parse, Dpopt.Aggregation.pp_granularity)
+  Arg.conv
+    (Dpopt.Aggregation.granularity_of_string, Dpopt.Aggregation.pp_granularity)
 
 let size_conv =
   Arg.conv
@@ -164,15 +150,6 @@ let exact =
         ~doc:
           "Force full (exact) simulation, overriding $(b,--sample). Exact \
            runs are bit-identical to the pre-sampling scheduler.")
-
-let block_jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "block-jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for within-run parallel execution of provably \
-           conflict-free block batches. Results are byte-identical at any \
-           value; only host wall clock changes.")
 
 let trace =
   Arg.(
@@ -490,7 +467,7 @@ let run_mt ~tenants ~policy ~mt_seed ~mt_jobs ~slots ~jobs ~mt_out
       end
 
 let run_one bench dataset no_cdp threshold cfactor granularity size trace
-    backend ~sample ~exact ~block_jobs =
+    backend ~sample ~exact =
   match Benchmarks.Registry.find ~size ~name:bench ~dataset () with
   | None ->
       Fmt.epr "unknown benchmark/dataset pair %s/%s@." bench dataset;
@@ -503,13 +480,7 @@ let run_one bench dataset no_cdp threshold cfactor granularity size trace
           Some (Harness.Experiment.sampling_for_size size)
         else None
       in
-      let cfg =
-        {
-          Gpusim.Config.default with
-          sampling;
-          block_jobs = max 1 block_jobs;
-        }
-      in
+      let cfg = { Gpusim.Config.default with sampling } in
       let variant =
         if no_cdp then Harness.Variant.No_cdp
         else
@@ -562,8 +533,8 @@ let run_one bench dataset no_cdp threshold cfactor granularity size trace
 
 let run bench dataset sweep calibrate only jobs out csv_out costmodel_out
     no_cdp threshold cfactor granularity size trace backend tenants
-    policy mt_seed mt_jobs slots mt_out min_fairness min_recovery sample exact
-    block_jobs =
+    policy mt_seed mt_jobs slots mt_out min_fairness min_recovery sample
+    exact =
   if calibrate then run_calibrate ~jobs ~size ~only
   else if sweep then run_sweep ~jobs ~size ~out ~csv_out ~costmodel_out
   else
@@ -575,7 +546,7 @@ let run bench dataset sweep calibrate only jobs out csv_out costmodel_out
         match (bench, dataset) with
         | Some bench, Some dataset ->
             run_one bench dataset no_cdp threshold cfactor granularity size
-              trace backend ~sample ~exact ~block_jobs
+              trace backend ~sample ~exact
         | _ ->
             Fmt.epr
               "runbench: BENCH and DATASET are required unless --sweep or \
@@ -590,7 +561,6 @@ let cmd =
       const run $ bench $ dataset $ sweep $ calibrate $ only $ jobs $ out
       $ csv_out $ costmodel_out $ no_cdp $ threshold $ cfactor $ granularity
       $ size $ trace $ backend $ tenants $ policy $ mt_seed $ mt_jobs
-      $ slots $ mt_out $ min_fairness $ min_recovery $ sample $ exact
-      $ block_jobs)
+      $ slots $ mt_out $ min_fairness $ min_recovery $ sample $ exact)
 
 let () = exit (Cmd.eval' cmd)

@@ -51,6 +51,28 @@ let pp_granularity ppf = function
   | Multi_block g -> Fmt.pf ppf "multi-block(%d)" g
   | Grid -> Fmt.string ppf "grid"
 
+let granularity_of_string s =
+  match String.lowercase_ascii s with
+  | "warp" -> Ok Warp
+  | "block" -> Ok Block
+  | "grid" -> Ok Grid
+  | s -> (
+      match String.index_opt s ':' with
+      | Some i
+        when String.sub s 0 i = "multiblock"
+             || String.sub s 0 i = "multi-block" -> (
+          let g = String.sub s (i + 1) (String.length s - i - 1) in
+          match int_of_string_opt g with
+          | Some g when g > 0 -> Ok (Multi_block g)
+          | _ -> Error (`Msg "multiblock:<n> needs a positive integer"))
+      | _ ->
+          Error
+            (`Msg
+               (Fmt.str
+                  "unknown granularity %S (expected warp | block | \
+                   multiblock:<n> | grid)"
+                  s)))
+
 type options = {
   granularity : granularity;
   agg_threshold : int option;

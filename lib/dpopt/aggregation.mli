@@ -22,6 +22,12 @@ type granularity = Warp | Block | Multi_block of int | Grid
 
 val pp_granularity : Format.formatter -> granularity -> unit
 
+(** [granularity_of_string s] parses a command-line granularity:
+    [warp], [block], [grid], [multiblock:N] or [multi-block:N] with
+    [N >= 1], case-insensitively. The error names the valid forms. *)
+val granularity_of_string :
+  string -> (granularity, [> `Msg of string ]) result
+
 type options = {
   granularity : granularity;
   agg_threshold : int option;

@@ -121,8 +121,6 @@ type func = {
   bf_nparams : int;
   bf_contains_launch : bool;
   bf_is_serial : bool;
-  bf_safety : Blocksafe.summary;
-      (** Cross-block independence proof for parallel dispatch. *)
   mutable bf_entry : int;  (** Body entry pc. *)
   mutable bf_followup : int option;  (** Host-followup entry pc. *)
 }
@@ -1635,7 +1633,6 @@ let compile (cfg : Config.t) (prog : program) : prog =
              bf_contains_launch = Ast_util.contains_launch f.f_body;
              bf_is_serial =
                f.f_kind = Device && Runtime.has_serial_suffix f.f_name;
-             bf_safety = Blocksafe.analyze prog f;
              bf_entry = 0;
              bf_followup = None;
            })

@@ -86,9 +86,6 @@ type func = {
   bf_contains_launch : bool;
       (** Drives {!Config.cdp_entry_cost}. *)
   bf_is_serial : bool;
-  bf_safety : Blocksafe.summary;
-      (** Cross-block independence proof for parallel dispatch
-          ({!Blocksafe.analyze}). *)
   mutable bf_entry : int;
   mutable bf_followup : int option;
 }

@@ -22,8 +22,7 @@ let pp_engine ppf Bytecode = Fmt.string ppf "bytecode"
     into the clock at the next drain). Blocks that issue at least
     [launch_threshold] device launches likewise dispatch only a sample of
     them, with multiplicative inherited weights. The sample is a pure
-    function of [seed] and the grid identity, so it is identical at any
-    [block_jobs]. *)
+    function of [seed] and the grid identity. *)
 type sampling = {
   block_threshold : int;  (** Sample grids with at least this many blocks. *)
   block_frac : float;  (** Fraction of blocks to simulate, in (0, 1]. *)
@@ -48,12 +47,6 @@ let default_sampling =
 type t = {
   (* ---- execution engine ---- *)
   engine : engine;
-  block_jobs : int;
-      (** Worker domains for within-run parallel block execution. Batches of
-          ready blocks whose kernels are provably free of cross-block
-          conflicts ({!Blocksafe}) execute concurrently; results commit in
-          deterministic event order, so dumps and metrics are byte-identical
-          at any value. 1 = serial (default). *)
   sampling : sampling option;
       (** [None] (default) simulates every block exactly — bit-identical to
           the pre-sampling scheduler. *)
@@ -101,7 +94,6 @@ type t = {
 let default =
   {
     engine = Bytecode;
-    block_jobs = 1;
     sampling = None;
     num_sms = 32;
     warp_size = 32;

@@ -19,8 +19,7 @@ val pp_engine : Format.formatter -> engine -> unit
     blocks issuing at least [launch_threshold] device launches dispatch only
     a sample of them; skipped work is represented by weights (scaled
     metrics, weighted launch-queue service, clock correction at drain).
-    Samples are a pure function of [seed] and grid identity — identical at
-    any [block_jobs]. *)
+    Samples are a pure function of [seed] and grid identity. *)
 type sampling = {
   block_threshold : int;
   block_frac : float;  (** In (0, 1]. *)
@@ -35,10 +34,6 @@ val default_sampling : sampling
 type t = {
   (* execution engine *)
   engine : engine;  (** Always [Bytecode]; see {!engine}. *)
-  block_jobs : int;
-      (** Worker domains for within-run parallel block execution of
-          provably conflict-free batches ({!Blocksafe}); results commit in
-          event order, so output is byte-identical at any value. Default 1. *)
   sampling : sampling option;
       (** [None] (default) = exact: bit-identical to the pre-sampling
           scheduler. *)

@@ -78,11 +78,6 @@ let launch ?role t ~kernel ~grid ~block ~args =
 (** [sync t] drains all pending work and returns the simulated clock. *)
 let sync t = Sched.run_to_idle t.sched
 
-(** Parallel-dispatch occupancy: (batches of >= 2 blocks run concurrently,
-    blocks executed in them). Both zero unless [Config.block_jobs] > 1.
-    Host-side accounting only; simulated results are unaffected. *)
-let par_stats t = Sched.par_stats t.sched
-
 (** Current simulated time (cycles since device creation). *)
 let time t = Sched.clock t.sched
 

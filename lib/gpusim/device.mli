@@ -18,7 +18,8 @@
     is no global mutable state in [gpusim]. Distinct [t] values may
     therefore be driven from distinct domains concurrently (this is how
     [Harness.Pool] jobs run), but a single [t] must only ever be used by
-    one domain at a time. *)
+    one domain at a time — and it runs every one of its blocks on that
+    domain. *)
 
 type dim3 = int * int * int
 
@@ -89,12 +90,6 @@ val launch :
 
 (** Drain all pending work; returns the simulated clock (cycles). *)
 val sync : t -> float
-
-(** Parallel-dispatch occupancy so far: (batches of >= 2 provably-safe
-    blocks executed concurrently on worker domains, blocks executed in
-    them). Both zero unless [Config.block_jobs] > 1. Host-side accounting
-    only — enabling parallel dispatch never changes simulated results. *)
-val par_stats : t -> int * int
 
 (** Current simulated time. Monotonic across launches and syncs. *)
 val time : t -> float

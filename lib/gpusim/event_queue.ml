@@ -83,12 +83,3 @@ let peek_time t =
   else
     let time, _, _ = get t 0 in
     Some time
-
-(** [peek t] returns the earliest event without removing it — the batch
-    collector uses it to extend a prefix without disturbing the FIFO
-    tie-break (pop-and-push-back would assign a fresh sequence number). *)
-let peek t =
-  if t.size = 0 then None
-  else
-    let time, _, v = get t 0 in
-    Some (time, v)

@@ -21,7 +21,3 @@ val push : 'a t -> float -> 'a -> unit
 val pop : 'a t -> float * 'a
 
 val peek_time : 'a t -> float option
-
-(** [peek t] returns the earliest event without removing it (so its FIFO
-    tie-break position is preserved, unlike pop-and-push-back). *)
-val peek : 'a t -> (float * 'a) option

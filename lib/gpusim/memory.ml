@@ -21,35 +21,23 @@
       device [malloc] hold pointers, floats and ints alike, so they are
       always boxed, whatever their size.
 
-    A store of a differently-typed value into a typed buffer lands in a
-    per-buffer {e spill} table keyed by offset; loads consult it only when
-    non-empty (an {!Atomic} counter keeps the common path branch-cheap).
-    The typed array is never replaced or promoted, so concurrent
-    matching-type stores from parallel block execution are never lost; the
-    spill table itself is guarded by the memory's mutex. Observable
-    behavior is identical to the boxed representation — loads return the
-    exact values stored.
+    A store of a differently-typed value into a typed buffer converts
+    that buffer to boxed storage in place, then stores, so loads return
+    exactly the values stored, as under the boxed representation. The
+    conversion happens at most once per buffer, and no benchmark workload
+    triggers it: the buffers that receive mixed kinds are the boxed ones
+    above.
 
-    Thread-safety: buffer {e allocation} is single-domain (kernels that
-    allocate are never dispatched in parallel batches — {!Blocksafe} rejects
-    [malloc] and [__shared__]), while loads and stores may race across
-    domains only at provably-disjoint offsets, which is safe on both boxed
-    and unboxed arrays. {!atomic_rmw_at} is the one primitive that may
-    target the same element from several domains at once. *)
+    A memory belongs to the one domain driving its {!Device.t}, which also
+    executes every block, so no access takes a lock. *)
 
 type storage =
   | Boxed of Value.t array
   | Ints of int array
   | Floats of float array
 
-(* Mismatched-type elements of a typed buffer, keyed by offset. [count]
-   mirrors the table size so readers can skip it without taking the lock;
-   table contents are only touched under the memory's mutex. *)
-type spill = { tbl : (int, Value.t) Hashtbl.t; count : int Atomic.t }
-
 type buffer = {
-  storage : storage;
-  spill : spill option;  (** [Some] exactly for typed storage. *)
+  mutable storage : storage;  (** Typed storage may become [Boxed]. *)
   mutable live : bool;
 }
 
@@ -57,18 +45,9 @@ type t = {
   mutable table : buffer option array;
   mutable count : int;
   mutable allocated_elems : int;  (** Total elements ever allocated. *)
-  lock : Mutex.t;
-      (** Guards spill tables and {!atomic_rmw_at}; never held by the
-          common typed/boxed access paths. *)
 }
 
-let create () =
-  {
-    table = Array.make 64 None;
-    count = 0;
-    allocated_elems = 0;
-    lock = Mutex.create ();
-  }
+let create () = { table = Array.make 64 None; count = 0; allocated_elems = 0 }
 
 let grow t =
   if t.count >= Array.length t.table then begin
@@ -83,22 +62,18 @@ let grow t =
 let typed_threshold = 1024
 
 let make_storage ~typed n (init : Value.t) =
-  if (not typed) || n < typed_threshold then (Boxed (Array.make n init), None)
+  if (not typed) || n < typed_threshold then Boxed (Array.make n init)
   else
-    let spill () =
-      Some { tbl = Hashtbl.create 8; count = Atomic.make 0 }
-    in
     match init with
-    | Value.Int v -> (Ints (Array.make n v), spill ())
-    | Value.Float v -> (Floats (Array.make n v), spill ())
-    | _ -> (Boxed (Array.make n init), None)
+    | Value.Int v -> Ints (Array.make n v)
+    | Value.Float v -> Floats (Array.make n v)
+    | _ -> Boxed (Array.make n init)
 
 let add_buffer ~typed t n ~init : Value.ptr =
   if n < 0 then Value.error "negative allocation size %d" n;
   grow t;
   let id = t.count in
-  let storage, spill = make_storage ~typed n init in
-  t.table.(id) <- Some { storage; spill; live = true };
+  t.table.(id) <- Some { storage = make_storage ~typed n init; live = true };
   t.count <- t.count + 1;
   t.allocated_elems <- t.allocated_elems + n;
   { buf = id; off = 0 }
@@ -142,102 +117,42 @@ let check t buf off =
       buf (storage_len b);
   b
 
-let has_spill b =
-  match b.spill with Some s -> Atomic.get s.count > 0 | None -> false
-
-(* Spill-aware element access; caller holds the lock (or is provably the
-   only accessor, as in host-side [dump]). Top-level helpers rather than
-   local closures, which would be allocated on every call. *)
-let spilled b off =
-  match b.spill with
-  | Some s when Atomic.get s.count > 0 -> Hashtbl.find_opt s.tbl off
-  | _ -> None
-
-let raw_load b off : Value.t =
+(* Value-level copy of a buffer's storage; also the boxed form a typed
+   buffer takes on its first mismatched store. *)
+let snapshot b =
   match b.storage with
-  | Boxed a -> a.(off)
-  | Ints a -> ( match spilled b off with Some v -> v | None -> Value.Int a.(off))
-  | Floats a -> (
-      match spilled b off with Some v -> v | None -> Value.Float a.(off))
-
-let unspill b off =
-  match b.spill with
-  | Some s when Hashtbl.mem s.tbl off ->
-      Hashtbl.remove s.tbl off;
-      Atomic.decr s.count
-  | _ -> ()
-
-let raw_store b off (v : Value.t) =
-  match (b.storage, v) with
-  | Boxed a, _ -> a.(off) <- v
-  | Ints a, Value.Int n ->
-      unspill b off;
-      a.(off) <- n
-  | Floats a, Value.Float f ->
-      unspill b off;
-      a.(off) <- f
-  | (Ints _ | Floats _), _ -> (
-      match b.spill with
-      | Some s ->
-          if not (Hashtbl.mem s.tbl off) then Atomic.incr s.count;
-          Hashtbl.replace s.tbl off v
-      | None -> assert false)
-
-(* [with_lock t f x y] is [f x y] under the memory's mutex, which is
-   released on every exit before the exception is re-raised: a plain
-   lock/unlock pair, not a [Fun.protect] closure. Spill-table traffic only;
-   the atomic below inlines the same discipline so that it builds no
-   closure at all. *)
-let with_lock t f x y =
-  Mutex.lock t.lock;
-  match f x y with
-  | r ->
-      Mutex.unlock t.lock;
-      r
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+  | Boxed a -> Array.copy a
+  | Ints a -> Array.map (fun n -> Value.Int n) a
+  | Floats a -> Array.map (fun f -> Value.Float f) a
 
 (** [load_at t buf off] reads element [off] of buffer [buf]. *)
 let load_at t buf off : Value.t =
   let b = check t buf off in
   match b.storage with
   | Boxed a -> Array.unsafe_get a off
-  | Ints a when not (has_spill b) -> Value.Int (Array.unsafe_get a off)
-  | Floats a when not (has_spill b) -> Value.Float (Array.unsafe_get a off)
-  | Ints _ | Floats _ -> with_lock t raw_load b off
+  | Ints a -> Value.Int (Array.unsafe_get a off)
+  | Floats a -> Value.Float (Array.unsafe_get a off)
 
-(** [store_at t buf off v] writes [v] to element [off] of buffer [buf]. *)
+(** [store_at t buf off v] writes [v] to element [off] of buffer [buf]. A
+    value of the other kind converts a typed buffer to boxed storage. *)
 let store_at t buf off (v : Value.t) =
   let b = check t buf off in
   match (b.storage, v) with
   | Boxed a, _ -> Array.unsafe_set a off v
-  | Ints a, Value.Int n when not (has_spill b) -> Array.unsafe_set a off n
-  | Floats a, Value.Float f when not (has_spill b) -> Array.unsafe_set a off f
-  | (Ints _ | Floats _), _ -> with_lock t (raw_store b) off v
+  | Ints a, Value.Int n -> Array.unsafe_set a off n
+  | Floats a, Value.Float f -> Array.unsafe_set a off f
+  | (Ints _ | Floats _), _ ->
+      let a = snapshot b in
+      a.(off) <- v;
+      b.storage <- Boxed a
 
-(** [atomic_rmw_at t buf off f x y] atomically replaces element [off] of
-    buffer [buf] with [f x y old] and returns [old]. The one memory
-    primitive that may legitimately race across domains on the {e same}
-    element: parallel block batches funnel their [Reduce]-mode atomics
-    ({!Blocksafe.Reduce}) through it. Serial execution uses it too (the
-    mutex is uncontended there), so both paths run identical code. [f]'s
-    operands travel separately, so a caller passing a closed [f] builds no
-    closure per atomic. *)
+(** [atomic_rmw_at t buf off f x y] replaces element [off] of buffer [buf]
+    with [f x y old] and returns [old]. [f]'s operands travel separately,
+    so a caller passing a closed [f] builds no closure per atomic. *)
 let atomic_rmw_at t buf off f x y : Value.t =
-  let b = check t buf off in
-  Mutex.lock t.lock;
-  match
-    let old = raw_load b off in
-    raw_store b off (f x y old);
-    old
-  with
-  | old ->
-      Mutex.unlock t.lock;
-      old
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+  let old = load_at t buf off in
+  store_at t buf off (f x y old);
+  old
 
 let load t (p : Value.ptr) = load_at t p.buf p.off
 let store t (p : Value.ptr) v = store_at t p.buf p.off v
@@ -250,13 +165,6 @@ let allocated_elems t = t.allocated_elems
 (** Number of buffers ever allocated (live or freed). Buffer ids are dense
     in [0 .. buffer_count - 1], in allocation order. *)
 let buffer_count t = t.count
-
-let snapshot b =
-  match b.storage with
-  | Boxed a -> Array.copy a
-  | Ints a when not (has_spill b) -> Array.map (fun n -> Value.Int n) a
-  | Floats a when not (has_spill b) -> Array.map (fun f -> Value.Float f) a
-  | _ -> Array.init (storage_len b) (raw_load b)
 
 (** [dump t ~first] — value-level copies of the first [first] buffers ever
     allocated, in allocation order (freed buffers keep their last
@@ -293,8 +201,7 @@ let write_ints t (p : Value.ptr) (vs : int array) =
   else
     let b = check t p.buf p.off in
     match b.storage with
-    | Ints a when (not (has_spill b)) && p.off + n <= Array.length a ->
-        Array.blit vs 0 a p.off n
+    | Ints a when p.off + n <= Array.length a -> Array.blit vs 0 a p.off n
     | _ -> write_array t p (Array.map (fun x -> Value.Int x) vs)
 
 let read_ints t (p : Value.ptr) n =
@@ -302,8 +209,7 @@ let read_ints t (p : Value.ptr) n =
   else
     let b = check t p.buf p.off in
     match b.storage with
-    | Ints a when (not (has_spill b)) && p.off + n <= Array.length a ->
-        Array.sub a p.off n
+    | Ints a when p.off + n <= Array.length a -> Array.sub a p.off n
     | _ -> Array.map Value.as_int (read_array t p n)
 
 let write_floats t (p : Value.ptr) (vs : float array) =
@@ -312,8 +218,7 @@ let write_floats t (p : Value.ptr) (vs : float array) =
   else
     let b = check t p.buf p.off in
     match b.storage with
-    | Floats a when (not (has_spill b)) && p.off + n <= Array.length a ->
-        Array.blit vs 0 a p.off n
+    | Floats a when p.off + n <= Array.length a -> Array.blit vs 0 a p.off n
     | _ -> write_array t p (Array.map (fun f -> Value.Float f) vs)
 
 let read_floats t (p : Value.ptr) n =
@@ -321,6 +226,5 @@ let read_floats t (p : Value.ptr) n =
   else
     let b = check t p.buf p.off in
     match b.storage with
-    | Floats a when (not (has_spill b)) && p.off + n <= Array.length a ->
-        Array.sub a p.off n
+    | Floats a when p.off + n <= Array.length a -> Array.sub a p.off n
     | _ -> Array.map Value.as_float (read_array t p n)

@@ -5,18 +5,15 @@
 
     Storage follows whoever knows the element kind. Host drivers' large
     [Int]/[Float]-initialized buffers ({!alloc}) are stored unboxed
-    ([int array] / [float array]) with a spill table for the rare
-    mismatched-type store; buffers whose element kind the allocator cannot
-    know — aggregation capture buffers and device [malloc]
-    ({!alloc_boxed}) — and all small buffers are boxed. Observable behavior
-    is identical either way (see the implementation notes).
+    ([int array] / [float array]); the first store of another kind converts
+    such a buffer to boxed storage in place. Buffers whose element kind the
+    allocator cannot know — aggregation capture buffers and device
+    [malloc] ({!alloc_boxed}) — and all small buffers are boxed. Observable
+    behavior is identical either way.
 
-    Thread-safety: allocation, [free] and the bulk accessors belong to the
-    single domain driving the owning {!Device.t}. Loads and stores may
-    additionally be called from parallel block batches ({!Sched}), which
-    only ever race at provably-disjoint offsets; same-element cross-domain
-    traffic must go through {!atomic_rmw_at}. Distinct [t] values are fully
-    independent. *)
+    Domain-safety: a memory belongs to the single domain driving the owning
+    {!Device.t}, which also executes every block; nothing here takes a
+    lock. Distinct [t] values are fully independent. *)
 
 type t
 
@@ -40,17 +37,13 @@ val free : t -> Value.ptr -> unit
     Keyed by buffer id and element offset. Every access runs the same
     checks in the same order — buffer id ([invalid buffer id N]), liveness
     ([use after free (buffer N)]), bounds ([out-of-bounds access: offset O
-    in buffer N of size S]) — and takes no lock unless the buffer has
-    spilled elements, except {!atomic_rmw_at}. *)
+    in buffer N of size S]). *)
 
 val load_at : t -> int -> int -> Value.t
 val store_at : t -> int -> int -> Value.t -> unit
 
-(** [atomic_rmw_at t buf off f x y] atomically replaces the element with
-    [f x y old], returning [old]. The one primitive that may target the same
-    element from several domains at once — parallel block batches funnel
-    commutative-reduction atomics through it; serial execution shares the
-    same code path (uncontended mutex). *)
+(** [atomic_rmw_at t buf off f x y] replaces the element with [f x y old]
+    and returns [old]: a load and a store of the same element. *)
 val atomic_rmw_at :
   t -> int -> int -> ('a -> 'b -> Value.t -> Value.t) -> 'a -> 'b -> Value.t
 

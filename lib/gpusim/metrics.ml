@@ -124,9 +124,9 @@ let total_compute m =
     directly against [into]: the VM charges each breakdown category at
     most once per block with the category starting at [0.0], and
     [x +. (0.0 +. v) = x +. v] and [x +. 0.0 = x] exactly (the operands are
-    never [-0.0]). That identity is what lets parallel batches commit
-    per-block results in deterministic order with byte-identical dumps and
-    metrics at any [Config.block_jobs]. *)
+    never [-0.0]). That identity is what lets every block execute into a
+    private record and still leave exact runs byte-identical to direct
+    accumulation. *)
 let merge ~into ~weight (from : t) =
   let b = into.breakdown and f = from.breakdown in
   if weight = 1.0 then begin
@@ -156,7 +156,7 @@ let merge ~into ~weight (from : t) =
       into.serialized_launches + scale from.serialized_launches
   end;
   (* Sanitizer results are never scaled: they are observations, not
-     estimates (and parallel/sampled runs force [check = false] anyway). *)
+     estimates. *)
   into.races_detected <- into.races_detected + from.races_detected;
   into.oob_detected <- into.oob_detected + from.oob_detected;
   if from.race_reports <> [] then

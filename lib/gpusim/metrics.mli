@@ -70,8 +70,8 @@ val total_compute : t -> float
 (** [merge ~into ~weight from] folds block-level metrics accumulated in a
     private record into the device's shared one, scaled by the block's
     sampling weight. At [weight = 1.0] the result is bit-identical to
-    having executed the block directly against [into] — the identity that
-    makes parallel batch commit byte-identical to serial execution. *)
+    having executed the block directly against [into], so exact runs are
+    unaffected by the private record. *)
 val merge : into:t -> weight:float -> t -> unit
 
 (** Whether any sampling (block or launch) actually triggered. *)

@@ -25,36 +25,26 @@
     launch, from {!Device} or the tenancy driver, goes through
     {!host_launch}.
 
-    Block side effects on memory happen when the block is {e committed}, in
-    deterministic event order, so programs whose cross-block communication
-    is commutative (atomics) behave as on real hardware.
-
-    {b Parallel block dispatch} ([Config.block_jobs] > 1). Block processing
-    is split into a pure {e execute} phase (run the block's threads against
+    {b One domain per device.} Every block of a device executes on the
+    domain that drives it, one at a time in deterministic event order, so
+    programs whose cross-block communication is commutative (atomics)
+    behave as on real hardware; host parallelism lives one level up, in
+    {e Harness.Pool}'s independent experiment cells. Block processing is
+    split into an {e execute} phase (run the block's threads against
     memory, accumulating into a private {!Metrics.t}) and a {e commit}
     phase (SM assignment, timing, trace, metrics merge, launch dispatch,
-    grid completion). {!run_to_idle} pops a maximal prefix of ready events
-    whose kernels {!Blocksafe} proved free of cross-block conflicts and
-    whose concrete buffers obey one rule — a buffer may be shared only by
-    uses of the same class, never by an [Owned] use, within a grid or
-    across grids — executes them concurrently on worker domains, then
-    commits the results one by one in pop order. Because the execute
-    phases commute on memory (proved) and commits replay the exact serial
-    accumulation order, dumps and metrics are byte-identical at any
-    [block_jobs]. Kernels the analysis cannot prove safe simply run
-    serially, as do all blocks under [Config.check]. Provably-safe kernels
-    never launch (the analysis rejects launches), so a batch never feeds
-    events back into the queue.
+    grid completion): sampling scales the private record by the block's
+    weight, and a failing block still hands over what it charged.
 
     {b Stratified grid sampling} ([Config.sampling]). Grids with at least
     [block_threshold] blocks enqueue only a deterministic stratified sample
     of their blocks ({!select_blocks}): the flat block range splits into
     contiguous strata and each stratum contributes a systematic sample
     (hashed phase, so the sample is a pure function of the seed and grid
-    identity — identical at any [block_jobs]). Every sampled block carries
-    the weight [N_h/k_h] of the stratum it represents; commits scale
-    metrics by the weight, advance the launch queue by the weighted service
-    time, and fold the skipped compute into the clock at the next drain.
+    identity). Every sampled block carries the weight [N_h/k_h] of the
+    stratum it represents; commits scale metrics by the weight, advance the
+    launch queue by the weighted service time, and fold the skipped compute
+    into the clock at the next drain.
     Blocks that issue at least [launch_threshold] device launches likewise
     dispatch a sample of them ({!select_launches}) with multiplicative
     inherited weights — the case that matters for CDP child swarms.
@@ -137,16 +127,7 @@ type t = {
   default_stream : stream;
   mutable next_stream_id : int;
   trace : Trace.t;
-  scratch : Vm.scratch;
-      (** Reusable per-block thread arena for the VM (serial path). *)
-  mutable scratches : Vm.scratch array;
-      (** Per-worker arenas for parallel batches; sized on first use. *)
-  mutable par_batches : int;
-      (** Batches of >= 2 blocks dispatched concurrently on worker
-          domains. Host-side accounting only (never folded into
-          {!Metrics.t}), so enabling parallel dispatch cannot perturb
-          simulated results. *)
-  mutable par_batch_blocks : int;  (** Blocks executed in those batches. *)
+  scratch : Vm.scratch;  (** Reusable per-block thread arena for the VM. *)
 }
 
 let fresh_stream id metrics =
@@ -172,9 +153,6 @@ let create (cfg : Config.t) (mem : Memory.t) (metrics : Metrics.t) =
     next_stream_id = 1;
     trace = Trace.create ();
     scratch = Vm.create_scratch ();
-    scratches = [||];
-    par_batches = 0;
-    par_batch_blocks = 0;
   }
 
 let default_stream t = t.default_stream
@@ -187,7 +165,6 @@ let new_stream t =
 let stream_metrics (s : stream) = s.st_metrics
 let clock t = t.clock
 let trace t = t.trace
-let par_stats t = (t.par_batches, t.par_batch_blocks)
 
 let load_stream ?(auto_params = []) t (s : stream) (prog : Minicu.Ast.program)
     =
@@ -213,8 +190,7 @@ let resolve_kernel (stream : stream) name =
 
 (* A small xorshift-multiply mixer over OCaml's 63-bit ints (constants kept
    under 2^62). Quality only needs to decorrelate sample phases across
-   grids and strata; determinism across runs and [block_jobs] is
-   the real requirement. *)
+   grids and strata; determinism across runs is the real requirement. *)
 let mix h =
   let h = (h lxor (h lsr 33)) * 0x2545F4914F6CDD1D in
   let h = (h lxor (h lsr 29)) * 0x3C79AC492BA7B653 in
@@ -594,19 +570,18 @@ let grid_completed t (g : grid) =
 (* Execute / commit                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Execute one block into a fresh private metrics record. Pure with respect
-   to scheduler state: touches only [t.mem] (and the private record), so
-   provably-independent blocks may run concurrently. The private record is
-   returned even when execution aborts — incremental counters (sanitizer
-   reports, serialized launches) charged before the failure must still
-   reach the stream's metrics, as they would have under direct
+(* Execute one block into a fresh private metrics record, which
+   {!commit_block} merges at the block's sampling weight. The private
+   record is returned even when execution aborts — incremental counters
+   (sanitizer reports, serialized launches) charged before the failure
+   must still reach the stream's metrics, as they would have under direct
    accumulation. *)
-let exec_block t scratch (Block_ready (g, bidx, _, _)) :
+let exec_block t (Block_ready (g, bidx, _, _)) :
     (Runtime.result, exn) result * Metrics.t =
   let priv = Metrics.create () in
   let r =
     match
-      Vm.run_block scratch (stream_prog_exn g.g_stream) g.g_kernel
+      Vm.run_block t.scratch (stream_prog_exn g.g_stream) g.g_kernel
         ~args:g.g_args ~gdim:g.g_grid ~bdim:g.g_block ~bidx ~mem:t.mem
         ~cfg:t.cfg ~metrics:priv ~default_idx:g.g_default_idx
     with
@@ -693,7 +668,7 @@ let commit_block t ~te (Block_ready (g, bidx, bw, stratum))
 (* The one place an executed block's outcome is handled: commit it, or —
    when its execution raised — fold what it did charge into the stream's
    metrics (exactly what direct accumulation would have left behind) and
-   re-raise at its commit position. *)
+   re-raise. *)
 let commit_result t (te, ev) ((r, priv) : (Runtime.result, exn) result * _) =
   match r with
   | Ok r -> commit_block t ~te ev r priv
@@ -704,129 +679,20 @@ let commit_result t (te, ev) ((r, priv) : (Runtime.result, exn) result * _) =
 
 let step t =
   let ((_, ev) as popped) = Event_queue.pop t.events in
-  commit_result t popped (exec_block t t.scratch ev)
+  commit_result t popped (exec_block t ev)
 
 (** Earliest pending block-event time, for external event loops
     ({e lib/tenancy}) that interleave host-side decisions with device
     progress. *)
 let next_event_time t = Event_queue.peek_time t.events
 
-(* ------------------------------------------------------------------ *)
-(* Parallel batch dispatch                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* A batch under construction: every buffer its grids use so far, mapped
-   to the class of those uses, and the grids admitted. *)
-type batch = { uses : (int, Blocksafe.mode) Hashtbl.t; mutable grids : grid list }
-
-(* Admit a grid into the batch, once per grid (blocks of an admitted grid
-   are compatible with it by construction — within-grid disjointness is
-   what {!Blocksafe} proved). The kernel's proof must hold, with the 1-D
-   dims it may rely on, and then the batch rule: a buffer may be shared
-   only by uses of the same class, never by an [Owned] use, whether the
-   uses are in one grid or in two. A refused grid ends the batch, so the
-   buffers it recorded before the refusal are never consulted. *)
-let admit b (g : grid) =
-  List.memq g b.grids
-  ||
-  let s = g.g_kernel.bf_safety in
-  let rec share i = function
-    | [] -> true
-    | Value.Ptr p :: rest -> (
-        let m = s.bs_modes.(i) in
-        match (Hashtbl.find_opt b.uses p.buf, m) with
-        | None, _ ->
-            Hashtbl.add b.uses p.buf m;
-            share (i + 1) rest
-        | Some Blocksafe.Read_only, Blocksafe.Read_only
-        | Some Blocksafe.Reduce, Blocksafe.Reduce ->
-            share (i + 1) rest
-        | Some _, _ -> false)
-    | _ :: rest -> share (i + 1) rest
-  in
-  s.bs_safe
-  && ((not s.bs_needs_1d)
-     ||
-     match (g.g_grid, g.g_block) with
-     | (_, 1, 1), (_, 1, 1) -> true
-     | _ -> false)
-  && List.length g.g_args = Array.length s.bs_modes
-  && share 0 g.g_args
-  && begin
-       b.grids <- g :: b.grids;
-       true
-     end
-
-(* Pop a maximal batch: the longest event-queue prefix of blocks whose
-   grids {!admit} accepts. Safe kernels never launch, so nothing is fed
-   back into the queue mid-batch and the prefix is well defined. Returns
-   at least one event; a single-element result (whether unsafe or merely
-   alone) is executed serially by the caller. *)
-let collect_batch t =
-  let b = { uses = Hashtbl.create 8; grids = [] } in
-  let rec more acc =
-    match Event_queue.peek t.events with
-    | Some ((_, Block_ready (g, _, _, _)) as e) when admit b g ->
-        ignore (Event_queue.pop t.events);
-        more (e :: acc)
-    | _ -> Array.of_list (List.rev acc)
-  in
-  let ((_, Block_ready (g, _, _, _)) as first) = Event_queue.pop t.events in
-  if admit b g then more [ first ] else [| first |]
-
-let ensure_scratches t jobs =
-  if Array.length t.scratches < jobs then
-    t.scratches <- Array.init jobs (fun _ -> Vm.create_scratch ());
-  t.scratches
-
-(* Execute a batch on [jobs] domains (strided partition, one Vm scratch
-   per worker) and commit the results in pop order. A block whose
-   execution raised gets its exception re-raised at its commit position,
-   after every earlier block has committed — the state a serial run would
-   have at the same failure, except that later batch members may also have
-   executed (their effects are unobservable: the run is aborting). *)
-let run_batch t (evs : (float * event) array) =
-  let n = Array.length evs in
-  let jobs = max 1 (min t.cfg.block_jobs n) in
-  if jobs = 1 then
-    Array.iter
-      (fun ((_, ev) as e) -> commit_result t e (exec_block t t.scratch ev))
-      evs
-  else begin
-    t.par_batches <- t.par_batches + 1;
-    t.par_batch_blocks <- t.par_batch_blocks + n;
-    let scratches = ensure_scratches t jobs in
-    let results = Array.make n None in
-    let worker w =
-      let i = ref w in
-      while !i < n do
-        results.(!i) <- Some (exec_block t scratches.(w) (snd evs.(!i)));
-        i := !i + jobs
-      done
-    in
-    let domains =
-      Array.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-    in
-    worker 0;
-    Array.iter Domain.join domains;
-    Array.iteri (fun i e -> commit_result t e (Option.get results.(i))) evs
-  end
-
-(** Drain all pending work; returns the simulated clock. With
-    [Config.block_jobs] > 1 (and the sanitizer off), ready blocks execute
-    in provably-independent parallel batches; results commit in pop order,
-    so the outcome is byte-identical to the serial drain. Sampled-out work
+(** Drain all pending work; returns the simulated clock. Sampled-out work
     ({!Config.sampling}) is folded into the clock here, spread across the
     SMs. *)
 let run_to_idle t =
-  if t.cfg.block_jobs <= 1 || t.cfg.check then
-    while not (Event_queue.is_empty t.events) do
-      step t
-    done
-  else
-    while not (Event_queue.is_empty t.events) do
-      run_batch t (collect_batch t)
-    done;
+  while not (Event_queue.is_empty t.events) do
+    step t
+  done;
   if t.deferred_work > 0.0 then begin
     t.clock <- t.clock +. (t.deferred_work /. float_of_int (Array.length t.sms));
     t.deferred_work <- 0.0

@@ -15,22 +15,18 @@
     record, so the single-program {!Device} API is exactly the one-stream
     special case.
 
-    Two paper-scale execution modes layer on top (see the implementation's
-    module documentation for the full model):
+    Every block of a device executes on the domain that drives it, in
+    event order; host parallelism lives in independent experiment cells
+    ({e Harness.Pool}), never inside one device.
 
-    - {b Parallel block dispatch} ([Config.block_jobs] > 1):
-      {!run_to_idle} executes maximal prefixes of provably-independent
-      ready blocks ({!Blocksafe}, plus one rule over their concrete
-      buffers: a buffer may be shared only by uses of the same class,
-      never by an [Owned] use) concurrently on worker domains, committing
-      results in pop order — dumps and metrics are byte-identical to the
-      serial drain.
-    - {b Stratified grid sampling} ([Config.sampling]): large grids
-      enqueue only a deterministic sample of their blocks, stratified over
-      contiguous block-index ranges, and launch-heavy blocks dispatch only
-      a sample of their device launches; skipped work is represented by
-      weights on the simulated remainder, with a stratified-variance error
-      bound accumulated into {!Metrics.sampling_stats}. *)
+    {b Stratified grid sampling} ([Config.sampling]) layers on top for
+    paper-scale runs (see the implementation's module documentation for
+    the full model): large grids enqueue only a deterministic sample of
+    their blocks, stratified over contiguous block-index ranges, and
+    launch-heavy blocks dispatch only a sample of their device launches;
+    skipped work is represented by weights on the simulated remainder,
+    with a stratified-variance error bound accumulated into
+    {!Metrics.sampling_stats}. *)
 
 type dim3 = int * int * int
 
@@ -122,11 +118,9 @@ val step : t -> unit
 (** Earliest pending block-event time, if any. *)
 val next_event_time : t -> float option
 
-(** Drain all pending work; returns (and records) the simulated clock.
-    With [Config.block_jobs] > 1 (and [Config.check] off), ready blocks
-    execute in provably-independent parallel batches with results
-    committed in pop order — byte-identical to the serial drain. Deferred
-    sampled-out work is folded into the clock here. *)
+(** Drain all pending work with {!step}; returns (and records) the
+    simulated clock. Deferred sampled-out work is folded into the clock
+    here. *)
 val run_to_idle : t -> float
 
 (** Current simulated time. *)
@@ -134,9 +128,3 @@ val clock : t -> float
 
 (** The execution trace (off by default; see {!Trace.enable}). *)
 val trace : t -> Trace.t
-
-(** (batches of >= 2 blocks dispatched concurrently on worker domains,
-    blocks executed in them). Host-side accounting only — deliberately
-    not part of {!Metrics.t}, so parallel dispatch cannot perturb
-    simulated results. *)
-val par_stats : t -> int * int

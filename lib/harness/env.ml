@@ -33,11 +33,6 @@ let knobs =
       doc = "Jobs per tenant in the @mt multi-tenant smoke";
     };
     {
-      name = "SCALE_JOBS";
-      default = 4;
-      doc = "Worker domains for the @scale parallel-dispatch gate";
-    };
-    {
       name = "SCALE_SMOKE";
       default = 2;
       doc = "Medium-tier specs checked by the @scale extrapolation gate";

@@ -52,11 +52,12 @@ let entry_size = function
   | Predicted _ -> 64
 
 (* Stage keys. The parse (and dpcheck) key covers the file label because
-   the cached values embed it in locations; see the interface. *)
+   the cached values embed it in locations; see the interface. [compile]
+   digests the source once for both. *)
 let src_key ~file ~src = Digest.to_hex (Digest.string (file ^ "\x00" ^ src))
 
-let parse_stage t ~file ~src =
-  let key = Key.stage ~tag:"parse" [ src_key ~file ~src ] in
+let parse_stage t ~file ~src ~src_key =
+  let key = Key.stage ~tag:"parse" [ src_key ] in
   match
     memo t ~stage:"parse" ~key ~size:entry_size (fun () ->
         let ast = Minicu.Parser.program ~file src in
@@ -80,8 +81,8 @@ let pass_stage t ~canon_in (st : Dpopt.Pipeline.stage) prog =
   | Staged { out; canon; text } -> (out, canon, text)
   | _ -> assert false
 
-let dpcheck_stage t ~file ~src ast =
-  let key = Key.stage ~tag:"dpcheck" [ src_key ~file ~src ] in
+let dpcheck_stage t ~src_key ast =
+  let key = Key.stage ~tag:"dpcheck" [ src_key ] in
   match
     memo t ~stage:"dpcheck" ~key ~size:entry_size (fun () ->
         Checked
@@ -122,8 +123,11 @@ let compile t rq =
   let t0 = Unix.gettimeofday () in
   let r =
     Errors.guard ~file:rq.rq_file (fun () ->
-        let ast, canon0, text0 = parse_stage t ~file:rq.rq_file ~src:rq.rq_src in
-        let diags = dpcheck_stage t ~file:rq.rq_file ~src:rq.rq_src ast in
+        let src_key = src_key ~file:rq.rq_file ~src:rq.rq_src in
+        let ast, canon0, text0 =
+          parse_stage t ~file:rq.rq_file ~src:rq.rq_src ~src_key
+        in
+        let diags = dpcheck_stage t ~src_key ast in
         let predicted =
           match rq.rq_profile with
           | None -> None

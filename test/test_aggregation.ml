@@ -221,4 +221,33 @@ __global__ void parent(int* d) {
             let r = transform ~granularity:g Test_helpers.nested_src in
             Typecheck.check (Parser.program (Pretty.program r.prog)))
           [ Aggregation.Warp; Aggregation.Block; Aggregation.Multi_block 8 ]);
+    t "granularity_of_string: every spelling, and the rejects" (fun () ->
+        let parse s =
+          match Aggregation.granularity_of_string s with
+          | Ok g -> Ok (Fmt.str "%a" Aggregation.pp_granularity g)
+          | Error (`Msg m) -> Error m
+        in
+        List.iter
+          (fun (s, want) ->
+            Alcotest.(check (result string string)) s (Ok want) (parse s))
+          [
+            ("warp", "warp");
+            ("block", "block");
+            ("grid", "grid");
+            ("multiblock:4", "multi-block(4)");
+            ("multi-block:4", "multi-block(4)");
+            ("multiblock:1", "multi-block(1)");
+            ("Multi-Block:16", "multi-block(16)");
+          ];
+        let positive = "multiblock:<n> needs a positive integer" in
+        List.iter
+          (fun (s, want) ->
+            Alcotest.(check (result string string)) s (Error want) (parse s))
+          [
+            ("multiblock:0", positive);
+            ("multiblock:x", positive);
+            ( "blok",
+              "unknown granularity \"blok\" (expected warp | block | \
+               multiblock:<n> | grid)" );
+          ]);
   ]

@@ -15,7 +15,6 @@ let expected =
     ("BYTECODE_SMOKE_ITERS", 60_000);
     ("NATIVE_SMOKE_ITERS", 3);
     ("MT_SMOKE_JOBS", 6);
-    ("SCALE_JOBS", 4);
     ("SCALE_SMOKE", 2);
   ]
 

@@ -221,6 +221,68 @@ let typed_suite =
         ignore (Memory.alloc m 8 ~init:(Value.Int 0));
         let p = Memory.alloc m 2048 ~init:(Value.Float 0.0) in
         { p with off = 2048 });
+    t "mismatched store converts a typed buffer in place, kinds exact"
+      (fun () ->
+        let m = Memory.create () in
+        let n = 1024 in
+        let p = Memory.alloc m n ~init:(Value.Float 0.5) in
+        Memory.store m { p with off = 7 } (Value.Int 3);
+        (* the Int stays an Int, its neighbours stay Floats *)
+        Alcotest.(check bool) "stored kind" true
+          (Memory.load m { p with off = 7 } = Value.Int 3);
+        Alcotest.(check bool) "neighbours" true
+          (Memory.load m { p with off = 6 } = Value.Float 0.5
+          && Memory.load m { p with off = n - 1 } = Value.Float 0.5);
+        Memory.store m { p with off = 8 } (Value.Float 2.25);
+        Alcotest.(check bool) "native store after conversion" true
+          (Memory.load m { p with off = 8 } = Value.Float 2.25);
+        Alcotest.(check int) "same size" n (Memory.size m p);
+        let dump = List.hd (Memory.dump m ~first:1) in
+        Alcotest.(check bool) "dump" true
+          (dump.(7) = Value.Int 3 && dump.(8) = Value.Float 2.25
+          && dump.(0) = Value.Float 0.5);
+        match Memory.load m { p with off = n } with
+        | _ -> Alcotest.fail "converted buffer lost its bounds"
+        | exception Value.Runtime_error msg ->
+            Alcotest.(check string) "bounds message"
+              "out-of-bounds access: offset 1024 in buffer 0 of size 1024" msg);
+    t "atomics on a typed buffer: a mismatched result converts it" (fun () ->
+        let m = Memory.create () in
+        let p = Memory.alloc m 2048 ~init:(Value.Int 0) in
+        let add k v = Value.Int (Value.as_int v + k) in
+        Alcotest.(check bool) "typed atomic returns old" true
+          (Memory.atomic_rmw m { p with off = 3 } (add 5) = Value.Int 0);
+        Alcotest.(check bool) "typed atomic result" true
+          (Memory.load m { p with off = 3 } = Value.Int 5);
+        Alcotest.(check bool) "converting atomic returns old" true
+          (Memory.atomic_rmw m { p with off = 4 } (fun _ -> Value.Float 1.5)
+          = Value.Int 0);
+        Alcotest.(check bool) "converted cell" true
+          (Memory.load m { p with off = 4 } = Value.Float 1.5);
+        Alcotest.(check bool) "atomic after conversion" true
+          (Memory.atomic_rmw m { p with off = 3 } (add 1) = Value.Int 5
+          && Memory.load m { p with off = 3 } = Value.Int 6);
+        Alcotest.(check bool) "other cells untouched" true
+          (Memory.load m { p with off = 2047 } = Value.Int 0));
+    t "bulk accessors after a conversion read and write every element"
+      (fun () ->
+        let m = Memory.create () in
+        let n = 1024 in
+        let ip = Memory.alloc m n ~init:(Value.Int 1) in
+        let fp = Memory.alloc m n ~init:(Value.Float 1.0) in
+        Memory.store m ip (Value.Float 0.25);
+        Memory.store m fp (Value.Int 2);
+        Memory.write_ints m { ip with off = 10 } [| 7; 8; 9 |];
+        Memory.write_floats m { fp with off = 10 } [| 7.5; 8.5 |];
+        Alcotest.(check (array int)) "ints round-trip" [| 1; 7; 8; 9; 1 |]
+          (Memory.read_ints m { ip with off = 9 } 5);
+        Alcotest.(check (array (float 0.0))) "floats round-trip"
+          [| 1.0; 7.5; 8.5; 1.0 |]
+          (Memory.read_floats m { fp with off = 9 } 4);
+        Alcotest.(check bool) "converting stores survive" true
+          (Memory.load m ip = Value.Float 0.25 && Memory.load m fp = Value.Int 2);
+        Alcotest.(check int) "every element readable" n
+          (Array.length (Memory.read_array m ip n)));
   ]
 
 let suite = mem_suite @ eq_suite @ value_suite @ typed_suite

@@ -1,11 +1,9 @@
-(* Paper-scale execution: parallel block dispatch and stratified grid
-   sampling (Gpusim.Sched, Gpusim.Blocksafe, Gpusim.Memory typed storage).
+(* Paper-scale execution: stratified grid sampling (Gpusim.Sched) and the
+   large tier's ingredients.
 
    The central invariants pinned here:
-   - parallel dispatch ([Config.block_jobs] > 1) is byte-identical to the
-     serial drain — memory dumps and every metrics field;
    - stratified sampling is a deterministic function of (seed, stream,
-     grid id): the same config picks the same blocks at any -j, and the
+     grid id): the same config picks the same blocks on every run, and the
      off-switches ([block_frac = 1.0], [block_threshold = 0], [--exact])
      reproduce the exact scheduler bit-for-bit;
    - sampled runs extrapolate within the documented error bound on the
@@ -56,26 +54,6 @@ let check_same_outcome label (a : outcome) (b : outcome) =
 (* Kernels                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-thread-window writer: provably cross-block safe (Owned). *)
-let owned_src =
-  {|
-__global__ void owned(int* out, int n, int iters) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int s = 0;
-  for (int k = 0; k < iters; k = k + 1) { s = s + k; }
-  if (i < n) { out[i] = s + i; }
-}
-|}
-
-(* Commutative reduction into a shared cell: provably safe (Reduce). *)
-let reduce_src =
-  {|
-__global__ void reduce(int* data, int* sum, int n) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) { atomicAdd(&sum[0], data[i]); }
-}
-|}
-
 (* Block-dependent trip count: non-uniform per-block work, for strata. *)
 let skewed_src =
   {|
@@ -88,19 +66,6 @@ __global__ void skewed(int* out, int n) {
 }
 |}
 
-let drive_owned ?(blocks = 8) ?(iters = 50) dev =
-  let n = blocks * 32 in
-  let out = Device.alloc_int_zeros dev n in
-  Device.launch dev ~kernel:"owned" ~grid:(blocks, 1, 1) ~block:(32, 1, 1)
-    ~args:[ Value.Ptr out; Value.Int n; Value.Int iters ]
-
-let drive_reduce ?(blocks = 8) dev =
-  let n = blocks * 32 in
-  let data = Device.alloc_ints dev (Array.init n (fun i -> i + 1)) in
-  let sum = Device.alloc_int_zeros dev 1 in
-  Device.launch dev ~kernel:"reduce" ~grid:(blocks, 1, 1) ~block:(32, 1, 1)
-    ~args:[ Value.Ptr data; Value.Ptr sum; Value.Int n ]
-
 let drive_skewed ?(blocks = 64) dev =
   let n = blocks * 32 in
   let out = Device.alloc_int_zeros dev n in
@@ -108,154 +73,18 @@ let drive_skewed ?(blocks = 64) dev =
     ~args:[ Value.Ptr out; Value.Int n ]
 
 (* ------------------------------------------------------------------ *)
-(* Blocksafe classification                                            *)
-(* ------------------------------------------------------------------ *)
-
-let analyze src name =
-  let prog = Minicu.Parser.program src in
-  let f = List.find (fun (f : Minicu.Ast.func) -> f.f_name = name) prog in
-  Blocksafe.analyze prog f
-
-let test_blocksafe_classify () =
-  let s = analyze owned_src "owned" in
-  Alcotest.(check bool) "owned safe" true s.bs_safe;
-  (match s.bs_modes.(0) with
-  | Blocksafe.Owned 1 -> ()
-  | Blocksafe.Read_only -> Alcotest.fail "out: expected Owned 1, got Read_only"
-  | Blocksafe.Owned k -> Alcotest.failf "out: expected Owned 1, got Owned %d" k
-  | Blocksafe.Reduce -> Alcotest.fail "out: expected Owned 1, got Reduce");
-  let s = analyze reduce_src "reduce" in
-  Alcotest.(check bool) "reduce safe" true s.bs_safe;
-  Alcotest.(check bool) "data is Read_only" true
-    (s.bs_modes.(0) = Blocksafe.Read_only);
-  Alcotest.(check bool) "sum is Reduce" true (s.bs_modes.(1) = Blocksafe.Reduce);
-  (* launching kernels are never batchable *)
-  let s = analyze Test_helpers.nested_src "parent" in
-  Alcotest.(check bool) "launching parent unsafe" false s.bs_safe
-
-(* ------------------------------------------------------------------ *)
-(* Parallel dispatch: byte-identity and occupancy                       *)
-(* ------------------------------------------------------------------ *)
-
-let par_identity ~src ~drive () =
-  let serial, _ = run_driver ~src drive in
-  let par, dev4 =
-    run_driver ~cfg:{ Config.test_config with block_jobs = 4 } ~src drive
-  in
-  check_same_outcome "-j1 vs -j4" serial par;
-  let batches, blocks = Device.par_stats dev4 in
-  Alcotest.(check bool) "parallel batches formed" true
-    (batches > 0 && blocks >= 2 * batches)
-
-let test_par_identity_owned = par_identity ~src:owned_src ~drive:drive_owned
-let test_par_identity_reduce = par_identity ~src:reduce_src ~drive:drive_reduce
-
-(* Unsafe (launching) kernels fall back to serial execution inside the
-   parallel drain — identical results, no concurrent batches. *)
-let test_par_identity_unsafe () =
-  let run jobs =
-    let cfg = { Config.test_config with block_jobs = jobs } in
-    let r = Dpopt.Pipeline.run ~opts:Dpopt.Pipeline.none
-        (Minicu.Parser.program Test_helpers.nested_src) in
-    let data, m = Test_helpers.run_nested ~cfg r in
-    (data, metrics_str m)
-  in
-  let d1, m1 = run 1 and d4, m4 = run 4 in
-  Alcotest.(check bool) "nested output" true (d1 = d4);
-  Alcotest.(check string) "nested metrics" m1 m4
-
-(* Benchmark-level identity: one registry cell, exact, -j1 vs -j4. *)
-let test_par_identity_benchmark () =
-  match Benchmarks.Registry.find ~name:"BT" ~dataset:"T0032-C16" () with
-  | None -> Alcotest.fail "BT/T0032-C16 missing from registry"
-  | Some spec ->
-      let run jobs =
-        let cfg = { Config.default with block_jobs = jobs } in
-        Harness.Experiment.run ~cfg spec
-          (Harness.Variant.Cdp Dpopt.Pipeline.none)
-      in
-      let a = run 1 and b = run 4 in
-      Alcotest.(check (float 0.0)) "time" a.time b.time;
-      Alcotest.(check int) "fingerprint" a.fingerprint b.fingerprint;
-      Alcotest.(check bool) "snapshot" true (a.snap = b.snap)
-
-(* Batch admission: a buffer may be shared within a batch only by uses of
-   the same class (read with read, reduce with reduce), never by an Owned
-   use — within one grid or across grids. [k] has one parameter of each
-   class; every case launches two 8x32 grids of it before one sync, each
-   naming its (owned, read, reduce) buffers, and pins the number of
-   parallel batches formed at -j4 and byte-identity with -j1. *)
-let classes_src =
-  {|
-__global__ void k(int* o, int* r, int* s) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  o[i] = r[i] + 1;
-  atomicAdd(&s[0], r[i]);
-}
-|}
-
-let test_batch_admission () =
-  let case label ~batches launches =
-    let drive dev =
-      let bufs = ref [] in
-      let buf name =
-        match List.assoc_opt name !bufs with
-        | Some p -> Value.Ptr p
-        | None ->
-            let p = Device.alloc_ints dev (Array.init 256 Fun.id) in
-            bufs := (name, p) :: !bufs;
-            Value.Ptr p
-      in
-      List.iter
-        (fun (o, r, s) ->
-          let o = buf o in
-          let r = buf r in
-          let s = buf s in
-          Device.launch dev ~kernel:"k" ~grid:(8, 1, 1) ~block:(32, 1, 1)
-            ~args:[ o; r; s ])
-        launches
-    in
-    let serial, _ = run_driver ~src:classes_src drive in
-    let par, dev =
-      run_driver
-        ~cfg:{ Config.test_config with block_jobs = 4 }
-        ~src:classes_src drive
-    in
-    check_same_outcome label serial par;
-    (* all 16 blocks run in batches, or none does *)
-    Alcotest.(check (pair int int))
-      (label ^ ": (batches, blocks)")
-      (batches, if batches = 0 then 0 else 16)
-      (Device.par_stats dev)
-  in
-  case "owned A + owned B (disjoint)" ~batches:1
-    [ ("A", "r1", "s1"); ("B", "r2", "s2") ];
-  case "owned A + read A" ~batches:2 [ ("A", "r1", "s1"); ("o2", "A", "s2") ];
-  case "read A + read A" ~batches:1 [ ("o1", "A", "s1"); ("o2", "A", "s2") ];
-  case "reduce S + reduce S" ~batches:1
-    [ ("o1", "r1", "S"); ("o2", "r2", "S") ];
-  case "reduce S + read S" ~batches:2 [ ("o1", "r1", "S"); ("o2", "S", "s2") ];
-  case "one grid reading and owning the same buffer" ~batches:0
-    [ ("A", "A", "s1"); ("B", "B", "s2") ];
-  case "one grid reducing into its read buffer" ~batches:0
-    [ ("o1", "S", "S"); ("o2", "T", "T") ]
-
-(* ------------------------------------------------------------------ *)
 (* Sampling: determinism, off-switches, extrapolation                   *)
 (* ------------------------------------------------------------------ *)
 
-let sampled_cfg ?(block_jobs = 1) () =
-  { Config.test_config with block_jobs; sampling = Some Config.default_sampling }
+let sampled_cfg () =
+  { Config.test_config with sampling = Some Config.default_sampling }
 
 let test_sampling_deterministic () =
-  let run jobs =
-    fst
-      (run_driver ~cfg:(sampled_cfg ~block_jobs:jobs ()) ~src:skewed_src
-         drive_skewed)
+  let run () =
+    fst (run_driver ~cfg:(sampled_cfg ()) ~src:skewed_src drive_skewed)
   in
-  let a = run 1 and b = run 1 and c = run 4 in
-  check_same_outcome "sampled rerun" a b;
-  check_same_outcome "sampled -j1 vs -j4" a c
+  let a = run () and b = run () in
+  check_same_outcome "sampled rerun" a b
 
 let test_sampling_triggers () =
   let o, dev =
@@ -376,27 +205,6 @@ let test_extrapolate_report () =
       Alcotest.(check bool) "pp mentions CI" true
         (contains ~affix:"95% CI" s)
 
-let test_parsafety_report () =
-  let entries =
-    Analysis.Parsafety.report (Minicu.Parser.program owned_src)
-  in
-  (match entries with
-  | [ e ] ->
-      Alcotest.(check string) "kernel" "owned" e.ps_kernel;
-      Alcotest.(check bool) "safe" true e.ps_summary.bs_safe
-  | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l));
-  let entries =
-    Analysis.Parsafety.report (Minicu.Parser.program Test_helpers.nested_src)
-  in
-  let parent =
-    List.find (fun (e : Analysis.Parsafety.entry) -> e.ps_kernel = "parent")
-      entries
-  in
-  Alcotest.(check bool) "parent serial" false parent.ps_summary.bs_safe;
-  let s = Fmt.str "%a" Analysis.Parsafety.pp entries in
-  Alcotest.(check bool) "pp mentions serial" true
-    (contains ~affix:"serial" s)
-
 (* The @scale gate's bound, pinned on a real registry cell: a sampled
    medium-tier benchmark extrapolates within 10% of the exact run. *)
 let test_benchmark_extrapolation_medium () =
@@ -421,15 +229,6 @@ let test_benchmark_extrapolation_medium () =
 
 let suite =
   [
-    t "blocksafe classifies owned/reduce/unsafe" test_blocksafe_classify;
-    t "parallel dispatch: owned kernel byte-identical"
-      test_par_identity_owned;
-    t "parallel dispatch: reduce kernel byte-identical"
-      test_par_identity_reduce;
-    t "parallel dispatch: unsafe kernels fall back, identical"
-      test_par_identity_unsafe;
-    t "parallel dispatch: benchmark cell identical at -j4"
-      test_par_identity_benchmark;
     t "sampling: deterministic at any -j" test_sampling_deterministic;
     t "sampling: triggers and reports error bound" test_sampling_triggers;
     t "sampling: frac=1/threshold=0 are exact" test_sampling_off_switches;
@@ -440,9 +239,6 @@ let suite =
     t "stats: geomean rejects non-finite, no overflow" test_geomean_guard;
     t "extrapolate: report only on sampled runs, CI sane"
       test_extrapolate_report;
-    t "parsafety: classifies kernels, renders report" test_parsafety_report;
     t "sampling: medium benchmark cell within 10% of exact"
       test_benchmark_extrapolation_medium;
-    t "parallel dispatch: batch admission shares a buffer only by class"
-      test_batch_admission;
   ]

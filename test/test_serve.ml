@@ -330,4 +330,161 @@ let suite =
           (List.exists
              (fun l -> contains ~sub:"ok [CDP]" l)
              stdout));
+    t "cli: bench/main.exe rejects unknown names and flags, exit 2"
+      (fun () ->
+        let bench =
+          if Sys.file_exists "../bench/main.exe" then "../bench/main.exe"
+          else "_build/default/bench/main.exe"
+        in
+        List.iter
+          (fun (args, names) ->
+            let out = Filename.temp_file "bench" ".out"
+            and err = Filename.temp_file "bench" ".err" in
+            let code =
+              Sys.command
+                (Fmt.str "%s %s >%s 2>%s" bench args (Filename.quote out)
+                   (Filename.quote err))
+            in
+            let stdout = In_channel.with_open_text out In_channel.input_all
+            and lines = In_channel.with_open_text err In_channel.input_lines in
+            List.iter Sys.remove [ out; err ];
+            Alcotest.(check int) (args ^ ": exit code") 2 code;
+            Alcotest.(check string) (args ^ ": nothing ran") "" stdout;
+            match lines with
+            | [ line ] ->
+                Alcotest.(check bool)
+                  (Fmt.str "%s: %S names %S" args line names)
+                  true
+                  (contains ~sub:names line)
+            | _ ->
+                Alcotest.failf "%s: expected one stderr line, got %d" args
+                  (List.length lines))
+          [
+            ("fig99", "fig9 | fig10");
+            ("fig9 --size medium", "--size=small|medium|large");
+            ("--size=huge fig9", "small | medium | large");
+            ("-j x fig9", "positive integer");
+            ("fig9 -j", "positive integer");
+            ("--jobs=0 fig9", "positive integer");
+            ("--threads=2 fig9", "--sample");
+          ]);
+    t "key: profile key is the digest of its string_of_int rendering"
+      (fun () ->
+        (* Key.profile renders its ints by hand; every key, and every
+           request digest built from one, must stay what string_of_int
+           renders, at any int. *)
+        let reference (p : Costmodel.Profile.t) =
+          Digest.to_hex
+            (Digest.string
+               (Fmt.str "%d:%d:%s" p.rounds p.parent_block
+                  (String.concat ""
+                     (Array.to_list
+                        (Array.map
+                           (fun s -> string_of_int s ^ ",")
+                           p.child_sizes)))))
+        in
+        List.iter
+          (fun (p : Costmodel.Profile.t) ->
+            Alcotest.(check string)
+              (Fmt.str "rounds %d block %d, %d sizes" p.rounds p.parent_block
+                 (Array.length p.child_sizes))
+              (reference p) (Serve.Key.profile p))
+          [
+            { child_sizes = [||]; rounds = 0; parent_block = 0 };
+            {
+              child_sizes = [| 0; 1; 9; 10; 99; 100; 12345; -1; -10 |];
+              rounds = 7;
+              parent_block = 256;
+            };
+            {
+              child_sizes = [| max_int; min_int; max_int - 1; min_int + 1 |];
+              rounds = -3;
+              parent_block = min_int;
+            };
+            Costmodel.Profile.synthetic ~seed:7 ~items:64 ~mean:32 ();
+          ]);
+    t "cli: dpoptc, dpoptd and runbench accept every -A spelling" (fun () ->
+        let src = Filename.temp_file "agg" ".cu" in
+        Out_channel.with_open_text src (fun oc ->
+            Out_channel.output_string oc
+              "__global__ void k(int* d) { d[0] = 1; }");
+        let out = Filename.temp_file "agg" ".out" in
+        let run cmd =
+          let code =
+            Sys.command
+              (Fmt.str "%s >%s 2>/dev/null" cmd (Filename.quote out))
+          in
+          (code, In_channel.with_open_text out In_channel.input_all)
+        in
+        List.iter
+          (fun g ->
+            let code, _ =
+              run
+                (Fmt.str "%s/dpoptc.exe -A %s %s" (bin_dir ()) g
+                   (Filename.quote src))
+            in
+            Alcotest.(check int) ("dpoptc -A " ^ g) 0 code;
+            let code, stdout =
+              run
+                (Fmt.str "%s/dpoptd.exe -A %s %s" (bin_dir ()) g
+                   (Filename.quote src))
+            in
+            Alcotest.(check int) ("dpoptd -A " ^ g) 0 code;
+            Alcotest.(check bool)
+              ("dpoptd -A " ^ g ^ " aggregates")
+              true
+              (contains ~sub:"ok [CDP+A]" stdout);
+            let code, stdout =
+              run
+                (Fmt.str "%s/runbench.exe BFS KRON -T 64 -C 8 -A %s"
+                   (bin_dir ()) g)
+            in
+            Alcotest.(check int) ("runbench -A " ^ g) 0 code;
+            Alcotest.(check bool)
+              ("runbench -A " ^ g ^ " validated")
+              true
+              (contains ~sub:"validated against reference" stdout))
+          [ "warp"; "block"; "grid"; "multiblock:4"; "multi-block:4" ];
+        List.iter Sys.remove [ src; out ]);
+    t "cli: dpoptc, dpoptd and runbench reject a bad -A alike" (fun () ->
+        let src = Filename.temp_file "agg" ".cu" in
+        Out_channel.with_open_text src (fun oc ->
+            Out_channel.output_string oc
+              "__global__ void k(int* d) { d[0] = 1; }");
+        let err = Filename.temp_file "agg" ".err" in
+        List.iter
+          (fun (g, names) ->
+            List.iter
+              (fun cli ->
+                let code =
+                  Sys.command
+                    (Fmt.str "%s/%s -A %s >/dev/null 2>%s" (bin_dir ()) cli g
+                       (Filename.quote err))
+                in
+                (* cmdliner wraps long messages; compare with spaces
+                   collapsed *)
+                let msg =
+                  In_channel.with_open_text err In_channel.input_all
+                  |> String.split_on_char '\n'
+                  |> List.concat_map (String.split_on_char ' ')
+                  |> List.filter (( <> ) "")
+                  |> String.concat " "
+                in
+                Alcotest.(check int) (Fmt.str "%s -A %s: exit" cli g) 124 code;
+                Alcotest.(check bool)
+                  (Fmt.str "%s -A %s: %S names %S" cli g msg names)
+                  true (contains ~sub:names msg))
+              [
+                "dpoptc.exe " ^ Filename.quote src;
+                "dpoptd.exe " ^ Filename.quote src;
+                "runbench.exe BFS KRON";
+              ])
+          [
+            ( "blok",
+              "unknown granularity \"blok\" (expected warp | block | \
+               multiblock:<n> | grid)" );
+            ("multiblock:0", "multiblock:<n> needs a positive integer");
+            ("multi-block:x", "multiblock:<n> needs a positive integer");
+          ];
+        List.iter Sys.remove [ src; err ]);
   ]
