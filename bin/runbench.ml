@@ -169,7 +169,7 @@ let backend =
            $(b,native) (transpile the selected variant to parallel OCaml, \
            compile and run it on host domains, and diff its memory dump \
            against the simulator). The native backend needs a static host \
-           driver and so only covers BT, SP and TC.")
+           driver and so only covers BT, MSTV, SP and TC.")
 
 let tenants =
   Arg.(
@@ -333,14 +333,22 @@ let run_calibrate ~jobs ~size ~only =
    dump to be byte-identical to the simulator's on the same variant.
    Exit 0 on a verified match, 1 for user-level errors (no static host
    driver, construct the backend rejects), 2 on divergence. *)
-let run_native (spec : Benchmarks.Bench_common.spec) no_cdp threshold cfactor
-    granularity =
+let run_native ~size (spec : Benchmarks.Bench_common.spec) no_cdp threshold
+    cfactor granularity =
   match spec.native_host with
   | None ->
+      let covered =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (s : Benchmarks.Bench_common.spec) ->
+               Option.map (fun _ -> s.name) s.native_host)
+             (Benchmarks.Registry.all ~size ()))
+      in
       Fmt.epr
         "%s/%s: host driver is iterative (read-back-driven); the native \
-         backend only runs benchmarks with a static host spec (BT, SP, TC)@."
-        spec.name spec.dataset;
+         backend only runs benchmarks with a static host spec (%s)@."
+        spec.name spec.dataset
+        (String.concat ", " covered);
       1
   | Some host -> (
       let prog =
@@ -473,7 +481,7 @@ let run_one bench dataset no_cdp threshold cfactor granularity size trace
       Fmt.epr "unknown benchmark/dataset pair %s/%s@." bench dataset;
       1
   | Some spec when backend = `Native ->
-      run_native spec no_cdp threshold cfactor granularity
+      run_native ~size spec no_cdp threshold cfactor granularity
   | Some spec -> (
       let sampling =
         if sample && not exact then
@@ -520,8 +528,9 @@ let run_one bench dataset no_cdp threshold cfactor granularity size trace
           Fmt.pr
             "breakdown: parent=%.0f child=%.0f agg=%.0f disagg=%.0f \
              launch=%.0f serialized=%d max_pending=%d@."
-            m.snap.parent_cycles m.snap.child_cycles m.snap.agg_cycles
-            m.snap.disagg_cycles m.snap.launch_cycles
+            m.snap.breakdown.parent_cycles m.snap.breakdown.child_cycles
+            m.snap.breakdown.agg_cycles m.snap.breakdown.disagg_cycles
+            m.snap.breakdown.launch_cycles
             m.snap.serialized_launches m.snap.max_pending_launches;
           Option.iter
             (fun r -> Fmt.pr "sampling: %a@." Costmodel.Extrapolate.pp r)

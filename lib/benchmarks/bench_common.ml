@@ -30,15 +30,18 @@ type spec = {
   workload : workload;
   run : Gpusim.Device.t -> int;
       (** Drive the loaded program to completion (all launches and syncs);
-          returns the output fingerprint. *)
+          returns the output fingerprint. For a benchmark with a
+          [native_host], this is {!Native.Hostspec.exec} of that spec plus
+          the read-back of its output buffers. *)
   reference : unit -> int;
       (** Pure-OCaml reference result; must equal [run]'s fingerprint. *)
   native_host : Native.Hostspec.t option;
       (** The host driver as data, for benchmarks whose driver is static
           (no read-back-dependent control flow) and whose user-visible
-          memory is order-independent: the native backend's differential
-          layer replays it on both backends and compares dumps. [None]
-          for iterative drivers (BFS/MST/SSSP worklists). *)
+          memory is order-independent: [run] executes it on the simulator,
+          and the native backend's differential layer replays it on both
+          backends and compares dumps. [None] for iterative drivers (BFS,
+          MSTF and SSSP worklists). *)
 }
 
 (** Order-independent fingerprint of an int sequence (commutative mix, so
@@ -61,11 +64,17 @@ let array_hash (a : int array) =
 
 let quantize f = int_of_float (Float.round (f *. 1024.0))
 
-(** Upload a CSR graph; returns (row, col, weight) device pointers. *)
+(** The allocations that upload a CSR graph: buffers 0, 1 and 2 of a host
+    spec that starts with them hold weight, col and row. *)
+let graph_ops (g : Workloads.Csr.t) : Native.Hostspec.op list =
+  Native.Hostspec.[ Alloc_ints g.weight; Alloc_ints g.col; Alloc_ints g.row ]
+
+(** Upload a CSR graph with {!graph_ops}; returns (row, col, weight) device
+    pointers. *)
 let upload_graph dev (g : Workloads.Csr.t) =
-  ( Gpusim.Device.alloc_ints dev g.row,
-    Gpusim.Device.alloc_ints dev g.col,
-    Gpusim.Device.alloc_ints dev g.weight )
+  match Native.Hostspec.exec dev { ops = graph_ops g } with
+  | [| weight; col; row |] -> (row, col, weight)
+  | _ -> assert false
 
 (** The identity: the device takes the aggregation pass's specs as they
     are. Kept only for the benchmark driver in perfbench/sim.ml. *)

@@ -31,12 +31,15 @@ type spec = {
   workload : workload;  (** Nested-parallelism profile for the cost model. *)
   run : Gpusim.Device.t -> int;
       (** Drive the loaded program to completion; returns the output
-          fingerprint. *)
+          fingerprint. With a [native_host], this executes that spec
+          ({!Native.Hostspec.exec}) and reads its output buffers back. *)
   reference : unit -> int;  (** Pure-OCaml expected fingerprint. *)
   native_host : Native.Hostspec.t option;
       (** The host driver as data ({!Native.Hostspec}) when it is static
-          and its user-visible memory order-independent; [None] for
-          iterative (read-back-driven) drivers. *)
+          and its user-visible memory order-independent (BT, MSTV, SP,
+          TC): the one driver both [run] and the native backend execute.
+          [None] for iterative (read-back-driven) drivers: BFS, MSTF and
+          SSSP. *)
 }
 
 (** Order-independent fingerprint (for set-like outputs). *)
@@ -48,7 +51,13 @@ val array_hash : int array -> int
 (** Quantize a float to a stable integer (×1024, rounded). *)
 val quantize : float -> int
 
-(** Upload a CSR graph; returns (row, col, weight) device pointers. *)
+(** The allocations that upload a CSR graph: buffers 0, 1 and 2 of a host
+    spec that starts with them hold weight, col and row, the layout the
+    recorded run digests ([test/corpus/vm_runs.golden]) pin. *)
+val graph_ops : Workloads.Csr.t -> Native.Hostspec.op list
+
+(** Upload a CSR graph by executing {!graph_ops}; returns (row, col,
+    weight) device pointers. *)
 val upload_graph :
   Gpusim.Device.t ->
   Workloads.Csr.t ->

@@ -85,13 +85,7 @@ let reference (d : Workloads.Bezier.t) () =
   Array.iter
     (fun (l : Workloads.Bezier.line) ->
       let x0, y0 = l.p0 and x1, y1 = l.p1 and x2, y2 = l.p2 in
-      let dx = x2 -. x0 and dy = y2 -. y0 in
-      let len = Float.sqrt ((dx *. dx) +. (dy *. dy)) in
-      let len = if len < 1e-9 then 1e-9 else len in
-      let curv = Float.abs (((x1 -. x0) *. dy) -. ((y1 -. y0) *. dx)) /. len in
-      let n =
-        max 2 (min d.max_tessellation (int_of_float (curv *. d.curvature_scale)))
-      in
+      let n = Workloads.Bezier.tess_points d l in
       npoints_hash := (!npoints_hash * 31) + n land 0x3FFFFFFFFFFFFFF;
       for i = 0 to n - 1 do
         let u = float_of_int i /. float_of_int (n - 1) in
@@ -121,86 +115,54 @@ let control_points (d : Workloads.Bezier.t) =
     d.lines;
   (cpx, cpy)
 
-let run (d : Workloads.Bezier.t) dev =
-  let open Gpusim in
+(* The host driver: mallocs write only device-private vertex buffers and
+   the checksum is an integer atomic sum, so the user-visible dump
+   (control points, npoints, checksum) is order-independent. *)
+let host (d : Workloads.Bezier.t) : Native.Hostspec.t =
   let n_lines = Array.length d.lines in
   let cpx, cpy = control_points d in
-  let d_cpx = Device.alloc_floats dev cpx in
-  let d_cpy = Device.alloc_floats dev cpy in
-  let d_np = Device.alloc_int_zeros dev n_lines in
-  let d_cs = Device.alloc_int_zeros dev 1 in
-  Device.launch dev ~kernel:"bt_parent"
-    ~grid:((n_lines + 127) / 128, 1, 1)
-    ~block:(128, 1, 1)
-    ~args:
-      [
-        Ptr d_cpx;
-        Ptr d_cpy;
-        Ptr d_np;
-        Ptr d_cs;
-        Int n_lines;
-        Int d.max_tessellation;
-        Float d.curvature_scale;
-      ];
-  ignore (Device.sync dev);
-  let cs = (Device.read_ints dev d_cs 1).(0) in
-  let np = Device.read_ints dev d_np n_lines in
-  cs + Bench_common.array_hash np
-
-(* Workload profile: one host launch; one parent item per line whose child
-   size is the tessellation point count from the curvature formula. *)
-let workload (d : Workloads.Bezier.t) : Bench_common.workload =
-  let sizes =
-    Array.map
-      (fun (l : Workloads.Bezier.line) ->
-        let x0, y0 = l.p0 and x1, y1 = l.p1 and x2, y2 = l.p2 in
-        let dx = x2 -. x0 and dy = y2 -. y0 in
-        let len = Float.sqrt ((dx *. dx) +. (dy *. dy)) in
-        let len = if len < 1e-9 then 1e-9 else len in
-        let curv =
-          Float.abs (((x1 -. x0) *. dy) -. ((y1 -. y0) *. dx)) /. len
-        in
-        max 2
-          (min d.max_tessellation (int_of_float (curv *. d.curvature_scale))))
-      d.lines
-  in
-  { wl_child_sizes = sizes; wl_rounds = 1; wl_parent_block = 128 }
-
-(* The same driver as [run], as data: mallocs write only device-private
-   vertex buffers and the checksum is an integer atomic sum, so the
-   user-visible dump (control points, npoints, checksum) is
-   order-independent. *)
-let native_host (d : Workloads.Bezier.t) : Native.Hostspec.t =
-  let n_lines = Array.length d.lines in
-  let cpx, cpy = control_points d in
+  let open Native.Hostspec in
   {
-    Native.Hostspec.ops =
+    ops =
       [
-        Native.Hostspec.Alloc_floats cpx;
-        Native.Hostspec.Alloc_floats cpy;
-        Native.Hostspec.Alloc_int_zeros n_lines;
-        Native.Hostspec.Alloc_int_zeros 1;
-        Native.Hostspec.Launch
+        Alloc_floats cpx;
+        Alloc_floats cpy;
+        Alloc_int_zeros n_lines;
+        Alloc_int_zeros 1;
+        Launch
           {
             kernel = "bt_parent";
             grid = ((n_lines + 127) / 128, 1, 1);
             block = (128, 1, 1);
             args =
               [
-                Native.Hostspec.A_buf 0;
-                Native.Hostspec.A_buf 1;
-                Native.Hostspec.A_buf 2;
-                Native.Hostspec.A_buf 3;
-                Native.Hostspec.A_int n_lines;
-                Native.Hostspec.A_int d.max_tessellation;
-                Native.Hostspec.A_float d.curvature_scale;
+                A_buf 0; A_buf 1; A_buf 2; A_buf 3; A_int n_lines;
+                A_int d.max_tessellation; A_float d.curvature_scale;
               ];
           };
-        Native.Hostspec.Sync;
+        Sync;
       ];
   }
 
+(* Run [host] and read back the checksum (buffer 3) and the point counts
+   (buffer 2). *)
+let run host (d : Workloads.Bezier.t) dev =
+  let bufs = Native.Hostspec.exec dev host in
+  let cs = (Gpusim.Device.read_ints dev bufs.(3) 1).(0) in
+  let np = Gpusim.Device.read_ints dev bufs.(2) (Array.length d.lines) in
+  cs + Bench_common.array_hash np
+
+(* Workload profile: one host launch; one parent item per line whose child
+   size is the tessellation point count from the curvature formula. *)
+let workload (d : Workloads.Bezier.t) : Bench_common.workload =
+  {
+    wl_child_sizes = Array.map (Workloads.Bezier.tess_points d) d.lines;
+    wl_rounds = 1;
+    wl_parent_block = 128;
+  }
+
 let spec ~(dataset : Workloads.Bezier.t) : Bench_common.spec =
+  let host = host dataset in
   {
     name = "BT";
     dataset = dataset.name;
@@ -209,7 +171,7 @@ let spec ~(dataset : Workloads.Bezier.t) : Bench_common.spec =
     parent_kernel = "bt_parent";
     max_child_threads = dataset.max_tessellation;
     workload = workload dataset;
-    run = run dataset;
+    run = run host dataset;
     reference = reference dataset;
-    native_host = Some (native_host dataset);
+    native_host = Some host;
   }

@@ -6,5 +6,4 @@ val child_block : int
 val cdp_src : string
 val no_cdp_src : string
 val reference : Workloads.Bezier.t -> unit -> int
-val run : Workloads.Bezier.t -> Gpusim.Device.t -> int
 val spec : dataset:Workloads.Bezier.t -> Bench_common.spec

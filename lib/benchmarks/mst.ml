@@ -232,20 +232,41 @@ let mstv_reference (g : Workloads.Csr.t) () =
   done;
   !cross + Bench_common.array_hash flags
 
-let mstv_run (g : Workloads.Csr.t) dev =
-  let open Gpusim in
+(* The MSTV host driver: one verify launch over the component state after
+   [mstv_rounds] host Boruvka rounds. Each flag is written by one thread
+   and the cross count is an integer atomic sum, so the dump is
+   order-independent. Buffers 0-2 hold the graph
+   ([Bench_common.graph_ops]), 3 the components, 4 the flags and 5 the
+   cross count. *)
+let mstv_host (g : Workloads.Csr.t) : Native.Hostspec.t =
   let _, comp, _ = host_boruvka ~max_rounds:mstv_rounds g in
-  let d_row, d_col, _ = Bench_common.upload_graph dev g in
-  let d_comp = Device.alloc_ints dev comp in
-  let d_flags = Device.alloc_int_zeros dev (Workloads.Csr.m g) in
-  let d_cross = Device.alloc_int_zeros dev 1 in
-  Device.launch dev ~kernel:"mst_verify_parent"
-    ~grid:((g.n + 127) / 128, 1, 1)
-    ~block:(128, 1, 1)
-    ~args:[ Ptr d_row; Ptr d_col; Ptr d_comp; Ptr d_flags; Ptr d_cross; Int g.n ];
-  ignore (Device.sync dev);
-  let cross = (Device.read_ints dev d_cross 1).(0) in
-  cross + Bench_common.array_hash (Device.read_ints dev d_flags (Workloads.Csr.m g))
+  let open Native.Hostspec in
+  {
+    ops =
+      Bench_common.graph_ops g
+      @ [
+          Alloc_ints comp;
+          Alloc_int_zeros (Workloads.Csr.m g);
+          Alloc_int_zeros 1;
+          Launch
+            {
+              kernel = "mst_verify_parent";
+              grid = ((g.n + 127) / 128, 1, 1);
+              block = (128, 1, 1);
+              args = [ A_buf 2; A_buf 1; A_buf 3; A_buf 4; A_buf 5; A_int g.n ];
+            };
+          Sync;
+        ];
+  }
+
+(* Run [host] and read back the cross count (buffer 5) and the flags
+   (buffer 4). *)
+let mstv_run host (g : Workloads.Csr.t) dev =
+  let bufs = Native.Hostspec.exec dev host in
+  let cross = (Gpusim.Device.read_ints dev bufs.(5) 1).(0) in
+  cross
+  + Bench_common.array_hash
+      (Gpusim.Device.read_ints dev bufs.(4) (Workloads.Csr.m g))
 
 let degrees (g : Workloads.Csr.t) =
   Array.init g.n (fun v -> g.row.(v + 1) - g.row.(v))
@@ -280,6 +301,7 @@ let mstf_spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
   }
 
 let mstv_spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
+  let host = mstv_host dataset.graph in
   {
     name = "MSTV";
     dataset = dataset.name;
@@ -288,7 +310,7 @@ let mstv_spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
     parent_kernel = "mst_verify_parent";
     max_child_threads = Workloads.Csr.max_degree dataset.graph;
     workload = mstv_workload dataset.graph;
-    run = mstv_run dataset.graph;
+    run = mstv_run host dataset.graph;
     reference = mstv_reference dataset.graph;
-    native_host = None;
+    native_host = Some host;
   }

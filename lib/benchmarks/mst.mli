@@ -18,6 +18,5 @@ val host_boruvka : ?max_rounds:int -> Workloads.Csr.t -> int * int array * int
 val mstf_reference : Workloads.Csr.t -> unit -> int
 val mstf_run : Workloads.Csr.t -> Gpusim.Device.t -> int
 val mstv_reference : Workloads.Csr.t -> unit -> int
-val mstv_run : Workloads.Csr.t -> Gpusim.Device.t -> int
 val mstf_spec : dataset:Workloads.Graph_gen.named -> Bench_common.spec
 val mstv_spec : dataset:Workloads.Graph_gen.named -> Bench_common.spec

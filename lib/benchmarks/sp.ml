@@ -133,48 +133,16 @@ let reference (f : Workloads.Sat.t) () =
   done;
   Bench_common.array_hash (Array.map Bench_common.quantize !eta)
 
-let run (f : Workloads.Sat.t) dev =
-  let open Gpusim in
-  let a = build_arrays f in
-  let d_orow = Device.alloc_ints dev a.o_row in
-  let d_ocidx = Device.alloc_ints dev a.o_cidx in
-  let d_oslot = Device.alloc_ints dev a.o_slot in
-  let d_crow = Device.alloc_ints dev a.c_row in
-  let d_eta = Device.alloc_floats dev (initial_eta a.n_cells) in
-  let d_eta' = Device.alloc_float_zeros dev a.n_cells in
-  let old_b = ref d_eta and new_b = ref d_eta' in
-  for _ = 1 to rounds do
-    Device.launch dev ~kernel:"sp_parent"
-      ~grid:((f.n_vars + 127) / 128, 1, 1)
-      ~block:(128, 1, 1)
-      ~args:
-        [
-          Ptr d_orow;
-          Ptr d_ocidx;
-          Ptr d_oslot;
-          Ptr d_crow;
-          Ptr !old_b;
-          Ptr !new_b;
-          Int f.n_vars;
-        ];
-    ignore (Device.sync dev);
-    let tmp = !old_b in
-    old_b := !new_b;
-    new_b := tmp
-  done;
-  Bench_common.array_hash
-    (Array.map Bench_common.quantize (Device.read_floats dev !old_b a.n_cells))
+(* The buffer round [r] writes. Surveys are double-buffered between eta
+   (buffer 4, the initial surveys) and eta' (buffer 5): round [r] reads
+   [written (r + 1)], which round [r - 1] wrote. *)
+let written r = if r mod 2 = 0 then 5 else 4
 
-(* The same driver as [run], as data: surveys are double-buffered (each
-   output cell written by exactly one thread per round), so every buffer
-   in the dump is order-independent. Round r reads the buffer the
-   previous round wrote: eta (buf 4) on even rounds, eta' (buf 5) on
-   odd. *)
-let native_host (f : Workloads.Sat.t) : Native.Hostspec.t =
-  let a = build_arrays f in
+(* The host driver: each output cell is written by exactly one thread per
+   round, so every buffer in the dump is order-independent. *)
+let host (f : Workloads.Sat.t) (a : arrays) : Native.Hostspec.t =
   let open Native.Hostspec in
   let round r =
-    let old_b, new_b = if r mod 2 = 0 then (4, 5) else (5, 4) in
     [
       Launch
         {
@@ -183,8 +151,8 @@ let native_host (f : Workloads.Sat.t) : Native.Hostspec.t =
           block = (128, 1, 1);
           args =
             [
-              A_buf 0; A_buf 1; A_buf 2; A_buf 3; A_buf old_b; A_buf new_b;
-              A_int f.n_vars;
+              A_buf 0; A_buf 1; A_buf 2; A_buf 3; A_buf (written (r + 1));
+              A_buf (written r); A_int f.n_vars;
             ];
         };
       Sync;
@@ -203,6 +171,13 @@ let native_host (f : Workloads.Sat.t) : Native.Hostspec.t =
       @ List.concat (List.init rounds round);
   }
 
+(* Run [host] and read back the surveys the last round wrote. *)
+let run host (a : arrays) dev =
+  let bufs = Native.Hostspec.exec dev host in
+  Bench_common.array_hash
+    (Array.map Bench_common.quantize
+       (Gpusim.Device.read_floats dev bufs.(written (rounds - 1)) a.n_cells))
+
 let spec ~(formula : Workloads.Sat.t) : Bench_common.spec =
   let a = build_arrays formula in
   let max_occ =
@@ -218,6 +193,7 @@ let spec ~(formula : Workloads.Sat.t) : Bench_common.spec =
     Array.init formula.n_vars (fun v -> a.o_row.(v + 1) - a.o_row.(v))
   in
   let sizes = Array.concat (List.init rounds (fun _ -> per_round)) in
+  let host = host formula a in
   {
     name = "SP";
     dataset = formula.name;
@@ -227,7 +203,7 @@ let spec ~(formula : Workloads.Sat.t) : Bench_common.spec =
     max_child_threads = max_occ;
     workload =
       { wl_child_sizes = sizes; wl_rounds = rounds; wl_parent_block = 128 };
-    run = run formula;
+    run = run host a;
     reference = reference formula;
-    native_host = Some (native_host formula);
+    native_host = Some host;
   }

@@ -17,5 +17,4 @@ type arrays = {
 
 val build_arrays : Workloads.Sat.t -> arrays
 val reference : Workloads.Sat.t -> unit -> int
-val run : Workloads.Sat.t -> Gpusim.Device.t -> int
 val spec : formula:Workloads.Sat.t -> Bench_common.spec

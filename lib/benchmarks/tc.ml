@@ -126,58 +126,45 @@ let reference (g : Workloads.Csr.t) ~cap () =
     e_src;
   !count
 
-let run (g : Workloads.Csr.t) ~cap dev =
-  let open Gpusim in
-  let e_src, e_dst = edge_list ~cap g in
-  let n_edges = Array.length e_src in
-  let d_row, d_col, _ = Bench_common.upload_graph dev g in
-  let d_src = Device.alloc_ints dev e_src in
-  let d_dst = Device.alloc_ints dev e_dst in
-  let d_count = Device.alloc_int_zeros dev 1 in
-  Device.launch dev ~kernel:"tc_parent"
-    ~grid:((n_edges + 127) / 128, 1, 1)
-    ~block:(128, 1, 1)
-    ~args:
-      [ Ptr d_row; Ptr d_col; Ptr d_src; Ptr d_dst; Ptr d_count; Int n_edges ];
-  ignore (Device.sync dev);
-  (Device.read_ints dev d_count 1).(0)
-
-(* The same driver as [run], as data: the only output is the integer
-   triangle counter (atomicAdd), so the dump is order-independent. The
-   unused weight buffer is still allocated to keep buffer ids aligned
-   with [upload_graph]. *)
-let native_host (g : Workloads.Csr.t) ~cap : Native.Hostspec.t =
-  let e_src, e_dst = edge_list ~cap g in
+(* The host driver: the only output is the integer triangle counter
+   (atomicAdd), so the dump is order-independent. The graph comes first,
+   as [Bench_common.graph_ops] places it (weight, col, row); the unused
+   weight buffer keeps that layout. *)
+let host (g : Workloads.Csr.t) (e_src, e_dst) : Native.Hostspec.t =
   let n_edges = Array.length e_src in
   let open Native.Hostspec in
   {
     ops =
-      [
-        Alloc_ints g.row;
-        Alloc_ints g.col;
-        Alloc_ints g.weight;
-        Alloc_ints e_src;
-        Alloc_ints e_dst;
-        Alloc_int_zeros 1;
-        Launch
-          {
-            kernel = "tc_parent";
-            grid = ((n_edges + 127) / 128, 1, 1);
-            block = (128, 1, 1);
-            args =
-              [ A_buf 0; A_buf 1; A_buf 3; A_buf 4; A_buf 5; A_int n_edges ];
-          };
-        Sync;
-      ];
+      Bench_common.graph_ops g
+      @ [
+          Alloc_ints e_src;
+          Alloc_ints e_dst;
+          Alloc_int_zeros 1;
+          Launch
+            {
+              kernel = "tc_parent";
+              grid = ((n_edges + 127) / 128, 1, 1);
+              block = (128, 1, 1);
+              args =
+                [ A_buf 2; A_buf 1; A_buf 3; A_buf 4; A_buf 5; A_int n_edges ];
+            };
+          Sync;
+        ];
   }
+
+(* Run [host] and read back the triangle counter (buffer 5). *)
+let run host dev =
+  let bufs = Native.Hostspec.exec dev host in
+  (Gpusim.Device.read_ints dev bufs.(5) 1).(0)
 
 let spec ?(cap = 6000) ~(dataset : Workloads.Graph_gen.named) () :
     Bench_common.spec =
   let g = Workloads.Csr.sort_neighbors dataset.graph in
   (* Workload profile: one launch; one parent item per capped edge (u, v)
      with child size = deg(u). *)
-  let e_src, _ = edge_list ~cap g in
+  let ((e_src, _) as edges) = edge_list ~cap g in
   let sizes = Array.map (fun u -> g.row.(u + 1) - g.row.(u)) e_src in
+  let host = host g edges in
   {
     name = "TC";
     dataset = dataset.name;
@@ -186,7 +173,7 @@ let spec ?(cap = 6000) ~(dataset : Workloads.Graph_gen.named) () :
     parent_kernel = "tc_parent";
     max_child_threads = Workloads.Csr.max_degree g;
     workload = { wl_child_sizes = sizes; wl_rounds = 1; wl_parent_block = 128 };
-    run = run g ~cap;
+    run = run host;
     reference = reference g ~cap;
-    native_host = Some (native_host g ~cap);
+    native_host = Some host;
   }

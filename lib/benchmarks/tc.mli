@@ -7,7 +7,6 @@ val cdp_src : string
 val no_cdp_src : string
 val edge_list : ?cap:int -> Workloads.Csr.t -> int array * int array
 val reference : Workloads.Csr.t -> cap:int -> unit -> int
-val run : Workloads.Csr.t -> cap:int -> Gpusim.Device.t -> int
 
 (** [spec ?cap ~dataset ()] — the graph is neighbor-sorted internally. *)
 val spec :

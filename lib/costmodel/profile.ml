@@ -23,8 +23,6 @@ let of_workload (w : Benchmarks.Bench_common.workload) : t =
 
 let n_items p = Array.length p.child_sizes
 
-let max_size p = Array.fold_left max 0 p.child_sizes
-
 let total_child_threads p = Array.fold_left ( + ) 0 p.child_sizes
 
 let mean_size p =

@@ -13,7 +13,6 @@ type t = {
 val of_workload : Benchmarks.Bench_common.workload -> t
 
 val n_items : t -> int
-val max_size : t -> int
 val total_child_threads : t -> int
 val mean_size : t -> float
 

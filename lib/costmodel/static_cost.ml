@@ -2,9 +2,9 @@
     charging rules ({!Gpusim.Bytecode}'s per-statement charges) without
     executing anything.
 
-    The walker reuses {!Gpusim.Runtime.expr_cost} for expressions and
-    applies the same per-statement constants the lowering charges. Where
-    the dynamic cost depends on data, it approximates:
+    Straight-line statements cost what {!Gpusim.Bytecode.stmt_charge}
+    charges; control flow reuses {!Gpusim.Runtime.expr_cost} for its
+    conditions. Where the dynamic cost depends on data, it approximates:
 
     - [If] takes the {e max} of the two branches (warps execute in
       lockstep, so a divergent warp pays the longer side; the remainder is
@@ -27,16 +27,6 @@ and stmt_cost ~cfg ~trip (s : stmt) : float =
   let fi = float_of_int in
   let tripf = fi (max 1 trip) in
   match s.sdesc with
-  | Decl (_, _, Some e) -> ec e +. fi cfg.arith_cost
-  | Decl (_, _, None) -> 0.0
-  | Decl_shared (_, _, _) -> fi cfg.arith_cost
-  | Assign (lv, e) ->
-      ec e
-      +.
-      (match lv with
-      | Index _ -> fi (cfg.mem_cost + cfg.arith_cost)
-      | Member (Index _, _) -> fi ((2 * cfg.mem_cost) + cfg.arith_cost)
-      | _ -> fi cfg.arith_cost)
   | If (c, a, b) ->
       ec c +. fi cfg.branch_cost
       +. Float.max (stmts_cost ~cfg ~trip a) (stmts_cost ~cfg ~trip b)
@@ -52,14 +42,11 @@ and stmt_cost ~cfg ~trip (s : stmt) : float =
       initc
       +. ((tripf +. 1.0) *. iter)
       +. (tripf *. (stmts_cost ~cfg ~trip body +. stepc))
-  | Return (Some e) -> ec e
-  | Return None -> 0.0
-  | Expr_stmt e -> ec e
   | Launch _ -> 0.0
-  | Sync -> fi cfg.sync_cost
-  | Syncwarp -> fi cfg.warp_collective_cost
-  | Threadfence -> fi cfg.fence_cost
-  | Break | Continue -> 0.0
+  | _ -> (
+      match Gpusim.Bytecode.stmt_charge cfg s with
+      | Some (_, c) -> fi c
+      | None -> 0.0)
 
 (** Per-thread cost of a kernel's body (entry cost excluded: the model
     accounts for [cdp_entry_cost] as its own term). *)

@@ -1,9 +1,8 @@
 (** Static per-thread cost of MiniCU code, mirroring the simulator's
-    charging rules: same expression costs ([Gpusim.Runtime.expr_cost]),
-    same per-statement constants as {!Gpusim.Bytecode}'s lowering, with
-    lockstep [If] = max of branches, data-dependent loops assumed to run
-    [trip] iterations, and [Launch] costing zero (launch issue is a
-    separate model term). *)
+    charging rules: straight-line statements cost what the lowering
+    charges ({!Gpusim.Bytecode.stmt_charge}), with lockstep [If] = max of
+    branches, data-dependent loops assumed to run [trip] iterations, and
+    [Launch] costing zero (launch issue is a separate model term). *)
 
 val stmts_cost :
   cfg:Gpusim.Config.t -> trip:int -> Minicu.Ast.stmt list -> float

@@ -281,39 +281,50 @@ type observation = {
           with {!Gpusim.Config.t.check} set (the oracle's sanitize mode). *)
 }
 
-(** [run ~cfg compiled case] — load, drive and observe one variant. The
-    driver allocates the workload buffers first (so their ids are dense
-    from 0), maps the parent's leading parameters by name, and snapshots
-    exactly the driver-allocated buffers afterwards. May raise. *)
-let run ~cfg (c : compiled) (case : Gen.case) : observation =
-  let dev = Gpusim.Device.create ~cfg () in
-  Gpusim.Device.load_program dev c.c_prog ~auto_params:c.c_auto;
+(** The oracle's host driver for a case, built from the baseline program:
+    the workload buffers are allocated first (so their ids are dense from
+    0), and the parent's leading parameters are mapped by name;
+    compiler-appended parameters are runtime-allocated at the launch. Every
+    variant and both backends execute this one spec. *)
+let host_spec (prog : Ast.program) (case : Gen.case) : Native.Hostspec.t =
+  let open Native.Hostspec in
   let nv = Array.length case.degs in
-  let rows = Gen.rows_of case in
-  let d_rows = Gpusim.Device.alloc_ints dev rows in
-  let d_data = Gpusim.Device.alloc_ints dev (Gen.data_of case) in
-  let d_acc = Gpusim.Device.alloc_int_zeros dev 4 in
-  let user_buffers = Gpusim.Device.buffer_count dev in
-  let parent = Ast.find_func_exn c.c_prog "parent" in
+  let params = (Ast.find_func_exn prog "parent").f_params in
   let args =
     List.filter_map
       (fun (p : Ast.param) ->
         match p.p_name with
-        | "rows" -> Some (Gpusim.Value.Ptr d_rows)
-        | "data" -> Some (Gpusim.Value.Ptr d_data)
-        | "acc" -> Some (Gpusim.Value.Ptr d_acc)
-        | "nv" -> Some (Gpusim.Value.Int nv)
-        | _ -> None (* compiler-appended parameters: runtime-allocated *))
-      parent.f_params
+        | "rows" -> Some (A_buf 0)
+        | "data" -> Some (A_buf 1)
+        | "acc" -> Some (A_buf 2)
+        | "nv" -> Some (A_int nv)
+        | _ -> None)
+      params
   in
-  let wide = List.exists (fun (p : Ast.param) -> p.p_name = "nv") parent.f_params in
+  let wide = List.exists (fun (p : Ast.param) -> p.p_name = "nv") params in
   let grid = if wide then ((nv + 31) / 32, 1, 1) else (1, 1, 1) in
   let block = if wide then (32, 1, 1) else (1, 1, 1) in
-  Gpusim.Device.launch dev ~kernel:"parent" ~grid ~block ~args;
-  ignore (Gpusim.Device.sync dev);
+  {
+    ops =
+      [
+        Alloc_ints (Gen.rows_of case);
+        Alloc_ints (Gen.data_of case);
+        Alloc_int_zeros 4;
+        Launch { kernel = "parent"; grid; block; args };
+        Sync;
+      ];
+  }
+
+(** [run ~cfg compiled host] — load one variant, execute the case's host
+    spec and observe the driver buffers and launch metrics. May raise. *)
+let run ~cfg (c : compiled) (host : Native.Hostspec.t) : observation =
+  let dev = Gpusim.Device.create ~cfg () in
+  Gpusim.Device.load_program dev c.c_prog ~auto_params:c.c_auto;
+  ignore (Native.Hostspec.exec dev host);
   let m = Gpusim.Device.metrics dev in
   {
-    obs_mem = Gpusim.Device.dump_memory dev ~first:user_buffers;
+    obs_mem =
+      Gpusim.Device.dump_memory dev ~first:(Native.Hostspec.user_buffers host);
     obs_device_launches = m.device_launches;
     obs_host_launches = m.host_launches;
     obs_serialized = m.serialized_launches;
@@ -397,38 +408,6 @@ let metric_diff ~(v : variant) ~(base : observation) (got : observation) =
     aggregation granularities, [__threadfence]) are skipped: rejection is
     pinned separately by the negative tests. *)
 
-(* The oracle's host driver (see [run]) as a backend-neutral spec, so the
-   emitted OCaml driver performs the same allocations and launch. *)
-let native_host (prog : Ast.program) (case : Gen.case) : Native.Hostspec.t =
-  let nv = Array.length case.degs in
-  let parent = Ast.find_func_exn prog "parent" in
-  let args =
-    List.filter_map
-      (fun (p : Ast.param) ->
-        match p.p_name with
-        | "rows" -> Some (Native.Hostspec.A_buf 0)
-        | "data" -> Some (Native.Hostspec.A_buf 1)
-        | "acc" -> Some (Native.Hostspec.A_buf 2)
-        | "nv" -> Some (Native.Hostspec.A_int nv)
-        | _ -> None)
-      parent.f_params
-  in
-  let wide =
-    List.exists (fun (p : Ast.param) -> p.p_name = "nv") parent.f_params
-  in
-  let grid = if wide then ((nv + 31) / 32, 1, 1) else (1, 1, 1) in
-  let block = if wide then (32, 1, 1) else (1, 1, 1) in
-  {
-    Native.Hostspec.ops =
-      [
-        Native.Hostspec.Alloc_ints (Gen.rows_of case);
-        Native.Hostspec.Alloc_ints (Gen.data_of case);
-        Native.Hostspec.Alloc_int_zeros 4;
-        Native.Hostspec.Launch { kernel = "parent"; grid; block; args };
-        Native.Hostspec.Sync;
-      ];
-  }
-
 (** {1 The check} *)
 
 type failure = {
@@ -459,11 +438,10 @@ let baseline_variant =
    Called only after the simulator-side checks passed, so the baseline is
    known to compile and run. *)
 let check_native ~(compiled : (variant * (compiled, exn) result) list)
-    ~(base_compiled : compiled) (case : Gen.case) : failure option =
+    ~(base_compiled : compiled) (host : Native.Hostspec.t) : failure option =
   match Native.Emit.supported base_compiled.c_prog with
   | Some _ -> None (* the case itself is outside the native subset *)
   | None -> (
-      let host = native_host base_compiled.c_prog case in
       let units =
         List.filter_map
           (fun (v, c) ->
@@ -552,9 +530,12 @@ let check ?(sanitize = false) ?(native = false)
   with
   | exception exn -> Invalid (Printexc.to_string exn)
   | prog -> (
-      match baseline_variant.v_compile prog with
+      match
+        let base_compiled = baseline_variant.v_compile prog in
+        (base_compiled, host_spec base_compiled.c_prog case)
+      with
       | exception exn -> Invalid (Printexc.to_string exn)
-      | base_compiled -> (
+      | base_compiled, host -> (
           let compiled =
             List.map
               (fun v ->
@@ -599,7 +580,7 @@ let check ?(sanitize = false) ?(native = false)
                     compiled
           in
           let check_config (cfg_label, cfg) =
-            match run ~cfg base_compiled case with
+            match run ~cfg base_compiled host with
             | exception exn ->
                 Some (`Invalid (Fmt.str "baseline run raised under %s: %s"
                                   cfg_label (Printexc.to_string exn)))
@@ -631,7 +612,7 @@ let check ?(sanitize = false) ?(native = false)
                           (Fmt.str "compilation raised: %s"
                              (Printexc.to_string exn))
                     | Ok c -> (
-                        match run ~cfg c case with
+                        match run ~cfg c host with
                         | exception exn ->
                             fail
                               (Fmt.str "execution raised: %s"
@@ -659,6 +640,6 @@ let check ?(sanitize = false) ?(native = false)
               | None -> (
                   if not native then Pass
                   else
-                    match check_native ~compiled ~base_compiled case with
+                    match check_native ~compiled ~base_compiled host with
                     | Some f -> Fail f
                     | None -> Pass))))

@@ -7,10 +7,6 @@ open Minicu.Ast
 
 type verdict = Eligible | Ineligible of string
 
-let pp_verdict ppf = function
-  | Eligible -> Fmt.string ppf "eligible"
-  | Ineligible r -> Fmt.pf ppf "ineligible: %s" r
-
 let is_warp_collective name =
   match Builtins.find name with
   | Some b -> b.b_cost = Builtins.Warp_collective

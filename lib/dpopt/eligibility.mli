@@ -4,8 +4,6 @@
 
 type verdict = Eligible | Ineligible of string
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 (** Can the child's threads be serialized in the parent? Rejects barrier
     synchronization (block or warp scope, including warp collectives) and
     shared memory, transitively through called device functions

@@ -111,6 +111,13 @@ type prog = {
 
 val find_func_exn : prog -> string -> func
 
+(** [stmt_charge cfg s] is [Some (tag index, cycles)], the cost the
+    lowering charges when a straight-line statement starts, and [None] for
+    control flow ([If], [While], [For], [Break], [Continue]), which charges
+    itself during lowering. The single source of truth for statement
+    costs; {e lib/costmodel} reads it too. *)
+val stmt_charge : Config.t -> Minicu.Ast.stmt -> (int * int) option
+
 (** [compile cfg prog] typechecks and lowers a whole program. *)
 val compile : Config.t -> Minicu.Ast.program -> prog
 

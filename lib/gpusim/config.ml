@@ -117,29 +117,6 @@ let default =
     check = false;
   }
 
-(* ---- derived constants (consumed by lib/costmodel) ----
-   These expose the machine laws the scheduler implements (sched.ml /
-   vm.ml) as plain numbers, so an analytical model can mirror them
-   without re-deriving the mechanics from simulator internals. *)
-
-let launch_service_rate cfg =
-  if cfg.launch_service_interval <= 0 then infinity
-  else 1.0 /. float_of_int cfg.launch_service_interval
-
-let warp_throughput cfg =
-  float_of_int (cfg.num_sms * cfg.sm_warp_parallelism)
-
-let resident_blocks cfg = cfg.num_sms
-
-let occupancy cfg ~blocks =
-  if blocks <= 0 then 0.0
-  else
-    float_of_int (min blocks cfg.num_sms) /. float_of_int cfg.num_sms
-
-let waves cfg ~blocks =
-  if blocks <= 0 then 0
-  else (blocks + cfg.num_sms - 1) / cfg.num_sms
-
 (** A tiny configuration for unit tests: one SM, cheap launches, so tests
     exercise semantics without large simulated times. *)
 let test_config =

@@ -78,26 +78,3 @@ val default : t
 (** Small machine, cheap launches: for unit tests. *)
 val test_config : t
 
-(** {2 Derived constants}
-
-    Plain-number views of the scheduler's machine laws ([Sched]/[Vm]),
-    exposed for the analytical cost model ({e lib/costmodel}). *)
-
-(** Launches the grid-management unit serves per cycle
-    (1 / [launch_service_interval]; [infinity] when the interval is 0). *)
-val launch_service_rate : t -> float
-
-(** Warp-instructions the whole device retires per cycle
-    ([num_sms * sm_warp_parallelism]). *)
-val warp_throughput : t -> float
-
-(** Blocks resident device-wide: the scheduler runs one block per SM at a
-    time, so this equals [num_sms]. *)
-val resident_blocks : t -> int
-
-(** Fraction of SMs occupied by a grid of [blocks] blocks, in [0, 1]. *)
-val occupancy : t -> blocks:int -> float
-
-(** Number of full scheduling waves a grid of [blocks] blocks needs
-    (ceil(blocks / num_sms); 0 for an empty grid). *)
-val waves : t -> blocks:int -> int

@@ -112,10 +112,6 @@ let charge m idx cycles =
   else if idx = tag_disagg then b.disagg_cycles <- b.disagg_cycles +. cycles
   else invalid_arg "Metrics.charge: unresolved default tag"
 
-let total_compute m =
-  let b = m.breakdown in
-  b.parent_cycles +. b.child_cycles +. b.agg_cycles +. b.disagg_cycles
-
 (** [merge ~into ~weight from] folds block-level metrics accumulated in a
     private [from] (one block executed into a fresh [create ()]) into the
     device's shared record, scaled by the block's sampling weight.

@@ -65,8 +65,6 @@ val create : unit -> t
     [idx]. @raise Invalid_argument on [tag_default] (resolve it first). *)
 val charge : t -> int -> float -> unit
 
-val total_compute : t -> float
-
 (** [merge ~into ~weight from] folds block-level metrics accumulated in a
     private record into the device's shared one, scaled by the block's
     sampling weight. At [weight = 1.0] the result is bit-identical to

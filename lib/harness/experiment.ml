@@ -1,43 +1,13 @@
 (** Run one (benchmark, dataset, variant) cell and snapshot its results. *)
 
-type snapshot = {
-  parent_cycles : float;
-  child_cycles : float;
-  agg_cycles : float;
-  disagg_cycles : float;
-  launch_cycles : float;
-  grids_launched : int;
-  device_launches : int;
-  host_launches : int;
-  blocks_executed : int;
-  threads_executed : int;
-  serialized_launches : int;
-  max_pending_launches : int;
-}
-
-let snapshot_of_metrics (m : Gpusim.Metrics.t) : snapshot =
-  {
-    parent_cycles = m.breakdown.parent_cycles;
-    child_cycles = m.breakdown.child_cycles;
-    agg_cycles = m.breakdown.agg_cycles;
-    disagg_cycles = m.breakdown.disagg_cycles;
-    launch_cycles = m.breakdown.launch_cycles;
-    grids_launched = m.grids_launched;
-    device_launches = m.device_launches;
-    host_launches = m.host_launches;
-    blocks_executed = m.blocks_executed;
-    threads_executed = m.threads_executed;
-    serialized_launches = m.serialized_launches;
-    max_pending_launches = m.max_pending_launches;
-  }
-
 type measurement = {
   bench : string;
   dataset : string;
   variant : string;
   time : float;  (** Simulated cycles for the whole application run. *)
   fingerprint : int;
-  snap : snapshot;
+  snap : Gpusim.Metrics.t;
+      (** The run's metrics record; nothing mutates it after the run. *)
   sampled : bool;
       (** Grid/launch sampling actually triggered ({!Gpusim.Metrics.sampled}):
           [time] is an extrapolation, [fingerprint] is not validated. *)
@@ -93,7 +63,7 @@ let run ?cfg ?(validate = true) (spec : Benchmarks.Bench_common.spec)
     variant = Variant.label variant;
     time;
     fingerprint = fp;
-    snap = snapshot_of_metrics metrics;
+    snap = metrics;
     sampled = Gpusim.Metrics.sampled metrics;
     rel_std_error = Gpusim.Metrics.rel_std_error metrics;
     extrapolation = Costmodel.Extrapolate.of_metrics metrics;

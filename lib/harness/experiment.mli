@@ -1,29 +1,14 @@
 (** Run one (benchmark, dataset, variant) cell and snapshot its results. *)
 
-type snapshot = {
-  parent_cycles : float;
-  child_cycles : float;
-  agg_cycles : float;
-  disagg_cycles : float;
-  launch_cycles : float;
-  grids_launched : int;
-  device_launches : int;
-  host_launches : int;
-  blocks_executed : int;
-  threads_executed : int;
-  serialized_launches : int;
-  max_pending_launches : int;
-}
-
-val snapshot_of_metrics : Gpusim.Metrics.t -> snapshot
-
 type measurement = {
   bench : string;
   dataset : string;
   variant : string;
   time : float;  (** Simulated cycles for the whole application run. *)
   fingerprint : int;
-  snap : snapshot;
+  snap : Gpusim.Metrics.t;
+      (** The metrics of the run's device, which is discarded afterwards:
+          nothing mutates the record after the run. *)
   sampled : bool;
       (** Grid/launch sampling actually triggered: [time] is an
           extrapolation and [fingerprint] was not validated. *)

@@ -195,7 +195,7 @@ let fig10_cells ?cfg (spec : Benchmarks.Bench_common.spec) : fig10_cell list =
      best and read the tag breakdown. *)
   let cell combo =
     let tuned = Tuning.tune ?cfg spec combo in
-    let s = tuned.best.Experiment.snap in
+    let s = tuned.best.Experiment.snap.breakdown in
     {
       variant = Variant.combo_label combo;
       parent = s.parent_cycles;

@@ -156,8 +156,6 @@ let run t f n =
       results
   end
 
-let map_array t f xs = run t (fun i -> f xs.(i)) (Array.length xs)
-
 let map_list t f xs =
   let a = Array.of_list xs in
   Array.to_list (run t (fun i -> f a.(i)) (Array.length a))

@@ -49,7 +49,6 @@ val jobs : t -> int
     batch has settled. *)
 val run : t -> (int -> 'a) -> int -> 'a array
 
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Stop and join the workers. The pool must not be used afterwards;

@@ -1,12 +1,15 @@
 (** A backend-neutral host driver: the list of device operations a
     benchmark's host side performs, as data.
 
-    The same spec is executed on both backends — {!run_sim} drives a
+    The same spec is executed on both backends — {!exec} drives a
     {!Gpusim.Device} and {!Emit.unit_source} generates the equivalent
     OCaml driver against {!Nrt} — so a native-vs-simulator dump
     comparison exercises identical allocation orders, launch
-    configurations and argument lists on both sides. Buffer ids are
-    positional: [A_buf i] refers to the [i]-th allocation op. *)
+    configurations and argument lists on both sides. It is the only host
+    driver of every static benchmark and of the differential-testing
+    oracle, so the simulated runs are the runs the native check compares.
+    Buffer ids are positional: [A_buf i] refers to the [i]-th allocation
+    op. *)
 
 type arg = A_buf of int | A_int of int | A_float of float
 
@@ -33,35 +36,34 @@ let user_buffers t =
   List.length
     (List.filter (function Launch _ | Sync -> false | _ -> true) t.ops)
 
-(** [run_sim ~cfg prog ~auto_params spec] — execute the spec against a
-    fresh simulator and snapshot the driver buffers. May raise whatever
-    the simulator raises. *)
-let run_sim ~cfg (prog : Minicu.Ast.program)
-    ~(auto_params : (string * Dpopt.Aggregation.auto_param list) list)
-    (spec : t) : Gpusim.Value.t array list =
-  let dev = Gpusim.Device.create ~cfg () in
-  Gpusim.Device.load_program dev prog ~auto_params;
-  let bufs = ref [] in
-  (* allocation-order list, head = latest *)
-  let nth_buf i =
-    match List.nth_opt (List.rev !bufs) i with
-    | Some p -> p
-    | None -> invalid_arg (Fmt.str "Hostspec: A_buf %d out of range" i)
+(** [exec dev spec] performs the spec's ops on [dev], whose program is
+    already loaded, and returns the driver buffers in allocation order.
+    May raise whatever the simulator raises. *)
+let exec dev (spec : t) : Gpusim.Value.ptr array =
+  let bufs =
+    Array.make (user_buffers spec) { Gpusim.Value.buf = -1; off = 0 }
+  in
+  let n = ref 0 in
+  let alloc p =
+    bufs.(!n) <- p;
+    incr n
+  in
+  let buf i =
+    if i < 0 || i >= !n then
+      invalid_arg (Fmt.str "Hostspec: A_buf %d out of range" i);
+    bufs.(i)
   in
   List.iter
-    (fun op ->
-      match op with
-      | Alloc_ints vs -> bufs := Gpusim.Device.alloc_ints dev vs :: !bufs
-      | Alloc_floats vs -> bufs := Gpusim.Device.alloc_floats dev vs :: !bufs
-      | Alloc_int_zeros n ->
-          bufs := Gpusim.Device.alloc_int_zeros dev n :: !bufs
-      | Alloc_float_zeros n ->
-          bufs := Gpusim.Device.alloc_float_zeros dev n :: !bufs
+    (function
+      | Alloc_ints vs -> alloc (Gpusim.Device.alloc_ints dev vs)
+      | Alloc_floats vs -> alloc (Gpusim.Device.alloc_floats dev vs)
+      | Alloc_int_zeros n -> alloc (Gpusim.Device.alloc_int_zeros dev n)
+      | Alloc_float_zeros n -> alloc (Gpusim.Device.alloc_float_zeros dev n)
       | Launch { kernel; grid; block; args } ->
           let args =
             List.map
               (function
-                | A_buf i -> Gpusim.Value.Ptr (nth_buf i)
+                | A_buf i -> Gpusim.Value.Ptr (buf i)
                 | A_int n -> Gpusim.Value.Int n
                 | A_float f -> Gpusim.Value.Float f)
               args
@@ -69,6 +71,16 @@ let run_sim ~cfg (prog : Minicu.Ast.program)
           Gpusim.Device.launch dev ~kernel ~grid ~block ~args
       | Sync -> ignore (Gpusim.Device.sync dev))
     spec.ops;
+  bufs
+
+(** [run_sim ~cfg prog ~auto_params spec] — {!exec} the spec on a fresh
+    simulator and snapshot the driver buffers. *)
+let run_sim ~cfg (prog : Minicu.Ast.program)
+    ~(auto_params : (string * Dpopt.Aggregation.auto_param list) list)
+    (spec : t) : Gpusim.Value.t array list =
+  let dev = Gpusim.Device.create ~cfg () in
+  Gpusim.Device.load_program dev prog ~auto_params;
+  ignore (exec dev spec);
   Gpusim.Device.dump_memory dev ~first:(user_buffers spec)
 
 (** {1 Canonical dump rendering}

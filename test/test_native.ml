@@ -292,10 +292,43 @@ let sp_fingerprint dump =
 
 let tc_fingerprint dump = List.hd (ints_of_buf 5 dump)
 
+let mstv_fingerprint dump =
+  List.hd (ints_of_buf 5 dump)
+  + Benchmarks.Bench_common.array_hash (Array.of_list (ints_of_buf 4 dump))
+
 let find_spec name dataset =
   match Benchmarks.Registry.find ~name ~dataset () with
   | Some s -> s
   | None -> Alcotest.failf "no registry entry %s/%s" name dataset
+
+(* A static benchmark has one host driver: a CDP run of [spec.run] leaves
+   in the driver buffers exactly what [Hostspec.run_sim] of its host spec
+   leaves, so the native matrices check the driver the simulator runs. *)
+let run_is_host_spec (spec : Benchmarks.Bench_common.spec) host () =
+  let r =
+    Dpopt.Pipeline.run ~opts:Dpopt.Pipeline.none
+      (Minicu.Parser.program spec.cdp_src)
+  in
+  let dev = Gpusim.Device.create ~cfg () in
+  Gpusim.Device.load_program dev r.prog ~auto_params:r.auto_params;
+  ignore (spec.run dev);
+  Alcotest.(check string)
+    (Fmt.str "%s/%s: spec.run memory = Hostspec.run_sim memory" spec.name
+       spec.dataset)
+    (H.render_dump (H.run_sim ~cfg r.prog ~auto_params:r.auto_params host))
+    (H.render_dump (Gpusim.Device.dump_memory dev ~first:(H.user_buffers host)))
+
+let run_is_host_spec_tests =
+  List.filter_map
+    (fun (spec : Benchmarks.Bench_common.spec) ->
+      Option.map
+        (fun host ->
+          t
+            (Fmt.str "driver %s/%s: spec.run leaves the memory run_sim leaves"
+               spec.name spec.dataset)
+            (run_is_host_spec spec host))
+        spec.native_host)
+    (Benchmarks.Registry.all ~size:Benchmarks.Registry.Small ())
 
 (* ------------------------------------------------------------------ *)
 (* Golden transpile corpus                                             *)
@@ -432,6 +465,8 @@ let suite =
       (bench_matrix (find_spec "SP" "RAND-3") ~fingerprint:sp_fingerprint);
     t "matrix TC/KRON: 8 combos, native = sim = reference"
       (bench_matrix (find_spec "TC" "KRON") ~fingerprint:tc_fingerprint);
+    t "matrix MSTV/KRON: 8 combos, native = sim = reference"
+      (bench_matrix (find_spec "MSTV" "KRON") ~fingerprint:mstv_fingerprint);
     t "goldens: one transpiled module compiles against the runtime"
       test_goldens_compile;
     t "reject: __threadfence (no cross-block ordering)"
@@ -447,3 +482,4 @@ let suite =
         t (base ^ ": transpile matches .native.ml golden")
           (transpile_golden base))
       golden_fixtures
+  @ run_is_host_spec_tests
