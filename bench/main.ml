@@ -12,9 +12,9 @@
    Experiments: table1 fig9 fig10 fig11 fig12 fixed128 ablation micro,
    plus engine-smoke, scale and scale-smoke, which run only when named
    explicitly (the two smokes are acceptance gates and exit 1 on failure).
-   Flags: --size=small|medium|large, --sample, --exact, -j N (also
-   --jobs N, --jobs=N) and --csv=DIR. An unknown experiment or flag, a bad
-   size or a malformed -j prints one line on stderr and exits 2. *)
+   Flags: --size=small|medium|large (any case), --sample, --exact, -j N
+   (also --jobs N, --jobs=N) and --csv=DIR. An unknown experiment or flag,
+   a bad size or a malformed -j prints one line on stderr and exits 2. *)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -223,7 +223,8 @@ let json_string s =
 let scale_trajectory ~pool () =
   let headline_nocdp = "CDP+T+C+A over No CDP (paper: 8.7x)" in
   let headline_cdp = "CDP+T+C+A over CDP (paper: 43.0x)" in
-  let tier (size, label) =
+  let tier size =
+    let label = Fmt.to_to_string Benchmarks.Registry.pp_size size in
     let sampling =
       match size with
       | Benchmarks.Registry.Large ->
@@ -240,14 +241,7 @@ let scale_trajectory ~pool () =
     (label, sampling <> None, List.length rows, wall,
      geo headline_nocdp, geo headline_cdp)
   in
-  let tiers =
-    List.map tier
-      [
-        (Benchmarks.Registry.Small, "small");
-        (Benchmarks.Registry.Medium, "medium");
-        (Benchmarks.Registry.Large, "large");
-      ]
-  in
+  let tiers = List.map tier Benchmarks.Registry.[ Small; Medium; Large ] in
   let cfg_large =
     {
       Gpusim.Config.default with
@@ -444,15 +438,10 @@ let parse_args args =
     | [ ("-j" | "--jobs") ] -> usage_error "-j needs a positive integer"
     | a :: rest when String.starts_with ~prefix:"--jobs=" a ->
         go { o with jobs = jobs_of (value ~flag:"--jobs=" a) } rest
-    | a :: rest when String.starts_with ~prefix:"--size=" a ->
-        let size =
-          match value ~flag:"--size=" a with
-          | "small" -> Benchmarks.Registry.Small
-          | "medium" -> Benchmarks.Registry.Medium
-          | "large" -> Benchmarks.Registry.Large
-          | v -> usage_error "unknown size %S (small | medium | large)" v
-        in
-        go { o with size } rest
+    | a :: rest when String.starts_with ~prefix:"--size=" a -> (
+        match Benchmarks.Registry.size_of_string (value ~flag:"--size=" a) with
+        | Ok size -> go { o with size } rest
+        | Error (`Msg m) -> usage_error "%s" m)
     | "--sample" :: rest -> go { o with sample = true } rest
     | "--exact" :: rest -> go { o with exact = true } rest
     | a :: rest when String.starts_with ~prefix:"--csv=" a && a <> "--csv=" ->

@@ -17,20 +17,7 @@ let granularity_conv =
     (Dpopt.Aggregation.granularity_of_string, Dpopt.Aggregation.pp_granularity)
 
 let size_conv =
-  Arg.conv
-    ( (fun s ->
-        match String.lowercase_ascii s with
-        | "small" -> Ok Benchmarks.Registry.Small
-        | "medium" -> Ok Benchmarks.Registry.Medium
-        | "large" -> Ok Benchmarks.Registry.Large
-        | s ->
-            Error (`Msg (Fmt.str "unknown size %S (small | medium | large)" s))),
-      fun ppf s ->
-        Fmt.string ppf
-          (match s with
-          | Benchmarks.Registry.Small -> "small"
-          | Benchmarks.Registry.Medium -> "medium"
-          | Benchmarks.Registry.Large -> "large") )
+  Arg.conv (Benchmarks.Registry.size_of_string, Benchmarks.Registry.pp_size)
 
 let bench =
   Arg.(
@@ -128,9 +115,9 @@ let size =
     & opt size_conv Benchmarks.Registry.Small
     & info [ "size" ] ~docv:"SIZE"
         ~doc:
-          "Dataset scale: small, medium or large. The large tier is \
-           paper-scale (RMAT scale 13, 100k+ Bezier lines) and is meant to \
-           be run with $(b,--sample).")
+          "Dataset scale: small, medium or large, in any case. The large \
+           tier is paper-scale (RMAT scale 13, 100k+ Bezier lines) and is \
+           meant to be run with $(b,--sample).")
 
 let sample =
   Arg.(
@@ -142,14 +129,6 @@ let sample =
            bound). Output validation is skipped — sampled results are \
            estimates by construction. Size-appropriate fractions: the \
            defaults at small/medium, ~2% block coverage at large.")
-
-let exact =
-  Arg.(
-    value & flag
-    & info [ "exact" ]
-        ~doc:
-          "Force full (exact) simulation, overriding $(b,--sample). Exact \
-           runs are bit-identical to the pre-sampling scheduler.")
 
 let trace =
   Arg.(
@@ -475,7 +454,7 @@ let run_mt ~tenants ~policy ~mt_seed ~mt_jobs ~slots ~jobs ~mt_out
       end
 
 let run_one bench dataset no_cdp threshold cfactor granularity size trace
-    backend ~sample ~exact =
+    backend ~sample =
   match Benchmarks.Registry.find ~size ~name:bench ~dataset () with
   | None ->
       Fmt.epr "unknown benchmark/dataset pair %s/%s@." bench dataset;
@@ -484,8 +463,7 @@ let run_one bench dataset no_cdp threshold cfactor granularity size trace
       run_native ~size spec no_cdp threshold cfactor granularity
   | Some spec -> (
       let sampling =
-        if sample && not exact then
-          Some (Harness.Experiment.sampling_for_size size)
+        if sample then Some (Harness.Experiment.sampling_for_size size)
         else None
       in
       let cfg = { Gpusim.Config.default with sampling } in
@@ -497,12 +475,7 @@ let run_one bench dataset no_cdp threshold cfactor granularity size trace
       in
       if trace then begin
         (* traced run: drive the device directly so we can read the events *)
-        let v =
-          match variant with
-          | Harness.Variant.No_cdp -> `No_cdp
-          | Harness.Variant.Cdp o -> `Cdp o
-        in
-        let dev = Benchmarks.Bench_common.load_variant ~cfg spec v in
+        let dev = Benchmarks.Bench_common.load_variant ~cfg spec variant in
         Gpusim.Device.enable_trace dev;
         ignore (spec.run dev);
         Fmt.pr "%a@." Gpusim.Trace.timeline (Gpusim.Device.trace_events dev)
@@ -542,8 +515,7 @@ let run_one bench dataset no_cdp threshold cfactor granularity size trace
 
 let run bench dataset sweep calibrate only jobs out csv_out costmodel_out
     no_cdp threshold cfactor granularity size trace backend tenants
-    policy mt_seed mt_jobs slots mt_out min_fairness min_recovery sample
-    exact =
+    policy mt_seed mt_jobs slots mt_out min_fairness min_recovery sample =
   if calibrate then run_calibrate ~jobs ~size ~only
   else if sweep then run_sweep ~jobs ~size ~out ~csv_out ~costmodel_out
   else
@@ -555,7 +527,7 @@ let run bench dataset sweep calibrate only jobs out csv_out costmodel_out
         match (bench, dataset) with
         | Some bench, Some dataset ->
             run_one bench dataset no_cdp threshold cfactor granularity size
-              trace backend ~sample ~exact
+              trace backend ~sample
         | _ ->
             Fmt.epr
               "runbench: BENCH and DATASET are required unless --sweep or \
@@ -570,6 +542,6 @@ let cmd =
       const run $ bench $ dataset $ sweep $ calibrate $ only $ jobs $ out
       $ csv_out $ costmodel_out $ no_cdp $ threshold $ cfactor $ granularity
       $ size $ trace $ backend $ tenants $ policy $ mt_seed $ mt_jobs
-      $ slots $ mt_out $ min_fairness $ min_recovery $ sample $ exact)
+      $ slots $ mt_out $ min_fairness $ min_recovery $ sample)
 
 let () = exit (Cmd.eval' cmd)

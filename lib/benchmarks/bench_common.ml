@@ -7,15 +7,16 @@
     the test suite to validate every transformed variant's output. *)
 
 (* Nested-parallelism profile of a whole benchmark run, consumed by the
-   cost model (lib/costmodel). One array entry per parent work item in
-   processing order; computed from the dataset when the spec is built, so
-   it reflects the workload itself, never a simulation. Drivers whose item
-   stream is execution-order dependent (BFS/SSSP worklists) record the
-   closest statically-computable stand-in; see each benchmark. *)
+   cost model (lib/costmodel, as [Costmodel.Profile.t]). One array entry
+   per parent work item in processing order; computed from the dataset
+   when the spec is built, so it reflects the workload itself, never a
+   simulation. Drivers whose item stream is execution-order dependent
+   (BFS/SSSP worklists) record the closest statically-computable stand-in;
+   see each benchmark. *)
 type workload = {
-  wl_child_sizes : int array;
-  wl_rounds : int;
-  wl_parent_block : int;
+  child_sizes : int array;
+  rounds : int;
+  parent_block : int;
 }
 
 type spec = {
@@ -44,17 +45,7 @@ type spec = {
           MSTF and SSSP worklists). *)
 }
 
-(** Order-independent fingerprint of an int sequence (commutative mix, so
-    outputs that are conceptually sets — e.g. frontier contents — compare
-    equal regardless of atomically-raced ordering). *)
-let mix_hash (a : int array) =
-  Array.fold_left
-    (fun acc x ->
-      let h = x * 0x9E3779B1 in
-      let h = h lxor (h lsr 15) in
-      acc + (h * 0x85EBCA77))
-    0 a
-  land 0x3FFFFFFFFFFFFFF
+type variant = No_cdp | Cdp of Dpopt.Pipeline.options
 
 (** Position-sensitive fingerprint (for outputs that are true arrays). *)
 let array_hash (a : int array) =
@@ -76,20 +67,67 @@ let upload_graph dev (g : Workloads.Csr.t) =
   | [| weight; col; row |] -> (row, col, weight)
   | _ -> assert false
 
+(* The worklist host loop BFS and SSSP share: the frontier and next
+   buffers swap after every round, and the count the kernel bumps is read
+   back to size the next launch. *)
+let frontier_loop dev ~n ~source ~kernel ?(max_rounds = max_int) args =
+  let open Gpusim in
+  let frontier = ref (Device.alloc_int_zeros dev n) in
+  let next = ref (Device.alloc_int_zeros dev n) in
+  let count = Device.alloc_int_zeros dev 1 in
+  Device.write_ints dev !frontier [| source |];
+  let n_frontier = ref 1 and round = ref 0 in
+  while !n_frontier > 0 && !round < max_rounds do
+    incr round;
+    Device.write_ints dev count [| 0 |];
+    Device.launch dev ~kernel
+      ~grid:((!n_frontier + 127) / 128, 1, 1)
+      ~block:(128, 1, 1)
+      ~args:
+        (args ~round:!round
+           [ Value.Ptr !frontier; Int !n_frontier; Ptr !next; Ptr count ]);
+    ignore (Device.sync dev);
+    n_frontier := (Device.read_ints dev count 1).(0);
+    let f = !frontier in
+    frontier := !next;
+    next := f
+  done
+
+(* The same loop replayed sequentially on the host, for the workload
+   profile: each round is one launch, each frontier vertex one parent item
+   whose child size is its out-degree. *)
+let replay_frontier (g : Workloads.Csr.t) ~source ?(max_rounds = max_int)
+    visit =
+  let sizes = ref [] and rounds = ref 0 and frontier = ref [ source ] in
+  while !frontier <> [] && !rounds < max_rounds do
+    incr rounds;
+    let next = ref [] in
+    List.iter
+      (fun v ->
+        sizes := (g.row.(v + 1) - g.row.(v)) :: !sizes;
+        visit v (fun u -> next := u :: !next))
+      !frontier;
+    frontier := List.rev !next
+  done;
+  {
+    child_sizes = Array.of_list (List.rev !sizes);
+    rounds = !rounds;
+    parent_block = 128;
+  }
+
 (** The identity: the device takes the aggregation pass's specs as they
     are. Kept only for the benchmark driver in perfbench/sim.ml. *)
 let to_device_auto (aps : (string * Dpopt.Aggregation.auto_param list) list) =
   aps
 
 (** [load_variant dev spec variant] compiles the right source through the
-    optimization pipeline and loads it. [variant] is [`No_cdp] or
-    [`Cdp opts]. *)
+    optimization pipeline and loads it. *)
 let load_variant ?cfg spec variant : Gpusim.Device.t =
   let dev = Gpusim.Device.create ?cfg () in
   (match variant with
-  | `No_cdp ->
+  | No_cdp ->
       Gpusim.Device.load_program dev (Minicu.Parser.program spec.no_cdp_src)
-  | `Cdp opts ->
+  | Cdp opts ->
       let prog = Minicu.Parser.program spec.cdp_src in
       let r = Dpopt.Pipeline.run ~opts prog in
       Gpusim.Device.load_program dev r.prog ~auto_params:r.auto_params);

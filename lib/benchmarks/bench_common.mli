@@ -4,21 +4,27 @@
     transformed variant's output. *)
 
 (** The nested-parallelism shape of a benchmark run, as the cost model
-    ({e lib/costmodel}) consumes it: one entry per parent work item over the
-    whole application run, in processing order. [wl_child_sizes.(i)] is the
-    child-thread count item [i] wants (0 when the parent thread does no
-    nested work); [wl_rounds] is how many host-side parent-grid launches the
-    driver performs; [wl_parent_block] is the driver's parent block size.
-    Profiles are computed from the dataset at spec-construction time — they
-    describe the workload, not a simulation. Iterative drivers whose item
-    stream depends on execution order (BFS frontiers, SSSP worklists) use
-    the closest statically-computable stand-in, documented per benchmark. *)
+    ({e lib/costmodel}, which names this type [Costmodel.Profile.t})
+    consumes it: one entry per parent work item over the whole application
+    run, in processing order. [child_sizes.(i)] is the child-thread count
+    item [i] wants (0 when the parent thread does no nested work); [rounds]
+    is how many host-side parent-grid launches the driver performs;
+    [parent_block] is the driver's parent block size. Profiles are computed
+    from the dataset at spec-construction time — they describe the
+    workload, not a simulation. Iterative drivers whose item stream depends
+    on execution order (BFS frontiers, SSSP worklists) use the closest
+    statically-computable stand-in, documented per benchmark. *)
 type workload = {
-  wl_child_sizes : int array;
-  wl_rounds : int;
-  wl_parent_block : int;
+  child_sizes : int array;
+      (** Per parent work item, in processing order; 0 = no nested work. *)
+  rounds : int;  (** Host launches of the parent kernel over the run. *)
+  parent_block : int;  (** Threads per block of those host launches. *)
 }
 
+(** A spec prepares its dataset once, when it is built: [workload],
+    [reference] and [native_host] read that preparation, which is
+    immutable, so one spec's [run] and [reference] may be called from
+    several domains at once. *)
 type spec = {
   name : string;  (** BFS, BT, MSTF, MSTV, SP, SSSP, TC. *)
   dataset : string;  (** KRON, CNR, ROAD, T0032-C16, ... *)
@@ -42,8 +48,12 @@ type spec = {
           SSSP. *)
 }
 
-(** Order-independent fingerprint (for set-like outputs). *)
-val mix_hash : int array -> int
+(** A code version of a benchmark (Section VII); [Harness.Variant.t] is
+    this type. *)
+type variant =
+  | No_cdp  (** The original version without dynamic parallelism. *)
+  | Cdp of Dpopt.Pipeline.options
+      (** The CDP version, run through the compiler with these passes. *)
 
 (** Position-sensitive fingerprint. *)
 val array_hash : int array -> int
@@ -63,6 +73,36 @@ val upload_graph :
   Workloads.Csr.t ->
   Gpusim.Value.ptr * Gpusim.Value.ptr * Gpusim.Value.ptr
 
+(** [frontier_loop dev ~n ~source ~kernel ?max_rounds args] is the
+    worklist host loop of BFS and SSSP. After the caller's own buffers it
+    allocates the frontier and the next frontier ([n] ints each) and a
+    one-int count, and puts [source] in the frontier. Then, until a round
+    leaves the next frontier empty or [max_rounds] rounds have run, it
+    resets the count, launches [kernel] over the frontier in 128-thread
+    blocks, syncs, reads the count back and swaps the two frontiers. The
+    launch arguments are [args ~round tail], where [round] counts from 1
+    and [tail] is [frontier; frontier size; next; count]. *)
+val frontier_loop :
+  Gpusim.Device.t ->
+  n:int ->
+  source:int ->
+  kernel:string ->
+  ?max_rounds:int ->
+  (round:int -> Gpusim.Value.t list -> Gpusim.Value.t list) ->
+  unit
+
+(** [replay_frontier g ~source ?max_rounds visit] replays {!frontier_loop}
+    sequentially on the host for a workload profile: [visit v push]
+    processes frontier vertex [v] and [push]es each vertex it enqueues.
+    Each round is one launch of 128-thread blocks; each frontier vertex
+    is one parent item whose child size is its out-degree. *)
+val replay_frontier :
+  Workloads.Csr.t ->
+  source:int ->
+  ?max_rounds:int ->
+  (int -> (int -> unit) -> unit) ->
+  workload
+
 (** The identity, kept only for the benchmark driver in perfbench/sim.ml:
     the device takes the aggregation pass's specs as they are. *)
 val to_device_auto :
@@ -71,15 +111,8 @@ val to_device_auto :
 
 (** Compile the right source through the pipeline and load it onto a fresh
     device. *)
-val load_variant :
-  ?cfg:Gpusim.Config.t ->
-  spec ->
-  [ `No_cdp | `Cdp of Dpopt.Pipeline.options ] ->
-  Gpusim.Device.t
+val load_variant : ?cfg:Gpusim.Config.t -> spec -> variant -> Gpusim.Device.t
 
 (** Load, run, return (fingerprint, simulated cycles, metrics). *)
 val run_variant :
-  ?cfg:Gpusim.Config.t ->
-  spec ->
-  [ `No_cdp | `Cdp of Dpopt.Pipeline.options ] ->
-  int * float * Gpusim.Metrics.t
+  ?cfg:Gpusim.Config.t -> spec -> variant -> int * float * Gpusim.Metrics.t

@@ -55,95 +55,42 @@ __global__ void bfs_parent(int* row, int* col, int* labels, int* frontier, int n
 }
 |}
 
-let source_vertex = 0
+let source = 0
 
-(** Pure-OCaml reference: BFS levels from [source_vertex]. *)
-let reference (g : Workloads.Csr.t) () =
+(* One level-synchronous replay of the BFS from [source]: the labels the
+   reference hashes, and the workload profile (each level is one host
+   launch of [bfs_parent]). *)
+let replay (g : Workloads.Csr.t) =
   let labels = Array.make g.n (-1) in
-  labels.(source_vertex) <- 0;
-  let q = Queue.create () in
-  Queue.add source_vertex q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    for e = g.row.(v) to g.row.(v + 1) - 1 do
-      let u = g.col.(e) in
-      if labels.(u) = -1 then begin
-        labels.(u) <- labels.(v) + 1;
-        Queue.add u q
-      end
-    done
-  done;
-  Bench_common.array_hash labels
+  labels.(source) <- 0;
+  let workload =
+    Bench_common.replay_frontier g ~source (fun v push ->
+        for e = g.row.(v) to g.row.(v + 1) - 1 do
+          let u = g.col.(e) in
+          if labels.(u) = -1 then begin
+            labels.(u) <- labels.(v) + 1;
+            push u
+          end
+        done)
+  in
+  (labels, workload)
+
+(** Pure-OCaml reference: BFS levels from [source]. *)
+let reference g () = Bench_common.array_hash (fst (replay g))
 
 let run (g : Workloads.Csr.t) dev =
   let open Gpusim in
   let d_row, d_col, _ = Bench_common.upload_graph dev g in
   let labels = Array.make g.n (-1) in
-  labels.(source_vertex) <- 0;
+  labels.(source) <- 0;
   let d_labels = Device.alloc_ints dev labels in
-  let d_frontier = Device.alloc_int_zeros dev g.n in
-  let d_next = Device.alloc_int_zeros dev g.n in
-  let d_next_count = Device.alloc_int_zeros dev 1 in
-  Device.write_ints dev d_frontier [| source_vertex |];
-  let frontier = ref d_frontier and next = ref d_next in
-  let n_frontier = ref 1 in
-  let level = ref 1 in
-  while !n_frontier > 0 do
-    Device.write_ints dev d_next_count [| 0 |];
-    let blocks = ((!n_frontier + 127) / 128, 1, 1) in
-    Device.launch dev ~kernel:"bfs_parent" ~grid:blocks ~block:(128, 1, 1)
-      ~args:
-        [
-          Ptr d_row;
-          Ptr d_col;
-          Ptr d_labels;
-          Ptr !frontier;
-          Int !n_frontier;
-          Ptr !next;
-          Ptr d_next_count;
-          Int !level;
-        ];
-    ignore (Device.sync dev);
-    n_frontier := (Device.read_ints dev d_next_count 1).(0);
-    let tmp = !frontier in
-    frontier := !next;
-    next := tmp;
-    incr level
-  done;
+  Bench_common.frontier_loop dev ~n:g.n ~source ~kernel:"bfs_parent"
+    (fun ~round:level worklist ->
+      Value.[ Ptr d_row; Ptr d_col; Ptr d_labels ] @ worklist @ [ Int level ]);
   Bench_common.array_hash (Device.read_ints dev d_labels g.n)
 
-(* Workload profile: replay the reference BFS level by level. Each level
-   is one host launch of [bfs_parent]; each frontier vertex is one parent
-   work item whose child size is its out-degree. *)
-let workload (g : Workloads.Csr.t) : Bench_common.workload =
-  let labels = Array.make g.n (-1) in
-  labels.(source_vertex) <- 0;
-  let sizes = ref [] in
-  let rounds = ref 0 in
-  let frontier = ref [ source_vertex ] in
-  while !frontier <> [] do
-    incr rounds;
-    let next = ref [] in
-    List.iter
-      (fun v ->
-        sizes := (g.row.(v + 1) - g.row.(v)) :: !sizes;
-        for e = g.row.(v) to g.row.(v + 1) - 1 do
-          let u = g.col.(e) in
-          if labels.(u) = -1 then begin
-            labels.(u) <- labels.(v) + 1;
-            next := u :: !next
-          end
-        done)
-      !frontier;
-    frontier := List.rev !next
-  done;
-  {
-    wl_child_sizes = Array.of_list (List.rev !sizes);
-    wl_rounds = !rounds;
-    wl_parent_block = 128;
-  }
-
 let spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
+  let labels, workload = replay dataset.graph in
   {
     name = "BFS";
     dataset = dataset.name;
@@ -151,8 +98,8 @@ let spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
     no_cdp_src;
     parent_kernel = "bfs_parent";
     max_child_threads = Workloads.Csr.max_degree dataset.graph;
-    workload = workload dataset.graph;
+    workload;
     run = run dataset.graph;
-    reference = reference dataset.graph;
+    reference = (fun () -> Bench_common.array_hash labels);
     native_host = None;
   }

@@ -2,13 +2,7 @@
     neighbor loop is the nested parallelism; the CDP version launches one
     child grid per frontier vertex. *)
 
-val child_block : int
-val cdp_src : string
-val no_cdp_src : string
-val source_vertex : int
-
-(** BFS levels from {!source_vertex}, hashed. *)
+(** BFS levels from vertex 0, hashed. *)
 val reference : Workloads.Csr.t -> unit -> int
 
-val run : Workloads.Csr.t -> Gpusim.Device.t -> int
 val spec : dataset:Workloads.Graph_gen.named -> Bench_common.spec

@@ -156,9 +156,9 @@ let run host (d : Workloads.Bezier.t) dev =
    size is the tessellation point count from the curvature formula. *)
 let workload (d : Workloads.Bezier.t) : Bench_common.workload =
   {
-    wl_child_sizes = Array.map (Workloads.Bezier.tess_points d) d.lines;
-    wl_rounds = 1;
-    wl_parent_block = 128;
+    child_sizes = Array.map (Workloads.Bezier.tess_points d) d.lines;
+    rounds = 1;
+    parent_block = 128;
   }
 
 let spec ~(dataset : Workloads.Bezier.t) : Bench_common.spec =

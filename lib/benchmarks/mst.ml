@@ -183,10 +183,6 @@ let host_boruvka ?(max_rounds = max_int) (g : Workloads.Csr.t) =
 
 (* ---------- MSTF ---------- *)
 
-let mstf_reference (g : Workloads.Csr.t) () =
-  let total, comp, _ = host_boruvka g in
-  total + Bench_common.array_hash comp
-
 let mstf_run (g : Workloads.Csr.t) dev =
   let open Gpusim in
   let d_row, d_col, d_w = Bench_common.upload_graph dev g in
@@ -218,28 +214,12 @@ let mstf_run (g : Workloads.Csr.t) dev =
    (mid-algorithm, where both intra- and inter-component edges exist). *)
 let mstv_rounds = 2
 
-let mstv_reference (g : Workloads.Csr.t) () =
-  let _, comp, _ = host_boruvka ~max_rounds:mstv_rounds g in
-  let flags = Array.make (Workloads.Csr.m g) 0 in
-  let cross = ref 0 in
-  for v = 0 to g.n - 1 do
-    for e = g.row.(v) to g.row.(v + 1) - 1 do
-      if comp.(g.col.(e)) <> comp.(v) then begin
-        flags.(e) <- 1;
-        incr cross
-      end
-    done
-  done;
-  !cross + Bench_common.array_hash flags
-
-(* The MSTV host driver: one verify launch over the component state after
-   [mstv_rounds] host Boruvka rounds. Each flag is written by one thread
-   and the cross count is an integer atomic sum, so the dump is
-   order-independent. Buffers 0-2 hold the graph
-   ([Bench_common.graph_ops]), 3 the components, 4 the flags and 5 the
-   cross count. *)
-let mstv_host (g : Workloads.Csr.t) : Native.Hostspec.t =
-  let _, comp, _ = host_boruvka ~max_rounds:mstv_rounds g in
+(* The MSTV host driver: one verify launch over the component state
+   [comp]. Each flag is written by one thread and the cross count is an
+   integer atomic sum, so the dump is order-independent. Buffers 0-2 hold
+   the graph ([Bench_common.graph_ops]), 3 the components, 4 the flags
+   and 5 the cross count. *)
+let mstv_host (g : Workloads.Csr.t) comp : Native.Hostspec.t =
   let open Native.Hostspec in
   {
     ops =
@@ -268,49 +248,62 @@ let mstv_run host (g : Workloads.Csr.t) dev =
   + Bench_common.array_hash
       (Gpusim.Device.read_ints dev bufs.(4) (Workloads.Csr.m g))
 
+(* What the verify kernel computes over [comp], in pure OCaml. *)
+let mstv_reference (g : Workloads.Csr.t) comp () =
+  let flags = Array.make (Workloads.Csr.m g) 0 in
+  let cross = ref 0 in
+  for v = 0 to g.n - 1 do
+    for e = g.row.(v) to g.row.(v + 1) - 1 do
+      if comp.(g.col.(e)) <> comp.(v) then begin
+        flags.(e) <- 1;
+        incr cross
+      end
+    done
+  done;
+  !cross + Bench_common.array_hash flags
+
+(* Both find and verify launch over all n vertices with child size =
+   out-degree. *)
 let degrees (g : Workloads.Csr.t) =
   Array.init g.n (fun v -> g.row.(v + 1) - g.row.(v))
 
-(* Workload profiles. Both find and verify launch over all n vertices with
-   child size = out-degree; MSTF repeats that once per Boruvka round, MSTV
-   runs the verify kernel once. *)
-let mstf_workload (g : Workloads.Csr.t) : Bench_common.workload =
-  let _, _, rounds = host_boruvka g in
-  let per_round = degrees g in
-  {
-    wl_child_sizes = Array.concat (List.init rounds (fun _ -> per_round));
-    wl_rounds = rounds;
-    wl_parent_block = 128;
-  }
-
-let mstv_workload (g : Workloads.Csr.t) : Bench_common.workload =
-  { wl_child_sizes = degrees g; wl_rounds = 1; wl_parent_block = 128 }
-
+(* The full host Boruvka gives MSTF both its reference (total weight and
+   final components) and its profile (the find launch once per round). *)
 let mstf_spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
+  let g = dataset.graph in
+  let total, comp, rounds = host_boruvka g in
+  let per_round = degrees g in
   {
     name = "MSTF";
     dataset = dataset.name;
     cdp_src = find_cdp_src;
     no_cdp_src = find_no_cdp_src;
     parent_kernel = "mst_find_parent";
-    max_child_threads = Workloads.Csr.max_degree dataset.graph;
-    workload = mstf_workload dataset.graph;
-    run = mstf_run dataset.graph;
-    reference = mstf_reference dataset.graph;
+    max_child_threads = Workloads.Csr.max_degree g;
+    workload =
+      {
+        child_sizes = Array.concat (List.init rounds (fun _ -> per_round));
+        rounds;
+        parent_block = 128;
+      };
+    run = mstf_run g;
+    reference = (fun () -> total + Bench_common.array_hash comp);
     native_host = None;
   }
 
 let mstv_spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
-  let host = mstv_host dataset.graph in
+  let g = dataset.graph in
+  let _, comp, _ = host_boruvka ~max_rounds:mstv_rounds g in
+  let host = mstv_host g comp in
   {
     name = "MSTV";
     dataset = dataset.name;
     cdp_src = verify_cdp_src;
     no_cdp_src = verify_no_cdp_src;
     parent_kernel = "mst_verify_parent";
-    max_child_threads = Workloads.Csr.max_degree dataset.graph;
-    workload = mstv_workload dataset.graph;
-    run = mstv_run host dataset.graph;
-    reference = mstv_reference dataset.graph;
+    max_child_threads = Workloads.Csr.max_degree g;
+    workload = { child_sizes = degrees g; rounds = 1; parent_block = 128 };
+    run = mstv_run host g;
+    reference = mstv_reference g comp;
     native_host = Some host;
   }

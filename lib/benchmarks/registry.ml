@@ -5,6 +5,17 @@
 
 type size = Small | Medium | Large
 
+let size_of_string s =
+  match String.lowercase_ascii s with
+  | "small" -> Ok Small
+  | "medium" -> Ok Medium
+  | "large" -> Ok Large
+  | _ -> Error (`Msg (Fmt.str "unknown size %S (small | medium | large)" s))
+
+let pp_size ppf size =
+  Fmt.string ppf
+    (match size with Small -> "small" | Medium -> "medium" | Large -> "large")
+
 (** Datasets, memoized per size so repeated spec lookups share graphs.
     The cache is the one piece of mutable state shared across callers, so
     it is guarded by a mutex: sweep/figure jobs running on pool domains
@@ -47,40 +58,60 @@ let datasets =
         Hashtbl.add cache size d;
         d
 
-(** All (benchmark, dataset) pairs of Fig. 9 / Table I. *)
-let all ?(size = Small) () : Bench_common.spec list =
-  let kron, cnr, _road, t0032, t2048, rand3, sat5 = datasets size in
-  let tc_cap =
-    match size with Small -> 3000 | Medium -> 6000 | Large -> 20000
-  in
+(* One row per (benchmark, dataset) pair, in Fig. 9 order: Table I's 14,
+   then the four graph benchmarks on the road network (Fig. 12). A row
+   builds its spec from its tier's datasets, so a lookup builds only the
+   spec it returns. *)
+let table : (string * string * (size -> Bench_common.spec)) list =
+  let kron s = let d, _, _, _, _, _, _ = datasets s in d
+  and cnr s = let _, d, _, _, _, _, _ = datasets s in d
+  and road s = let _, _, d, _, _, _, _ = datasets s in d
+  and t0032 s = let _, _, _, d, _, _, _ = datasets s in d
+  and t2048 s = let _, _, _, _, d, _, _ = datasets s in d
+  and rand3 s = let _, _, _, _, _, d, _ = datasets s in d
+  and sat5 s = let _, _, _, _, _, _, d = datasets s in d in
+  let tc_cap = function Small -> 3000 | Medium -> 6000 | Large -> 20000 in
   [
-    Bfs.spec ~dataset:kron;
-    Bfs.spec ~dataset:cnr;
-    Bt.spec ~dataset:t0032;
-    Bt.spec ~dataset:t2048;
-    Mst.mstf_spec ~dataset:kron;
-    Mst.mstf_spec ~dataset:cnr;
-    Mst.mstv_spec ~dataset:kron;
-    Mst.mstv_spec ~dataset:cnr;
-    Sp.spec ~formula:rand3;
-    Sp.spec ~formula:sat5;
-    Sssp.spec ~dataset:kron;
-    Sssp.spec ~dataset:cnr;
-    Tc.spec ~cap:tc_cap ~dataset:kron ();
-    Tc.spec ~cap:tc_cap ~dataset:cnr ();
+    ("BFS", "KRON", fun s -> Bfs.spec ~dataset:(kron s));
+    ("BFS", "CNR", fun s -> Bfs.spec ~dataset:(cnr s));
+    ("BT", "T0032-C16", fun s -> Bt.spec ~dataset:(t0032 s));
+    ("BT", "T2048-C64", fun s -> Bt.spec ~dataset:(t2048 s));
+    ("MSTF", "KRON", fun s -> Mst.mstf_spec ~dataset:(kron s));
+    ("MSTF", "CNR", fun s -> Mst.mstf_spec ~dataset:(cnr s));
+    ("MSTV", "KRON", fun s -> Mst.mstv_spec ~dataset:(kron s));
+    ("MSTV", "CNR", fun s -> Mst.mstv_spec ~dataset:(cnr s));
+    ("SP", "RAND-3", fun s -> Sp.spec ~formula:(rand3 s));
+    ("SP", "5-SAT", fun s -> Sp.spec ~formula:(sat5 s));
+    ("SSSP", "KRON", fun s -> Sssp.spec ~dataset:(kron s));
+    ("SSSP", "CNR", fun s -> Sssp.spec ~dataset:(cnr s));
+    ("TC", "KRON", fun s -> Tc.spec ~cap:(tc_cap s) ~dataset:(kron s) ());
+    ("TC", "CNR", fun s -> Tc.spec ~cap:(tc_cap s) ~dataset:(cnr s) ());
+    ("BFS", "ROAD", fun s -> Bfs.spec ~dataset:(road s));
+    ("MSTF", "ROAD", fun s -> Mst.mstf_spec ~dataset:(road s));
+    ("MSTV", "ROAD", fun s -> Mst.mstv_spec ~dataset:(road s));
+    ("SSSP", "ROAD", fun s -> Sssp.spec ~dataset:(road s));
   ]
 
-(** The graph benchmarks on the road network (Fig. 12, Section VIII-D). *)
-let road ?(size = Small) () : Bench_common.spec list =
-  let _, _, road, _, _, _, _ = datasets size in
-  [
-    Bfs.spec ~dataset:road;
-    Mst.mstf_spec ~dataset:road;
-    Mst.mstv_spec ~dataset:road;
-    Sssp.spec ~dataset:road;
-  ]
+let specs ~on_road size =
+  List.filter_map
+    (fun (_, dataset, make) ->
+      if (dataset = "ROAD") = on_road then Some (make size) else None)
+    table
 
-let find ?size ~name ~dataset () =
-  List.find_opt
-    (fun (s : Bench_common.spec) -> s.name = name && s.dataset = dataset)
-    (all ?size () @ road ?size ())
+let all ?(size = Small) () = specs ~on_road:false size
+let road ?(size = Small) () = specs ~on_road:true size
+
+let table1 =
+  List.fold_right
+    (fun (name, dataset, _) rows ->
+      match rows with
+      | _ when dataset = "ROAD" -> rows
+      | (n, ds) :: rest when n = name -> (n, dataset :: ds) :: rest
+      | _ -> (name, [ dataset ]) :: rows)
+    table []
+
+let find ?(size = Small) ~name ~dataset () =
+  List.find_map
+    (fun (n, d, make) ->
+      if n = name && d = dataset then Some (make size) else None)
+    table

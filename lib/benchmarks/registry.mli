@@ -5,6 +5,12 @@
     sampled runs ([--sample]); exact large runs work but are slow. *)
 type size = Small | Medium | Large
 
+(** Parse a size, in any case: [small], [medium] or [large]. *)
+val size_of_string : string -> (size, [ `Msg of string ]) result
+
+(** Print a size as [small], [medium] or [large]. *)
+val pp_size : Format.formatter -> size -> unit
+
 (** Datasets for a size, memoized:
     (KRON, CNR, ROAD, T0032-C16, T2048-C64, RAND-3, 5-SAT).
     The memo table is mutex-guarded, so this is safe to call from
@@ -26,6 +32,10 @@ val all : ?size:size -> unit -> Bench_common.spec list
 (** The graph benchmarks on the road network (Fig. 12). *)
 val road : ?size:size -> unit -> Bench_common.spec list
 
+(** Table I: each benchmark with its datasets, in {!all}'s order. *)
+val table1 : (string * string list) list
+
+(** The spec of one pair of {!all} or {!road}; builds only that spec. *)
 val find :
   ?size:size -> name:string -> dataset:string -> unit ->
   Bench_common.spec option

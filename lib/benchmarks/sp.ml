@@ -111,21 +111,20 @@ let build_arrays (f : Workloads.Sat.t) : arrays =
 let initial_eta n_cells =
   Array.init n_cells (fun i -> 0.1 +. (0.8 *. Float.rem (float_of_int i *. 0.61803398875) 1.0))
 
-let reference (f : Workloads.Sat.t) () =
-  let a = build_arrays f in
+(* The reference over the factor-graph arrays [a] the spec built. *)
+let reference (a : arrays) () =
   let eta = ref (initial_eta a.n_cells) in
   let eta' = ref (Array.make a.n_cells 0.0) in
   for _ = 1 to rounds do
-    for v = 0 to f.n_vars - 1 do
-      for oi = a.o_row.(v) to a.o_row.(v + 1) - 1 do
-        let c = a.o_cidx.(oi) and slot = a.o_slot.(oi) in
-        let cb = a.c_row.(c) and ce = a.c_row.(c + 1) in
-        let prod = ref 1.0 in
-        for s = cb to ce - 1 do
-          if s <> cb + slot then prod := !prod *. (0.5 +. (0.5 *. !eta.(s)))
-        done;
-        !eta'.(cb + slot) <- !prod
-      done
+    (* every occurrence, variable by variable *)
+    for oi = 0 to Array.length a.o_cidx - 1 do
+      let c = a.o_cidx.(oi) and slot = a.o_slot.(oi) in
+      let cb = a.c_row.(c) and ce = a.c_row.(c + 1) in
+      let prod = ref 1.0 in
+      for s = cb to ce - 1 do
+        if s <> cb + slot then prod := !prod *. (0.5 +. (0.5 *. !eta.(s)))
+      done;
+      !eta'.(cb + slot) <- !prod
     done;
     let tmp = !eta in
     eta := !eta';
@@ -180,19 +179,11 @@ let run host (a : arrays) dev =
 
 let spec ~(formula : Workloads.Sat.t) : Bench_common.spec =
   let a = build_arrays formula in
-  let max_occ =
-    let m = ref 0 in
-    for v = 0 to formula.n_vars - 1 do
-      m := max !m (a.o_row.(v + 1) - a.o_row.(v))
-    done;
-    !m
-  in
   (* Workload profile: [rounds] host launches, each visiting every variable
      with child size = its clause-occurrence count. *)
   let per_round =
     Array.init formula.n_vars (fun v -> a.o_row.(v + 1) - a.o_row.(v))
   in
-  let sizes = Array.concat (List.init rounds (fun _ -> per_round)) in
   let host = host formula a in
   {
     name = "SP";
@@ -200,10 +191,14 @@ let spec ~(formula : Workloads.Sat.t) : Bench_common.spec =
     cdp_src;
     no_cdp_src;
     parent_kernel = "sp_parent";
-    max_child_threads = max_occ;
+    max_child_threads = Array.fold_left max 0 per_round;
     workload =
-      { wl_child_sizes = sizes; wl_rounds = rounds; wl_parent_block = 128 };
+      {
+        child_sizes = Array.concat (List.init rounds (fun _ -> per_round));
+        rounds;
+        parent_block = 128;
+      };
     run = run host a;
-    reference = reference formula;
+    reference = reference a;
     native_host = Some host;
   }

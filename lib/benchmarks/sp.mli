@@ -2,11 +2,6 @@
     Double-buffered float surveys: each cell is written by exactly one
     thread, so every variant is bit-identical. *)
 
-val child_block : int
-val rounds : int
-val cdp_src : string
-val no_cdp_src : string
-
 type arrays = {
   o_row : int array;
   o_cidx : int array;
@@ -16,5 +11,4 @@ type arrays = {
 }
 
 val build_arrays : Workloads.Sat.t -> arrays
-val reference : Workloads.Sat.t -> unit -> int
 val spec : formula:Workloads.Sat.t -> Bench_common.spec

@@ -67,19 +67,19 @@ __global__ void sssp_parent(int* row, int* col, int* w, int* dist, int* inq, int
 |}
     relax_body
 
-let source_vertex = 0
+let source = 0
 let inf = 1 lsl 40
 
 (** Dijkstra reference. *)
 let reference (g : Workloads.Csr.t) () =
   let dist = Array.make g.n inf in
-  dist.(source_vertex) <- 0;
+  dist.(source) <- 0;
   let module PQ = Set.Make (struct
     type t = int * int
 
     let compare = compare
   end) in
-  let pq = ref (PQ.singleton (0, source_vertex)) in
+  let pq = ref (PQ.singleton (0, source)) in
   while not (PQ.is_empty !pq) do
     let ((d, v) as el) = PQ.min_elt !pq in
     pq := PQ.remove el !pq;
@@ -99,40 +99,13 @@ let run (g : Workloads.Csr.t) dev =
   let open Gpusim in
   let d_row, d_col, d_w = Bench_common.upload_graph dev g in
   let dist = Array.make g.n inf in
-  dist.(source_vertex) <- 0;
+  dist.(source) <- 0;
   let d_dist = Device.alloc_ints dev dist in
   let d_inq = Device.alloc_int_zeros dev g.n in
-  let d_frontier = Device.alloc_int_zeros dev g.n in
-  let d_next = Device.alloc_int_zeros dev g.n in
-  let d_next_count = Device.alloc_int_zeros dev 1 in
-  Device.write_ints dev d_frontier [| source_vertex |];
-  let frontier = ref d_frontier and next = ref d_next in
-  let n_frontier = ref 1 in
-  let rounds = ref 0 in
-  while !n_frontier > 0 && !rounds < 4 * g.n do
-    incr rounds;
-    Device.write_ints dev d_next_count [| 0 |];
-    Device.launch dev ~kernel:"sssp_parent"
-      ~grid:((!n_frontier + 127) / 128, 1, 1)
-      ~block:(128, 1, 1)
-      ~args:
-        [
-          Ptr d_row;
-          Ptr d_col;
-          Ptr d_w;
-          Ptr d_dist;
-          Ptr d_inq;
-          Ptr !frontier;
-          Int !n_frontier;
-          Ptr !next;
-          Ptr d_next_count;
-        ];
-    ignore (Device.sync dev);
-    n_frontier := (Device.read_ints dev d_next_count 1).(0);
-    let tmp = !frontier in
-    frontier := !next;
-    next := tmp
-  done;
+  Bench_common.frontier_loop dev ~n:g.n ~source ~kernel:"sssp_parent"
+    ~max_rounds:(4 * g.n) (fun ~round:_ worklist ->
+      Value.[ Ptr d_row; Ptr d_col; Ptr d_w; Ptr d_dist; Ptr d_inq ]
+      @ worklist);
   Bench_common.array_hash (Device.read_ints dev d_dist g.n)
 
 (* Workload profile: the exact worklist contents depend on how atomics
@@ -140,40 +113,24 @@ let run (g : Workloads.Csr.t) dev =
    sequential replay of the same worklist relaxation (dist + in-queue
    dedup, one fixed interleaving). Unlike a plain BFS replay it counts
    re-relaxations, which dominate the item count on skewed graphs. *)
-let workload (g : Workloads.Csr.t) : Bench_common.workload =
+let workload (g : Workloads.Csr.t) =
   let dist = Array.make g.n inf in
-  dist.(source_vertex) <- 0;
+  dist.(source) <- 0;
   let inq = Array.make g.n false in
-  let sizes = ref [] in
-  let rounds = ref 0 in
-  let frontier = ref [ source_vertex ] in
-  while !frontier <> [] && !rounds < 4 * g.n do
-    incr rounds;
-    let next = ref [] in
-    List.iter
-      (fun v ->
-        inq.(v) <- false;
-        sizes := (g.row.(v + 1) - g.row.(v)) :: !sizes;
-        let dv = dist.(v) in
-        for e = g.row.(v) to g.row.(v + 1) - 1 do
-          let u = g.col.(e) in
-          let alt = dv + g.weight.(e) in
-          if alt < dist.(u) then begin
-            dist.(u) <- alt;
-            if not inq.(u) then begin
-              inq.(u) <- true;
-              next := u :: !next
-            end
+  Bench_common.replay_frontier g ~source ~max_rounds:(4 * g.n) (fun v push ->
+      inq.(v) <- false;
+      let dv = dist.(v) in
+      for e = g.row.(v) to g.row.(v + 1) - 1 do
+        let u = g.col.(e) in
+        let alt = dv + g.weight.(e) in
+        if alt < dist.(u) then begin
+          dist.(u) <- alt;
+          if not inq.(u) then begin
+            inq.(u) <- true;
+            push u
           end
-        done)
-      !frontier;
-    frontier := List.rev !next
-  done;
-  {
-    wl_child_sizes = Array.of_list (List.rev !sizes);
-    wl_rounds = !rounds;
-    wl_parent_block = 128;
-  }
+        end
+      done)
 
 let spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
   {

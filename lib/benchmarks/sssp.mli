@@ -2,14 +2,10 @@
     to the Dijkstra fixpoint under any atomic interleaving, so all variants
     produce identical distances. *)
 
-val child_block : int
-val cdp_src : string
-val no_cdp_src : string
-val source_vertex : int
+(** The distance of an unreached vertex. *)
 val inf : int
 
-(** Dijkstra distances, hashed. *)
+(** Dijkstra distances from vertex 0, hashed. *)
 val reference : Workloads.Csr.t -> unit -> int
 
-val run : Workloads.Csr.t -> Gpusim.Device.t -> int
 val spec : dataset:Workloads.Graph_gen.named -> Bench_common.spec

@@ -99,8 +99,8 @@ let edge_list ?(cap = 6000) (g : Workloads.Csr.t) =
    with Exit -> ());
   (Array.of_list (List.rev !src), Array.of_list (List.rev !dst))
 
-let reference (g : Workloads.Csr.t) ~cap () =
-  let e_src, e_dst = edge_list ~cap g in
+(* Triangles closed by the edges [(e_src.(i), e_dst.(i))]. *)
+let count_triangles (g : Workloads.Csr.t) (e_src, e_dst) () =
   let count = ref 0 in
   Array.iteri
     (fun i u ->
@@ -125,6 +125,8 @@ let reference (g : Workloads.Csr.t) ~cap () =
       done)
     e_src;
   !count
+
+let reference g ~cap = count_triangles g (edge_list ~cap g)
 
 (* The host driver: the only output is the integer triangle counter
    (atomicAdd), so the dump is order-independent. The graph comes first,
@@ -172,8 +174,8 @@ let spec ?(cap = 6000) ~(dataset : Workloads.Graph_gen.named) () :
     no_cdp_src;
     parent_kernel = "tc_parent";
     max_child_threads = Workloads.Csr.max_degree g;
-    workload = { wl_child_sizes = sizes; wl_rounds = 1; wl_parent_block = 128 };
+    workload = { child_sizes = sizes; rounds = 1; parent_block = 128 };
     run = run host;
-    reference = reference g ~cap;
+    reference = count_triangles g edges;
     native_host = Some host;
   }

@@ -2,10 +2,8 @@
     per-edge child grid has deg(u) threads. The edge list is capped, as the
     paper also uses "parts of the graphs" for TC. *)
 
-val child_block : int
-val cdp_src : string
-val no_cdp_src : string
-val edge_list : ?cap:int -> Workloads.Csr.t -> int array * int array
+(** [reference g ~cap ()] counts the triangles the first [cap] edges
+    (u, v), u < v, of the neighbor-sorted graph [g] close. *)
 val reference : Workloads.Csr.t -> cap:int -> unit -> int
 
 (** [spec ?cap ~dataset ()] — the graph is neighbor-sorted internally. *)

@@ -23,7 +23,7 @@ let collect ?cfg ?(threshold = 64) ?(cfactor = 8)
     (fun (label, opts) ->
       let f = Feature.of_spec ?cfg spec ~opts ~label () in
       let _, time, _ =
-        Benchmarks.Bench_common.run_variant ?cfg spec (`Cdp opts)
+        Benchmarks.Bench_common.run_variant ?cfg spec (Cdp opts)
       in
       {
         s_bench = spec.name;

@@ -337,5 +337,5 @@ let of_spec ?cfg (spec : Benchmarks.Bench_common.spec)
   extract ?cfg
     ~prog:(Minicu.Parser.program spec.cdp_src)
     ~parent_kernel:spec.parent_kernel
-    ~profile:(Profile.of_workload spec.workload)
+    ~profile:spec.workload
     ~opts ?label ()

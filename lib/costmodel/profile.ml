@@ -4,22 +4,15 @@
     — one entry per parent work item with the child-thread count that item
     wants — plus the host driver's launch structure. Benchmark specs carry
     an exact (or documented stand-in) profile computed from the dataset
-    ({!Benchmarks.Bench_common.workload}); [dpoptc --predict] builds
-    synthetic ones from distribution knobs. *)
+    (this type is {!Benchmarks.Bench_common.workload}); [dpoptc --predict]
+    builds synthetic ones from distribution knobs. *)
 
-type t = {
+type t = Benchmarks.Bench_common.workload = {
   child_sizes : int array;
       (** Per parent work item, in processing order; 0 = no nested work. *)
   rounds : int;  (** Host launches of the parent kernel over the run. *)
   parent_block : int;  (** Threads per block of those host launches. *)
 }
-
-let of_workload (w : Benchmarks.Bench_common.workload) : t =
-  {
-    child_sizes = w.wl_child_sizes;
-    rounds = max 1 w.wl_rounds;
-    parent_block = max 1 w.wl_parent_block;
-  }
 
 let n_items p = Array.length p.child_sizes
 

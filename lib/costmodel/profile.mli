@@ -2,15 +2,13 @@
     child-grid size per parent work item over a whole application run, plus
     the host driver's launch structure. *)
 
-type t = {
+(** A benchmark spec's workload is a profile. *)
+type t = Benchmarks.Bench_common.workload = {
   child_sizes : int array;
       (** Per parent work item, in processing order; 0 = no nested work. *)
   rounds : int;  (** Host launches of the parent kernel over the run. *)
   parent_block : int;  (** Threads per block of those host launches. *)
 }
-
-(** View a benchmark spec's checked-in workload as a profile. *)
-val of_workload : Benchmarks.Bench_common.workload -> t
 
 val n_items : t -> int
 val total_child_threads : t -> int

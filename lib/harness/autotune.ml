@@ -168,7 +168,6 @@ let search ?(budget = 12) ?(seed = 1) ?space ?surrogate ?topk
       (* Surrogate-guided: static scores for the whole grid, simulator for
          the top-k frontier only. *)
       let prog = Minicu.Parser.program spec.cdp_src in
-      let profile = Costmodel.Profile.of_workload spec.workload in
       let scored =
         List.map
           (fun params ->
@@ -179,7 +178,8 @@ let search ?(budget = 12) ?(seed = 1) ?space ?surrogate ?topk
             in
             let f =
               Costmodel.Feature.extract ~prog
-                ~parent_kernel:spec.parent_kernel ~profile ~opts ()
+                ~parent_kernel:spec.parent_kernel ~profile:spec.workload ~opts
+                ()
             in
             (params, Costmodel.Model.predict coeffs f))
           (enumerate_params combo space)

@@ -93,16 +93,11 @@ let collect ?(size = Benchmarks.Registry.Small) ?pool ?(budget = 12) () : t =
     cm_all_within_10pct = List.for_all (fun r -> r.cr_within_10pct) reports;
   }
 
-let size_label = function
-  | Benchmarks.Registry.Small -> "small"
-  | Benchmarks.Registry.Medium -> "medium"
-  | Benchmarks.Registry.Large -> "large"
-
 let print_table t =
   let pf = Fmt.pr in
-  pf "@.=== Cost model vs simulator (table v%d, %s datasets, budget %d) \
+  pf "@.=== Cost model vs simulator (table v%d, %a datasets, budget %d) \
       ===@."
-    t.cm_table_version (size_label t.cm_size) t.cm_budget;
+    t.cm_table_version Benchmarks.Registry.pp_size t.cm_size t.cm_budget;
   pf "%-6s %-10s %8s %8s %6s %6s %7s %9s@." "Bench" "Dataset" "spearman"
     "kendall" "runs" "sur" "saved%" "within10%";
   List.iter
@@ -124,7 +119,8 @@ let write_json path t =
       p "  \"schema\": %d,\n" Sweep.schema_version;
       p "  \"kind\": \"dpopt.costmodel\",\n";
       p "  \"table_version\": %d,\n" t.cm_table_version;
-      p "  \"size\": \"%s\",\n" (size_label t.cm_size);
+      p "  \"size\": \"%s\",\n"
+        (Fmt.to_to_string Benchmarks.Registry.pp_size t.cm_size);
       p "  \"budget\": %d,\n" t.cm_budget;
       p "  \"mean_spearman\": %.4f,\n" t.cm_mean_spearman;
       p "  \"min_spearman\": %.4f,\n" t.cm_min_spearman;

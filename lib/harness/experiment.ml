@@ -50,8 +50,9 @@ let sampling_for_size (size : Benchmarks.Registry.size) =
     estimates by construction (the [sampled] field records this). *)
 let run ?cfg ?(validate = true) (spec : Benchmarks.Bench_common.spec)
     (variant : Variant.t) : measurement =
-  let v = match variant with Variant.No_cdp -> `No_cdp | Variant.Cdp o -> `Cdp o in
-  let fp, time, metrics = Benchmarks.Bench_common.run_variant ?cfg spec v in
+  let fp, time, metrics =
+    Benchmarks.Bench_common.run_variant ?cfg spec variant
+  in
   if validate && (not (sampling_on cfg)) && fp <> spec.reference () then
     raise
       (Validation_failure

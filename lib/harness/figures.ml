@@ -31,13 +31,10 @@ let table1 ?(size = Benchmarks.Registry.Small) () =
   in
   pf "@.=== Table I: benchmarks and datasets (scaled; see DESIGN.md) ===@.";
   pf "%-6s %-45s@." "Bench" "Datasets";
-  pf "%-6s %-45s@." "BFS" "KRON, CNR";
-  pf "%-6s %-45s@." "BT" "T0032-C16, T2048-C64";
-  pf "%-6s %-45s@." "MSTF" "KRON, CNR";
-  pf "%-6s %-45s@." "MSTV" "KRON, CNR";
-  pf "%-6s %-45s@." "SP" "RAND-3, 5-SAT";
-  pf "%-6s %-45s@." "SSSP" "KRON, CNR";
-  pf "%-6s %-45s@." "TC" "KRON, CNR";
+  List.iter
+    (fun (name, datasets) ->
+      pf "%-6s %-45s@." name (String.concat ", " datasets))
+    Benchmarks.Registry.table1;
   pf "@.Datasets:@.";
   List.iter
     (fun (d : Workloads.Graph_gen.named) ->

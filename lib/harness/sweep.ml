@@ -28,11 +28,6 @@ type t = {
 let variants () : (string * Variant.t) list =
   ("No CDP", Variant.No_cdp) :: Variant.power_set ()
 
-let size_label = function
-  | Benchmarks.Registry.Small -> "small"
-  | Benchmarks.Registry.Medium -> "medium"
-  | Benchmarks.Registry.Large -> "large"
-
 (* Static model score for a cell; the model only covers CDP variants. *)
 let predict spec = function
   | Variant.No_cdp -> nan
@@ -127,9 +122,9 @@ let rows t =
 
 let print_table t =
   let labels = List.map fst (variants ()) in
-  pf "@.=== Sweep: %d cells (%s datasets; speedup over CDP, higher is \
+  pf "@.=== Sweep: %d cells (%a datasets; speedup over CDP, higher is \
       better) ===@."
-    (List.length t.sw_cells) (size_label t.sw_size);
+    (List.length t.sw_cells) Benchmarks.Registry.pp_size t.sw_size;
   pf "%-6s %-10s" "Bench" "Dataset";
   List.iter (fun l -> pf " %9s" l) labels;
   pf " %7s" "rho";
@@ -183,7 +178,8 @@ let write_json path t =
       p "{\n";
       p "  \"schema\": %d,\n" schema_version;
       p "  \"kind\": \"dpopt.sweep\",\n";
-      p "  \"size\": %s,\n" (json_string (size_label t.sw_size));
+      p "  \"size\": %s,\n"
+        (json_string (Fmt.to_to_string Benchmarks.Registry.pp_size t.sw_size));
       p "  \"cells\": [\n";
       List.iteri
         (fun i c ->

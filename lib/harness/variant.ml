@@ -1,10 +1,9 @@
 (** The code-version axes of the paper's evaluation (Section VII): which
     optimizations are enabled, and with which tuning parameters. *)
 
-type t =
-  | No_cdp  (** The original version without dynamic parallelism. *)
+type t = Benchmarks.Bench_common.variant =
+  | No_cdp
   | Cdp of Dpopt.Pipeline.options
-      (** The CDP version, run through the compiler with these passes. *)
 
 let label = function
   | No_cdp -> "No CDP"

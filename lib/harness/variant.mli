@@ -1,6 +1,7 @@
 (** The code-version axes of the paper's evaluation (Section VII). *)
 
-type t =
+(** A code version: which source runs, and through which passes. *)
+type t = Benchmarks.Bench_common.variant =
   | No_cdp  (** The original version without dynamic parallelism. *)
   | Cdp of Dpopt.Pipeline.options  (** CDP run through the compiler. *)
 

@@ -4,20 +4,21 @@
    output. Marked `Slow where heavy. *)
 
 let variants =
-  [
-    ("No CDP", `No_cdp);
-    ("CDP", `Cdp Dpopt.Pipeline.none);
-    ("CDP+T", `Cdp (Dpopt.Pipeline.make ~threshold:32 ()));
-    ("CDP+C", `Cdp (Dpopt.Pipeline.make ~cfactor:4 ()));
-    ("CDP+A warp", `Cdp (Dpopt.Pipeline.make ~granularity:Dpopt.Aggregation.Warp ()));
-    ("CDP+A block", `Cdp (Dpopt.Pipeline.make ~granularity:Dpopt.Aggregation.Block ()));
-    ( "CDP+A grid",
-      `Cdp (Dpopt.Pipeline.make ~granularity:Dpopt.Aggregation.Grid ()) );
-    ( "CDP+T+C+A mb4",
-      `Cdp
-        (Dpopt.Pipeline.make ~threshold:32 ~cfactor:4
-           ~granularity:(Dpopt.Aggregation.Multi_block 4) ()) );
-  ]
+  Benchmarks.Bench_common.
+    [
+      ("No CDP", No_cdp);
+      ("CDP", Cdp Dpopt.Pipeline.none);
+      ("CDP+T", Cdp (Dpopt.Pipeline.make ~threshold:32 ()));
+      ("CDP+C", Cdp (Dpopt.Pipeline.make ~cfactor:4 ()));
+      ("CDP+A warp", Cdp (Dpopt.Pipeline.make ~granularity:Dpopt.Aggregation.Warp ()));
+      ("CDP+A block", Cdp (Dpopt.Pipeline.make ~granularity:Dpopt.Aggregation.Block ()));
+      ( "CDP+A grid",
+        Cdp (Dpopt.Pipeline.make ~granularity:Dpopt.Aggregation.Grid ()) );
+      ( "CDP+T+C+A mb4",
+        Cdp
+          (Dpopt.Pipeline.make ~threshold:32 ~cfactor:4
+             ~granularity:(Dpopt.Aggregation.Multi_block 4) ()) );
+    ]
 
 (* tiny datasets so the full matrix stays fast *)
 let specs () : Benchmarks.Bench_common.spec list =
@@ -71,8 +72,16 @@ let structural =
     Alcotest.test_case "registry find" `Quick (fun () ->
         Alcotest.(check bool) "BFS/KRON exists" true
           (Benchmarks.Registry.find ~name:"BFS" ~dataset:"KRON" () <> None);
-        Alcotest.(check bool) "bogus absent" true
-          (Benchmarks.Registry.find ~name:"XX" ~dataset:"KRON" () = None));
+        (* unknown pairs, including known names on the wrong dataset *)
+        List.iter
+          (fun (name, dataset) ->
+            Alcotest.(check bool)
+              (name ^ "/" ^ dataset ^ " absent")
+              true
+              (Benchmarks.Registry.find ~name ~dataset () = None))
+          [
+            ("XX", "KRON"); ("BT", "KRON"); ("BFS", "T0032-C16"); ("bfs", "KRON");
+          ]);
     Alcotest.test_case "CDP sources parse and typecheck" `Quick (fun () ->
         List.iter
           (fun (s : Benchmarks.Bench_common.spec) ->
@@ -91,6 +100,32 @@ let structural =
           (specs ()));
   ]
 
+(* [find] builds, for every pair, the spec the registry lists. *)
+let find_matches_registry =
+  Alcotest.test_case "find builds the registry's spec for every pair" `Quick
+    (fun () ->
+      List.iter
+        (fun (s : Benchmarks.Bench_common.spec) ->
+          let pair = s.name ^ "/" ^ s.dataset in
+          match
+            Benchmarks.Registry.find ~size:Small ~name:s.name
+              ~dataset:s.dataset ()
+          with
+          | None -> Alcotest.failf "%s: not found" pair
+          | Some f ->
+              Alcotest.(check string) (pair ^ " name") s.name f.name;
+              Alcotest.(check string) (pair ^ " dataset") s.dataset f.dataset;
+              Alcotest.(check int)
+                (pair ^ " reference") (s.reference ()) (f.reference ());
+              Alcotest.(check bool)
+                (pair ^ " workload") true (s.workload = f.workload);
+              Alcotest.(check int)
+                (pair ^ " max_child_threads") s.max_child_threads
+                f.max_child_threads)
+        (Benchmarks.Registry.all ~size:Small ()
+        @ Benchmarks.Registry.road ~size:Small ()))
+
 let suite =
   structural
   @ List.concat_map (fun s -> List.map (case s) variants) (specs ())
+  @ [ find_matches_registry ]

@@ -315,7 +315,9 @@ let spec_digest ~tier (spec : Benchmarks.Bench_common.spec) (vname, v) =
         (run_digest ~fingerprint dev))
 
 let combos =
-  List.map (fun (l, o) -> (l, `Cdp o)) (Dpopt.Pipeline.enumerate ())
+  List.map
+    (fun (l, o) -> (l, Benchmarks.Bench_common.Cdp o))
+    (Dpopt.Pipeline.enumerate ())
 
 (* Every Table I benchmark on tiny datasets, under all 8 pass combos. *)
 let tiny_tests =

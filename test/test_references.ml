@@ -153,7 +153,7 @@ let suite =
             ~max_tessellation:64 ~curvature_scale:0.001 ()
         in
         let spec = Benchmarks.Bt.spec ~dataset:d in
-        let fp, _, _ = Benchmarks.Bench_common.run_variant spec `No_cdp in
+        let fp, _, _ = Benchmarks.Bench_common.(run_variant spec No_cdp) in
         Alcotest.(check int) "fingerprints" (spec.reference ()) fp);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:200

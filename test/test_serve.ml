@@ -487,4 +487,48 @@ let suite =
             ("multi-block:x", "multiblock:<n> needs a positive integer");
           ];
         List.iter Sys.remove [ src; err ]);
+    t "cli: runbench and bench/main.exe share one --size vocabulary"
+      (fun () ->
+        let bench =
+          if Sys.file_exists "../bench/main.exe" then "../bench/main.exe"
+          else "_build/default/bench/main.exe"
+        in
+        let err = Filename.temp_file "size" ".err" in
+        (* exit code and stderr with spaces collapsed (cmdliner wraps) *)
+        let run cmd =
+          let code =
+            Sys.command (Fmt.str "%s >/dev/null 2>%s" cmd (Filename.quote err))
+          in
+          ( code,
+            In_channel.with_open_text err In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.concat_map (String.split_on_char ' ')
+            |> List.filter (( <> ) "")
+            |> String.concat " " )
+        in
+        let check what (code, msg) want_code want =
+          Alcotest.(check int) (what ^ ": exit") want_code code;
+          Alcotest.(check bool)
+            (Fmt.str "%s: %S names %S" what msg want)
+            true (contains ~sub:want msg)
+        in
+        (* an accepted size gets past parsing: runbench then asks for its
+           positional arguments, bench/main.exe for a known experiment *)
+        List.iter
+          (fun size ->
+            check ("runbench --size " ^ size)
+              (run (Fmt.str "%s/runbench.exe --size %s" (bin_dir ()) size))
+              2 "BENCH and DATASET are required";
+            check ("bench/main.exe --size=" ^ size)
+              (run (Fmt.str "%s --size=%s fig99" bench size))
+              2 "unknown experiment \"fig99\"")
+          [ "small"; "SMALL"; "medium"; "Medium"; "large"; "Large"; "lArGe" ];
+        let unknown = "unknown size \"huge\" (small | medium | large)" in
+        check "runbench --size huge"
+          (run (Fmt.str "%s/runbench.exe BFS KRON --size huge" (bin_dir ())))
+          124 unknown;
+        check "bench/main.exe --size=huge"
+          (run (Fmt.str "%s --size=huge fig9" bench))
+          2 unknown;
+        Sys.remove err);
   ]
