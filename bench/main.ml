@@ -16,10 +16,17 @@
    (also --jobs N, --jobs=N) and --csv=DIR. An unknown experiment or flag,
    a bad size or a malformed -j prints one line on stderr and exits 2. *)
 
+(* The host line after each experiment: its wall time, and how many of
+   its runs it simulated and how many it reused from earlier ones. *)
 let wall f =
   let t0 = Unix.gettimeofday () in
+  let s0 = Harness.Experiment.simulated ()
+  and r0 = Harness.Experiment.reused () in
   let r = f () in
-  Printf.printf "[%.1fs wall]\n%!" (Unix.gettimeofday () -. t0);
+  Printf.printf "[%.1fs wall, %d simulated, %d reused]\n%!"
+    (Unix.gettimeofday () -. t0)
+    (Harness.Experiment.simulated () - s0)
+    (Harness.Experiment.reused () - r0);
   r
 
 (* ------------------------------------------------------------------ *)

@@ -44,12 +44,15 @@ type surrogate_report = {
 type outcome = {
   best_params : Variant.params;
   best_time : float;
-  runs_used : int;  (** Simulator runs actually performed. *)
+  runs_used : int;
+      (** Distinct experiments this search evaluated; the process-wide
+          memo of {!Experiment.run} may have answered any of them. *)
   cache_hits : int;
-      (** Evaluations answered from the params-keyed memo table instead of
-          the simulator (revisits during descent, or points differing only
-          in a knob the combo disables). *)
-  trace : (Variant.params * float) list;  (** Simulator evaluation order. *)
+      (** Evaluations answered from the search's params-keyed table
+          (revisits during descent, or points differing only in a knob the
+          combo disables). *)
+  trace : (Variant.params * float) list;
+      (** The distinct experiments, in evaluation order. *)
   surrogate : surrogate_report option;  (** Present iff [~surrogate]. *)
 }
 
@@ -136,7 +139,7 @@ let enumerate_params (combo : Variant.combo) space : Variant.params list =
     ts
 
 (** [search ?budget ?seed ?space ?surrogate ?topk spec combo] tunes the
-    enabled passes of [combo] with at most [budget] simulator runs
+    enabled passes of [combo] with at most [budget] distinct experiments
     (default 12). Runs are memoized on normalized {!Variant.params},
     deterministic, and each validates the benchmark output. With
     [~surrogate] the model scores the whole grid, then at most

@@ -31,11 +31,15 @@ type surrogate_report = {
 type outcome = {
   best_params : Variant.params;
   best_time : float;
-  runs_used : int;  (** Simulator runs actually performed. *)
+  runs_used : int;
+      (** Distinct experiments this search evaluated. Each went through
+          {!Experiment.run}, whose process-wide memo may have answered it
+          from an earlier run instead of the simulator. *)
   cache_hits : int;
-      (** Evaluations answered from the params-keyed memo instead of the
-          simulator. *)
-  trace : (Variant.params * float) list;  (** Simulator evaluation order. *)
+      (** Evaluations of an experiment this search had already evaluated
+          (the search's own params-keyed table). *)
+  trace : (Variant.params * float) list;
+      (** The distinct experiments, in evaluation order. *)
   surrogate : surrogate_report option;  (** Present iff [~surrogate]. *)
 }
 
@@ -52,7 +56,7 @@ val normalize : Variant.combo -> Variant.params -> Variant.params
 val enumerate_params : Variant.combo -> space -> Variant.params list
 
 (** [search ?budget ?seed ?space ?surrogate ?topk spec combo] — at most
-    [budget] simulator runs (default 12). With [~surrogate], scores the
+    [budget] distinct experiments (default 12). With [~surrogate], scores the
     whole grid with the model, then spends at most [budget / 2] simulator
     runs — a frontier of the [topk] (default [max 1 (budget / 3)])
     best-predicted points with distinct thresholds, plus greedy descent

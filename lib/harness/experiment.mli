@@ -28,11 +28,34 @@ exception Validation_failure of string
     sampling. *)
 val sampling_for_size : Benchmarks.Registry.size -> Gpusim.Config.sampling
 
-(** [run ?cfg ?validate spec variant] executes the benchmark. With
-    [~validate:true] (default) the output fingerprint is checked against
-    the pure-OCaml reference. Validation is skipped when [cfg] enables
-    {!Gpusim.Config.sampling} — a sampled run's outputs are estimates by
-    construction.
+(** [run ?cfg ?validate spec variant] executes the benchmark, once per
+    process for each (spec, variant, config): the process keeps the raw
+    result of {!Benchmarks.Bench_common.run_variant} (fingerprint,
+    simulated cycles, metrics) and answers a repeated call from it.
+
+    - {b Key.} The spec value by physical identity ([==]), the variant,
+      and the effective config ([None] counts as
+      {!Gpusim.Config.default}). The spec's name and dataset do not
+      identify it: two specs may share them and run different data (the
+      ablation's 24×24 ROAD and the small tier's 28×28 ROAD), and a
+      [{ spec with … }] copy is a different key from its original.
+      {!Benchmarks.Registry} returns one spec value per (size, benchmark,
+      dataset), so figures that look up the same pairs share runs.
+    - {b Validation.} With [~validate:true] (default) every call, a
+      reused run included, checks the output fingerprint against the
+      calling spec's [reference ()]. Validation is skipped when [cfg]
+      enables {!Gpusim.Config.sampling} — a sampled run's outputs are
+      estimates by construction.
+    - {b Lifetime and memory.} Entries live as long as the process, and
+      nothing turns the memo off. There is one per distinct key run,
+      about a hundred words each (its metrics record and its key), and
+      each keeps its spec alive; a run that raised is not stored. A
+      check that needs a fresh simulation calls
+      {!Benchmarks.Bench_common.run_variant}.
+    - {b Domains.} One mutex guards the table; simulations run outside
+      it. Two domains that miss on one key at once both simulate and get
+      equal results, so output is byte-identical at any parallelism.
+
     @raise Validation_failure on mismatch — transformed code must be
     correct, not just fast. *)
 val run :
@@ -41,6 +64,12 @@ val run :
   Benchmarks.Bench_common.spec ->
   Variant.t ->
   measurement
+
+(** Runs this process has simulated so far, and runs it answered from
+    earlier ones, over every {!run} call. *)
+val simulated : unit -> int
+
+val reused : unit -> int
 
 (** One cell of a sweep: an optional simulator-config override plus the
     (benchmark, variant) pair to run under it. *)
@@ -56,10 +85,11 @@ val cell :
 (** [run_cells ?pool ?validate cells] evaluates every cell — on [pool]
     when given, sequentially otherwise — returning measurements in the
     {e input} order (independent of completion order) paired with each
-    run's wall-clock seconds. Every cell builds its own
-    device/memory/metrics, so the results are identical whatever the
-    parallelism; all sweep consumers route through here. [?progress] is
-    stepped once per finished cell (from whichever domain ran it). *)
+    cell's wall-clock seconds. Each cell goes through {!run}, so a cell
+    that repeats an earlier one reuses its run; a simulated cell builds
+    its own device/memory/metrics, so the results are identical whatever
+    the parallelism. All sweep consumers route through here. [?progress]
+    is stepped once per finished cell (from whichever domain ran it). *)
 val run_cells :
   ?pool:Pool.t ->
   ?validate:bool ->

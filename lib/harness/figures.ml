@@ -188,8 +188,10 @@ type fig10_cell = {
 }
 
 let fig10_cells ?cfg (spec : Benchmarks.Bench_common.spec) : fig10_cell list =
-  (* Tune each of the three variants the figure compares, then re-run the
-     best and read the tag breakdown. *)
+  (* Tune each of the three variants the figure compares and read the
+     tag breakdown of the best run. Fig. 9 tunes the same combinations
+     over the same grid, so after it in one process this reuses its runs
+     and simulates nothing. *)
   let cell combo =
     let tuned = Tuning.tune ?cfg spec combo in
     let s = tuned.best.Experiment.snap.breakdown in

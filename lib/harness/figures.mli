@@ -50,6 +50,13 @@ type fig10_cell = {
   disagg : float;
 }
 
+(** One spec's Fig. 10 cells: CDP+A, CDP+T+A and CDP+T+C+A, each tuned
+    ({!Tuning.tune}) and broken down from its best run. These are tunes
+    {!fig9_row} also makes, so after it on the same spec value and
+    config they simulate nothing ({!Experiment.run}). *)
+val fig10_cells :
+  ?cfg:Gpusim.Config.t -> Benchmarks.Bench_common.spec -> fig10_cell list
+
 (** Fig. 10: execution-time breakdown for CDP+A, CDP+T+A, CDP+T+C+A. *)
 val fig10 :
   ?cfg:Gpusim.Config.t ->

@@ -7,6 +7,31 @@ let tiny_spec () =
   let kron = Workloads.Graph_gen.kron_dataset ~scale:7 () in
   Benchmarks.Bfs.spec ~dataset:kron
 
+(* A tiny spec whose [run] counts its calls, i.e. the simulations the
+   harness makes of it (perfbench's figures workload wraps its specs the
+   same way). *)
+let counted_spec () =
+  let spec = tiny_spec () in
+  let calls = Atomic.make 0 in
+  ( {
+      spec with
+      run =
+        (fun dev ->
+          Atomic.incr calls;
+          spec.run dev);
+    },
+    calls )
+
+let no_cdp = Harness.Variant.No_cdp
+let cdp = Harness.Variant.Cdp Dpopt.Pipeline.none
+let run = Harness.Experiment.run
+
+let expect_validation_failure what f =
+  match f () with
+  | (_ : Harness.Experiment.measurement) ->
+      Alcotest.failf "%s: expected Validation_failure" what
+  | exception Harness.Experiment.Validation_failure _ -> ()
+
 let suite =
   [
     t "geomean" (fun () ->
@@ -152,3 +177,150 @@ let suite =
               (time <= row.cdp_time *. 1.05))
           row.combos);
   ]
+
+(* The process-wide run memo of [Experiment.run] and the registry's one
+   spec value per cell, which lets the figures share it. *)
+let memo_suite =
+  [
+    t "memo: a repeated run simulates once and measures the same" (fun () ->
+        let spec, calls = counted_spec () in
+        let s0 = Harness.Experiment.simulated ()
+        and r0 = Harness.Experiment.reused () in
+        let a = run spec no_cdp in
+        let b = run spec no_cdp in
+        Alcotest.(check int) "one simulation" 1 (Atomic.get calls);
+        Alcotest.(check bool) "equal measurements" true (a = b);
+        Alcotest.(check (pair int int))
+          "counters: one simulated, one reused" (1, 1)
+          ( Harness.Experiment.simulated () - s0,
+            Harness.Experiment.reused () - r0 ));
+    t "memo: another variant, config or spec copy simulates again" (fun () ->
+        let spec, calls = counted_spec () in
+        ignore (run spec no_cdp);
+        ignore (run spec cdp);
+        Alcotest.(check int) "variant" 2 (Atomic.get calls);
+        ignore
+          (run
+             ~cfg:{ Gpusim.Config.default with launch_service_interval = 0 }
+             spec no_cdp);
+        Alcotest.(check int) "config" 3 (Atomic.get calls);
+        (* same name, dataset and closures: only physical identity differs *)
+        let copy = { spec with name = spec.name } in
+        ignore (run copy no_cdp);
+        Alcotest.(check int) "copy" 4 (Atomic.get calls);
+        ignore (run copy no_cdp);
+        ignore (run spec no_cdp);
+        Alcotest.(check int) "each key once" 4 (Atomic.get calls));
+    t "memo: no config and the default config share an entry" (fun () ->
+        let spec, calls = counted_spec () in
+        ignore (run spec no_cdp);
+        ignore (run ~cfg:Gpusim.Config.default spec no_cdp);
+        Alcotest.(check int) "one simulation" 1 (Atomic.get calls));
+    t "memo: every call validates, a reused run too" (fun () ->
+        let spec, calls = counted_spec () in
+        let refs = ref 0 in
+        let spec =
+          {
+            spec with
+            reference =
+              (fun () ->
+                incr refs;
+                spec.reference ());
+          }
+        in
+        ignore (run spec no_cdp);
+        ignore (run spec no_cdp);
+        Alcotest.(check int) "one simulation" 1 (Atomic.get calls);
+        Alcotest.(check int) "a reference per call" 2 !refs;
+        ignore (run ~validate:false spec no_cdp);
+        Alcotest.(check int) "none when not validating" 2 !refs;
+        (* a copy with a wrong reference fails after the original ran *)
+        let bad_refs = ref 0 in
+        let bad =
+          {
+            spec with
+            reference =
+              (fun () ->
+                incr bad_refs;
+                42);
+          }
+        in
+        expect_validation_failure "wrong reference" (fun () -> run bad no_cdp);
+        Alcotest.(check int) "one reference per failing call" 1 !bad_refs;
+        expect_validation_failure "wrong reference, again" (fun () ->
+            run bad no_cdp);
+        Alcotest.(check int) "original and copy simulated once each" 2
+          (Atomic.get calls));
+    t "memo: a run that raises is not stored" (fun () ->
+        let spec = tiny_spec () in
+        let calls = ref 0 in
+        let flaky =
+          {
+            spec with
+            run =
+              (fun dev ->
+                incr calls;
+                if !calls = 1 then failwith "flaky run";
+                spec.run dev);
+          }
+        in
+        (match run flaky no_cdp with
+        | _ -> Alcotest.fail "expected the first run to raise"
+        | exception Failure _ -> ());
+        ignore (run flaky no_cdp);
+        ignore (run flaky no_cdp);
+        Alcotest.(check int) "simulated again, then stored" 2 !calls);
+    t "memo: run_cells with repeated cells, on 2 jobs and sequentially"
+      (fun () ->
+        let cells spec =
+          let open Harness.Experiment in
+          [
+            cell spec no_cdp; cell spec cdp; cell spec no_cdp;
+            cell ~cfg:Gpusim.Config.default spec cdp; cell spec no_cdp;
+          ]
+        in
+        let measure ?pool spec =
+          List.map fst (Harness.Experiment.run_cells ?pool (cells spec))
+        in
+        let par_spec, par_calls = counted_spec () in
+        let par =
+          Harness.Pool.with_pool ~jobs:2 (fun pool -> measure ~pool par_spec)
+        in
+        let seq_spec, seq_calls = counted_spec () in
+        let seq = measure seq_spec in
+        Alcotest.(check bool) "equal measurements" true (par = seq);
+        Alcotest.(check int) "sequential: two distinct runs" 2
+          (Atomic.get seq_calls);
+        (* two domains that miss on one key at once may both simulate *)
+        Alcotest.(check bool) "parallel: at most one run per cell" true
+          (Atomic.get par_calls >= 2 && Atomic.get par_calls <= 5));
+    t "registry: one spec value per (size, benchmark, dataset)" (fun () ->
+        let open Benchmarks.Registry in
+        let find size name dataset =
+          Option.get (find ~size ~name ~dataset ())
+        in
+        let bt = find Small "BT" "T0032-C16" in
+        Alcotest.(check bool) "find twice" true
+          (bt == find Small "BT" "T0032-C16");
+        Alcotest.(check bool) "find is in all" true
+          (List.exists (fun s -> s == bt) (all ()));
+        Alcotest.(check bool) "all twice" true
+          (List.for_all2 ( == ) (all ()) (all ()));
+        Alcotest.(check bool) "road twice" true
+          (List.for_all2 ( == ) (road ()) (road ()));
+        Alcotest.(check bool) "find is in road" true
+          (List.exists (fun s -> s == find Small "BFS" "ROAD") (road ()));
+        Alcotest.(check bool) "another size, another value" false
+          (bt == find Medium "BT" "T0032-C16"));
+    Alcotest.test_case "memo: fig10 cells reuse fig9's tuned runs" `Slow
+      (fun () ->
+        let spec, calls = counted_spec () in
+        ignore (Harness.Figures.fig9_row spec);
+        let after_fig9 = Atomic.get calls in
+        let s0 = Harness.Experiment.simulated () in
+        ignore (Harness.Figures.fig10_cells spec);
+        Alcotest.(check int) "no new simulation" after_fig9 (Atomic.get calls);
+        Alcotest.(check int) "none counted" s0 (Harness.Experiment.simulated ()));
+  ]
+
+let suite = suite @ memo_suite
