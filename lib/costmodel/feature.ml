@@ -75,7 +75,7 @@ let log2_ceil n =
 
 let extract ?(cfg = Gpusim.Config.default) ~(prog : Ast.program)
     ~(parent_kernel : string) ~(profile : Profile.t)
-    ~(opts : Dpopt.Pipeline.options) ?label () : t =
+    ~(opts : Dpopt.Pipeline.options) ?label ?pipeline () : t =
   let label = match label with Some l -> l | None -> Dpopt.Pipeline.label opts in
   let parent = Ast.find_func_exn prog parent_kernel in
   let sites = Ast_util.launch_sites parent.f_body in
@@ -127,7 +127,11 @@ let extract ?(cfg = Gpusim.Config.default) ~(prog : Ast.program)
         sr_parent = parent_kernel && sr_transformed)
       reports
   in
-  let pr = Dpopt.Pipeline.run ~opts prog in
+  let pr =
+    match pipeline with
+    | Some pr -> pr
+    | None -> Dpopt.Pipeline.run ~opts prog
+  in
   let threshold =
     match opts.thresholding with
     | Some (o : Dpopt.Thresholding.options)

@@ -36,7 +36,16 @@ type t = {
     [opts]. Pass effects are derived from the untransformed source plus
     each pass's semantics, gated by the pipeline's eligibility reports
     (a refused pass contributes nothing). [label] defaults to
-    {!Dpopt.Pipeline.label}[ opts]. *)
+    {!Dpopt.Pipeline.label}[ opts].
+
+    The reports come from running {!Dpopt.Pipeline.run}[ ~opts prog],
+    unless [pipeline] is given: then they are read from it and nothing is
+    run. A caller that has already run the passes (the compile service
+    folds its cached stage outputs with {!Dpopt.Pipeline.absorb}) passes
+    that result, which must be [Dpopt.Pipeline.run ~opts prog]'s: the
+    same [prog], untransformed, and the same [opts]. Only its reports
+    are read. With it, the features are structurally equal to those
+    computed without it. *)
 val extract :
   ?cfg:Gpusim.Config.t ->
   prog:Minicu.Ast.program ->
@@ -44,6 +53,7 @@ val extract :
   profile:Profile.t ->
   opts:Dpopt.Pipeline.options ->
   ?label:string ->
+  ?pipeline:Dpopt.Pipeline.result ->
   unit ->
   t
 

@@ -45,11 +45,13 @@ open Minicu.Ast
 
 type granularity = Warp | Block | Multi_block of int | Grid
 
-let pp_granularity ppf = function
-  | Warp -> Fmt.string ppf "warp"
-  | Block -> Fmt.string ppf "block"
-  | Multi_block g -> Fmt.pf ppf "multi-block(%d)" g
-  | Grid -> Fmt.string ppf "grid"
+let granularity_to_string = function
+  | Warp -> "warp"
+  | Block -> "block"
+  | Multi_block g -> "multi-block(" ^ string_of_int g ^ ")"
+  | Grid -> "grid"
+
+let pp_granularity ppf g = Fmt.string ppf (granularity_to_string g)
 
 let granularity_of_string s =
   match String.lowercase_ascii s with

@@ -20,6 +20,9 @@
 
 type granularity = Warp | Block | Multi_block of int | Grid
 
+(** ["warp"], ["block"], ["multi-block(4)"] or ["grid"]. *)
+val granularity_to_string : granularity -> string
+
 val pp_granularity : Format.formatter -> granularity -> unit
 
 (** [granularity_of_string s] parses a command-line granularity:

@@ -122,7 +122,7 @@ let agg_fingerprint (o : Aggregation.options) =
     | (Aggregation.Warp | Aggregation.Block), Some t -> string_of_int t
     | _ -> "-"
   in
-  Fmt.str "gran=%a;aggthr=%s" Aggregation.pp_granularity o.granularity thr
+  "gran=" ^ Aggregation.granularity_to_string o.granularity ^ ";aggthr=" ^ thr
 
 (** [stages opts] — the enabled passes in canonical T → C → A order, each
     with its memoization fingerprint. {!run} folds these in order; cache
@@ -134,7 +134,7 @@ let stages (opts : options) : stage list =
         (fun (o : Thresholding.options) ->
           {
             st_name = "thresholding";
-            st_fingerprint = Fmt.str "threshold=%d" o.threshold;
+            st_fingerprint = "threshold=" ^ string_of_int o.threshold;
             st_apply =
               (fun prog ->
                 let r = Thresholding.transform ~opts:o prog in
@@ -150,7 +150,7 @@ let stages (opts : options) : stage list =
         (fun (o : Coarsening.options) ->
           {
             st_name = "coarsening";
-            st_fingerprint = Fmt.str "cfactor=%d" o.cfactor;
+            st_fingerprint = "cfactor=" ^ string_of_int o.cfactor;
             st_apply =
               (fun prog ->
                 let r = Coarsening.transform ~opts:o prog in
@@ -180,16 +180,28 @@ let stages (opts : options) : stage list =
         opts.aggregation;
     ]
 
-(** [fingerprint opts] — canonical normalized rendering of the whole
-    option record: two records with equal fingerprints run byte-identical
-    pipelines. Disabled passes contribute nothing; ignored knobs (the
-    aggregation threshold at multi-block/grid granularity) are dropped. *)
-let fingerprint (opts : options) : string =
-  match stages opts with
+(** [fingerprint_of_stages ss] — the stages' names and fingerprints,
+    joined: ["id"] for none. *)
+let fingerprint_of_stages = function
   | [] -> "id"
   | ss ->
       String.concat "|"
         (List.map (fun st -> st.st_name ^ ":" ^ st.st_fingerprint) ss)
+
+(** [fingerprint opts] — canonical normalized rendering of the whole
+    option record: two records with equal fingerprints run byte-identical
+    pipelines. Disabled passes contribute nothing; ignored knobs (the
+    aggregation threshold at multi-block/grid granularity) are dropped. *)
+let fingerprint (opts : options) : string = fingerprint_of_stages (stages opts)
+
+let init prog =
+  {
+    prog;
+    auto_params = [];
+    threshold_reports = [];
+    coarsen_reports = [];
+    agg_reports = [];
+  }
 
 (* Fold a stage output into the accumulating result. *)
 let absorb (r : result) (so : stage_output) : result =
@@ -210,14 +222,7 @@ let run ?(opts = none) (prog : Ast.program) : result =
   Typecheck.check prog;
   List.fold_left
     (fun r st -> absorb r (st.st_apply r.prog))
-    {
-      prog;
-      auto_params = [];
-      threshold_reports = [];
-      coarsen_reports = [];
-      agg_reports = [];
-    }
-    (stages opts)
+    (init prog) (stages opts)
 
 (** [run_source ?opts src] — parse, transform, and print back to source.
     The CLI entry point ({e dpoptc}) wraps this. *)

@@ -95,6 +95,21 @@ val stages : options -> stage list
     differing only there share one fingerprint. *)
 val fingerprint : options -> string
 
+(** [fingerprint_of_stages (stages opts) = fingerprint opts], for a caller
+    that already holds the stage list. *)
+val fingerprint_of_stages : stage list -> string
+
+(** [init prog] — the result of applying no stage to [prog]: [prog] with
+    no reports and no auto parameters. *)
+val init : Minicu.Ast.program -> result
+
+(** [absorb r out] — [r] after one more stage: [out]'s program, and
+    [out]'s reports (and auto parameters, for aggregation) in place of
+    that pass's. {!run} is [List.fold_left] of [absorb] over the stages
+    from [init prog], so a caller that folds cached stage outputs this way
+    builds the same result. *)
+val absorb : result -> stage_output -> result
+
 (** [run ?opts prog] applies the enabled passes in canonical order,
     typechecking the input, every intermediate program, and the output.
     @raise Minicu.Typecheck.Type_error if any stage produces ill-formed

@@ -3,7 +3,8 @@
     The output parses back to an equal AST ([Parser.program (Pretty.program p)
     = p] up to statement tags), which the test suite checks with qcheck
     round-trip properties. Parenthesization is precedence-aware so the
-    printed text is minimal but unambiguous. *)
+    printed text is minimal but unambiguous. Every printer appends to one
+    [Buffer]; test/corpus/pretty.golden pins the bytes. *)
 
 open Ast
 
@@ -58,9 +59,9 @@ let prec_unary = 11
 let prec_postfix = 12
 
 let float_lit f =
-  if Float.is_integer f && Float.abs f < 1e15 then Fmt.str "%.1f" f
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else
-    let s = Fmt.str "%.17g" f in
+    let s = Printf.sprintf "%.17g" f in
     (* %.17g renders integral magnitudes in [1e15, ~1e17) without a point
        or exponent ("1000000000000000"), which would re-lex as an *int*
        literal — aliasing a float-typed AST with an int-typed one. Force a
@@ -68,7 +69,7 @@ let float_lit f =
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
     else s ^ ".0"
 
-let rec expr_prec = function
+let expr_prec = function
   | Int_lit _ | Float_lit _ | Bool_lit _ | Var _ | Call _ | Dim3_ctor _ ->
       prec_postfix + 1
   | Index _ | Member _ -> prec_postfix
@@ -76,130 +77,218 @@ let rec expr_prec = function
   | Binop (op, _, _) -> binop_prec op
   | Ternary _ -> prec_ternary
 
-and pp_expr ppf e = pp_expr_prec ppf (prec_ternary, e)
+let str = Buffer.add_string
+let chr = Buffer.add_char
+
+let sep_list b sep add = function
+  | [] -> ()
+  | x :: xs ->
+      add b x;
+      List.iter
+        (fun x ->
+          str b sep;
+          add b x)
+        xs
+
+let rec expr b e = expr_prec_at b prec_ternary e
 
 (* Print [e]; parenthesize if its precedence is below [min]. *)
-and pp_expr_prec ppf (min, e) =
-  let p = expr_prec e in
-  let body ppf () =
-    match e with
-    | Int_lit n -> Fmt.int ppf n
-    | Float_lit f -> Fmt.string ppf (float_lit f)
-    | Bool_lit b -> Fmt.bool ppf b
-    | Var x -> Fmt.string ppf x
-    | Unop (op, a) ->
-        (* parenthesize a same-operator operand so "- -a" does not lex as
-           the "--" token *)
-        let amin =
-          match a with
-          | Unop (op2, _) when op2 = op -> prec_unary + 1
-          | _ -> prec_unary
-        in
-        Fmt.pf ppf "%s%a" (unop_to_string op) pp_expr_prec (amin, a)
-    | Binop (op, a, b) ->
-        let bp = binop_prec op in
-        (* left-assoc: left child may be same precedence, right must bind
-           tighter *)
-        Fmt.pf ppf "%a %s %a" pp_expr_prec (bp, a) (binop_to_string op)
-          pp_expr_prec (bp + 1, b)
-    | Ternary (c, a, b) ->
-        Fmt.pf ppf "%a ? %a : %a" pp_expr_prec
-          (prec_ternary + 1, c)
-          pp_expr_prec
-          (prec_ternary + 1, a)
-          pp_expr_prec (prec_ternary, b)
-    | Index (a, i) ->
-        Fmt.pf ppf "%a[%a]" pp_expr_prec (prec_postfix, a) pp_expr i
-    | Member (a, f) -> Fmt.pf ppf "%a.%s" pp_expr_prec (prec_postfix, a) f
-    | Call (f, args) ->
-        Fmt.pf ppf "%s(%a)" f Fmt.(list ~sep:(any ", ") pp_expr) args
-    | Cast (ty, a) ->
-        Fmt.pf ppf "(%s)%a" (ty_to_string ty) pp_expr_prec (prec_unary, a)
-    | Dim3_ctor (x, y, z) ->
-        Fmt.pf ppf "dim3(%a, %a, %a)" pp_expr x pp_expr y pp_expr z
-    | Addr_of a -> Fmt.pf ppf "&%a" pp_expr_prec (prec_unary, a)
-  in
-  if p < min then Fmt.pf ppf "(%a)" body () else body ppf ()
-
-let expr_to_string e = Fmt.str "%a" pp_expr e
-
-let rec pp_stmt ~indent ppf s =
-  let pad = String.make indent ' ' in
-  let pp_body = pp_stmts ~indent:(indent + 2) in
-  match s.sdesc with
-  | Decl (ty, x, None) -> Fmt.pf ppf "%s%s %s;" pad (ty_to_string ty) x
-  | Decl (ty, x, Some e) ->
-      Fmt.pf ppf "%s%s %s = %a;" pad (ty_to_string ty) x pp_expr e
-  | Decl_shared (ty, x, size) ->
-      Fmt.pf ppf "%s__shared__ %s %s[%a];" pad (ty_to_string ty) x pp_expr size
-  | Assign (lv, e) -> Fmt.pf ppf "%s%a = %a;" pad pp_expr lv pp_expr e
-  | If (Bool_lit true, body, []) ->
-      (* anonymous block *)
-      Fmt.pf ppf "%s{@\n%a@\n%s}" pad pp_body body pad
-  | If (c, then_, []) ->
-      Fmt.pf ppf "%sif (%a) {@\n%a@\n%s}" pad pp_expr c pp_body then_ pad
-  | If (c, then_, else_) ->
-      Fmt.pf ppf "%sif (%a) {@\n%a@\n%s} else {@\n%a@\n%s}" pad pp_expr c
-        pp_body then_ pad pp_body else_ pad
-  | For (init, cond, step, body) ->
-      let pp_opt_simple ppf = function
-        | None -> ()
-        | Some s -> pp_simple ppf s
+and expr_prec_at b min e =
+  let paren = expr_prec e < min in
+  if paren then chr b '(';
+  (match e with
+  | Int_lit n -> str b (string_of_int n)
+  | Float_lit f -> str b (float_lit f)
+  | Bool_lit v -> str b (string_of_bool v)
+  | Var x -> str b x
+  | Unop (op, a) ->
+      (* parenthesize a same-operator operand so "- -a" does not lex as
+         the "--" token *)
+      let amin =
+        match a with
+        | Unop (op2, _) when op2 = op -> prec_unary + 1
+        | _ -> prec_unary
       in
-      let pp_opt_expr ppf = function None -> () | Some e -> pp_expr ppf e in
-      Fmt.pf ppf "%sfor (%a; %a; %a) {@\n%a@\n%s}" pad pp_opt_simple init
-        pp_opt_expr cond pp_opt_simple step pp_body body pad
+      str b (unop_to_string op);
+      expr_prec_at b amin a
+  | Binop (op, l, r) ->
+      let bp = binop_prec op in
+      (* left-assoc: left child may be same precedence, right must bind
+         tighter *)
+      expr_prec_at b bp l;
+      chr b ' ';
+      str b (binop_to_string op);
+      chr b ' ';
+      expr_prec_at b (bp + 1) r
+  | Ternary (c, x, y) ->
+      expr_prec_at b (prec_ternary + 1) c;
+      str b " ? ";
+      expr_prec_at b (prec_ternary + 1) x;
+      str b " : ";
+      expr_prec_at b prec_ternary y
+  | Index (a, i) ->
+      expr_prec_at b prec_postfix a;
+      chr b '[';
+      expr b i;
+      chr b ']'
+  | Member (a, f) ->
+      expr_prec_at b prec_postfix a;
+      chr b '.';
+      str b f
+  | Call (f, args) ->
+      str b f;
+      chr b '(';
+      sep_list b ", " expr args;
+      chr b ')'
+  | Cast (ty, a) ->
+      chr b '(';
+      str b (ty_to_string ty);
+      chr b ')';
+      expr_prec_at b prec_unary a
+  | Dim3_ctor (x, y, z) ->
+      str b "dim3(";
+      expr b x;
+      str b ", ";
+      expr b y;
+      str b ", ";
+      expr b z;
+      chr b ')'
+  | Addr_of a ->
+      chr b '&';
+      expr_prec_at b prec_unary a);
+  if paren then chr b ')'
+
+let pad b indent =
+  for _ = 1 to indent do
+    chr b ' '
+  done
+
+let rec stmt b ~indent s =
+  pad b indent;
+  match s.sdesc with
+  | Decl _ | Assign _ | Expr_stmt _ ->
+      simple b s;
+      chr b ';'
+  | Decl_shared (ty, x, size) ->
+      str b "__shared__ ";
+      str b (ty_to_string ty);
+      chr b ' ';
+      str b x;
+      chr b '[';
+      expr b size;
+      str b "];"
+  | If (Bool_lit true, body, []) -> (* anonymous block *) block b ~indent body
+  | If (c, then_, else_) ->
+      str b "if (";
+      expr b c;
+      str b ") ";
+      block b ~indent then_;
+      if else_ <> [] then begin
+        str b " else ";
+        block b ~indent else_
+      end
+  | For (init, cond, step, body) ->
+      str b "for (";
+      Option.iter (simple b) init;
+      str b "; ";
+      Option.iter (expr b) cond;
+      str b "; ";
+      Option.iter (simple b) step;
+      str b ") ";
+      block b ~indent body
   | While (c, body) ->
-      Fmt.pf ppf "%swhile (%a) {@\n%a@\n%s}" pad pp_expr c pp_body body pad
-  | Return None -> Fmt.pf ppf "%sreturn;" pad
-  | Return (Some e) -> Fmt.pf ppf "%sreturn %a;" pad pp_expr e
-  | Expr_stmt e -> Fmt.pf ppf "%s%a;" pad pp_expr e
+      str b "while (";
+      expr b c;
+      str b ") ";
+      block b ~indent body
+  | Return None -> str b "return;"
+  | Return (Some e) ->
+      str b "return ";
+      expr b e;
+      chr b ';'
   | Launch l ->
-      Fmt.pf ppf "%s%s<<<%a, %a>>>(%a);" pad l.l_kernel pp_expr l.l_grid
-        pp_expr l.l_block
-        Fmt.(list ~sep:(any ", ") pp_expr)
-        l.l_args
-  | Sync -> Fmt.pf ppf "%s__syncthreads();" pad
-  | Syncwarp -> Fmt.pf ppf "%s__syncwarp();" pad
-  | Threadfence -> Fmt.pf ppf "%s__threadfence();" pad
-  | Break -> Fmt.pf ppf "%sbreak;" pad
-  | Continue -> Fmt.pf ppf "%scontinue;" pad
+      str b l.l_kernel;
+      str b "<<<";
+      expr b l.l_grid;
+      str b ", ";
+      expr b l.l_block;
+      str b ">>>(";
+      sep_list b ", " expr l.l_args;
+      str b ");"
+  | Sync -> str b "__syncthreads();"
+  | Syncwarp -> str b "__syncwarp();"
+  | Threadfence -> str b "__threadfence();"
+  | Break -> str b "break;"
+  | Continue -> str b "continue;"
 
 (* for-header fragments print without trailing ';' or padding *)
-and pp_simple ppf s =
+and simple b s =
   match s.sdesc with
-  | Decl (ty, x, None) -> Fmt.pf ppf "%s %s" (ty_to_string ty) x
-  | Decl (ty, x, Some e) ->
-      Fmt.pf ppf "%s %s = %a" (ty_to_string ty) x pp_expr e
-  | Assign (lv, e) -> Fmt.pf ppf "%a = %a" pp_expr lv pp_expr e
-  | Expr_stmt e -> pp_expr ppf e
-  | _ -> invalid_arg "Pretty.pp_simple: not a simple statement"
+  | Decl (ty, x, init) -> (
+      str b (ty_to_string ty);
+      chr b ' ';
+      str b x;
+      match init with
+      | None -> ()
+      | Some e ->
+          str b " = ";
+          expr b e)
+  | Assign (lv, e) ->
+      expr b lv;
+      str b " = ";
+      expr b e
+  | Expr_stmt e -> expr b e
+  | _ -> invalid_arg "Pretty.simple: not a simple statement"
 
-and pp_stmts ~indent ppf ss =
-  Fmt.(list ~sep:(any "@\n") (pp_stmt ~indent)) ppf ss
+(* "{", the body two deeper, "}" at [indent] *)
+and block b ~indent body =
+  str b "{\n";
+  stmts b ~indent:(indent + 2) body;
+  chr b '\n';
+  pad b indent;
+  chr b '}'
 
-let pp_param ppf p = Fmt.pf ppf "%s %s" (ty_to_string p.p_ty) p.p_name
+and stmts b ~indent ss = sep_list b "\n" (fun b s -> stmt b ~indent s) ss
 
-let pp_func ppf f =
-  let kind = match f.f_kind with Global -> "__global__" | Device -> "__device__" in
-  Fmt.pf ppf "%s %s %s(%a) {@\n%a@\n}" kind (ty_to_string f.f_ret) f.f_name
-    Fmt.(list ~sep:(any ", ") pp_param)
-    f.f_params
-    (pp_stmts ~indent:2)
-    f.f_body;
+let param b p =
+  str b (ty_to_string p.p_ty);
+  chr b ' ';
+  str b p.p_name
+
+let func b f =
+  str b (match f.f_kind with Global -> "__global__ " | Device -> "__device__ ");
+  str b (ty_to_string f.f_ret);
+  chr b ' ';
+  str b f.f_name;
+  chr b '(';
+  sep_list b ", " param f.f_params;
+  str b ") {\n";
+  stmts b ~indent:2 f.f_body;
+  str b "\n}";
   match f.f_host_followup with
   | None -> ()
   | Some ss ->
-      Fmt.pf ppf "@\n// host followup for %s (grid-granularity aggregation):@\n"
-        f.f_name;
-      Fmt.pf ppf "// {@\n%a@\n// }" (pp_stmts ~indent:2)
-        ss
+      str b "\n// host followup for ";
+      str b f.f_name;
+      str b " (grid-granularity aggregation):\n// {\n";
+      stmts b ~indent:2 ss;
+      str b "\n// }"
 
-let pp_program ppf p = Fmt.(list ~sep:(any "@\n@\n") pp_func) ppf p
+(* A fresh buffer per call, small enough to start on the minor heap; it
+   grows by doubling for whole programs. *)
+let to_string add x =
+  let b = Buffer.create 1024 in
+  add b x;
+  Buffer.contents b
 
-let func_to_string f = Fmt.str "%a" pp_func f
+let expr_to_string e = to_string expr e
+let stmt_to_string s = to_string (fun b s -> stmt b ~indent:0 s) s
 
-(** [program p] renders a full translation unit as source text. *)
-let program p = Fmt.str "%a@." pp_program p
-
-let stmt_to_string s = Fmt.str "%a" (pp_stmt ~indent:0) s
+(** [program p] renders a full translation unit as source text, one blank
+    line between functions and a final newline. *)
+let program p =
+  to_string
+    (fun b p ->
+      sep_list b "\n\n" func p;
+      chr b '\n')
+    p

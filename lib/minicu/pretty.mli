@@ -1,5 +1,11 @@
 (** Pretty-printer: MiniCU ASTs back to CUDA-like source text.
 
+    There is one printer: every function below appends to one [Buffer],
+    and test/corpus/pretty.golden pins its bytes (one digest per corpus
+    fixture, Small-registry source, pass combination and generated
+    program). {!program}'s text is the compile service's canonical form,
+    so its digest keys every cached stage in [lib/serve].
+
     Output re-parses to an equal AST (modulo statement tags, which have no
     concrete syntax); parenthesization is precedence-aware and minimal.
     Negative numeric literals print as ["-5"], which C lexes as unary
@@ -13,15 +19,11 @@
     syntax, and is likewise dropped by a re-parse. *)
 
 val ty_to_string : Ast.ty -> string
-val unop_to_string : Ast.unop -> string
-val binop_to_string : Ast.binop -> string
-val pp_expr : Format.formatter -> Ast.expr -> unit
 val expr_to_string : Ast.expr -> string
-val pp_stmt : indent:int -> Format.formatter -> Ast.stmt -> unit
-val stmt_to_string : Ast.stmt -> string
-val pp_func : Format.formatter -> Ast.func -> unit
-val func_to_string : Ast.func -> string
-val pp_program : Format.formatter -> Ast.program -> unit
 
-(** [program p] renders a full translation unit. *)
+(** A statement at indent 0, without a trailing newline. *)
+val stmt_to_string : Ast.stmt -> string
+
+(** [program p] renders a full translation unit: its functions separated
+    by a blank line, then a final newline. *)
 val program : Ast.program -> string

@@ -53,8 +53,10 @@ let entry_size = function
 
 (* Stage keys. The parse (and dpcheck) key covers the file label because
    the cached values embed it in locations; see the interface. [compile]
-   digests the source once for both. *)
-let src_key ~file ~src = Digest.to_hex (Digest.string (file ^ "\x00" ^ src))
+   digests the source once for both, and joins label and source in one
+   allocation. *)
+let src_key ~file ~src =
+  Digest.to_hex (Digest.string (String.concat "\x00" [ file; src ]))
 
 let parse_stage t ~file ~src ~src_key =
   let key = Key.stage ~tag:"parse" [ src_key ] in
@@ -93,11 +95,10 @@ let dpcheck_stage t ~src_key ast =
   | Checked diags -> diags
   | _ -> assert false
 
-let predict_stage t ~canon ast opts profile =
-  let key =
-    Key.stage ~tag:"predict"
-      [ canon; Dpopt.Pipeline.fingerprint opts; Key.profile profile ]
-  in
+(* [pipeline] is the pass stages' fold over [ast]: the cost model reads
+   their eligibility reports instead of running the passes again. *)
+let predict_stage t ~canon ~fingerprint ast opts pipeline profile =
+  let key = Key.stage ~tag:"predict" [ canon; fingerprint; Key.profile profile ] in
   match
     memo t ~stage:"predict" ~key ~size:entry_size (fun () ->
         Predicted
@@ -112,7 +113,7 @@ let predict_stage t ~canon ast opts profile =
           | Some parent ->
               let f =
                 Costmodel.Feature.extract ~prog:ast
-                  ~parent_kernel:parent.f_name ~profile ~opts:opts ()
+                  ~parent_kernel:parent.f_name ~profile ~opts ~pipeline ()
               in
               Some (Costmodel.Model.predict Costmodel.Table.current f)))
   with
@@ -128,18 +129,24 @@ let compile t rq =
           parse_stage t ~file:rq.rq_file ~src:rq.rq_src ~src_key
         in
         let diags = dpcheck_stage t ~src_key ast in
+        let stages = Dpopt.Pipeline.stages rq.rq_opts in
+        let pipeline, _, optimized =
+          List.fold_left
+            (fun (r, canon, _) st ->
+              let out, canon', text =
+                pass_stage t ~canon_in:canon st r.Dpopt.Pipeline.prog
+              in
+              (Dpopt.Pipeline.absorb r out, canon', text))
+            (Dpopt.Pipeline.init ast, canon0, text0)
+            stages
+        in
         let predicted =
           match rq.rq_profile with
           | None -> None
-          | Some p -> predict_stage t ~canon:canon0 ast rq.rq_opts p
-        in
-        let _, _, optimized =
-          List.fold_left
-            (fun (prog, canon, _) st ->
-              let out, canon', text = pass_stage t ~canon_in:canon st prog in
-              (out.Dpopt.Pipeline.so_prog, canon', text))
-            (ast, canon0, text0)
-            (Dpopt.Pipeline.stages rq.rq_opts)
+          | Some p ->
+              predict_stage t ~canon:canon0
+                ~fingerprint:(Dpopt.Pipeline.fingerprint_of_stages stages)
+                ast rq.rq_opts pipeline p
         in
         {
           rs_label = Dpopt.Pipeline.label rq.rq_opts;

@@ -1,6 +1,9 @@
 (** The compile engine behind [dpoptd]: the {!Dpopt.Pipeline} replayed as
     content-addressed stages over a shared {!Lru}.
 
+    A request runs its stages in the order parse → dpcheck → passes →
+    predict; the key parts it needs more than once (the source digest,
+    the stage list with its fingerprints) are built once per request.
     Stage boundaries and their keys (all via {!Key.stage}):
 
     - {b parse} — keyed on [digest (file NUL source)]. Value: the
@@ -17,7 +20,9 @@
       the input, rendered; keyed like parse (diagnostics carry locations).
     - {b predict} — {!Costmodel} prediction, keyed on the canonical input
       digest, {!Dpopt.Pipeline.fingerprint} of the options, and the
-      profile digest.
+      profile digest. On a miss it reads the eligibility reports of the
+      pass stages just run (folded with {!Dpopt.Pipeline.absorb}) instead
+      of running the pipeline again.
 
     Every cached value is a pure function of its key, so cold and warm
     compiles are byte-identical — pinned by the cached-vs-uncached tests

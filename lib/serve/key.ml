@@ -2,10 +2,6 @@
 
 let digest s = Digest.to_hex (Digest.string s)
 
-let source src = digest src
-
-let ast p = digest (Minicu.Pretty.program p)
-
 (* [string_of_int]'s digits, without its per-call format parsing. A
    profile renders a few hundred ints and every request carrying one keys
    its predict stage this way, so on a warm (all-hit) request this

@@ -9,15 +9,6 @@
     cannot split entries either. Keys embed a stage tag, so stages can
     never alias each other even when their content digests coincide. *)
 
-(** [source src] — digest of raw source text, keying the parse stage
-    (parsing is a function of the bytes alone). *)
-val source : string -> string
-
-(** [ast p] — digest of the canonical pretty-printed rendering of [p].
-    Two structurally equal programs always agree; programs differing only
-    in statement locations agree too (locations are not printed). *)
-val ast : Minicu.Ast.program -> string
-
 (** [profile p] — digest of a canonical rendering of a workload profile
     (child sizes, rounds, parent block). *)
 val profile : Costmodel.Profile.t -> string

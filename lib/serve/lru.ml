@@ -45,7 +45,12 @@ let create ?(shards = 8) ~bytes () =
           });
   }
 
-let shard_of t key = t.shards.(Hashtbl.hash key mod Array.length t.shards)
+(* Each shard's table picks its bucket from the low bits of
+   [Hashtbl.hash key]; choosing the shard from those bits too would leave
+   all but one in [shards] of every table's buckets empty, so the shard
+   comes from a hash with another seed. *)
+let shard_of t key =
+  t.shards.(Hashtbl.seeded_hash 1 key mod Array.length t.shards)
 
 (* ---- intrusive list plumbing (shard lock held) ---------------------- *)
 
@@ -56,10 +61,11 @@ let unlink sh n =
   n.next <- None
 
 let push_front sh n =
+  let some_n = Some n in
   n.prev <- None;
   n.next <- sh.front;
-  (match sh.front with Some f -> f.prev <- Some n | None -> sh.back <- Some n);
-  sh.front <- Some n
+  (match sh.front with Some f -> f.prev <- some_n | None -> sh.back <- some_n);
+  sh.front <- some_n
 
 let drop sh n =
   unlink sh n;
@@ -77,15 +83,20 @@ let evict_to_fit sh =
 
 (* ---- public API ------------------------------------------------------ *)
 
+(* Nothing between lock and unlock can raise. *)
 let find t key =
   let sh = shard_of t key in
-  Mutex.protect sh.lock (fun () ->
-      match Hashtbl.find_opt sh.tbl key with
-      | None -> None
-      | Some n ->
-          unlink sh n;
-          push_front sh n;
-          Some n.value)
+  Mutex.lock sh.lock;
+  let v =
+    match Hashtbl.find_opt sh.tbl key with
+    | None -> None
+    | Some n ->
+        unlink sh n;
+        push_front sh n;
+        Some n.value
+  in
+  Mutex.unlock sh.lock;
+  v
 
 let add t ~key ~size v =
   let sh = shard_of t key in

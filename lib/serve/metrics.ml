@@ -1,8 +1,11 @@
 type stage_counters = { hits : int; misses : int }
 
+(* A stage's live counters: found once per probe, bumped in place. *)
+type counter = { mutable c_hits : int; mutable c_misses : int }
+
 type t = {
   lock : Mutex.t;
-  stages : (string, stage_counters) Hashtbl.t;
+  stages : (string, counter) Hashtbl.t;
   mutable latencies : float list;  (** Seconds, most recent first. *)
   mutable requests : int;
 }
@@ -15,18 +18,19 @@ let create () =
     requests = 0;
   }
 
+(* Nothing between lock and unlock can raise. *)
 let lookup t ~stage ~hit =
-  Mutex.protect t.lock (fun () ->
-      let c =
-        Option.value
-          (Hashtbl.find_opt t.stages stage)
-          ~default:{ hits = 0; misses = 0 }
-      in
-      let c =
-        if hit then { c with hits = c.hits + 1 }
-        else { c with misses = c.misses + 1 }
-      in
-      Hashtbl.replace t.stages stage c)
+  Mutex.lock t.lock;
+  let c =
+    match Hashtbl.find t.stages stage with
+    | c -> c
+    | exception Not_found ->
+        let c = { c_hits = 0; c_misses = 0 } in
+        Hashtbl.add t.stages stage c;
+        c
+  in
+  if hit then c.c_hits <- c.c_hits + 1 else c.c_misses <- c.c_misses + 1;
+  Mutex.unlock t.lock
 
 let latency t dt =
   Mutex.protect t.lock (fun () ->
@@ -46,7 +50,9 @@ type snapshot = {
 let snapshot t =
   let stages, lats, requests =
     Mutex.protect t.lock (fun () ->
-        ( Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.stages [],
+        ( Hashtbl.fold
+            (fun k c acc -> (k, { hits = c.c_hits; misses = c.c_misses }) :: acc)
+            t.stages [],
           t.latencies,
           t.requests ))
   in

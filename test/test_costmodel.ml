@@ -309,5 +309,36 @@ let schema_tests =
         | _ -> Alcotest.fail "csv too short"));
   ]
 
+(* ---- report reuse ----------------------------------------------------- *)
+
+(* The compile service hands [Feature.extract] the pipeline result its own
+   pass stages built; that must give the features a fresh run gives. *)
+let reuse_tests =
+  [
+    t "extract ~pipeline:(Pipeline.run ~opts prog) equals extract alone"
+      (fun () ->
+        let open Benchmarks.Registry in
+        List.iter
+          (fun (spec : Benchmarks.Bench_common.spec) ->
+            let prog = Minicu.Parser.program spec.cdp_src in
+            List.iter
+              (fun (label, opts) ->
+                let extract ?pipeline () =
+                  Costmodel.Feature.extract ~prog
+                    ~parent_kernel:spec.parent_kernel ~profile:spec.workload
+                    ~opts ?pipeline ()
+                in
+                let alone = extract () in
+                let reused =
+                  extract ~pipeline:(Dpopt.Pipeline.run ~opts prog) ()
+                in
+                if compare alone reused <> 0 then
+                  Alcotest.failf "%s/%s %s: features differ" spec.name
+                    spec.dataset label)
+              (Dpopt.Pipeline.enumerate ()))
+          (all ~size:Small () @ road ~size:Small ()));
+  ]
+
 let suite =
   stats_tests @ golden_tests @ autotune_tests @ registry_tests @ schema_tests
+  @ reuse_tests

@@ -136,6 +136,66 @@ let stmt_roundtrip_prop =
       | exception Loc.Error (_, m) ->
           QCheck.Test.fail_reportf "printed %S failed to parse: %s" printed m)
 
+(* ---- pinned bytes ---------------------------------------------------- *)
+
+(* [Pretty.program]'s output is the compile service's canonical text: its
+   digest keys every cached stage (lib/serve), and perfbench digests the
+   responses built from it. test/corpus/pretty.golden pins one digest per
+   program for four families, each a keyed entry of "name digest" lines;
+   CORPUS_PROMOTE=1 rewrites them. *)
+
+let digest_lines progs =
+  String.concat "\n"
+    (List.map
+       (fun (name, p) ->
+         name ^ " " ^ Digest.to_hex (Digest.string (Pretty.program p)))
+       progs)
+
+let pretty_golden key progs =
+  Alcotest.test_case ("golden: " ^ key) `Quick (fun () ->
+      Test_corpus.golden_entry ~golden_name:"pretty.golden" ~key
+        (digest_lines (progs ())))
+
+let small_specs () =
+  let open Benchmarks.Registry in
+  all ~size:Small () @ road ~size:Small ()
+
+let spec_name (s : Benchmarks.Bench_common.spec) = s.name ^ "/" ^ s.dataset
+
+let golden_suite =
+  [
+    pretty_golden "corpus fixtures" (fun () ->
+        List.map
+          (fun f ->
+            ( f,
+              Parser.program
+                (Test_corpus.read_file
+                   (Filename.concat Test_corpus.corpus_dir f)) ))
+          Test_corpus.fixtures);
+    pretty_golden "small registry sources" (fun () ->
+        List.concat_map
+          (fun (s : Benchmarks.Bench_common.spec) ->
+            [
+              (spec_name s ^ "/cdp", Parser.program s.cdp_src);
+              (spec_name s ^ "/no-cdp", Parser.program s.no_cdp_src);
+            ])
+          (small_specs ()));
+    pretty_golden "small registry pass combinations" (fun () ->
+        List.concat_map
+          (fun (s : Benchmarks.Bench_common.spec) ->
+            let prog = Parser.program s.cdp_src in
+            List.map
+              (fun (label, opts) ->
+                ( spec_name s ^ "/" ^ label,
+                  (Dpopt.Pipeline.run ~opts prog).prog ))
+              (Dpopt.Pipeline.enumerate ()))
+          (small_specs ()));
+    pretty_golden "difftest generator seeds 0-199" (fun () ->
+        List.init 200 (fun seed ->
+            ( string_of_int seed,
+              Difftest.Gen.build (Difftest.Gen.case_of_seed seed) )));
+  ]
+
 let suite =
   [
     roundtrip_expr "precedence-sensitive printing" "(a + b) * (c - d)";
@@ -245,3 +305,4 @@ __global__ void p(int* d) { c<<<dim3(2, 3, 4), dim3(8, 8, 1)>>>(d); }
             printed (Pretty.program p2)
         done);
   ]
+  @ golden_suite

@@ -531,4 +531,56 @@ let suite =
           (run (Fmt.str "%s --size=huge fig9" bench))
           2 unknown;
         Sys.remove err);
+    t "engine: predictions read the pass stages' reports" (fun () ->
+        (* the default stream, one request at a time so the counts are
+           exact: predict runs after the pass stages and reads their
+           reports, and each prediction is the one the cost model makes
+           on its own *)
+        let stream = List.concat (Serve.Traffic.requests Serve.Traffic.default) in
+        let eng = Serve.Engine.create () in
+        List.iteri
+          (fun i (rq : Serve.Engine.request) ->
+            let expected =
+              match rq.rq_profile with
+              | None -> None
+              | Some profile -> (
+                  let prog = Minicu.Parser.program ~file:rq.rq_file rq.rq_src in
+                  match
+                    List.find_opt
+                      (fun (f : Minicu.Ast.func) ->
+                        f.f_kind = Minicu.Ast.Global
+                        && Minicu.Ast_util.launch_sites f.f_body <> [])
+                      prog
+                  with
+                  | None -> None
+                  | Some parent ->
+                      Some
+                        (Costmodel.Model.predict Costmodel.Table.current
+                           (Costmodel.Feature.extract ~prog
+                              ~parent_kernel:parent.f_name ~profile
+                              ~opts:rq.rq_opts ())))
+            in
+            match Serve.Engine.compile eng rq with
+            | Error d -> Alcotest.failf "request %d rejected: %s" i d
+            | Ok rs ->
+                Alcotest.(check (option int64))
+                  (Fmt.str "request %d (%s): prediction bits" i rs.rs_label)
+                  (Option.map Int64.bits_of_float expected)
+                  (Option.map Int64.bits_of_float rs.rs_predicted))
+          stream;
+        (* the same probes as when predict ran before the passes *)
+        Alcotest.(check (list (pair string (pair int int))))
+          "per-stage hits and misses"
+          [
+            ("dpcheck", (188, 12));
+            ("parse", (188, 12));
+            ("pass:aggregation", (112, 6));
+            ("pass:coarsening", (35, 4));
+            ("pass:thresholding", (132, 6));
+            ("predict", (176, 10));
+          ]
+          (List.map
+             (fun ((n, c) : string * Serve.Metrics.stage_counters) ->
+               (n, (c.hits, c.misses)))
+             (Serve.Engine.metrics eng).stages));
   ]
