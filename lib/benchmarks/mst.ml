@@ -249,7 +249,7 @@ let mstv_run host (g : Workloads.Csr.t) dev =
       (Gpusim.Device.read_ints dev bufs.(4) (Workloads.Csr.m g))
 
 (* What the verify kernel computes over [comp], in pure OCaml. *)
-let mstv_reference (g : Workloads.Csr.t) comp () =
+let mstv_reference (g : Workloads.Csr.t) comp =
   let flags = Array.make (Workloads.Csr.m g) 0 in
   let cross = ref 0 in
   for v = 0 to g.n - 1 do
@@ -295,6 +295,7 @@ let mstv_spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
   let g = dataset.graph in
   let _, comp, _ = host_boruvka ~max_rounds:mstv_rounds g in
   let host = mstv_host g comp in
+  let reference = mstv_reference g comp in
   {
     name = "MSTV";
     dataset = dataset.name;
@@ -304,6 +305,6 @@ let mstv_spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
     max_child_threads = Workloads.Csr.max_degree g;
     workload = { child_sizes = degrees g; rounds = 1; parent_block = 128 };
     run = mstv_run host g;
-    reference = mstv_reference g comp;
+    reference = (fun () -> reference);
     native_host = Some host;
   }

@@ -16,9 +16,10 @@ type sample = {
   s_measured : float;  (** Simulated cycles. *)
 }
 
-let collect ?cfg ?(threshold = 64) ?(cfactor = 8)
-    ?(granularity = Dpopt.Aggregation.Block) ?agg_threshold
-    (spec : Benchmarks.Bench_common.spec) : sample list =
+(* One sample per pass combination at threshold 64: features, and a
+   simulator run. *)
+let collect ?cfg ~cfactor ~granularity (spec : Benchmarks.Bench_common.spec)
+    : sample list =
   List.map
     (fun (label, opts) ->
       let f = Feature.of_spec ?cfg spec ~opts ~label () in
@@ -32,8 +33,7 @@ let collect ?cfg ?(threshold = 64) ?(cfactor = 8)
         s_terms = Model.terms f;
         s_measured = time;
       })
-    (Dpopt.Pipeline.enumerate ~threshold ~cfactor ~granularity ?agg_threshold
-       ())
+    (Dpopt.Pipeline.enumerate ~threshold:64 ~cfactor ~granularity ())
 
 (** The standard calibration corpus for one spec: the 8 pass combinations
     at the default knobs (threshold 64, cfactor 8, block granularity)
@@ -42,7 +42,7 @@ let collect ?cfg ?(threshold = 64) ?(cfactor = 8)
     point. [Table.current] is fitted on exactly this corpus over the
     whole registry. *)
 let collect_corpus ?cfg (spec : Benchmarks.Bench_common.spec) : sample list =
-  collect ?cfg spec
+  collect ?cfg ~cfactor:8 ~granularity:Dpopt.Aggregation.Block spec
   @ collect ?cfg ~cfactor:1 ~granularity:Dpopt.Aggregation.Grid spec
 
 let fit ?(iters = 500) (samples : sample list) : float array =

@@ -10,19 +10,6 @@ type sample = {
   s_measured : float;  (** Simulated cycles. *)
 }
 
-(** [collect spec] — one sample per pass combination (8): extracts
-    features and {e runs the simulator} for each. Knob defaults match the
-    harness's [Variant.default_params] (threshold 64, cfactor 8, block
-    granularity). *)
-val collect :
-  ?cfg:Gpusim.Config.t ->
-  ?threshold:int ->
-  ?cfactor:int ->
-  ?granularity:Dpopt.Aggregation.granularity ->
-  ?agg_threshold:int ->
-  Benchmarks.Bench_common.spec ->
-  sample list
-
 (** The standard calibration corpus for one spec (16 samples): the 8
     combinations at the default knobs plus the same at cfactor 1 / grid
     granularity. {!Table.current} is fitted on this corpus over the

@@ -56,8 +56,9 @@ type t = {
   mutable max_pending_launches : int;
   mutable serialized_launches : int;
       (** Child grids serialized in their parent thread by thresholding.
-          Incremented by the [child_serial] device functions via a counter
-          builtin; 0 when thresholding is off. *)
+          The VM counts each call of a [_serial] device function as it
+          runs, and {!Sched} scales a sampled block's count by its weight
+          at commit; 0 when thresholding is off. *)
   mutable races_detected : int;
       (** Intra-block data-race conflicts found by {!Racecheck}; always 0
           unless [Config.check] is set. *)
@@ -100,63 +101,6 @@ let create () =
     oob_detected = 0;
     race_reports = [];
   }
-
-(** [charge m idx cycles] adds parallelism-scaled compute cycles to the
-    breakdown category [idx] (one of the [tag_*] indices; never
-    [tag_default], which callers must resolve first). *)
-let charge m idx cycles =
-  let b = m.breakdown in
-  if idx = tag_parent then b.parent_cycles <- b.parent_cycles +. cycles
-  else if idx = tag_child then b.child_cycles <- b.child_cycles +. cycles
-  else if idx = tag_agg then b.agg_cycles <- b.agg_cycles +. cycles
-  else if idx = tag_disagg then b.disagg_cycles <- b.disagg_cycles +. cycles
-  else invalid_arg "Metrics.charge: unresolved default tag"
-
-(** [merge ~into ~weight from] folds block-level metrics accumulated in a
-    private [from] (one block executed into a fresh [create ()]) into the
-    device's shared record, scaled by the block's sampling weight.
-
-    At [weight = 1.0] this is {e bit-identical} to having executed the block
-    directly against [into]: the VM charges each breakdown category at
-    most once per block with the category starting at [0.0], and
-    [x +. (0.0 +. v) = x +. v] and [x +. 0.0 = x] exactly (the operands are
-    never [-0.0]). That identity is what lets every block execute into a
-    private record and still leave exact runs byte-identical to direct
-    accumulation. *)
-let merge ~into ~weight (from : t) =
-  let b = into.breakdown and f = from.breakdown in
-  if weight = 1.0 then begin
-    b.parent_cycles <- b.parent_cycles +. f.parent_cycles;
-    b.child_cycles <- b.child_cycles +. f.child_cycles;
-    b.agg_cycles <- b.agg_cycles +. f.agg_cycles;
-    b.disagg_cycles <- b.disagg_cycles +. f.disagg_cycles;
-    b.launch_cycles <- b.launch_cycles +. f.launch_cycles;
-    into.blocks_executed <- into.blocks_executed + from.blocks_executed;
-    into.threads_executed <- into.threads_executed + from.threads_executed;
-    into.serialized_launches <-
-      into.serialized_launches + from.serialized_launches
-  end
-  else begin
-    (* Weighted extrapolation: each simulated block stands for [weight]
-       blocks of its stratum. Counters round to stay integral. *)
-    let scale x = int_of_float (Float.round (weight *. float_of_int x)) in
-    b.parent_cycles <- b.parent_cycles +. (weight *. f.parent_cycles);
-    b.child_cycles <- b.child_cycles +. (weight *. f.child_cycles);
-    b.agg_cycles <- b.agg_cycles +. (weight *. f.agg_cycles);
-    b.disagg_cycles <- b.disagg_cycles +. (weight *. f.disagg_cycles);
-    b.launch_cycles <- b.launch_cycles +. (weight *. f.launch_cycles);
-    into.blocks_executed <- into.blocks_executed + scale from.blocks_executed;
-    into.threads_executed <-
-      into.threads_executed + scale from.threads_executed;
-    into.serialized_launches <-
-      into.serialized_launches + scale from.serialized_launches
-  end;
-  (* Sanitizer results are never scaled: they are observations, not
-     estimates. *)
-  into.races_detected <- into.races_detected + from.races_detected;
-  into.oob_detected <- into.oob_detected + from.oob_detected;
-  if from.race_reports <> [] then
-    into.race_reports <- from.race_reports @ into.race_reports
 
 (** Whether any sampling (block or launch) actually triggered. *)
 let sampled m =

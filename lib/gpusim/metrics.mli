@@ -1,9 +1,13 @@
 (** Execution metrics collected by the simulator, including the per-category
     compute-time attribution behind the paper's Fig. 10 breakdown.
 
-    Plain mutable records, not thread-safe: each {!Device.t} owns one and
-    mutates it from the domain driving the device (see the domain-safety
-    note in {!Device}). *)
+    Plain mutable records, not thread-safe: each stream of a {!Device.t}
+    owns one, mutated from the domain driving the device (see the
+    domain-safety note in {!Device}). A block's cost reaches its stream's
+    record once, when {!Sched} commits the block at its sampling weight;
+    the VM and {!Racecheck} write what a block observes as it runs
+    (serialized launches, out-of-bounds accesses, races) unweighted, so a
+    block that raises leaves exactly those. *)
 
 (** {1 Tag indices} (dense encoding of {!Minicu.Ast.tag}) *)
 
@@ -60,17 +64,6 @@ type t = {
 }
 
 val create : unit -> t
-
-(** [charge m idx cycles] adds parallelism-scaled compute cycles to category
-    [idx]. @raise Invalid_argument on [tag_default] (resolve it first). *)
-val charge : t -> int -> float -> unit
-
-(** [merge ~into ~weight from] folds block-level metrics accumulated in a
-    private record into the device's shared one, scaled by the block's
-    sampling weight. At [weight = 1.0] the result is bit-identical to
-    having executed the block directly against [into], so exact runs are
-    unaffected by the private record. *)
-val merge : into:t -> weight:float -> t -> unit
 
 (** Whether any sampling (block or launch) actually triggered. *)
 val sampled : t -> bool

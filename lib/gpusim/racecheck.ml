@@ -164,15 +164,14 @@ let record t ~tid ~(kind : kind) ~loc (ptr : Value.ptr) =
       | Some r1 when r1.a_tid = a.a_tid -> cell.read1 <- Some a
       | Some _ -> cell.read2 <- Some a)
 
-(** [commit t ~kernel ~bidx metrics] — fold this block's findings into
-    [metrics]: total conflict count plus rendered reports (capped). *)
+(** [commit t ~kernel ~bidx metrics] — charge this block's findings to
+    [metrics], unweighted: the total conflict count, and the block's
+    rendered reports (capped when recorded), in the order found, ahead of
+    earlier blocks' reports. *)
 let commit t ~kernel ~bidx (metrics : Metrics.t) =
   if t.race_count > 0 then begin
     metrics.races_detected <- metrics.races_detected + t.race_count;
-    List.iter
-      (fun r ->
-        if List.length metrics.race_reports < max_reports then
-          metrics.race_reports <-
-            metrics.race_reports @ [ Fmt.str "%a" (pp_report ~kernel ~bidx) r ])
-      (List.rev t.reports)
+    metrics.race_reports <-
+      List.rev_map (Fmt.str "%a" (pp_report ~kernel ~bidx)) t.reports
+      @ metrics.race_reports
   end

@@ -9,8 +9,9 @@
 
     The executor drives the epochs: {!bump_epoch} at every [__syncthreads]
     release, {!bump_wepoch} when a warp converges on a collective
-    (including [__syncwarp]). After the block retires, {!commit} folds the
-    findings into {!Metrics} ([races_detected], [race_reports]).
+    (including [__syncwarp]). After the block retires, {!commit} charges
+    the findings to the stream's {!Metrics} ([races_detected],
+    [race_reports]), unweighted.
 
     The simulator is deterministic, so reports are stable and can be
     pinned as golden test expectations. *)
@@ -32,6 +33,8 @@ val bump_wepoch : t -> int -> unit
     and reports any conflict with retained accesses to the same address. *)
 val record : t -> tid:int -> kind:kind -> loc:Minicu.Loc.t -> Value.ptr -> unit
 
-(** Fold this block's findings into [metrics]: total conflict count plus
-    rendered reports (deduplicated per address, capped). *)
+(** Charge this block's findings to [metrics], unweighted: the total
+    conflict count, and the block's rendered reports (deduplicated per
+    address, at most 16, capped when recorded) in the order found, ahead
+    of earlier blocks' reports. *)
 val commit : t -> kernel:string -> bidx:int * int * int -> Metrics.t -> unit

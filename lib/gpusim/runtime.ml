@@ -49,6 +49,7 @@ type result = {
       (** Parallelism-scaled compute cycles: block duration excluding
           scheduling overhead. *)
   r_tag_cycles : float array;  (** Parallelism-scaled cycles per tag index. *)
+  r_serialized : int;  (** Serialized launches the block made. *)
 }
 
 let check_launch_shape (cfg : Config.t) ~kernel ~grid:(gx, gy, gz)

@@ -44,6 +44,9 @@ type result = {
       (** Parallelism-scaled compute cycles (block duration minus the
           scheduling overhead). *)
   r_tag_cycles : float array;  (** Per-tag scaled cycles. *)
+  r_serialized : int;
+      (** Serialized launches the block made; the VM counted each one into
+          the block context's metrics as it ran, unweighted. *)
 }
 
 (** The one launch-shape rule, applied by the VM to launches from kernels

@@ -29,12 +29,11 @@
     domain that drives it, one at a time in deterministic event order, so
     programs whose cross-block communication is commutative (atomics)
     behave as on real hardware; host parallelism lives one level up, in
-    {e Harness.Pool}'s independent experiment cells. Block processing is
-    split into an {e execute} phase (run the block's threads against
-    memory, accumulating into a private {!Metrics.t}) and a {e commit}
-    phase (SM assignment, timing, trace, metrics merge, launch dispatch,
-    grid completion): sampling scales the private record by the block's
-    weight, and a failing block still hands over what it charged.
+    {e Harness.Pool}'s independent experiment cells. A block runs against
+    its stream's {!Metrics.t}, where the VM counts what the block observes
+    as it runs (serialized launches, out-of-bounds accesses, races), and
+    {!commit_block} then charges the cost the VM returns at the block's
+    weight; a block that raises leaves only those observations.
 
     {b Stratified grid sampling} ([Config.sampling]). Grids with at least
     [block_threshold] blocks enqueue only a deterministic stratified sample
@@ -42,7 +41,7 @@
     contiguous strata and each stratum contributes a systematic sample
     (hashed phase, so the sample is a pure function of the seed and grid
     identity). Every sampled block carries the weight [N_h/k_h] of the
-    stratum it represents; commits scale metrics by the weight, advance the
+    stratum it represents; commits charge metrics at the weight, advance the
     launch queue by the weighted service time, and fold the skipped compute
     into the clock at the next drain.
     Blocks that issue at least [launch_threshold] device launches likewise
@@ -567,36 +566,32 @@ let grid_completed t (g : grid) =
     launches
 
 (* ------------------------------------------------------------------ *)
-(* Execute / commit                                                    *)
+(* Block commit                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Execute one block into a fresh private metrics record, which
-   {!commit_block} merges at the block's sampling weight. The private
-   record is returned even when execution aborts — incremental counters
-   (sanitizer reports, serialized launches) charged before the failure
-   must still reach the stream's metrics, as they would have under direct
-   accumulation. *)
-let exec_block t (Block_ready (g, bidx, _, _)) :
-    (Runtime.result, exn) result * Metrics.t =
-  let priv = Metrics.create () in
-  let r =
-    match
-      Vm.run_block t.scratch (stream_prog_exn g.g_stream) g.g_kernel
-        ~args:g.g_args ~gdim:g.g_grid ~bdim:g.g_block ~bidx ~mem:t.mem
-        ~cfg:t.cfg ~metrics:priv ~default_idx:g.g_default_idx
-    with
-    | r -> Ok r
-    | exception e -> Error e
-  in
-  (r, priv)
+(* The one rule for how a block's cost reaches its stream: a block of
+   weight [w] charges [w] times its per-tag cycles, and round(w * n) for
+   its count n of blocks (1), threads and serialized launches. The VM
+   counted the serialized launches once each as they ran, so only the
+   difference is added here. *)
+let charge_block (m : Metrics.t) ~w ~threads (r : Runtime.result) =
+  let scale n = int_of_float (Float.round (w *. float_of_int n)) in
+  let b = m.breakdown and c = r.r_tag_cycles in
+  b.parent_cycles <- b.parent_cycles +. (w *. c.(Metrics.tag_parent));
+  b.child_cycles <- b.child_cycles +. (w *. c.(Metrics.tag_child));
+  b.agg_cycles <- b.agg_cycles +. (w *. c.(Metrics.tag_agg));
+  b.disagg_cycles <- b.disagg_cycles +. (w *. c.(Metrics.tag_disagg));
+  m.blocks_executed <- m.blocks_executed + scale 1;
+  m.threads_executed <- m.threads_executed + scale threads;
+  m.serialized_launches <-
+    m.serialized_launches + scale r.r_serialized - r.r_serialized
 
 (* Commit one executed block, in deterministic event order: SM assignment
-   and timing, weighted metrics merge (bit-identical to direct accumulation
-   at weight 1, see {!Metrics.merge}), trace, launch dispatch at the
-   weights {!select_launches} chose, stratum bookkeeping, grid
-   completion. *)
+   and timing, {!charge_block} at its sampling weight, trace, launch
+   dispatch at the weights {!select_launches} chose, stratum bookkeeping,
+   grid completion. *)
 let commit_block t ~te (Block_ready (g, bidx, bw, stratum))
-    (r : Runtime.result) (priv : Metrics.t) =
+    (r : Runtime.result) =
   let stream = g.g_stream in
   let w = g.g_weight *. bw in
   (* earliest-free SM *)
@@ -605,7 +600,7 @@ let commit_block t ~te (Block_ready (g, bidx, bw, stratum))
     if t.sms.(i) < t.sms.(!sm) then sm := i
   done;
   let start = Float.max te t.sms.(!sm) in
-  Metrics.merge ~into:stream.st_metrics ~weight:w priv;
+  charge_block stream.st_metrics ~w ~threads:(Value.dim3_total g.g_block) r;
   let sched = float_of_int t.cfg.block_sched_overhead in
   let finish = start +. sched +. r.r_compute_cycles in
   t.sms.(!sm) <- finish;
@@ -665,21 +660,13 @@ let commit_block t ~te (Block_ready (g, bidx, bw, stratum))
     | None -> ()
   end
 
-(* The one place an executed block's outcome is handled: commit it, or —
-   when its execution raised — fold what it did charge into the stream's
-   metrics (exactly what direct accumulation would have left behind) and
-   re-raise. *)
-let commit_result t (te, ev) ((r, priv) : (Runtime.result, exn) result * _) =
-  match r with
-  | Ok r -> commit_block t ~te ev r priv
-  | Error e ->
-      let (Block_ready (g, _, _, _)) = ev in
-      Metrics.merge ~into:g.g_stream.st_metrics ~weight:1.0 priv;
-      raise e
-
 let step t =
-  let ((_, ev) as popped) = Event_queue.pop t.events in
-  commit_result t popped (exec_block t ev)
+  let te, (Block_ready (g, bidx, _, _) as ev) = Event_queue.pop t.events in
+  let stream = g.g_stream in
+  commit_block t ~te ev
+    (Vm.run_block t.scratch (stream_prog_exn stream) g.g_kernel ~args:g.g_args
+       ~gdim:g.g_grid ~bdim:g.g_block ~bidx ~mem:t.mem ~cfg:t.cfg
+       ~metrics:stream.st_metrics ~default_idx:g.g_default_idx)
 
 (** Earliest pending block-event time, for external event loops
     ({e lib/tenancy}) that interleave host-side decisions with device

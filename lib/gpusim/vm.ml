@@ -1186,6 +1186,7 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
       racecheck;
     }
   in
+  let serialized0 = metrics.Metrics.serialized_launches in
   let arg_values = Array.of_list args in
   if Array.length arg_values <> kernel.bf_nparams then
     Value.error "launch of %S: expected %d arguments, got %d" kernel.bf_name
@@ -1313,16 +1314,11 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
   tag_cycles.(Metrics.tag_default) <- 0.0;
   let par = float_of_int cfg.Config.sm_warp_parallelism in
   let scaled = Array.map (fun c -> c /. par) tag_cycles in
-  let compute = Array.fold_left ( +. ) 0.0 scaled in
-  for tag = 1 to Metrics.num_tags - 1 do
-    if scaled.(tag) > 0.0 then Metrics.charge metrics tag scaled.(tag)
-  done;
-  metrics.Metrics.blocks_executed <- metrics.Metrics.blocks_executed + 1;
-  metrics.Metrics.threads_executed <- metrics.Metrics.threads_executed + nthreads;
   {
     Runtime.r_launches = List.rev blk.Runtime.launches;
-    r_compute_cycles = compute;
+    r_compute_cycles = Array.fold_left ( +. ) 0.0 scaled;
     r_tag_cycles = scaled;
+    r_serialized = metrics.Metrics.serialized_launches - serialized0;
   }
 
 (* Host-followup execution (grid-granularity aggregation): one

@@ -19,7 +19,10 @@ type scratch
 val create_scratch : unit -> scratch
 
 (** Execute one block of [kernel]; memory side effects happen
-    immediately, and the block's compute cycles are charged to [metrics].
+    immediately. [metrics] receives what the block observes as it runs,
+    unweighted: each serialized launch, out-of-bounds accesses and race
+    findings. The block's cost (per-tag cycles, serialized-launch count)
+    is returned, for the scheduler to charge at the block's weight.
     @raise Value.Runtime_error on memory faults, divergent warp
     collectives, or blocks that neither finish nor reach a barrier. *)
 val run_block :

@@ -13,7 +13,7 @@
     With [~surrogate] the search instead scores the {e whole} parameter
     grid with the analytical cost model ({!Costmodel.Model}) — which costs
     no simulator runs — then spends at most half the budget on the
-    simulator: a frontier of the [topk] best-predicted points with
+    simulator: a frontier of the [budget / 3] best-predicted points with
     distinct thresholds, followed by greedy descent from the frontier's
     winner. The outcome reports how many runs the pruning saved. *)
 
@@ -138,15 +138,15 @@ let enumerate_params (combo : Variant.combo) space : Variant.params list =
         cs)
     ts
 
-(** [search ?budget ?seed ?space ?surrogate ?topk spec combo] tunes the
+(** [search ?budget ?seed ?space ?surrogate spec combo] tunes the
     enabled passes of [combo] with at most [budget] distinct experiments
     (default 12). Runs are memoized on normalized {!Variant.params},
     deterministic, and each validates the benchmark output. With
     [~surrogate] the model scores the whole grid, then at most
-    [budget / 2] simulator runs are spent: a frontier of the [topk]
-    (default [max 1 (budget / 3)]) best-predicted distinct-threshold
+    [budget / 2] simulator runs are spent: a frontier of the
+    [max 1 (budget / 3)] best-predicted distinct-threshold
     points plus greedy descent from the frontier's winner. *)
-let search ?(budget = 12) ?(seed = 1) ?space ?surrogate ?topk
+let search ?(budget = 12) ?(seed = 1) ?space ?surrogate
     (spec : Benchmarks.Bench_common.spec) (combo : Variant.combo) : outcome =
   let space = Option.value space ~default:(default_space spec) in
   let cache : (Variant.params, float) Hashtbl.t = Hashtbl.create 16 in
@@ -190,7 +190,7 @@ let search ?(budget = 12) ?(seed = 1) ?space ?surrogate ?topk
       let ranking =
         List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) scored
       in
-      let k = match topk with Some k -> max 1 k | None -> max 1 (budget / 3) in
+      let k = max 1 (budget / 3) in
       let cap = max k (budget / 2) in
       (* Frontier: the best-predicted point of each of the [k] best-ranked
          distinct thresholds. The threshold moves the optimum further than

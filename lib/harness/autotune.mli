@@ -55,10 +55,10 @@ val normalize : Variant.combo -> Variant.params -> Variant.params
     pinned to defaults), in deterministic grid order. *)
 val enumerate_params : Variant.combo -> space -> Variant.params list
 
-(** [search ?budget ?seed ?space ?surrogate ?topk spec combo] — at most
+(** [search ?budget ?seed ?space ?surrogate spec combo] — at most
     [budget] distinct experiments (default 12). With [~surrogate], scores the
     whole grid with the model, then spends at most [budget / 2] simulator
-    runs — a frontier of the [topk] (default [max 1 (budget / 3)])
+    runs — a frontier of the [max 1 (budget / 3)]
     best-predicted points with distinct thresholds, plus greedy descent
     from the frontier's winner; the outcome then carries a
     {!surrogate_report}. *)
@@ -67,7 +67,6 @@ val search :
   ?seed:int ->
   ?space:space ->
   ?surrogate:Costmodel.Model.coeffs ->
-  ?topk:int ->
   Benchmarks.Bench_common.spec ->
   Variant.combo ->
   outcome

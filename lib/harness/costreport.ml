@@ -36,15 +36,22 @@ type t = {
    space, so pruning has the most to save and the most to lose. *)
 let full_combo = { Variant.t = true; c = true; a = true }
 
+(* The correlation's 8 runs are the CDP cells of {!Sweep.run} at the
+   default parameters, in [Pipeline.enumerate] order: {!Experiment.run}
+   answers them from its memo and validates each. *)
 let report_spec ?(budget = 12) (spec : Benchmarks.Bench_common.spec) :
     bench_report =
   let coeffs = Costmodel.Table.current in
-  let samples = Costmodel.Calibrate.collect spec in
-  let predicted =
-    List.map (Costmodel.Calibrate.predict_sample coeffs) samples
-  in
-  let measured =
-    List.map (fun s -> s.Costmodel.Calibrate.s_measured) samples
+  let p = Variant.default_params in
+  let predicted, measured =
+    List.split
+      (List.map
+         (fun (label, opts) ->
+           ( Costmodel.Model.predict coeffs
+               (Costmodel.Feature.of_spec spec ~opts ~label ()),
+             (Experiment.run spec (Variant.Cdp opts)).Experiment.time ))
+         (Dpopt.Pipeline.enumerate ~threshold:p.threshold ~cfactor:p.cfactor
+            ~granularity:p.granularity ?agg_threshold:p.agg_threshold ()))
   in
   let plain = Autotune.search ~budget spec full_combo in
   let sur = Autotune.search ~budget ~surrogate:coeffs spec full_combo in

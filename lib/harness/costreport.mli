@@ -33,8 +33,10 @@ type t = {
   cm_all_within_10pct : bool;
 }
 
-(** One benchmark's report: 8 calibration-style simulator runs for the
-    correlation, one unpruned and one surrogate-guided search. *)
+(** One benchmark's report: the 8 CDP runs of the pass combinations at
+    {!Variant.default_params} ({!Experiment.run}, so a sweep's runs are
+    reused) for the correlation, one unpruned and one surrogate-guided
+    search. *)
 val report_spec : ?budget:int -> Benchmarks.Bench_common.spec -> bench_report
 
 (** Whole registry (plus road graphs); specs fan out on [pool] when

@@ -89,19 +89,18 @@ let memo_run ?cfg (spec : Benchmarks.Bench_common.spec) variant =
             Memo.replace memo key ((spec, raw) :: bucket));
       raw
 
-(** [run ?cfg ?validate spec variant] executes the benchmark under the
+(** [run ?cfg spec variant] executes the benchmark under the
     variant, or reuses the process's earlier run of the same spec value,
-    variant and config. With [~validate:true] (default) every call checks
-    the output fingerprint against [spec]'s pure-OCaml reference, and a
+    variant and config. Every call checks the output fingerprint against [spec]'s pure-OCaml reference, and a
     mismatch raises {!Validation_failure} — transformed code must be
     {e correct}, not just fast. Validation is skipped when [cfg] enables
     sampling: a sampled run simulates only a stratified subset of blocks,
     so its outputs are estimates by construction (the [sampled] field
     records this). *)
-let run ?cfg ?(validate = true) (spec : Benchmarks.Bench_common.spec)
-    (variant : Variant.t) : measurement =
+let run ?cfg (spec : Benchmarks.Bench_common.spec) (variant : Variant.t) :
+    measurement =
   let fp, time, metrics = memo_run ?cfg spec variant in
-  (if validate && not (sampling_on cfg) then
+  (if not (sampling_on cfg) then
      let reference = spec.reference () in
      if fp <> reference then
        raise
@@ -131,7 +130,7 @@ type cell = {
 let cell ?cfg spec variant =
   { cell_cfg = cfg; cell_spec = spec; cell_variant = variant }
 
-(** [run_cells ?pool ?validate cells] evaluates every cell — on [pool]'s
+(** [run_cells ?pool cells] evaluates every cell — on [pool]'s
     worker domains when given, sequentially otherwise — and returns, in
     the {e input} order regardless of completion order, each measurement
     paired with the wall-clock seconds its cell took. A simulated cell
@@ -139,11 +138,11 @@ let cell ?cfg spec variant =
     earlier run, so cells are mutually independent; this is the one entry
     point all the parallel sweep consumers ([runbench --sweep],
     {!Ablation}, {!Sweep}) share. *)
-let run_cells ?pool ?(validate = true) ?progress (cells : cell list) :
+let run_cells ?pool ?progress (cells : cell list) :
     (measurement * float) list =
   let eval c =
     let t0 = Unix.gettimeofday () in
-    let m = run ?cfg:c.cell_cfg ~validate c.cell_spec c.cell_variant in
+    let m = run ?cfg:c.cell_cfg c.cell_spec c.cell_variant in
     let dt = Unix.gettimeofday () -. t0 in
     Option.iter Progress.step progress;
     (m, dt)

@@ -28,7 +28,7 @@ exception Validation_failure of string
     sampling. *)
 val sampling_for_size : Benchmarks.Registry.size -> Gpusim.Config.sampling
 
-(** [run ?cfg ?validate spec variant] executes the benchmark, once per
+(** [run ?cfg spec variant] executes the benchmark, once per
     process for each (spec, variant, config): the process keeps the raw
     result of {!Benchmarks.Bench_common.run_variant} (fingerprint,
     simulated cycles, metrics) and answers a repeated call from it.
@@ -41,8 +41,7 @@ val sampling_for_size : Benchmarks.Registry.size -> Gpusim.Config.sampling
       [{ spec with … }] copy is a different key from its original.
       {!Benchmarks.Registry} returns one spec value per (size, benchmark,
       dataset), so figures that look up the same pairs share runs.
-    - {b Validation.} With [~validate:true] (default) every call, a
-      reused run included, checks the output fingerprint against the
+    - {b Validation.} Every call, a reused run included, checks the output fingerprint against the
       calling spec's [reference ()]. Validation is skipped when [cfg]
       enables {!Gpusim.Config.sampling} — a sampled run's outputs are
       estimates by construction.
@@ -60,7 +59,6 @@ val sampling_for_size : Benchmarks.Registry.size -> Gpusim.Config.sampling
     correct, not just fast. *)
 val run :
   ?cfg:Gpusim.Config.t ->
-  ?validate:bool ->
   Benchmarks.Bench_common.spec ->
   Variant.t ->
   measurement
@@ -82,7 +80,7 @@ type cell = {
 val cell :
   ?cfg:Gpusim.Config.t -> Benchmarks.Bench_common.spec -> Variant.t -> cell
 
-(** [run_cells ?pool ?validate cells] evaluates every cell — on [pool]
+(** [run_cells ?pool cells] evaluates every cell — on [pool]
     when given, sequentially otherwise — returning measurements in the
     {e input} order (independent of completion order) paired with each
     cell's wall-clock seconds. Each cell goes through {!run}, so a cell
@@ -92,7 +90,6 @@ val cell :
     is stepped once per finished cell (from whichever domain ran it). *)
 val run_cells :
   ?pool:Pool.t ->
-  ?validate:bool ->
   ?progress:Progress.t ->
   cell list ->
   (measurement * float) list

@@ -73,14 +73,14 @@ let opt_combos =
   List.filter (fun c -> c.Variant.t || c.Variant.c || c.Variant.a)
     Variant.all_combos
 
-let fig9_row ?cfg ?quick ?beyond_max (spec : Benchmarks.Bench_common.spec) :
+let fig9_row ?cfg ?beyond_max (spec : Benchmarks.Bench_common.spec) :
     fig9_row =
   let no_cdp = Experiment.run ?cfg spec Variant.No_cdp in
   let cdp = Experiment.run ?cfg spec (Variant.Cdp Dpopt.Pipeline.none) in
   let combos =
     List.map
       (fun combo ->
-        let tuned = Tuning.tune ?quick ?beyond_max ?cfg spec combo in
+        let tuned = Tuning.tune ?beyond_max ?cfg spec combo in
         ( Variant.combo_label combo,
           tuned.best.Experiment.time,
           tuned.best_params ))
@@ -167,9 +167,9 @@ let print_fig9_summary (rows : fig9_row list) =
     lines;
   lines
 
-let fig9 ?cfg ?quick ?pool ?(size = Benchmarks.Registry.Small) () =
+let fig9 ?cfg ?pool ?(size = Benchmarks.Registry.Small) () =
   let specs = Benchmarks.Registry.all ~size () in
-  let rows = pmap ~label:"fig9" pool (fun s -> fig9_row ?cfg ?quick s) specs in
+  let rows = pmap ~label:"fig9" pool (fun s -> fig9_row ?cfg s) specs in
   print_fig9_table ~title:"Fig. 9: Performance" rows;
   let summary = print_fig9_summary rows in
   (rows, summary)
@@ -295,12 +295,12 @@ let fig11 ?cfg ?pool ?(size = Benchmarks.Registry.Small) () =
 (* Fig. 12: road graphs (low nested parallelism)                        *)
 (* ------------------------------------------------------------------ *)
 
-let fig12 ?cfg ?quick ?pool ?(size = Benchmarks.Registry.Small) () =
+let fig12 ?cfg ?pool ?(size = Benchmarks.Registry.Small) () =
   let specs = Benchmarks.Registry.road ~size () in
   (* the paper tunes the threshold beyond the largest launch here *)
   let rows =
     pmap ~label:"fig12" pool
-      (fun s -> fig9_row ?cfg ?quick ~beyond_max:true s)
+      (fun s -> fig9_row ?cfg ~beyond_max:true s)
       specs
   in
   print_fig9_table

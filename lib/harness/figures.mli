@@ -24,7 +24,6 @@ type fig9_row = {
     the largest launch (the Fig. 12 methodology). *)
 val fig9_row :
   ?cfg:Gpusim.Config.t ->
-  ?quick:bool ->
   ?beyond_max:bool ->
   Benchmarks.Bench_common.spec ->
   fig9_row
@@ -35,7 +34,6 @@ val combo_time : fig9_row -> string -> float
     [(label, value)] pairs). *)
 val fig9 :
   ?cfg:Gpusim.Config.t ->
-  ?quick:bool ->
   ?pool:Pool.t ->
   ?size:Benchmarks.Registry.size ->
   unit ->
@@ -82,7 +80,6 @@ val fig11 :
     CDP+T+C+A-over-No-CDP geomean (expected below 1). *)
 val fig12 :
   ?cfg:Gpusim.Config.t ->
-  ?quick:bool ->
   ?pool:Pool.t ->
   ?size:Benchmarks.Registry.size ->
   unit ->

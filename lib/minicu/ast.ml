@@ -157,8 +157,6 @@ type program = func list [@@deriving show { with_path = false }, eq]
 let stmt ?(tag = Tag_none) ?(loc = Loc.dummy) sdesc =
   { sdesc; stag = tag; sloc = loc }
 
-let retag tag s = { s with stag = tag }
-
 (** [retag_deep tag ss] retags [ss] and all nested statements. Statements
     that already carry a non-[Tag_none] tag are left untouched so passes can
     layer tags without clobbering earlier attribution. *)
@@ -175,7 +173,6 @@ let rec retag_deep tag s =
   in
   { s with sdesc; stag = t }
 
-let int_lit n = Int_lit n
 let var x = Var x
 let ( +: ) a b = Binop (Add, a, b)
 let ( -: ) a b = Binop (Sub, a, b)
@@ -217,15 +214,6 @@ let add_func_after (p : program) ~anchor (f : func) =
   let rec go = function
     | [] -> invalid_arg (Fmt.str "Ast.add_func_after: no function %S" anchor)
     | g :: rest when g.f_name = anchor -> g :: f :: rest
-    | g :: rest -> g :: go rest
-  in
-  go p
-
-(** [add_func_before p ~anchor f] inserts [f] right before [anchor]. *)
-let add_func_before (p : program) ~anchor (f : func) =
-  let rec go = function
-    | [] -> invalid_arg (Fmt.str "Ast.add_func_before: no function %S" anchor)
-    | g :: rest when g.f_name = anchor -> f :: g :: rest
     | g :: rest -> g :: go rest
   in
   go p

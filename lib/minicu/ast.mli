@@ -134,13 +134,11 @@ type program = func list [@@deriving show, eq]
 (** {1 Constructors and helpers} *)
 
 val stmt : ?tag:tag -> ?loc:Loc.t -> stmt_desc -> stmt
-val retag : tag -> stmt -> stmt
 
 (** [retag_deep tag s] retags [s] and all nested statements, preserving
     existing non-[Tag_none] tags. *)
 val retag_deep : tag -> stmt -> stmt
 
-val int_lit : int -> expr
 val var : string -> expr
 val ( +: ) : expr -> expr -> expr
 val ( -: ) : expr -> expr -> expr
@@ -170,5 +168,3 @@ val replace_func : program -> func -> program
 
 (** [add_func_after p ~anchor f] inserts [f] right after [anchor]. *)
 val add_func_after : program -> anchor:string -> func -> program
-
-val add_func_before : program -> anchor:string -> func -> program

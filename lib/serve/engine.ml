@@ -25,8 +25,11 @@ type response = {
 
 type t = { cache : entry Lru.t; meter : Metrics.t }
 
-let create ?shards ?(cache_bytes = 64 * 1024 * 1024) () =
-  { cache = Lru.create ?shards ~bytes:cache_bytes (); meter = Metrics.create () }
+let create () =
+  {
+    cache = Lru.create ~bytes:(64 * 1024 * 1024) ();
+    meter = Metrics.create ();
+  }
 
 let metrics t = Metrics.snapshot t.meter
 let cache_stats t = Lru.stats t.cache

@@ -50,9 +50,9 @@ type response = {
 
 type t
 
-(** [create ()] — an engine with a [cache_bytes] LRU budget (default
-    64 MiB) split over [shards] (default {!Lru.create}'s). *)
-val create : ?shards:int -> ?cache_bytes:int -> unit -> t
+(** [create ()] — an engine with a 64 MiB LRU budget split over
+    {!Lru.create}'s default shards. *)
+val create : unit -> t
 
 (** [compile t rq] — one job. [Error diag] carries the same one-line
     rendering {!Errors.render} gives the [dpoptc] CLI; internal errors

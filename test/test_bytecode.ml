@@ -1,7 +1,7 @@
 (* The bytecode VM's golden suite: everything the simulator's execution
    engine must keep producing, pinned as checked-in values.
 
-   Four layers, ordered by how bugs have historically surfaced:
+   Five layers, ordered by how bugs have historically surfaced:
 
      1. golden disassembly of the corpus fixtures — ISA/encoding changes
         become reviewable diffs;
@@ -16,7 +16,13 @@
         Small-registry spec under all 8 pass combinations, plus each good
         corpus fixture: memory-dump digest, simulated cycles, grid,
         device-launch, block and thread counts, and a digest of every
-        metrics field.
+        metrics field;
+     5. block accounting — every Small-tier spec, road graphs included,
+        under CDP, CDP+T and CDP+T+C+A with sampling that fires on small
+        grids (fingerprint, cycles, every metrics field and every sampling
+        statistic, so fractional block and launch weights are pinned), a
+        block that raises after serializing launches, and the order of
+        race reports over several blocks.
 
    The layer 2-4 goldens were recorded while the simulator still had a
    second, closure-tree interpreter, and both engines reproduced every
@@ -396,6 +402,139 @@ let corpus_coverage =
         (List.map (fun (b, _, _, _, _) -> b) corpus_runs))
 
 (* ------------------------------------------------------------------ *)
+(* Layer 5: block accounting                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Sampling that fires on Small-registry grids, so most committed blocks
+   and many launches carry a fractional weight. *)
+let probe_sampling =
+  {
+    Config.block_threshold = 2;
+    block_frac = 0.3;
+    strata = 3;
+    seed = 7;
+    launch_threshold = 2;
+    launch_frac = 0.4;
+  }
+
+let sampling_repr (s : Metrics.sampling_stats) =
+  Fmt.str
+    "sampled_grids=%d sampled_blocks=%d skipped_blocks=%d \
+     sampled_launches=%d skipped_launches=%d est_total=%Lx est_variance=%Lx"
+    s.Metrics.sampled_grids s.Metrics.sampled_blocks s.Metrics.skipped_blocks
+    s.Metrics.sampled_launches s.Metrics.skipped_launches
+    (Int64.bits_of_float s.Metrics.est_total)
+    (Int64.bits_of_float s.Metrics.est_variance)
+
+let probe_versions =
+  let open Dpopt in
+  [
+    ("CDP", Pipeline.none);
+    ("CDP+T", Pipeline.make ~threshold:64 ());
+    ( "CDP+T+C+A",
+      Pipeline.make ~threshold:16 ~cfactor:4
+        ~granularity:(Aggregation.Multi_block 4) () );
+  ]
+
+(* Every Small-registry spec, sampled: the weighted counters and the
+   sampling statistics, bit for bit. *)
+let sampled_digest (spec : Benchmarks.Bench_common.spec) (vname, opts) =
+  slow
+    (Fmt.str "%s/%s under %s: sampled run pinned" spec.name spec.dataset vname)
+    (fun () ->
+      let cfg = { Config.default with sampling = Some probe_sampling } in
+      let dev =
+        Benchmarks.Bench_common.load_variant ~cfg spec
+          (Benchmarks.Bench_common.Cdp opts)
+      in
+      let fingerprint = spec.run dev in
+      let m = Device.metrics dev in
+      Test_corpus.golden_entry ~golden_name:digests_golden
+        ~key:(Fmt.str "sampled %s/%s %s" spec.name spec.dataset vname)
+        (Fmt.str "fp=%d cycles=%.17g\n%s\n%s" fingerprint (Device.time dev)
+           (metrics_repr m)
+           (sampling_repr m.Metrics.sampling)))
+
+let sampled_tests =
+  let size = Benchmarks.Registry.Small in
+  List.concat_map
+    (fun spec -> List.map (sampled_digest spec) probe_versions)
+    (Benchmarks.Registry.all ~size () @ Benchmarks.Registry.road ~size ())
+
+(* Run [src] under [cfg] to completion or to an exception; either way the
+   device metrics are observed afterwards. *)
+let observe_metrics ~cfg ~grid ~block ~kernel ~mk_args src =
+  let dev = Device.create ~cfg () in
+  Device.load_program dev (Minicu.Parser.program src);
+  let args = mk_args dev in
+  let outcome =
+    match
+      Device.launch dev ~kernel ~grid ~block ~args;
+      ignore (Device.sync dev)
+    with
+    | () -> "completed"
+    | exception e -> "raised: " ^ Printexc.to_string e
+  in
+  Fmt.str "%s\n%s" outcome (metrics_repr (Device.metrics dev))
+
+(* Thread 0 of each block makes three serialized calls; the second block
+   to run sees the first block's increments and stores out of bounds. The
+   grid is sampled at weight 1.5, so the committed block adds
+   round(1.5 * 3) serialized launches and the failing block leaves its
+   three, unweighted, with its out-of-bounds count. *)
+let failing_block_src =
+  {|
+__device__ void bump_serial(int* d) {
+  d[0] = d[0] + 1;
+}
+
+__global__ void k(int* d, int n) {
+  if (threadIdx.x == 0) {
+    bump_serial(d);
+    bump_serial(d);
+    bump_serial(d);
+  }
+  __syncthreads();
+  if (d[0] > 3) {
+    d[n + threadIdx.x] = 1;
+  }
+}
+|}
+
+(* Every block's 64 threads store to 20 cells of its own: 20 racing
+   addresses per block, of which 16 are reported. *)
+let racy_src =
+  {|
+__global__ void k(int* d) {
+  d[blockIdx.x * 20 + threadIdx.x % 20] = threadIdx.x;
+}
+|}
+
+let accounting_tests =
+  let checked = { Config.test_config with check = true } in
+  [
+    t "a failing block leaves its serialized and out-of-bounds counts"
+      (fun () ->
+        let cfg =
+          {
+            checked with
+            sampling =
+              Some { probe_sampling with block_frac = 0.5; strata = 1 };
+          }
+        in
+        Test_corpus.golden_entry ~golden_name:digests_golden
+          ~key:"accounting failing block"
+          (observe_metrics ~cfg ~grid:(3, 1, 1) ~block:(64, 1, 1) ~kernel:"k"
+             ~mk_args:(fun dev -> out_ints 4 dev @ [ Value.Int 4 ])
+             failing_block_src));
+    t "race reports: newest block first, 16 per block" (fun () ->
+        Test_corpus.golden_entry ~golden_name:digests_golden
+          ~key:"accounting racy kernel"
+          (observe_metrics ~cfg:checked ~grid:(3, 1, 1) ~block:(64, 1, 1)
+             ~kernel:"k" ~mk_args:(out_ints 60) racy_src));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Load superinstructions                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -465,4 +604,4 @@ let fusion_tests =
 let suite =
   disasm_tests @ edge_tests @ sanitizer_tests @ tiny_tests @ small_tests
   @ List.map corpus_digest corpus_runs
-  @ [ corpus_coverage ] @ fusion_tests
+  @ [ corpus_coverage ] @ fusion_tests @ sampled_tests @ accounting_tests
