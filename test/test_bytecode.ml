@@ -601,7 +601,180 @@ let fusion_tests =
           (run "s = s + o[k - 1];"));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Layer 6: aggregated runs at every granularity                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Layer 4 runs the Small registry at block granularity only. These add
+   the road specs under all 8 pass combinations and every Small spec,
+   road included, with aggregation at warp, multi-block(8) and grid
+   granularity: each aggregated child kernel opens with the
+   disaggregation search, which every block of every child grid runs. *)
+let agg_digest ~key (spec : Benchmarks.Bench_common.spec) opts =
+  slow
+    (Fmt.str "%s/%s under %s: run pinned" spec.name spec.dataset key)
+    (fun () ->
+      let dev =
+        Benchmarks.Bench_common.load_variant ~cfg:Config.default spec
+          (Benchmarks.Bench_common.Cdp opts)
+      in
+      let fingerprint = spec.run dev in
+      Test_corpus.golden_entry ~golden_name:digests_golden
+        ~key:(Fmt.str "small %s/%s %s" spec.name spec.dataset key)
+        (run_digest ~fingerprint dev))
+
+let granularity_tests =
+  let size = Benchmarks.Registry.Small in
+  let road = Benchmarks.Registry.road ~size () in
+  let at g =
+    List.filter
+      (fun (l, _) -> l = "CDP+A" || l = "CDP+T+C+A")
+      (Dpopt.Pipeline.enumerate ~granularity:g ())
+  in
+  List.concat_map
+    (fun spec ->
+      List.map
+        (fun (vname, opts) -> agg_digest ~key:vname spec opts)
+        (Dpopt.Pipeline.enumerate ()))
+    road
+  @ List.concat_map
+      (fun spec ->
+        List.concat_map
+          (fun g ->
+            List.map
+              (fun (vname, opts) ->
+                agg_digest
+                  ~key:
+                    (Fmt.str "%s %s" vname
+                       (Dpopt.Aggregation.granularity_to_string g))
+                  spec opts)
+              (at g))
+          Dpopt.Aggregation.[ Warp; Multi_block 8; Grid ])
+      (Benchmarks.Registry.all ~size () @ road)
+
+(* ------------------------------------------------------------------ *)
+(* Layer 7: block-uniform prefixes                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Kernels that open with a loop reading no [threadIdx], the shape of the
+   aggregation's disaggregation search. Each runs to completion or to an
+   exception; the outcome and everything observable afterwards
+   (simulated time, metrics with race reports, every buffer) are pinned,
+   unchecked and under [Config.check]. *)
+let prefix_golden name ?(cfg = Config.test_config) ~grid ~block ~mk_args src =
+  t ("block-uniform prefix: " ^ name) (fun () ->
+      let dev = Device.create ~cfg () in
+      Device.load_program dev (Minicu.Parser.program src);
+      let args = mk_args dev in
+      let outcome =
+        match
+          Device.launch dev ~kernel:"k" ~grid ~block ~args;
+          ignore (Device.sync dev)
+        with
+        | () -> "completed"
+        | exception e -> "raised: " ^ Printexc.to_string e
+      in
+      Test_corpus.golden_entry ~golden_name:digests_golden
+        ~key:("prefix " ^ name)
+        (outcome ^ "\n" ^ observe_device dev))
+
+(* Every thread sums the first [n] cells of the buffer it then stores
+   to, so each thread's prefix reads what earlier threads wrote. *)
+let self_feeding_src =
+  {|
+__global__ void k(int* out, int n) {
+  int s = 0;
+  for (int k = 0; k < n; k = k + 1) { s = s + out[k & 255]; }
+  out[threadIdx.x] = s + 1;
+}
+|}
+
+(* A binary search over [keys] by block index, then a store that depends
+   on the search and on the thread. *)
+let search_src =
+  {|
+__global__ void k(int* keys, int* out, int n) {
+  int lo = 0;
+  int hi = n - 1;
+  while (lo < hi) {
+    int mid = (lo + hi) / 2;
+    if (keys[mid] > blockIdx.x) { hi = mid; } else { lo = mid + 1; }
+  }
+  int base = keys[lo];
+  out[blockIdx.x * blockDim.x + threadIdx.x] = base * 1000 + lo * 10 + threadIdx.x;
+}
+|}
+
+(* The loop runs past the end of [out]. *)
+let oob_src =
+  {|
+__global__ void k(int* out, int n) {
+  int s = 0;
+  for (int k = 0; k < n; k = k + 1) { s = s + out[k]; }
+  out[threadIdx.x & 3] = s;
+}
+|}
+
+(* After the loop, a load through a local copy of the pointer: the first
+   load the prefix may not contain, in the middle of an
+   [as_ptr; cast.int; load] run. *)
+let local_pointer_src =
+  {|
+__global__ void k(int* in, int* out, int n) {
+  int s = 0;
+  for (int k = 0; k < n; k = k + 1) { s = s + in[k & 7]; }
+  int* q = in;
+  int j = s & 7;
+  s = s + q[j];
+  out[threadIdx.x] = s + threadIdx.x;
+}
+|}
+
+let search_args dev =
+  [
+    Value.Ptr (Device.alloc_ints dev [| 1; 1; 3; 4; 4; 6; 9; 9 |]);
+    Value.Ptr (Device.alloc_int_zeros dev 256);
+    Value.Int 8;
+  ]
+
+let prefix_tests =
+  let checked = { Config.test_config with check = true } in
+  let self_feeding ?cfg name =
+    prefix_golden ?cfg name ~grid:(2, 1, 1) ~block:(64, 1, 1)
+      ~mk_args:(fun dev -> out_ints 256 dev @ [ Value.Int 12 ])
+      self_feeding_src
+  in
+  let oob ?cfg name =
+    prefix_golden ?cfg name ~grid:(1, 1, 1) ~block:(64, 1, 1)
+      ~mk_args:(fun dev -> out_ints 4 dev @ [ Value.Int 8 ])
+      oob_src
+  in
+  let one_thread ?cfg name =
+    prefix_golden ?cfg name ~grid:(3, 1, 1) ~block:(1, 1, 1)
+      ~mk_args:search_args search_src
+  in
+  [
+    self_feeding "reads what earlier threads stored";
+    prefix_golden "searches once per block over two warps" ~grid:(4, 1, 1)
+      ~block:(48, 1, 1) ~mk_args:search_args search_src;
+    oob "loop loads out of bounds";
+    one_thread "one-thread blocks";
+    prefix_golden "ends inside a fusable load" ~grid:(2, 1, 1)
+      ~block:(40, 1, 1)
+      ~mk_args:(fun dev ->
+        [
+          Value.Ptr (Device.alloc_ints dev (Array.init 8 Fun.id));
+          Value.Ptr (Device.alloc_int_zeros dev 40);
+          Value.Int 5;
+        ])
+      local_pointer_src;
+    self_feeding ~cfg:checked "checked: reads what earlier threads stored";
+    oob ~cfg:checked "checked: loop loads out of bounds";
+    one_thread ~cfg:checked "checked: one-thread blocks";
+  ]
+
 let suite =
   disasm_tests @ edge_tests @ sanitizer_tests @ tiny_tests @ small_tests
   @ List.map corpus_digest corpus_runs
   @ [ corpus_coverage ] @ fusion_tests @ sampled_tests @ accounting_tests
+  @ granularity_tests @ prefix_tests
