@@ -106,62 +106,79 @@ let micro () =
 (* Engine smoke: the VM's allocation gate                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic acceptance gate of the [@ir] alias. On five loop micro
+(* Deterministic acceptance gate of the [@ir] alias. On six loop micro
    kernels, every output must equal its closed-form value, and one launch
    must allocate no more minor-heap words at twice the loop trip count
    than at the trip count itself: the VM's steady state allocates nothing
-   per loop iteration, neither in its registers nor on the memory path
-   (the last three read the 256-element host buffer [out] every
-   iteration). The trip count is BYTECODE_SMOKE_ITERS (see Harness.Env). *)
+   per loop iteration, neither in its registers nor on the memory path.
+   [count-loop], [int-accumulate] and [uniform-prefix] loop before any
+   [threadIdx] read, in a block-uniform prefix (Bytecode.uniform), so one
+   thread of the 256-thread block runs the loop and the others copy its
+   state; [uniform-prefix] loads from the host buffer [keys], which no
+   thread writes. [load-local], [load-expr] and [load-addr] read the
+   256-element buffer [out] every iteration and still loop in all 256
+   threads: [load-local] reads [threadIdx] first, [load-expr] loads from
+   the buffer every thread then stores to, and [load-addr] loads through a
+   pointer formed with [&]. The trip count is BYTECODE_SMOKE_ITERS (see
+   Harness.Env). *)
 let engine_smoke () =
   let iters = Harness.Env.get "BYTECODE_SMOKE_ITERS" in
+  (* [uniform-prefix]'s block-wide total: iteration k finds the first of
+     keys = 0, 2, 4, ... above k & 255. *)
+  let searched n =
+    let s = ref 0 in
+    for k = 0 to n - 1 do
+      s := !s + ((k land 255) / 2) + 1
+    done;
+    !s
+  in
   let kernels =
     [
       (* the rotated-loop bottom is one fused VM dispatch *)
       ( "count-loop",
         {|
-__global__ void micro(int* out, int iters) {
+__global__ void micro(int* out, int iters, int* keys) {
   int s = 0;
   for (int k = 0; k < iters; k = k + 1) { }
   out[threadIdx.x] = s;
 }
 |},
-        fun _ -> 0 );
+        fun _ _ -> 0 );
       (* one arithmetic instruction per iteration *)
       ( "int-accumulate",
         {|
-__global__ void micro(int* out, int iters) {
+__global__ void micro(int* out, int iters, int* keys) {
   int s = 0;
   for (int k = 0; k < iters; k = k + 1) { s = s + k; }
   out[threadIdx.x] = s;
 }
 |},
-        fun n -> n * (n - 1) / 2 );
+        fun n _ -> n * (n - 1) / 2 );
       (* one indexed load per iteration, fused with both operand coercions *)
       ( "load-local",
         {|
-__global__ void micro(int* out, int iters) {
+__global__ void micro(int* out, int iters, int* keys) {
   int s = 0;
   int j = threadIdx.x;
   for (int k = 0; k < iters; k = k + 1) { s = s + out[j]; }
   out[threadIdx.x] = s;
 }
 |},
-        fun _ -> 0 );
+        fun _ _ -> 0 );
       (* an index expression between the pointer and index coercions *)
       ( "load-expr",
         {|
-__global__ void micro(int* out, int iters) {
+__global__ void micro(int* out, int iters, int* keys) {
   int s = 0;
   for (int k = 0; k < iters; k = k + 1) { s = s + out[k & 255]; }
   out[threadIdx.x] = s;
 }
 |},
-        fun _ -> 0 );
+        fun _ _ -> 0 );
       (* a pointer formed with & and loaded through *)
       ( "load-addr",
         {|
-__global__ void micro(int* out, int iters) {
+__global__ void micro(int* out, int iters, int* keys) {
   int s = 0;
   for (int k = 0; k < iters; k = k + 1) {
     int* q = &out[k & 255];
@@ -170,29 +187,49 @@ __global__ void micro(int* out, int iters) {
   out[threadIdx.x] = s;
 }
 |},
-        fun _ -> 0 );
+        fun _ _ -> 0 );
+      (* a binary search through a pointer parameter per iteration, like
+         the aggregation's disaggregation prologue, then a per-thread
+         store *)
+      ( "uniform-prefix",
+        {|
+__global__ void micro(int* out, int iters, int* keys) {
+  int s = 0;
+  for (int k = 0; k < iters; k = k + 1) {
+    int lo = 0;
+    int hi = 255;
+    while (lo < hi) {
+      int mid = (lo + hi) / 2;
+      if (keys[mid] > (k & 255)) { hi = mid; } else { lo = mid + 1; }
+    }
+    s = s + lo;
+  }
+  out[threadIdx.x] = s + threadIdx.x;
+}
+|},
+        fun n tid -> searched n + tid );
     ]
   in
   (* Minor words allocated by one launch at trip count [n], measured after
      a warm-up launch has sized the scheduler's thread arena, and whether
-     every thread wrote [expected n]. *)
+     every thread [tid] wrote [expected n tid]. *)
   let measure src expected n =
     let dev = Gpusim.Device.create () in
     Gpusim.Device.load_program dev (Minicu.Parser.program src);
     let out = Gpusim.Device.alloc_int_zeros dev 256 in
+    let keys = Gpusim.Device.alloc_ints dev (Array.init 256 (fun i -> 2 * i)) in
     let launch () =
       Gpusim.Device.launch dev ~kernel:"micro" ~grid:(1, 1, 1)
         ~block:(256, 1, 1)
-        ~args:[ Gpusim.Value.Ptr out; Gpusim.Value.Int n ];
+        ~args:Gpusim.Value.[ Ptr out; Int n; Ptr keys ];
       ignore (Gpusim.Device.sync dev)
     in
     launch ();
     let w0 = Gc.minor_words () in
     launch ();
     let words = Gc.minor_words () -. w0 in
-    ( words,
-      Array.for_all (( = ) (expected n)) (Gpusim.Device.read_ints dev out 256)
-    )
+    let outputs = Gpusim.Device.read_ints dev out 256 in
+    (words, Array.for_all Fun.id (Array.mapi (fun tid v -> v = expected n tid) outputs))
   in
   Printf.printf "\n=== Engine smoke: VM allocation per launch (%d, %d iters) ===\n"
     iters (2 * iters);

@@ -55,6 +55,19 @@ let array_hash (a : int array) =
 
 let quantize f = int_of_float (Float.round (f *. 1024.0))
 
+(** [once f] is [f] that computes its value on the first call and returns
+    that value afterwards. Domain-safe: two domains racing on the first
+    call may both compute, so [f] must be pure. *)
+let once f =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+        let v = f () in
+        Atomic.set cell (Some v);
+        v
+
 (** The allocations that upload a CSR graph: buffers 0, 1 and 2 of a host
     spec that starts with them hold weight, col and row. *)
 let graph_ops (g : Workloads.Csr.t) : Native.Hostspec.op list =

@@ -61,6 +61,12 @@ val array_hash : int array -> int
 (** Quantize a float to a stable integer (×1024, rounded). *)
 val quantize : float -> int
 
+(** [once f] computes [f ()] on its first call and returns that value on
+    every later one; each spec's [reference] is built with it. Domain-safe:
+    two domains racing on the first call may both compute, so [f] must be
+    pure. *)
+val once : (unit -> 'a) -> unit -> 'a
+
 (** The allocations that upload a CSR graph: buffers 0, 1 and 2 of a host
     spec that starts with them hold weight, col and row, the layout the
     recorded run digests ([test/corpus/vm_runs.golden]) pin. *)

@@ -172,6 +172,6 @@ let spec ~(dataset : Workloads.Bezier.t) : Bench_common.spec =
     max_child_threads = dataset.max_tessellation;
     workload = workload dataset;
     run = run host dataset;
-    reference = reference dataset;
+    reference = Bench_common.once (reference dataset);
     native_host = Some host;
   }

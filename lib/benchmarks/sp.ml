@@ -199,6 +199,6 @@ let spec ~(formula : Workloads.Sat.t) : Bench_common.spec =
         parent_block = 128;
       };
     run = run host a;
-    reference = reference a;
+    reference = Bench_common.once (reference a);
     native_host = Some host;
   }

@@ -142,6 +142,6 @@ let spec ~(dataset : Workloads.Graph_gen.named) : Bench_common.spec =
     max_child_threads = Workloads.Csr.max_degree dataset.graph;
     workload = workload dataset.graph;
     run = run dataset.graph;
-    reference = reference dataset.graph;
+    reference = Bench_common.once (reference dataset.graph);
     native_host = None;
   }

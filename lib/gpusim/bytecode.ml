@@ -114,6 +114,15 @@ type instr =
 (* Compiled functions and programs                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A kernel's block-uniform prefix: code indices [bf_entry, u_end). See
+   [uniform_prefix] for the rule. *)
+type uniform = {
+  u_end : int;  (** First instruction after the prefix. *)
+  u_regs : int array;  (** Registers the prefix writes, ascending. *)
+  u_params : int array;
+      (** Pointer parameters the prefix loads through, ascending. *)
+}
+
 type func = {
   bf_name : string;
   bf_kind : func_kind;
@@ -123,6 +132,7 @@ type func = {
   bf_is_serial : bool;
   mutable bf_entry : int;  (** Body entry pc. *)
   mutable bf_followup : int option;  (** Host-followup entry pc. *)
+  mutable bf_uniform : uniform option;  (** [__global__] kernels only. *)
 }
 
 type prog = {
@@ -990,6 +1000,158 @@ and lower_stmts env ss =
           lower_stmts env !rest)
 
 (* ------------------------------------------------------------------ *)
+(* Block-uniform prefixes                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The target of a jump-family instruction; -1 for everything else. *)
+let jump_target = function
+  | I_cmp_jf (_, _, _, tg)
+  | I_cmp_jf_int (_, _, _, tg)
+  | I_cmp_jt (_, _, _, tg)
+  | I_cmp_jt_int (_, _, _, tg)
+  | I_jump tg
+  | I_jump_if_false (_, tg)
+  | I_jump_if_true (_, tg)
+  | I_shared_hit (_, _, tg) ->
+      tg
+  | _ -> -1
+
+(* [prefix_dests i] is [Some] of the registers [i] writes when [i] may
+   sit in a block-uniform prefix — it reads no [threadIdx] and changes
+   nothing but its own registers, an unchecked load's pointer being
+   checked by [uniform_prefix] — and [None] otherwise. *)
+let prefix_dests = function
+  | I_const_unit d
+  | I_const_int (d, _)
+  | I_const_float (d, _)
+  | I_const_bool (d, _)
+  | I_const_dim3 (d, _, _, _)
+  | I_mov (d, _)
+  | I_member (d, _, _)
+  | I_neg (d, _)
+  | I_not (d, _)
+  | I_binop (_, d, _, _)
+  | I_binop_int (_, d, _, _)
+  | I_binop_float (_, d, _, _)
+  | I_cast_int (d, _)
+  | I_cast_float (d, _)
+  | I_cast_bool (d, _)
+  | I_cast_dim3 (d, _)
+  | I_as_ptr (d, _)
+  | I_dim3 (d, _, _, _)
+  | I_load (d, _, _, None)
+  | I_addr (d, _, _)
+  | I_min (d, _, _)
+  | I_max (d, _, _)
+  | I_abs (d, _)
+  | I_float1 (_, d, _)
+  | I_pow (d, _, _)
+  | I_set_dim3 (d, _, _, _, _, _) ->
+      Some [ d ]
+  | I_special (d, sp) | I_special_comp (d, sp, _) ->
+      if sp = Sp_thread_idx then None else Some [ d ]
+  | I_split_dim3 (x, y, z, _) | I_member_load_dim (x, y, z, _, _, None) ->
+      Some [ x; y; z ]
+  | I_cmp_jf _ | I_cmp_jf_int _ | I_cmp_jt _ | I_cmp_jt_int _ | I_jump _
+  | I_jump_if_false _ | I_jump_if_true _ | I_charge _ ->
+      Some []
+  | I_load (_, _, _, Some _)
+  | I_member_load_dim (_, _, _, _, _, Some _)
+  | I_store _ | I_atomic _ | I_cas _ | I_malloc _ | I_warp _ | I_warp_bcast _
+  | I_call _ | I_ret_unit | I_ret _ | I_member_store_dim _ | I_shared_hit _
+  | I_shared_alloc _ | I_launch_check _ | I_launch _ | I_sync ->
+      None
+
+(* [uniform_prefix code ~entry ~stop ~nparams ~nregs] finds the
+   block-uniform prefix of the kernel lowered at [entry, stop): the
+   longest run [entry, e) such that
+
+   - every instruction passes [prefix_dests]: no [threadIdx] read, store,
+     atomic, CAS, [malloc], warp op, shared-memory op, call, launch, sync
+     or return;
+   - every load is unchecked and goes through a pointer parameter the
+     run never writes, or through a register that an [as_ptr] of such a
+     parameter wrote earlier in the same basic block;
+   - its jumps land inside the run or on [e], and no jump after it lands
+     inside it or on [e].
+
+   Such a run computes the same registers and costs in every thread of a
+   block as long as the buffers it loads from are not written, so the VM
+   runs it once per block. It is kept only if it contains a loop: a
+   straight-line prefix costs about what copying its registers would.
+   Each pass (the admissible run, its register writes, its loads, its
+   jumps) is linear in the kernel's length. *)
+let uniform_prefix code ~entry ~stop ~nparams ~nregs =
+  let e0 = ref entry in
+  while !e0 < stop && prefix_dests code.(!e0) <> None do
+    incr e0
+  done;
+  let e0 = !e0 in
+  let dests i = Option.get (prefix_dests code.(i)) in
+  let written = Array.make nregs false in
+  for i = entry to e0 - 1 do
+    List.iter (fun r -> written.(r) <- true) (dests i)
+  done;
+  let param r = r < nparams && not written.(r) in
+  let span = stop - entry + 1 in
+  let target = Array.make span false in
+  for i = entry to stop - 1 do
+    let tg = jump_target code.(i) in
+    if tg >= entry && tg <= stop then target.(tg - entry) <- true
+  done;
+  (* Loads: [src.(i - entry)] is the parameter the load at [i] reads
+     through; the run stops at the first load through anything else. *)
+  let src = Array.make span (-1) in
+  let last_def = Array.make nregs (-1) and block = ref entry in
+  let e1 = ref e0 and i = ref entry in
+  while !i < !e1 do
+    let j = !i in
+    if target.(j - entry) then block := j;
+    (match code.(j) with
+    | I_load (_, p, _, _) | I_member_load_dim (_, _, _, p, _, _) ->
+        let s =
+          if param p then p
+          else
+            let k = last_def.(p) in
+            if k < !block then -1
+            else match code.(k) with I_as_ptr (_, s) when param s -> s | _ -> -1
+        in
+        if s < 0 then e1 := j else src.(j - entry) <- s
+    | _ -> ());
+    if !e1 > j then List.iter (fun r -> last_def.(r) <- j) (dests j);
+    incr i
+  done;
+  (* Jumps: the longest [e <= e1] whose run only jumps within [entry, e]
+     and that no later jump enters. *)
+  let later = Array.make span max_int in
+  for i = stop - 1 downto entry do
+    let tg = jump_target code.(i) in
+    later.(i - entry) <-
+      (if tg >= 0 then min tg later.(i + 1 - entry) else later.(i + 1 - entry))
+  done;
+  let e = ref (-1) and reach = ref entry and first_back = ref max_int in
+  for cut = entry + 1 to !e1 do
+    let tg = jump_target code.(cut - 1) in
+    if tg >= 0 then begin
+      reach := max !reach tg;
+      if tg < cut then first_back := min !first_back (cut - 1)
+    end;
+    if !reach <= cut && later.(cut - entry) > cut then e := cut
+  done;
+  let e = !e in
+  if e < 0 || !first_back >= e then None
+  else
+    let regs = Array.make nregs false and params = Array.make nparams false in
+    for i = entry to e - 1 do
+      List.iter (fun r -> regs.(r) <- true) (dests i);
+      if src.(i - entry) >= 0 then params.(src.(i - entry)) <- true
+    done;
+    let members a =
+      Array.of_list (List.filter (Array.get a) (List.init (Array.length a) Fun.id))
+    in
+    Some { u_end = e; u_regs = members regs; u_params = members params }
+
+(* ------------------------------------------------------------------ *)
 (* Packed encoding                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1047,7 +1209,14 @@ and lower_stmts env ss =
     64 cast.ld    [ti; si; d; p]             cast.int ti, si; load d, p, ti
 
    ([f#]/[s#]/[v#]/[l#] are pool indices; [@] a word-offset jump target;
-   [w@] the callee's pre-resolved entry word offset.) *)
+   [w@] the callee's pre-resolved entry word offset.)
+
+   One word marks where a kernel's block-uniform prefix ends (its
+   [bf_uniform]); it precedes the words of the first instruction after
+   the prefix and has no [instr]:
+
+    65 uniform.end []                        park: the VM records or skips
+                                             the prefix (see {!Vm}) *)
 
 let binop_code : binop -> int = function
   | Add -> 0
@@ -1151,9 +1320,9 @@ let pack_width = function
      as_ptr tp; cast.int ti; load   ->  as_ptr.ld  (a[j], j a variable)
      cast.int ti; load              ->  cast.ld    (a[e], the index coercion)
 
-   only when no jump target (or function entry/followup) lands on an
-   interior instruction — a [continue] into a For step keeps the unfused
-   encoding. A load fuses only unchecked, reading exactly the temporaries
+   only when no jump target (or function entry/followup, or the end of a
+   block-uniform prefix) lands on an interior instruction — a [continue]
+   into a For step keeps the unfused encoding. A load fuses only unchecked, reading exactly the temporaries
    the coercions just wrote, and those must be distinct registers. The
    fused VM arms run the exact sub-step bodies in the same order, so fusion
    changes dispatch count and nothing else. *)
@@ -1161,23 +1330,17 @@ let pack (code : instr array) (funcs : func array) =
   let n = Array.length code in
   let target = Array.make (n + 1) false in
   let mark tg = target.(tg) <- true in
-  Array.iter
-    (function
-      | I_cmp_jf (_, _, _, tg)
-      | I_cmp_jf_int (_, _, _, tg)
-      | I_cmp_jt (_, _, _, tg)
-      | I_cmp_jt_int (_, _, _, tg)
-      | I_jump tg
-      | I_jump_if_false (_, tg)
-      | I_jump_if_true (_, tg)
-      | I_shared_hit (_, _, tg) ->
-          mark tg
-      | _ -> ())
-    code;
+  Array.iter (fun i -> let tg = jump_target i in if tg >= 0 then mark tg) code;
+  let prefix_end = Array.make (n + 1) false in
   Array.iter
     (fun f ->
       mark f.bf_entry;
-      match f.bf_followup with Some e -> mark e | None -> ())
+      (match f.bf_followup with Some e -> mark e | None -> ());
+      match f.bf_uniform with
+      | Some u ->
+          mark u.u_end;
+          prefix_end.(u.u_end) <- true
+      | None -> ())
     funcs;
   (* fused.(i): packed opcode of the superinstruction starting at [i], 0 if
      [i] packs alone, -1 if consumed by a preceding superinstruction. *)
@@ -1219,6 +1382,8 @@ let pack (code : instr array) (funcs : func array) =
     i := j + len
   done;
   let width i =
+    Bool.to_int prefix_end.(i)
+    +
     match fused.(i) with
     | 0 -> pack_width code.(i)
     | -1 -> 0
@@ -1268,6 +1433,7 @@ let pack (code : instr array) (funcs : func array) =
     | _ -> assert false
   in
   for i = 0 to n - 1 do
+    if prefix_end.(i) then put 65;
     (match fused.(i) with
     | -1 -> ()
     | (59 | 60) as sop ->
@@ -1635,6 +1801,7 @@ let compile (cfg : Config.t) (prog : program) : prog =
                f.f_kind = Device && Runtime.has_serial_suffix f.f_name;
              bf_entry = 0;
              bf_followup = None;
+             bf_uniform = None;
            })
          prog)
   in
@@ -1679,6 +1846,17 @@ let compile (cfg : Config.t) (prog : program) : prog =
       bf.bf_nregs <- env.max_reg)
     prog;
   let code = Array.sub em.buf 0 em.len in
+  Array.iteri
+    (fun fi bf ->
+      if bf.bf_kind = Global then
+        let stop =
+          if fi + 1 < Array.length funcs then funcs.(fi + 1).bf_entry
+          else Array.length code
+        in
+        bf.bf_uniform <-
+          uniform_prefix code ~entry:bf.bf_entry ~stop ~nparams:bf.bf_nparams
+            ~nregs:bf.bf_nregs)
+    funcs;
   let ops, woff, fpool, spool, vpool, lpool = pack code funcs in
   {
     bp_code = code;

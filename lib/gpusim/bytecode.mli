@@ -76,6 +76,28 @@ type instr =
   | I_launch of string * int * int * int array
   | I_sync
 
+(** A kernel's block-uniform prefix: the instructions from its entry up
+    to [u_end], which compute the same registers and costs in every
+    thread of a block. It is the longest such run that
+
+    - reads no [threadIdx] and makes no store, atomic, CAS, [malloc],
+      warp op, shared-memory op, call, launch, sync or return;
+    - loads only unchecked, through a pointer parameter the run never
+      writes or an [as_ptr] copy of one made in the same basic block;
+    - jumps only within itself or to [u_end], and is entered by no later
+      jump;
+
+    and it is recorded only if it contains a loop. {!Vm.run_block} runs
+    it in a block's first thread and copies its state to the others
+    while the buffers of [u_params] stay unwritten. *)
+type uniform = {
+  u_end : int;  (** Code index of the first instruction after the prefix. *)
+  u_regs : int array;  (** Registers the prefix writes, ascending. *)
+  u_params : int array;
+      (** Pointer parameters it loads through, directly or via [as_ptr],
+          ascending. *)
+}
+
 type func = {
   bf_name : string;
   bf_kind : Minicu.Ast.func_kind;
@@ -88,6 +110,9 @@ type func = {
   bf_is_serial : bool;
   mutable bf_entry : int;
   mutable bf_followup : int option;
+  mutable bf_uniform : uniform option;
+      (** The block-uniform prefix of a [__global__] kernel, if it has
+          one; [None] for [__device__] functions. *)
 }
 
 type prog = {
@@ -99,7 +124,10 @@ type prog = {
       (** Packed word stream — what {!Vm} actually dispatches on: an opcode
           word then the operand words per instruction, with jump targets as
           word offsets and non-int operands as pool indices (see the opcode
-          table in the implementation). *)
+          table in the implementation). The end of each [bf_uniform] prefix
+          carries one extra word, the [uniform.end] marker (opcode 65),
+          just before the words of instruction [u_end]; it exists only
+          here, not in [bp_code] or the disassembly. *)
   bp_woff : int array;
       (** Instruction index -> word offset into [bp_ops]; length
           [Array.length bp_code + 1]. *)

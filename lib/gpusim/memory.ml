@@ -28,6 +28,12 @@
     triggers it: the buffers that receive mixed kinds are the boxed ones
     above.
 
+    {b Write generations.} Each buffer counts the writes made to it:
+    every store, atomic and bulk write, and its [free]. The VM compares
+    two readings of a buffer's count to know that nothing wrote the
+    buffer in between, which is when a block's later threads may reuse
+    what its first thread loaded ({!Vm.run_block}).
+
     A memory belongs to the one domain driving its {!Device.t}, which also
     executes every block, so no access takes a lock. *)
 
@@ -39,6 +45,7 @@ type storage =
 type buffer = {
   mutable storage : storage;  (** Typed storage may become [Boxed]. *)
   mutable live : bool;
+  mutable gen : int;  (** Writes so far, [free] included. *)
 }
 
 type t = {
@@ -73,7 +80,8 @@ let add_buffer ~typed t n ~init : Value.ptr =
   if n < 0 then Value.error "negative allocation size %d" n;
   grow t;
   let id = t.count in
-  t.table.(id) <- Some { storage = make_storage ~typed n init; live = true };
+  t.table.(id) <-
+    Some { storage = make_storage ~typed n init; live = true; gen = 0 };
   t.count <- t.count + 1;
   t.allocated_elems <- t.allocated_elems + n;
   { buf = id; off = 0 }
@@ -105,7 +113,8 @@ let free t (p : Value.ptr) =
   let b = buffer_exn t p.buf in
   if not b.live then Value.error "double free of buffer %d" p.buf;
   if p.off <> 0 then Value.error "free of interior pointer (offset %d)" p.off;
-  b.live <- false
+  b.live <- false;
+  b.gen <- b.gen + 1
 
 (* The one implementation of the access checks, for every load, store and
    atomic: buffer id, then liveness, then bounds. *)
@@ -137,6 +146,7 @@ let load_at t buf off : Value.t =
     value of the other kind converts a typed buffer to boxed storage. *)
 let store_at t buf off (v : Value.t) =
   let b = check t buf off in
+  b.gen <- b.gen + 1;
   match (b.storage, v) with
   | Boxed a, _ -> Array.unsafe_set a off v
   | Ints a, Value.Int n -> Array.unsafe_set a off n
@@ -153,6 +163,12 @@ let atomic_rmw_at t buf off f x y : Value.t =
   let old = load_at t buf off in
   store_at t buf off (f x y old);
   old
+
+(** [generation t buf] is the number of writes made to buffer [buf] so
+    far, its [free] included; -1 if [buf] names no buffer. *)
+let generation t buf =
+  if buf < 0 || buf >= t.count then -1
+  else match t.table.(buf) with Some b -> b.gen | None -> -1
 
 let load t (p : Value.ptr) = load_at t p.buf p.off
 let store t (p : Value.ptr) v = store_at t p.buf p.off v
@@ -201,7 +217,9 @@ let write_ints t (p : Value.ptr) (vs : int array) =
   else
     let b = check t p.buf p.off in
     match b.storage with
-    | Ints a when p.off + n <= Array.length a -> Array.blit vs 0 a p.off n
+    | Ints a when p.off + n <= Array.length a ->
+        Array.blit vs 0 a p.off n;
+        b.gen <- b.gen + 1
     | _ -> write_array t p (Array.map (fun x -> Value.Int x) vs)
 
 let read_ints t (p : Value.ptr) n =
@@ -218,7 +236,9 @@ let write_floats t (p : Value.ptr) (vs : float array) =
   else
     let b = check t p.buf p.off in
     match b.storage with
-    | Floats a when p.off + n <= Array.length a -> Array.blit vs 0 a p.off n
+    | Floats a when p.off + n <= Array.length a ->
+        Array.blit vs 0 a p.off n;
+        b.gen <- b.gen + 1
     | _ -> write_array t p (Array.map (fun f -> Value.Float f) vs)
 
 let read_floats t (p : Value.ptr) n =

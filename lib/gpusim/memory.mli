@@ -11,6 +11,10 @@
     [malloc] ({!alloc_boxed}) — and all small buffers are boxed. Observable
     behavior is identical either way.
 
+    Every buffer counts the writes made to it ({!generation}): the VM
+    reads the count to know that a buffer is unchanged between two
+    points of a block.
+
     Domain-safety: a memory belongs to the single domain driving the owning
     {!Device.t}, which also executes every block; nothing here takes a
     lock. Distinct [t] values are fully independent. *)
@@ -46,6 +50,12 @@ val store_at : t -> int -> int -> Value.t -> unit
     and returns [old]: a load and a store of the same element. *)
 val atomic_rmw_at :
   t -> int -> int -> ('a -> 'b -> Value.t -> Value.t) -> 'a -> 'b -> Value.t
+
+(** [generation t buf] counts the writes to buffer [buf] so far: every
+    store, atomic and bulk write ({!write_array}, {!write_ints},
+    {!write_floats}), and its {!free}. Equal readings mean nothing wrote
+    the buffer in between. -1 if [buf] names no buffer; never raises. *)
+val generation : t -> int -> int
 
 (** Pointer forms of the three accessors, for host code and tests. *)
 

@@ -39,6 +39,18 @@
     {!Config.sm_warp_parallelism}. The golden suite
     ([test/test_bytecode.ml]) pins all of this bit for bit.
 
+    A kernel's block-uniform prefix ({!Bytecode.uniform}) runs once per
+    block. Its end is marked in the word stream ([uniform.end]), where a
+    thread parks. The first thread to park there records the prefix's
+    registers, its per-tag costs and their total, and the write
+    generation ({!Memory.generation}) of every buffer the prefix may load
+    from. A later thread of the block whose recorded buffers are
+    unwritten since copies that record and starts after the marker,
+    which leaves it exactly as running the prefix would have; otherwise
+    it runs the prefix and records afresh. Under [Config.check] (race
+    reports need every thread's loads) and in one-thread blocks, threads
+    run their prefixes themselves.
+
     Per-block metadata lives in a {!scratch} arena owned by the scheduler:
     thread records, register banks and call stacks are preallocated and
     reused across blocks, so a launch allocates nothing per loop
@@ -51,6 +63,7 @@ open Bytecode
 type status =
   | T_not_started
   | T_running
+  | T_at_prefix_end  (** Parked at the [uniform.end] marker. *)
   | T_at_sync
   | T_at_warp of Runtime.warp_req
   | T_done
@@ -1089,6 +1102,9 @@ let interp (p : Bytecode.prog) (t : thread) =
           (b + wd ops (pc + 3))
           (Memory.load_at mem (geti t rp) (getib t rp + i));
         go (pc + 5)
+    | 65 (* uniform.end *) ->
+        t.pc <- pc + 1;
+        t.status <- T_at_prefix_end
     | _ -> assert false
   in
   go t.pc
@@ -1121,9 +1137,17 @@ let make_thread (blk : Runtime.bctx) : thread =
     wdst = 0;
   }
 
-type scratch = { mutable threads : thread array }
+(* [saved] and [gens] hold what a block's first thread had at the end of
+   the kernel's block-uniform prefix: the prefix's registers and the
+   costs (in [saved]), and per loaded-through parameter its buffer id and
+   that buffer's write generation (two ints each, in [gens]). *)
+type scratch = {
+  mutable threads : thread array;
+  mutable saved : thread option;
+  mutable gens : int array;
+}
 
-let create_scratch () = { threads = [||] }
+let create_scratch () = { threads = [||]; saved = None; gens = [||] }
 
 let ensure_threads (s : scratch) (blk : Runtime.bctx) n =
   let have = Array.length s.threads in
@@ -1153,6 +1177,59 @@ let reset_thread (t : thread) (blk : Runtime.bctx) ~tidx ~default_idx ~entry
   Array.iteri (fun i v -> set_value t i v) args;
   t.status <- T_not_started;
   t.wdst <- 0
+
+(* ------------------------------------------------------------------ *)
+(* Block-uniform prefixes                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The scratch's prefix record, sized for a kernel of [nregs] registers
+   and prefix [u]. *)
+let prefix_record (s : scratch) blk ~nregs (u : Bytecode.uniform) =
+  let saved =
+    match s.saved with
+    | Some t -> t
+    | None ->
+        let t = make_thread blk in
+        s.saved <- Some t;
+        t
+  in
+  grow_regs saved nregs;
+  let n = 2 * Array.length u.u_params in
+  if Array.length s.gens < n then s.gens <- Array.make n 0;
+  saved
+
+(* Copy the prefix's registers, the per-tag costs and their total. *)
+let copy_prefix (u : Bytecode.uniform) ~(dst : thread) ~(src : thread) =
+  for k = 0 to Array.length u.u_regs - 1 do
+    let r = Array.unsafe_get u.u_regs k in
+    Bytes.unsafe_set dst.tags r (Bytes.unsafe_get src.tags r);
+    Array.unsafe_set dst.ia r (Array.unsafe_get src.ia r);
+    Array.unsafe_set dst.ib r (Array.unsafe_get src.ib r);
+    Array.unsafe_set dst.ic r (Array.unsafe_get src.ic r);
+    Array.unsafe_set dst.fa r (Array.unsafe_get src.fa r)
+  done;
+  Array.blit src.costs 0 dst.costs 0 Metrics.num_tags;
+  dst.tot.(0) <- src.tot.(0)
+
+(* Record [t]'s state at the end of the prefix, with the write generation
+   of each buffer a loaded-through parameter points into (a parameter
+   that holds no pointer can have loaded nothing). *)
+let record_prefix (u : Bytecode.uniform) mem gens ~saved (t : thread) =
+  copy_prefix u ~dst:saved ~src:t;
+  for k = 0 to Array.length u.u_params - 1 do
+    let q = u.u_params.(k) in
+    let buf = if tag_of t q = tag_ptr then geti t q else -1 in
+    gens.(2 * k) <- buf;
+    gens.((2 * k) + 1) <- Memory.generation mem buf
+  done
+
+(* Whether none of the first [k + 1] recorded buffers has been written
+   since. *)
+let rec unwritten mem gens k =
+  k < 0
+  || Memory.generation mem (Array.unsafe_get gens (2 * k))
+     = Array.unsafe_get gens ((2 * k) + 1)
+     && unwritten mem gens (k - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Block execution                                                     *)
@@ -1204,11 +1281,38 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
     reset_thread threads.(i) blk ~tidx:(tx, ty, tz) ~default_idx ~entry ~nregs
       ~args:arg_values
   done;
+  (* The kernel's block-uniform prefix runs once per block: the first
+     thread to reach its end records it, and a later thread whose
+     buffers nobody has written since copies that record and starts after
+     the marker. Off under [check], whose race reports need every
+     thread's loads, and in one-thread blocks. *)
+  let prefix =
+    match kernel.bf_uniform with
+    | Some u when nthreads > 1 && not cfg.Config.check ->
+        Some (u, prefix_record s blk ~nregs u)
+    | _ -> None
+  in
+  let recorded = ref false in
   let start i =
     let t = threads.(i) in
-    if entry_cost > 0.0 then charge_tag t Metrics.tag_default entry_cost;
+    (match prefix with
+    | Some (u, saved)
+      when !recorded && unwritten mem s.gens (Array.length u.u_params - 1) ->
+        copy_prefix u ~dst:t ~src:saved;
+        t.pc <- p.bp_woff.(u.u_end) + 1
+    | _ -> if entry_cost > 0.0 then charge_tag t Metrics.tag_default entry_cost);
     t.status <- T_running;
-    interp p t
+    interp p t;
+    match t.status with
+    | T_at_prefix_end ->
+        (match prefix with
+        | Some (u, saved) ->
+            record_prefix u mem s.gens ~saved t;
+            recorded := true
+        | None -> ());
+        t.status <- T_running;
+        interp p t
+    | _ -> ()
   in
   (* Advance one warp until every lane is done or at the barrier. *)
   let rec advance_warp w =
@@ -1237,7 +1341,7 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
                 "lane %d reached __syncthreads while its warp executes a \
                  warp collective"
                 (i - lo)
-          | T_not_started | T_running -> assert false
+          | T_not_started | T_running | T_at_prefix_end -> assert false
         done;
         let results = Runtime.eval_warp_op reqs in
         (* the collective orders this warp's accesses across it: new warp

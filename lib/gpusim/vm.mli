@@ -19,7 +19,10 @@ type scratch
 val create_scratch : unit -> scratch
 
 (** Execute one block of [kernel]; memory side effects happen
-    immediately. [metrics] receives what the block observes as it runs,
+    immediately. The kernel's block-uniform prefix, if it has one, runs
+    in the block's first thread only, unless something writes a buffer
+    it loads from or [cfg] is [check] (see the implementation's header);
+    the result is the same either way. [metrics] receives what the block observes as it runs,
     unweighted: each serialized launch, out-of-bounds accesses and race
     findings. The block's cost (per-tag cycles, serialized-launch count)
     is returned, for the scheduler to charge at the block's weight.

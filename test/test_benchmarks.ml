@@ -125,7 +125,34 @@ let find_matches_registry =
         (Benchmarks.Registry.all ~size:Small ()
         @ Benchmarks.Registry.road ~size:Small ()))
 
+(* Each spec's reference is computed once, and a second call returns the
+   same value. *)
+let reference_once =
+  [
+    Alcotest.test_case "once computes on the first call only" `Quick
+      (fun () ->
+        let calls = ref 0 in
+        let f =
+          Benchmarks.Bench_common.once (fun () ->
+              incr calls;
+              !calls * 10)
+        in
+        Alcotest.(check int) "first" 10 (f ());
+        Alcotest.(check int) "second" 10 (f ());
+        Alcotest.(check int) "computed" 1 !calls);
+    Alcotest.test_case "every registry reference is stable across calls"
+      `Slow (fun () ->
+        List.iter
+          (fun (s : Benchmarks.Bench_common.spec) ->
+            let first = s.reference () in
+            Alcotest.(check int)
+              (s.name ^ "/" ^ s.dataset)
+              first (s.reference ()))
+          (Benchmarks.Registry.all ~size:Small ()
+          @ Benchmarks.Registry.road ~size:Small ()));
+  ]
+
 let suite =
   structural
   @ List.concat_map (fun s -> List.map (case s) variants) (specs ())
-  @ [ find_matches_registry ]
+  @ [ find_matches_registry ] @ reference_once

@@ -1,7 +1,8 @@
 (* The bytecode VM's golden suite: everything the simulator's execution
    engine must keep producing, pinned as checked-in values.
 
-   Five layers, ordered by how bugs have historically surfaced:
+   Seven layers, the first five ordered by how bugs have historically
+   surfaced:
 
      1. golden disassembly of the corpus fixtures — ISA/encoding changes
         become reviewable diffs;
@@ -22,7 +23,17 @@
         grids (fingerprint, cycles, every metrics field and every sampling
         statistic, so fractional block and launch weights are pinned), a
         block that raises after serializing launches, and the order of
-        race reports over several blocks.
+        race reports over several blocks;
+     6. aggregated runs at every granularity — the road specs under all 8
+        pass combinations, and every Small spec under CDP+A and CDP+T+C+A
+        at warp, multi-block(8) and grid granularity;
+     7. block-uniform prefixes — kernels that open with a loop reading no
+        [threadIdx], whose runs the VM shortens by running that loop once
+        per block, unchecked and checked, and which kernels have such a
+        prefix.
+
+   Layers 6 and 7 were recorded before the VM ran prefixes once per
+   block.
 
    The layer 2-4 goldens were recorded while the simulator still had a
    second, closure-tree interpreter, and both engines reproduced every
@@ -773,8 +784,93 @@ let prefix_tests =
     one_thread ~cfg:checked "checked: one-thread blocks";
   ]
 
+(* Which kernels have a prefix: the disaggregation search of every
+   aggregated child kernel, up to its first [threadIdx] read, and none of
+   the benchmarks' own CDP kernels (their threads read [threadIdx] before
+   any loop). *)
+let prefix_structure_test =
+  t "block-uniform prefix: every aggregated kernel, no CDP kernel" (fun () ->
+      let specs =
+        List.fold_left
+          (fun acc (s : Benchmarks.Bench_common.spec) ->
+            if List.exists
+                 (fun (o : Benchmarks.Bench_common.spec) -> o.name = s.name)
+                 acc
+            then acc
+            else s :: acc)
+          []
+          (Benchmarks.Registry.all ~size:Benchmarks.Registry.Small ())
+      in
+      Alcotest.(check int) "benchmarks" 7 (List.length specs);
+      let compile src opts =
+        let r = Dpopt.Pipeline.run ~opts (Minicu.Parser.program src) in
+        Bytecode.compile Config.default r.prog
+      in
+      let first_thread_idx (p : Bytecode.prog) fi =
+        let stop =
+          if fi + 1 < Array.length p.bp_funcs then p.bp_funcs.(fi + 1).bf_entry
+          else Array.length p.bp_code
+        in
+        let rec go i =
+          if i = stop then -1
+          else
+            match p.bp_code.(i) with
+            | Bytecode.I_special (_, Sp_thread_idx)
+            | I_special_comp (_, Sp_thread_idx, _) ->
+                i
+            | _ -> go (i + 1)
+        in
+        go p.bp_funcs.(fi).bf_entry
+      in
+      List.iter
+        (fun (spec : Benchmarks.Bench_common.spec) ->
+          Array.iter
+            (fun (f : Bytecode.func) ->
+              Alcotest.(check bool)
+                (Fmt.str "%s: %s has no prefix" spec.name f.bf_name)
+                true (f.bf_uniform = None))
+            (compile spec.cdp_src Dpopt.Pipeline.none).bp_funcs;
+          List.iter
+            (fun g ->
+              List.iter
+                (fun opts ->
+                  let p = compile spec.cdp_src opts in
+                  let label =
+                    Fmt.str "%s %s %s" spec.name (Dpopt.Pipeline.label opts)
+                      (Dpopt.Aggregation.granularity_to_string g)
+                  in
+                  let ends =
+                    List.filter_map
+                      (fun fi ->
+                        let f = p.bp_funcs.(fi) in
+                        if String.ends_with ~suffix:"_agg" f.bf_name then
+                          Some
+                            ( f.bf_name,
+                              Option.map
+                                (fun (u : Bytecode.uniform) -> u.u_end)
+                                f.bf_uniform,
+                              first_thread_idx p fi )
+                        else None)
+                      (List.init (Array.length p.bp_funcs) Fun.id)
+                  in
+                  Alcotest.(check bool) (label ^ ": aggregated kernels") true
+                    (ends <> []);
+                  List.iter
+                    (fun (name, u_end, first) ->
+                      Alcotest.(check (option int))
+                        (Fmt.str "%s: %s ends at its first threadIdx read"
+                           label name)
+                        (Some first) u_end)
+                    ends)
+                [
+                  Dpopt.Pipeline.make ~granularity:g ();
+                  Dpopt.Pipeline.make ~threshold:32 ~cfactor:4 ~granularity:g ();
+                ])
+            Dpopt.Aggregation.[ Warp; Block; Multi_block 8; Grid ])
+        specs)
+
 let suite =
   disasm_tests @ edge_tests @ sanitizer_tests @ tiny_tests @ small_tests
   @ List.map corpus_digest corpus_runs
   @ [ corpus_coverage ] @ fusion_tests @ sampled_tests @ accounting_tests
-  @ granularity_tests @ prefix_tests
+  @ granularity_tests @ prefix_tests @ [ prefix_structure_test ]
