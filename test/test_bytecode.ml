@@ -869,8 +869,199 @@ let prefix_structure_test =
             Dpopt.Aggregation.[ Warp; Block; Multi_block 8; Grid ])
         specs)
 
+(* ------------------------------------------------------------------ *)
+(* Layer 8: the rewritten dispatch paths                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Edge fixtures for the paths the lowering, the packer and the typed
+   memory path take fewer dispatches on: a [dim3(...)] read for one
+   component, coercions of operands that are not ints at run time, an
+   atomic inside a projected [dim3], charges around branches, launches,
+   barriers and warp collectives, a raise after several branches, and
+   int, float and bool stores into 2048-element typed buffers. Recorded
+   before any of these rewrites, in [vm_edges.golden]. Buffers of more
+   than 64 elements are pinned by digest. *)
+let compact_dump dev =
+  String.concat "\n"
+    (List.mapi
+       (fun i buf ->
+         let vs = Array.to_list (Array.map value_repr buf) in
+         Fmt.str "buf%d: %s" i
+           (if Array.length buf > 64 then
+              Fmt.str "#%d %s" (Array.length buf) (digest (String.concat " " vs))
+            else String.concat " " vs))
+       (device_dump dev))
+
+let rewrite_golden name ?(cfg = Config.test_config) ?(grid = (1, 1, 1))
+    ?(block = (1, 1, 1)) ~kernel ~mk_args src =
+  t ("rewritten path: " ^ name) (fun () ->
+      let dev = Device.create ~cfg () in
+      Device.load_program dev (Minicu.Parser.program src);
+      let args = mk_args dev in
+      let outcome =
+        match
+          Device.launch dev ~kernel ~grid ~block ~args;
+          ignore (Device.sync dev)
+        with
+        | () -> "completed"
+        | exception e -> "raised: " ^ Printexc.to_string e
+      in
+      Test_corpus.golden_entry ~golden_name:edges_golden
+        ~key:("rewritten " ^ name)
+        (Fmt.str "%s\ntime=%Lx\n%s\n%s" outcome
+           (Int64.bits_of_float (Device.time dev))
+           (metrics_repr (Device.metrics dev))
+           (compact_dump dev)))
+
+let projection_src =
+  {|
+__global__ void k(int* o, int v) {
+  o[0] = dim3(v, 1, 1).x;
+  o[1] = dim3(v, 1, 1).y;
+  o[2] = dim3(v + 1, v, 7).z;
+}
+|}
+
+let typed_src =
+  {|
+__global__ void k(int* a, float* f, int* b, int* o) {
+  int i = threadIdx.x;
+  a[i * 7] = i + 1;
+  f[i * 5] = 0.5 * (float)i;
+  b[100 + i] = i;
+  if (i == 3) { b[10] = 2.5; }
+  if (i == 4) { b[11] = true; }
+  if (i == 5) { f[2047] = 7; }
+  __syncthreads();
+  o[i] = a[i * 7] + a[2047 - i];
+  o[32 + i] = b[10 + (i & 1)];
+  f[i * 5 + 1] = f[i * 5] + f[2047];
+}
+|}
+
+let typed_args dev =
+  [
+    Value.Ptr (Device.alloc_ints dev (Array.init 2048 (fun i -> (i * 13) - 900)));
+    Value.Ptr (Device.alloc_floats dev (Array.init 2048 (fun i -> float_of_int i /. 8.0)));
+    Value.Ptr (Device.alloc_int_zeros dev 2048);
+    Value.Ptr (Device.alloc_int_zeros dev 64);
+  ]
+
+let rewrite_tests =
+  let checked = { Config.test_config with check = true } in
+  let ptr dev n = Value.Ptr (Device.alloc_int_zeros dev n) in
+  [
+    rewrite_golden "dim3(v, 1, 1) components of a float argument"
+      ~kernel:"k"
+      ~mk_args:(fun dev -> out_ints 4 dev @ [ Value.Float (-2.75) ])
+      projection_src;
+    rewrite_golden "dim3(v, 1, 1).x of a pointer argument raises" ~kernel:"k"
+      ~mk_args:(fun dev -> out_ints 4 dev @ [ ptr dev 2 ])
+      "__global__ void k(int* o, int v) { o[0] = dim3(v, 1, 1).x; }";
+    rewrite_golden "dim3(v, 1, 1).y of a pointer argument raises" ~kernel:"k"
+      ~mk_args:(fun dev -> out_ints 4 dev @ [ ptr dev 2 ])
+      "__global__ void k(int* o, int v) { o[0] = 5; o[1] = dim3(v, 1, 1).y; }";
+    rewrite_golden "dim3(a, b, c) coerces z first" ~kernel:"k"
+      ~mk_args:(fun dev ->
+        out_ints 4 dev @ [ ptr dev 1; Value.Int 2; ptr dev 3 ])
+      {|
+__global__ void k(int* o, int a, int b, int c) {
+  dim3 d = dim3(a, b, c);
+  o[0] = d.x + d.y + d.z;
+}
+|};
+    rewrite_golden "dim3(a, b, c) of a float, a bool and an int" ~kernel:"k"
+      ~mk_args:(fun dev ->
+        out_ints 4 dev @ [ Value.Float 3.5; Value.Bool true; Value.Int 4 ])
+      {|
+__global__ void k(int* o, int a, int b, int c) {
+  dim3 d = dim3(a, b, c);
+  o[0] = d.x + d.y + d.z;
+  o[1] = d.x;
+}
+|};
+    rewrite_golden "an atomic in an unselected dim3 component fires"
+      ~block:(4, 1, 1) ~kernel:"k"
+      ~mk_args:(fun dev -> out_ints 12 dev @ [ Value.Int 9 ])
+      {|
+__global__ void k(int* o, int k) {
+  o[1 + threadIdx.x] = dim3(k, atomicAdd(&o[0], 1), 0).x;
+  o[5 + threadIdx.x] = dim3(k, atomicAdd(&o[0], 1), 0).y;
+}
+|};
+    rewrite_golden "indices and a member assignment of non-int values"
+      ~block:(2, 1, 1) ~kernel:"k"
+      ~mk_args:(fun dev ->
+        out_ints 16 dev @ [ Value.Float 1.5; Value.Float 2.9; Value.Float 5.75 ])
+      {|
+__global__ void k(int* o, int i, int f, float g) {
+  o[i * 2 + 1] = 3;
+  o[f] = 4;
+  dim3 d = dim3(1, 2, 3);
+  d.y = g;
+  o[0] = d.y;
+  o[threadIdx.x * 2 + 9] = 6;
+}
+|};
+    rewrite_golden "a launch after a loop with if, continue and break"
+      ~block:(4, 1, 1) ~kernel:"k"
+      ~mk_args:(fun dev -> out_ints 24 dev @ [ Value.Int 9 ])
+      {|
+__global__ void child(int* o, int v) {
+  atomicAdd(&o[16 + threadIdx.x], v);
+}
+
+__global__ void k(int* o, int n) {
+  int s = 0;
+  for (int i = 0; i < n + threadIdx.x; i = i + 1) {
+    if (i % 3 == 0) { continue; }
+    s = s + i;
+    if (s > 14 + threadIdx.x) { break; }
+  }
+  o[threadIdx.x] = s;
+  child<<<1, 2>>>(o, s);
+  o[8 + threadIdx.x] = s * 2;
+}
+|};
+    rewrite_golden "a thread raises after several branches" ~cfg:checked
+      ~block:(8, 1, 1) ~kernel:"k"
+      ~mk_args:(fun dev -> out_ints 6 dev @ [ Value.Int 5 ])
+      {|
+__global__ void k(int* o, int n) {
+  int s = 0;
+  if (threadIdx.x > 1) { s = s + 1; } else { s = s + 2; }
+  if (s > 1) { o[0] = 1; }
+  while (s < n + threadIdx.x) { s = s + 1; }
+  o[s] = 1;
+}
+|};
+    rewrite_golden "a barrier and warp collectives between charged statements"
+      ~block:(64, 1, 1) ~kernel:"k" ~mk_args:(out_ints 192)
+      {|
+__global__ void k(int* o) {
+  int a = threadIdx.x * 3;
+  if (threadIdx.x % 5 == 0) { a = a + 1; }
+  o[threadIdx.x] = a;
+  __syncthreads();
+  int b = o[(threadIdx.x + 1) % 64] + a;
+  int c = warp_sum(b);
+  o[64 + threadIdx.x] = c + b;
+  __syncwarp();
+  int w = threadIdx.x / 32 * 32;
+  int l = w + 2;
+  o[128 + threadIdx.x] = warp_scan_excl(a) + warp_bcast(b, l)
+    + warp_bcast(a, threadIdx.x / 32 * 32 + blockDim.x - 61);
+}
+|};
+    rewrite_golden "typed buffers: int, float and bool stores, read back"
+      ~block:(32, 1, 1) ~kernel:"k" ~mk_args:typed_args typed_src;
+    rewrite_golden "checked: typed buffers: int, float and bool stores"
+      ~cfg:checked ~block:(32, 1, 1) ~kernel:"k" ~mk_args:typed_args typed_src;
+  ]
+
 let suite =
   disasm_tests @ edge_tests @ sanitizer_tests @ tiny_tests @ small_tests
   @ List.map corpus_digest corpus_runs
   @ [ corpus_coverage ] @ fusion_tests @ sampled_tests @ accounting_tests
   @ granularity_tests @ prefix_tests @ [ prefix_structure_test ]
+  @ rewrite_tests
