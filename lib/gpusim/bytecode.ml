@@ -241,6 +241,35 @@ let check_loc env = if env.cfg.check then Some env.cur_loc else None
 (* Expression lowering                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* [yields_int e]: [e] evaluates to an [Int] whenever it evaluates at all,
+   so a [cast.int] of its register would copy it unchanged. Int literals,
+   [e.f] reads, [(int)] casts, and [+ - * / % & | ^ << >>], unary minus
+   and [?:] over such operands; never a variable, a load or a call, which
+   hold whatever was stored or passed. The walk descends only through
+   operators, so each node is visited from at most one coercion point and
+   lowering stays linear in the expression's size. *)
+let rec yields_int = function
+  | Int_lit _ | Member _ | Cast (TInt, _) -> true
+  | Binop ((Add | Sub | Mul | Div | Mod | BAnd | BOr | BXor | Shl | Shr), a, b)
+  | Ternary (_, a, b) ->
+      yields_int a && yields_int b
+  | Unop (Neg, a) -> yields_int a
+  | _ -> false
+
+(* A [dim3] whose components are all variables, literals or built-in
+   components coerces them itself: evaluating them has no effect and
+   cannot fail, so coercing after all three are evaluated raises what
+   coercing each in turn would. *)
+let self_coercing = function
+  | Var _ | Int_lit _ | Float_lit _ | Bool_lit _
+  | Member (Var ("threadIdx" | "blockIdx" | "blockDim" | "gridDim"), _) ->
+      true
+  | _ -> false
+
+let is_literal = function
+  | Int_lit _ | Float_lit _ | Bool_lit _ -> true
+  | _ -> false
+
 (* [lower_expr env e] emits code evaluating [e] and returns the register
    holding the result: a fresh temporary, or the variable's own register
    for [Var]. Temporaries are reclaimed by the caller via [mark]/[reset]. *)
@@ -292,6 +321,8 @@ let rec lower_expr env (e : expr) : int =
       let d = tmp env in
       ins (I_special_comp (d, Sp_grid_dim, f));
       d
+  | Member (Dim3_ctor (x, y, z), (("x" | "y" | "z") as f)) ->
+      lower_component env None (x, y, z) f
   | Member (a, f) ->
       let ra = lower_expr env a in
       let d = tmp env in
@@ -369,9 +400,7 @@ let rec lower_expr env (e : expr) : int =
       let rp = lower_expr env p in
       let tp = tmp env in
       ins (I_as_ptr (tp, rp));
-      let ri = lower_expr env i in
-      let ti = tmp env in
-      ins (I_cast_int (ti, ri));
+      let ti = lower_int env i in
       let d = tmp env in
       ins (I_load (d, tp, ti, check_loc env));
       d
@@ -392,17 +421,7 @@ let rec lower_expr env (e : expr) : int =
       d
   | Cast (_, a) -> lower_expr env a
   | Dim3_ctor (x, y, z) ->
-      (* Tuple construction evaluates right-to-left: z (then its as_int),
-         then y, then x. *)
-      let rz = lower_expr env z in
-      let tz = tmp env in
-      ins (I_cast_int (tz, rz));
-      let ry = lower_expr env y in
-      let ty = tmp env in
-      ins (I_cast_int (ty, ry));
-      let rx = lower_expr env x in
-      let tx = tmp env in
-      ins (I_cast_int (tx, rx));
+      let tx, ty, tz = lower_dim3_operands env (x, y, z) in
       let d = tmp env in
       ins (I_dim3 (d, tx, ty, tz));
       d
@@ -416,9 +435,7 @@ and lower_addr env (lv : expr) : int =
       let rp = lower_expr env p in
       let tp = tmp env in
       ins (I_as_ptr (tp, rp));
-      let ri = lower_expr env i in
-      let ti = tmp env in
-      ins (I_cast_int (ti, ri));
+      let ti = lower_int env i in
       let d = tmp env in
       ins (I_addr (d, tp, ti));
       d
@@ -428,6 +445,62 @@ and lower_addr env (lv : expr) : int =
          require a pointer element, e.g. &a[i])"
         env.fname x
   | _ -> Value.error "in %s: '&' requires an indexable lvalue" env.fname
+
+(* [lower_int env e] is a register holding [e] coerced to an Int: [e]'s
+   own when [yields_int e], else a [cast.int] of it. *)
+and lower_int env e =
+  let r = lower_expr env e in
+  if yields_int e then r
+  else
+    let ti = tmp env in
+    ignore (emit env.em (I_cast_int (ti, r)));
+    ti
+
+(* The operand registers of a [dim3] of [(x, y, z)], evaluated z, y, x
+   as the constructor evaluates them: the components themselves when the
+   [dim3] coerces them, else each coerced as it is evaluated. *)
+and lower_dim3_operands env (x, y, z) =
+  if self_coercing x && self_coercing y && self_coercing z then
+    let rz = lower_expr env z in
+    let ry = lower_expr env y in
+    (lower_expr env x, ry, rz)
+  else
+    let tz = lower_int env z in
+    let ty = lower_int env y in
+    (lower_int env x, ty, tz)
+
+(* [dim3(x, y, z).f] builds no dim3: the components are evaluated and
+   coerced z, y, x, as the constructor does, the unselected ones only
+   for their effects and errors (a literal has neither and is skipped),
+   and the selected one is the result. With [Some dst], the result goes
+   to [dst], written directly when nothing with effects is evaluated
+   after the selected component. *)
+and lower_component env dst (x, y, z) f =
+  let comps = [| x; y; z |] in
+  let k = match f with "x" -> 0 | "y" -> 1 | _ -> 2 in
+  let later = ref false in
+  for i = 0 to k - 1 do
+    if not (is_literal comps.(i)) then later := true
+  done;
+  let r = ref (-1) in
+  for i = 2 downto 0 do
+    let c = comps.(i) in
+    if i = k then
+      r :=
+        match dst with
+        | Some d when not !later ->
+            (if yields_int c then lower_into env d c
+             else
+               let rc = lower_expr env c in
+               ignore (emit env.em (I_cast_int (d, rc))));
+            d
+        | _ -> lower_int env c
+    else if not (is_literal c) then ignore (lower_int env c)
+  done;
+  (match dst with
+  | Some d when !r <> d -> ignore (emit env.em (I_mov (d, !r)))
+  | _ -> ());
+  !r
 
 and lower_call env f args : int =
   (* The result register is allocated up front so [lower_into] can pass a
@@ -507,9 +580,7 @@ and lower_call_into env d f args : unit =
       ins (I_warp (d, wk, ra))
   | "warp_bcast" ->
       (* Lane (arg 1) is evaluated and coerced before the payload (arg 0). *)
-      let rl = lower_expr env (nth 1) in
-      let tl = tmp env in
-      ins (I_cast_int (tl, rl));
+      let tl = lower_int env (nth 1) in
       let ra = lower_expr env (nth 0) in
       ins (I_warp_bcast (d, ra, tl))
   | _ -> (
@@ -590,6 +661,8 @@ and lower_into env dst (e : expr) : unit =
   | Member (Var "blockIdx", f) -> ins (I_special_comp (dst, Sp_block_idx, f))
   | Member (Var "blockDim", f) -> ins (I_special_comp (dst, Sp_block_dim, f))
   | Member (Var "gridDim", f) -> ins (I_special_comp (dst, Sp_grid_dim, f))
+  | Member (Dim3_ctor (x, y, z), (("x" | "y" | "z") as f)) ->
+      ignore (lower_component env (Some dst) (x, y, z) f)
   | Member (a, f) ->
       let ra = lower_expr env a in
       ins (I_member (dst, ra, f))
@@ -626,9 +699,7 @@ and lower_into env dst (e : expr) : unit =
       let rp = lower_expr env p in
       let tp = tmp env in
       ins (I_as_ptr (tp, rp));
-      let ri = lower_expr env i in
-      let ti = tmp env in
-      ins (I_cast_int (ti, ri));
+      let ti = lower_int env i in
       ins (I_load (dst, tp, ti, check_loc env))
   | Cast (TInt, a) ->
       let ra = lower_expr env a in
@@ -641,23 +712,13 @@ and lower_into env dst (e : expr) : unit =
       ins (I_cast_bool (dst, ra))
   | Cast (_, a) -> lower_into env dst a
   | Dim3_ctor (x, y, z) ->
-      let rz = lower_expr env z in
-      let tz = tmp env in
-      ins (I_cast_int (tz, rz));
-      let ry = lower_expr env y in
-      let ty = tmp env in
-      ins (I_cast_int (ty, ry));
-      let rx = lower_expr env x in
-      let tx = tmp env in
-      ins (I_cast_int (tx, rx));
+      let tx, ty, tz = lower_dim3_operands env (x, y, z) in
       ins (I_dim3 (dst, tx, ty, tz))
   | Addr_of (Index (p, i)) ->
       let rp = lower_expr env p in
       let tp = tmp env in
       ins (I_as_ptr (tp, rp));
-      let ri = lower_expr env i in
-      let ti = tmp env in
-      ins (I_cast_int (ti, ri));
+      let ti = lower_int env i in
       ins (I_addr (dst, tp, ti))
   | Addr_of lv ->
       (* Non-indexable lvalues: reuse [lower_addr] for its diagnostics. *)
@@ -801,31 +862,23 @@ let rec lower_stmt ?(self_charge = true) env (s : stmt) : unit =
           let rp = lower_expr env p in
           let tp = tmp env in
           ins (I_as_ptr (tp, rp));
-          let ri = lower_expr env i in
-          let ti = tmp env in
-          ins (I_cast_int (ti, ri));
+          let ti = lower_int env i in
           let rv = lower_expr env e in
           ins (I_store (tp, ti, rv, check_loc env))
       | Member (Var x, f) when not (is_reserved_var x) ->
           let sl = slot_of env x "member assignment" in
           let dx = tmp env and dy = tmp env and dz = tmp env in
           ins (I_split_dim3 (dx, dy, dz, sl));
-          let rv = lower_expr env e in
-          let tn = tmp env in
-          ins (I_cast_int (tn, rv));
+          let tn = lower_int env e in
           ins (I_set_dim3 (sl, f, dx, dy, dz, tn))
       | Member (Index (p, i), f) ->
           let rp = lower_expr env p in
           let tp = tmp env in
           ins (I_as_ptr (tp, rp));
-          let ri = lower_expr env i in
-          let ti = tmp env in
-          ins (I_cast_int (ti, ri));
+          let ti = lower_int env i in
           let dx = tmp env and dy = tmp env and dz = tmp env in
           ins (I_member_load_dim (dx, dy, dz, tp, ti, check_loc env));
-          let rv = lower_expr env e in
-          let tn = tmp env in
-          ins (I_cast_int (tn, rv));
+          let tn = lower_int env e in
           ins (I_member_store_dim (tp, ti, f, dx, dy, dz, tn, check_loc env))
       | _ -> Value.error "in %s: invalid assignment target" env.fname);
       reset env m

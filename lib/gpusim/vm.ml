@@ -656,8 +656,10 @@ let interp (p : Bytecode.prog) (t : thread) =
         set_ptr_at t (b + wd ops (pc + 1)) (geti t s) (getib t s);
         go (pc + 3)
     | 23 (* dim3 *) ->
-        (* Operands are [cast.int] results, so the coercions cannot fail;
-           bind z, y, x in the simulator's right-to-left order anyway. *)
+        (* Coerces z, y, x, the order the constructor evaluates them in. A
+           [dim3] of variables, literals and built-in components gets its
+           operands uncoerced, so these coercions can fail, with
+           [cast.int]'s message. *)
         let vz = get_int t (b + wd ops (pc + 4)) in
         let vy = get_int t (b + wd ops (pc + 3)) in
         let vx = get_int t (b + wd ops (pc + 2)) in
