@@ -1225,8 +1225,8 @@ let uniform_prefix code ~entry ~stop ~nparams ~nregs =
      4 const.dim3   [d; x; y; z]     34 atomic       [aop; d; p; v]
      5 mov          [d; s]           35 atomic.chk   [aop; d; p; v; l#]
      6 special      [d; sp]          36 cas          [d; p; c; v]
-     7 special.comp [d; sp; s#]      37 cas.chk      [d; p; c; v; l#]
-     8 member       [d; s; s#]       38 malloc       [d; s]
+     7 special.comp [d; sp; k]       37 cas.chk      [d; p; c; v; l#]
+     8 member       [d; s; k]        38 malloc       [d; s]
      9 neg          [d; s]           39 warp         [d; wk; a]
     10 not          [d; s]           40 warp.bcast   [d; a; l]
     11 binop        [op; d; a; b]    41 call         [d; fi; w@; n; a...]
@@ -1255,14 +1255,23 @@ let uniform_prefix code ~entry ~stop ~nparams ~nregs =
 
     59 loop.cc   [tag; f#; d; op; a; b; @]   charge; d += 1; cmp.jt
     60 loop.cci  [tag; f#; d; op; a; n; @]   charge; d += 1; cmp.jt.int
-    61 charge.jt  [tag; f#; op; a; b; @]     charge; cmp.jt
-    62 charge.jti [tag; f#; op; a; n; @]     charge; cmp.jt.int
     63 as_ptr.ld  [tp; s; ti; si; d]         as_ptr tp, s; cast.int ti, si;
                                              load d, tp, ti
     64 cast.ld    [ti; si; d; p]             cast.int ti, si; load d, p, ti
 
+   and a basic block's charges carried into its last instruction (see
+   [pack]):
+
+    61 charge.jt  [tag; f#; op; a; b; @]     charge; cmp.jt
+    62 charge.jti [tag; f#; op; a; n; @]     charge; cmp.jt.int
+    66 charge.jf  [tag; f#; op; a; b; @]     charge; cmp.jf
+    67 charge.jfi [tag; f#; op; a; n; @]     charge; cmp.jf.int
+    68 charge.jump [tag; f#; @]              charge; jump
+    69 charge.ret [tag; f#; r]               charge; ret r (ret.unit if r < 0)
+
    ([f#]/[s#]/[v#]/[l#] are pool indices; [@] a word-offset jump target;
-   [w@] the callee's pre-resolved entry word offset.)
+   [w@] the callee's pre-resolved entry word offset; [k] a dim3
+   component, 0/1/2 for x/y/z.)
 
    One word marks where a kernel's block-uniform prefix ends (its
    [bf_uniform]); it precedes the words of the first instruction after
@@ -1318,6 +1327,12 @@ let warp_code = function
   | Wk_max -> 2
   | Wk_sync -> 3
 
+let component_code = function
+  | "x" -> 0
+  | "y" -> 1
+  | "z" -> 2
+  | f -> Value.error "dim3 has no member %S" f
+
 let pack_width = function
   | I_const_unit _ -> 2
   | I_const_int _ | I_const_float _ | I_const_bool _ -> 3
@@ -1363,22 +1378,51 @@ let pack_width = function
   | I_launch (_, _, _, args) -> 5 + Array.length args
   | I_sync -> 1
 
+(* Words per packed opcode, the opcode word included; a [call] or
+   [launch] also has one word per argument. *)
+let op_words =
+  [|
+    2; 3; 3; 3; 5; 3; 3; 4; 4; 3; (* 0-9 *)
+    3; 5; 5; 5; 5; 5; 5; 5; 3; 3; (* 10-19 *)
+    3; 3; 3; 5; 4; 5; 4; 5; 4; 4; (* 20-29 *)
+    4; 3; 4; 4; 5; 6; 5; 6; 3; 4; (* 30-39 *)
+    4; 5; 1; 2; 2; 3; 3; 3; 5; 7; (* 40-49 *)
+    6; 7; 8; 9; 4; 5; 4; 5; 1; 8; (* 50-59 *)
+    8; 7; 7; 6; 5; 1; 7; 7; 4; 4; (* 60-69 *)
+  |]
+
+let packed_width ops w =
+  let op = ops.(w) in
+  op_words.(op) + if op = 41 || op = 57 then ops.(w + 4) else 0
+
 (* [pack code funcs] flattens [code]; [funcs] must already have their
    [bf_entry] set (call targets are resolved to word offsets here).
 
-   The packer also fuses two families of sequences into one dispatch:
+   The packer fuses two families of sequences into one dispatch:
 
      charge; d = d + 1; cmp.jt ...  ->  loop.cc / loop.cci   (For bottoms)
-     charge; cmp.jt ...             ->  charge.jt / charge.jti (While bottoms)
      as_ptr tp; cast.int ti; load   ->  as_ptr.ld  (a[j], j a variable)
      cast.int ti; load              ->  cast.ld    (a[e], the index coercion)
 
    only when no jump target (or function entry/followup, or the end of a
    block-uniform prefix) lands on an interior instruction — a [continue]
-   into a For step keeps the unfused encoding. A load fuses only unchecked, reading exactly the temporaries
-   the coercions just wrote, and those must be distinct registers. The
-   fused VM arms run the exact sub-step bodies in the same order, so fusion
-   changes dispatch count and nothing else. *)
+   into a For step keeps the unfused encoding. A load fuses only
+   unchecked, reading exactly the temporaries the coercions just wrote,
+   and those must be distinct registers. The fused VM arms run the exact
+   sub-step bodies in the same order.
+
+   It also carries each charge down its basic block. A thread's costs are
+   read only where it launches ([lr_issue_cost]), where a block records
+   its uniform prefix, and when the block ends; a raise discards them.
+   So a charge may move later past instructions that cannot read them,
+   and it merges with a later charge of the same tag (amounts are integer
+   cycles, so sums are exact). It stops at the block's compare-branch,
+   jump or return and is fused into it ([charge.*] above, or a [loop.cc]
+   head), or, before a jump target, call, launch, launch check, warp op,
+   sync, [shared.hit], [jfalse]/[jtrue] or a charge of another tag, is
+   emitted as a [charge] after the instruction before it. [bp_code]
+   keeps every charge where the lowering put it. Fusion and carrying
+   change dispatch counts and nothing else. *)
 let pack (code : instr array) (funcs : func array) =
   let n = Array.length code in
   let target = Array.make (n + 1) false in
@@ -1411,8 +1455,6 @@ let pack (code : instr array) (funcs : func array) =
           | Some (I_binop_int (Add, d, a, 1)), Some (I_cmp_jt_int _) when d = a
             ->
               (3, 60)
-          | Some (I_cmp_jt _), _ -> (2, 61)
-          | Some (I_cmp_jt_int _), _ -> (2, 62)
           | _ -> (1, 0))
       | I_as_ptr (tp, _) -> (
           match (nxt 1, nxt 2) with
@@ -1434,16 +1476,61 @@ let pack (code : instr array) (funcs : func array) =
     end;
     i := j + len
   done;
+  (* Charge carrying. [ctag.(i)]/[camt.(i)]: the charge fused into the
+     terminator or [loop.cc] head at [i] (tag -1: none); [ftag.(i)]/
+     [famt.(i)]: a [charge] emitted after [i]'s own words. *)
+  let ctag = Array.make n (-1) and camt = Array.make n 0.0 in
+  let ftag = Array.make n (-1) and famt = Array.make n 0.0 in
+  let ptag = ref (-1) and pamt = ref 0.0 in
+  let flush_before i =
+    if !ptag >= 0 then begin
+      ftag.(i - 1) <- !ptag;
+      famt.(i - 1) <- !pamt;
+      ptag := -1
+    end
+  in
+  let take i tag c =
+    if !ptag <> tag then flush_before i;
+    ctag.(i) <- tag;
+    camt.(i) <- (if !ptag = tag then !pamt +. c else c);
+    ptag := -1
+  in
+  for i = 0 to n - 1 do
+    if target.(i) then flush_before i;
+    match (fused.(i), code.(i)) with
+    | (59 | 60), I_charge (tag, c) -> take i tag c
+    | 0, I_charge (tag, c) ->
+        if !ptag = tag then pamt := !pamt +. c
+        else begin
+          flush_before i;
+          ptag := tag;
+          pamt := c
+        end
+    | ( 0,
+        ( I_cmp_jf _ | I_cmp_jf_int _ | I_cmp_jt _ | I_cmp_jt_int _ | I_jump _
+        | I_ret _ | I_ret_unit ) ) ->
+        if !ptag >= 0 then take i !ptag 0.0
+    | ( 0,
+        ( I_call _ | I_launch _ | I_launch_check _ | I_warp _ | I_warp_bcast _
+        | I_sync | I_shared_hit _ | I_jump_if_false _ | I_jump_if_true _ ) ) ->
+        flush_before i
+    | _ -> ()
+  done;
+  assert (!ptag < 0);
   let width i =
     Bool.to_int prefix_end.(i)
+    + (if ftag.(i) >= 0 then 3 else 0)
     +
     match fused.(i) with
-    | 0 -> pack_width code.(i)
     | -1 -> 0
     | 59 | 60 -> 8
-    | 61 | 62 -> 7
     | 63 -> 6
-    | _ -> 5
+    | 64 -> 5
+    | _ -> (
+        match code.(i) with
+        | I_charge _ -> 0
+        | I_ret_unit when ctag.(i) >= 0 -> 4
+        | ins -> pack_width ins + if ctag.(i) >= 0 then 2 else 0)
   in
   let woff = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
@@ -1469,12 +1556,15 @@ let pack (code : instr array) (funcs : func array) =
     ops.(!w) <- x;
     incr w
   in
-  let put_charge i =
-    match code.(i) with
-    | I_charge (tag, c) ->
-        put tag;
-        put (addf c)
-    | _ -> assert false
+  (* The opcode of a terminator: [fused] with its carried charge's
+     operands when it has one, else [plain]. *)
+  let put_op i ~fused ~plain =
+    if ctag.(i) >= 0 then begin
+      put fused;
+      put ctag.(i);
+      put (addf camt.(i))
+    end
+    else put plain
   in
   let put_cmp_jt i =
     match code.(i) with
@@ -1491,15 +1581,12 @@ let pack (code : instr array) (funcs : func array) =
     | -1 -> ()
     | (59 | 60) as sop ->
         put sop;
-        put_charge i;
+        put ctag.(i);
+        put (addf camt.(i));
         (match code.(i + 1) with
         | I_binop_int (_, d, _, _) -> put d
         | _ -> assert false);
         put_cmp_jt (i + 2)
-    | (61 | 62) as sop ->
-        put sop;
-        put_charge i;
-        put_cmp_jt (i + 1)
     | 63 -> (
         put 63;
         match (code.(i), code.(i + 1), code.(i + 2)) with
@@ -1554,12 +1641,12 @@ let pack (code : instr array) (funcs : func array) =
         put 7;
         put d;
         put (special_code sp);
-        put (adds f)
+        put (component_code f)
     | I_member (d, s, f) ->
         put 8;
         put d;
         put s;
-        put (adds f)
+        put (component_code f)
     | I_neg (d, s) ->
         put 9;
         put d;
@@ -1587,29 +1674,23 @@ let pack (code : instr array) (funcs : func array) =
         put a;
         put (addf f)
     | I_cmp_jf (op, a, b, tg) ->
-        put 14;
+        put_op i ~fused:66 ~plain:14;
         put (binop_code op);
         put a;
         put b;
         put woff.(tg)
     | I_cmp_jf_int (op, a, x, tg) ->
-        put 15;
+        put_op i ~fused:67 ~plain:15;
         put (binop_code op);
         put a;
         put x;
         put woff.(tg)
-    | I_cmp_jt (op, a, b, tg) ->
-        put 16;
-        put (binop_code op);
-        put a;
-        put b;
-        put woff.(tg)
-    | I_cmp_jt_int (op, a, x, tg) ->
-        put 17;
-        put (binop_code op);
-        put a;
-        put x;
-        put woff.(tg)
+    | I_cmp_jt _ ->
+        put_op i ~fused:61 ~plain:16;
+        put_cmp_jt i
+    | I_cmp_jt_int _ ->
+        put_op i ~fused:62 ~plain:17;
+        put_cmp_jt i
     | I_cast_int (d, s) ->
         put 18;
         put d;
@@ -1734,12 +1815,14 @@ let pack (code : instr array) (funcs : func array) =
         put woff.(funcs.(fi).bf_entry);
         put (Array.length args);
         Array.iter put args
-    | I_ret_unit -> put 42
+    | I_ret_unit ->
+        put_op i ~fused:69 ~plain:42;
+        if ctag.(i) >= 0 then put (-1)
     | I_ret r ->
-        put 43;
+        put_op i ~fused:69 ~plain:43;
         put r
     | I_jump tg ->
-        put 44;
+        put_op i ~fused:68 ~plain:44;
         put woff.(tg)
     | I_jump_if_false (r, tg) ->
         put 45;
@@ -1749,10 +1832,7 @@ let pack (code : instr array) (funcs : func array) =
         put 46;
         put r;
         put woff.(tg)
-    | I_charge (tag, c) ->
-        put 47;
-        put tag;
-        put (addf c)
+    | I_charge _ -> ()
     | I_split_dim3 (x, y, z, sl) ->
         put 48;
         put x;
@@ -1825,6 +1905,11 @@ let pack (code : instr array) (funcs : func array) =
         put (Array.length args);
         Array.iter put args
     | I_sync -> put 58));
+    if ftag.(i) >= 0 then begin
+      put 47;
+      put ftag.(i);
+      put (addf famt.(i))
+    end;
     assert (!w = woff.(i + 1))
   done;
   ( ops,

@@ -132,12 +132,17 @@ type prog = {
       (** Instruction index -> word offset into [bp_ops]; length
           [Array.length bp_code + 1]. *)
   bp_fpool : float array;  (** Float literals and charge amounts. *)
-  bp_spool : string array;  (** Member and kernel names. *)
+  bp_spool : string array;  (** Assigned members and kernel names. *)
   bp_vpool : Value.t array;  (** Shared-memory element initializers. *)
   bp_lpool : Minicu.Loc.t array;  (** Source locations (checked mode). *)
 }
 
 val find_func_exn : prog -> string -> func
+
+(** [packed_width ops w] is the number of words of the packed instruction
+    whose opcode is at word [w] of [ops] ([bp_ops]), operands included:
+    what a reader of the word stream steps by. *)
+val packed_width : int array -> int -> int
 
 (** [stmt_charge cfg s] is [Some (tag index, cycles)], the cost the
     lowering charges when a straight-line statement starts, and [None] for

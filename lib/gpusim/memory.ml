@@ -134,27 +134,59 @@ let snapshot b =
   | Ints a -> Array.map (fun n -> Value.Int n) a
   | Floats a -> Array.map (fun f -> Value.Float f) a
 
+(** [storage_at t buf off] checks an access to element [off] of buffer
+    [buf] and returns the buffer's storage, for a reader that takes
+    element [off] without boxing it. *)
+let storage_at t buf off = (check t buf off).storage
+
 (** [load_at t buf off] reads element [off] of buffer [buf]. *)
 let load_at t buf off : Value.t =
-  let b = check t buf off in
-  match b.storage with
+  match storage_at t buf off with
   | Boxed a -> Array.unsafe_get a off
   | Ints a -> Value.Int (Array.unsafe_get a off)
   | Floats a -> Value.Float (Array.unsafe_get a off)
 
-(** [store_at t buf off v] writes [v] to element [off] of buffer [buf]. A
-    value of the other kind converts a typed buffer to boxed storage. *)
-let store_at t buf off (v : Value.t) =
-  let b = check t buf off in
-  b.gen <- b.gen + 1;
-  match (b.storage, v) with
-  | Boxed a, _ -> Array.unsafe_set a off v
-  | Ints a, Value.Int n -> Array.unsafe_set a off n
-  | Floats a, Value.Float f -> Array.unsafe_set a off f
-  | (Ints _ | Floats _), _ ->
+(* [b]'s element [off] becomes [v], which typed storage cannot hold: a
+   typed buffer converts to boxed storage first. *)
+let store_boxed b off v =
+  match b.storage with
+  | Boxed a -> Array.unsafe_set a off v
+  | Ints _ | Floats _ ->
       let a = snapshot b in
       a.(off) <- v;
       b.storage <- Boxed a
+
+(* The checked, counted buffer a store to element [off] of [buf] writes. *)
+let written t buf off =
+  let b = check t buf off in
+  b.gen <- b.gen + 1;
+  b
+
+(** [store_at t buf off v] writes [v] to element [off] of buffer [buf]. A
+    value of the other kind converts a typed buffer to boxed storage. *)
+let store_at t buf off (v : Value.t) =
+  let b = written t buf off in
+  match (b.storage, v) with
+  | Ints a, Value.Int n -> Array.unsafe_set a off n
+  | Floats a, Value.Float f -> Array.unsafe_set a off f
+  | _ -> store_boxed b off v
+
+(** [store_int_at t buf off n] is [store_at t buf off (Value.Int n)]; it
+    boxes [n] only into boxed storage. *)
+let store_int_at t buf off n =
+  let b = written t buf off in
+  match b.storage with
+  | Ints a -> Array.unsafe_set a off n
+  | _ -> store_boxed b off (Value.Int n)
+
+(** [store_float_at t buf off src i] is
+    [store_at t buf off (Value.Float src.(i))]. The float is read here, so
+    a caller in another module passes it without boxing it. *)
+let store_float_at t buf off (src : float array) i =
+  let b = written t buf off in
+  match b.storage with
+  | Floats a -> Array.unsafe_set a off (Array.unsafe_get src i)
+  | _ -> store_boxed b off (Value.Float (Array.unsafe_get src i))
 
 (** [atomic_rmw_at t buf off f x y] replaces element [off] of buffer [buf]
     with [f x y old] and returns [old]. [f]'s operands travel separately,

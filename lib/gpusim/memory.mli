@@ -21,6 +21,12 @@
 
 type t
 
+(** A buffer's elements: boxed, or unboxed ints or floats. *)
+type storage =
+  | Boxed of Value.t array
+  | Ints of int array
+  | Floats of float array
+
 val create : unit -> t
 
 (** [alloc t n ~init] allocates [n] elements initialized to [init]; large
@@ -45,6 +51,21 @@ val free : t -> Value.ptr -> unit
 
 val load_at : t -> int -> int -> Value.t
 val store_at : t -> int -> int -> Value.t -> unit
+
+(** The VM's typed path: no [Value.t] is built for an int or float that
+    typed storage holds.
+
+    [storage_at t buf off] runs {!load_at}'s checks and returns the
+    buffer's storage, whose element [off] the caller reads itself. It may
+    not write it: stores count writes ({!generation}). *)
+val storage_at : t -> int -> int -> storage
+
+(** [store_int_at t buf off n] is [store_at t buf off (Value.Int n)], and
+    [store_float_at t buf off src i] is
+    [store_at t buf off (Value.Float src.(i))]: the float is passed by
+    position, so that the call does not box it. *)
+val store_int_at : t -> int -> int -> int -> unit
+val store_float_at : t -> int -> int -> float array -> int -> unit
 
 (** [atomic_rmw_at t buf off f x y] replaces the element with [f x y old]
     and returns [old]: a load and a store of the same element. *)

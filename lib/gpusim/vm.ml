@@ -282,11 +282,33 @@ let checked_store (t : thread) ~loc buf off v =
   try Memory.store_at t.blk.Runtime.mem buf off v
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
-let dim3_member (x, y, z) = function
-  | "x" -> x
-  | "y" -> y
-  | "z" -> z
-  | f -> Value.error "dim3 has no member %S" f
+(* The typed memory path: register [d] <- element [off] of [storage], and
+   element [off] of buffer [buf] <- register [r]. An int or float of
+   typed storage moves between its array and the register's lanes with
+   no [Value.t] built. *)
+let[@inline] load_reg (t : thread) d off = function
+  | Memory.Ints a -> set_int t d (Array.unsafe_get a off)
+  | Memory.Floats a -> set_float t d (Array.unsafe_get a off)
+  | Memory.Boxed a -> set_value t d (Array.unsafe_get a off)
+
+let load_into (t : thread) d buf off =
+  load_reg t d off (Memory.storage_at t.blk.Runtime.mem buf off)
+
+let store_reg (t : thread) buf off r =
+  let mem = t.blk.Runtime.mem in
+  match tag_of t r with
+  | 1 -> Memory.store_int_at mem buf off (geti t r)
+  | 2 -> Memory.store_float_at mem buf off t.fa r
+  | _ -> Memory.store_at mem buf off (box t r)
+
+let checked_storage (t : thread) ~loc buf off =
+  try Memory.storage_at t.blk.Runtime.mem buf off
+  with Value.Runtime_error msg -> access_failed t ~loc msg
+
+(* Component [k] (0/1/2 for x/y/z) of a dim3, from its three parts. *)
+let[@inline] component k x y z = if k = 0 then x else if k = 1 then y else z
+
+let component_name = [| "x"; "y"; "z" |]
 
 (* Atomic combine; coercion order (and so failure order) is part of the
    pinned semantics. Closed, with its operands first, so that
@@ -399,6 +421,26 @@ let cmp1 (t : thread) op ra n : bool =
       | _ -> assert false)
   | _ -> Value.as_bool (Runtime.eval_binop op (box t ra) (Value.Int n))
 
+let[@inline] pool_float (p : Bytecode.prog) i = Array.unsafe_get p.bp_fpool i
+let[@inline] memory (t : thread) = t.blk.Runtime.mem
+
+(* Return from the current frame with register [r]'s value (unit if
+   [r < 0]): the caller's pc, or -1 once the thread is done. *)
+let return (t : thread) r =
+  if t.depth = 0 then begin
+    t.status <- T_done;
+    -1
+  end
+  else begin
+    let dep = t.depth - 1 in
+    t.depth <- dep;
+    let dst = Array.unsafe_get t.st_dst dep in
+    if r < 0 then set_unit t dst else copy_reg t dst (t.base + r);
+    t.base <- Array.unsafe_get t.st_base dep;
+    t.nregs <- Array.unsafe_get t.st_nregs dep;
+    Array.unsafe_get t.st_ret dep
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Interpreter loop                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -409,120 +451,169 @@ let cmp1 (t : thread) op ra n : bool =
 
    The dispatch match mirrors the opcode table in [Bytecode.pack] — the
    arm numbers ARE the opcodes; keep the two in sync. The program counter
-   lives in the tail-recursive [go] parameter, not in [t.pc]:
+   lives in the tail-recursive [run]'s parameter, not in [t.pc]:
    fall-through instructions continue at [pc + width] without touching
    the record, and [t.pc] is written only where the thread parks (barrier
    and warp-collective arms), which is where a resume needs it. *)
-let interp (p : Bytecode.prog) (t : thread) =
-  let ops = p.bp_ops in
-  let fpool = p.bp_fpool in
-  let mem = t.blk.Runtime.mem in
-  let rec go pc =
-    let b = t.base in
-    match Array.unsafe_get ops pc with
-    | 0 (* const.unit *) ->
-        set_unit t (b + wd ops (pc + 1));
-        go (pc + 2)
-    | 1 (* const.int *) ->
-        set_int t (b + wd ops (pc + 1)) (wd ops (pc + 2));
-        go (pc + 3)
-    | 2 (* const.float *) ->
-        set_float t (b + wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
-        go (pc + 3)
-    | 3 (* const.bool *) ->
-        set_bool t (b + wd ops (pc + 1)) (wd ops (pc + 2) <> 0);
-        go (pc + 3)
-    | 4 (* const.dim3 *) ->
-        set_dim3_v t
-          (b + wd ops (pc + 1))
-          (wd ops (pc + 2))
-          (wd ops (pc + 3))
-          (wd ops (pc + 4));
-        go (pc + 5)
-    | 5 (* mov *) ->
-        copy_reg t (b + wd ops (pc + 1)) (b + wd ops (pc + 2));
-        go (pc + 3)
-    | 6 (* special *) ->
-        let x, y, z =
-          match wd ops (pc + 2) with
-          | 0 -> t.tidx
-          | 1 -> t.blk.Runtime.bidx
-          | 2 -> t.blk.Runtime.bdim
-          | _ -> t.blk.Runtime.gdim
+let rec run (p : Bytecode.prog) (ops : int array) (t : thread) pc =
+  let b = t.base in
+  match Array.unsafe_get ops pc with
+  | 0 (* const.unit *) ->
+      set_unit t (b + wd ops (pc + 1));
+      run p ops t (pc + 2)
+  | 1 (* const.int *) ->
+      set_int t (b + wd ops (pc + 1)) (wd ops (pc + 2));
+      run p ops t (pc + 3)
+  | 2 (* const.float *) ->
+      set_float t (b + wd ops (pc + 1)) (pool_float p (wd ops (pc + 2)));
+      run p ops t (pc + 3)
+  | 3 (* const.bool *) ->
+      set_bool t (b + wd ops (pc + 1)) (wd ops (pc + 2) <> 0);
+      run p ops t (pc + 3)
+  | 4 (* const.dim3 *) ->
+      set_dim3_v t
+        (b + wd ops (pc + 1))
+        (wd ops (pc + 2))
+        (wd ops (pc + 3))
+        (wd ops (pc + 4));
+      run p ops t (pc + 5)
+  | 5 (* mov *) ->
+      copy_reg t (b + wd ops (pc + 1)) (b + wd ops (pc + 2));
+      run p ops t (pc + 3)
+  | 6 (* special *) ->
+      let x, y, z =
+        match wd ops (pc + 2) with
+        | 0 -> t.tidx
+        | 1 -> t.blk.Runtime.bidx
+        | 2 -> t.blk.Runtime.bdim
+        | _ -> t.blk.Runtime.gdim
+      in
+      set_dim3_v t (b + wd ops (pc + 1)) x y z;
+      run p ops t (pc + 3)
+  | 7 (* special.comp *) ->
+      let x, y, z =
+        match wd ops (pc + 2) with
+        | 0 -> t.tidx
+        | 1 -> t.blk.Runtime.bidx
+        | 2 -> t.blk.Runtime.bdim
+        | _ -> t.blk.Runtime.gdim
+      in
+      set_int t (b + wd ops (pc + 1)) (component (wd ops (pc + 3)) x y z);
+      run p ops t (pc + 4)
+  | 8 (* member *) ->
+      (let r = b + wd ops (pc + 2) in
+       let k = wd ops (pc + 3) in
+       let d = b + wd ops (pc + 1) in
+       match tag_of t r with
+       | 4 -> set_int t d (component k (geti t r) (getib t r) (getic t r))
+       | 1 -> set_int t d (component k (geti t r) 1 1)
+       | _ ->
+           Value.error "member access %S on non-dim3 %a"
+             (Array.unsafe_get component_name k)
+             Value.pp (box t r));
+      run p ops t (pc + 4)
+  | 9 (* neg *) ->
+      (let r = b + wd ops (pc + 2) in
+       let d = b + wd ops (pc + 1) in
+       if tag_of t r = tag_float then set_float t d (-.getf t r)
+       else set_int t d (-get_int t r));
+      run p ops t (pc + 3)
+  | 10 (* not *) ->
+      set_bool t (b + wd ops (pc + 1)) (not (get_bool t (b + wd ops (pc + 2))));
+      run p ops t (pc + 3)
+  | 11 (* binop *) -> (
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
+      let rd = b + wd ops (pc + 2)
+      and ra = b + wd ops (pc + 3)
+      and rb = b + wd ops (pc + 4) in
+      let ta = tag_of t ra and tb = tag_of t rb in
+      let fallback () =
+        set_value t rd (Runtime.eval_binop op (box t ra) (box t rb))
+      in
+      if ta = tag_int && tb = tag_int then
+        let a = geti t ra and bi = geti t rb in
+        match op with
+        | Minicu.Ast.Add -> set_int t rd (a + bi)
+        | Minicu.Ast.Sub -> set_int t rd (a - bi)
+        | Minicu.Ast.Mul -> set_int t rd (a * bi)
+        | Minicu.Ast.Div ->
+            if bi = 0 then Value.error "integer division by zero";
+            set_int t rd (a / bi)
+        | Minicu.Ast.Mod ->
+            if bi = 0 then Value.error "integer modulo by zero";
+            set_int t rd (a mod bi)
+        | Minicu.Ast.Lt -> set_bool t rd (a < bi)
+        | Minicu.Ast.Le -> set_bool t rd (a <= bi)
+        | Minicu.Ast.Gt -> set_bool t rd (a > bi)
+        | Minicu.Ast.Ge -> set_bool t rd (a >= bi)
+        | Minicu.Ast.Eq -> set_bool t rd (a = bi)
+        | Minicu.Ast.Ne -> set_bool t rd (a <> bi)
+        | Minicu.Ast.BAnd -> set_int t rd (a land bi)
+        | Minicu.Ast.BOr -> set_int t rd (a lor bi)
+        | Minicu.Ast.BXor -> set_int t rd (a lxor bi)
+        | Minicu.Ast.Shl -> set_int t rd (a lsl bi)
+        | Minicu.Ast.Shr -> set_int t rd (a asr bi)
+        | Minicu.Ast.LAnd | Minicu.Ast.LOr -> fallback ()
+      else if
+        (ta = tag_float || tb = tag_float)
+        && (ta = tag_int || ta = tag_float)
+        && (tb = tag_int || tb = tag_float)
+      then
+        let a = if ta = tag_float then getf t ra else float_of_int (geti t ra)
+        and bf = if tb = tag_float then getf t rb else float_of_int (geti t rb)
         in
-        set_dim3_v t (b + wd ops (pc + 1)) x y z;
-        go (pc + 3)
-    | 7 (* special.comp *) ->
-        let dims =
-          match wd ops (pc + 2) with
-          | 0 -> t.tidx
-          | 1 -> t.blk.Runtime.bidx
-          | 2 -> t.blk.Runtime.bdim
-          | _ -> t.blk.Runtime.gdim
-        in
-        let f = Array.unsafe_get p.bp_spool (wd ops (pc + 3)) in
-        set_int t (b + wd ops (pc + 1)) (dim3_member dims f);
-        go (pc + 4)
-    | 8 (* member *) ->
-        (let r = b + wd ops (pc + 2) in
-         let f = Array.unsafe_get p.bp_spool (wd ops (pc + 3)) in
-         let d = b + wd ops (pc + 1) in
-         match tag_of t r with
-         | 4 -> set_int t d (dim3_member (geti t r, getib t r, getic t r) f)
-         | 1 -> set_int t d (dim3_member (geti t r, 1, 1) f)
-         | _ ->
-             Value.error "member access %S on non-dim3 %a" f Value.pp (box t r));
-        go (pc + 4)
-    | 9 (* neg *) ->
-        (let r = b + wd ops (pc + 2) in
-         let d = b + wd ops (pc + 1) in
-         if tag_of t r = tag_float then set_float t d (-.getf t r)
-         else set_int t d (-get_int t r));
-        go (pc + 3)
-    | 10 (* not *) ->
-        set_bool t (b + wd ops (pc + 1)) (not (get_bool t (b + wd ops (pc + 2))));
-        go (pc + 3)
-    | 11 (* binop *) -> (
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
-        let rd = b + wd ops (pc + 2)
-        and ra = b + wd ops (pc + 3)
-        and rb = b + wd ops (pc + 4) in
-        let ta = tag_of t ra and tb = tag_of t rb in
-        let fallback () =
-          set_value t rd (Runtime.eval_binop op (box t ra) (box t rb))
-        in
-        if ta = tag_int && tb = tag_int then
-          let a = geti t ra and bi = geti t rb in
+        match op with
+        | Minicu.Ast.Add -> set_float t rd (a +. bf)
+        | Minicu.Ast.Sub -> set_float t rd (a -. bf)
+        | Minicu.Ast.Mul -> set_float t rd (a *. bf)
+        | Minicu.Ast.Div -> set_float t rd (a /. bf)
+        | Minicu.Ast.Lt -> set_bool t rd (Float.compare a bf < 0)
+        | Minicu.Ast.Le -> set_bool t rd (Float.compare a bf <= 0)
+        | Minicu.Ast.Gt -> set_bool t rd (Float.compare a bf > 0)
+        | Minicu.Ast.Ge -> set_bool t rd (Float.compare a bf >= 0)
+        | Minicu.Ast.Eq -> set_bool t rd (a = bf)
+        | Minicu.Ast.Ne -> set_bool t rd (a <> bf)
+        | _ -> fallback ()
+      else fallback ());
+      run p ops t (pc + 5)
+  | 12 (* binop.int *) -> (
+      (* Same semantics as opcode 11 with an Int right operand; the
+         literal never needs materializing. *)
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
+      let rd = b + wd ops (pc + 2)
+      and ra = b + wd ops (pc + 3)
+      and n = wd ops (pc + 4) in
+      let fallback () =
+        set_value t rd (Runtime.eval_binop op (box t ra) (Value.Int n))
+      in
+      match tag_of t ra with
+      | 1 -> (
+          let a = geti t ra in
           match op with
-          | Minicu.Ast.Add -> set_int t rd (a + bi)
-          | Minicu.Ast.Sub -> set_int t rd (a - bi)
-          | Minicu.Ast.Mul -> set_int t rd (a * bi)
+          | Minicu.Ast.Add -> set_int t rd (a + n)
+          | Minicu.Ast.Sub -> set_int t rd (a - n)
+          | Minicu.Ast.Mul -> set_int t rd (a * n)
           | Minicu.Ast.Div ->
-              if bi = 0 then Value.error "integer division by zero";
-              set_int t rd (a / bi)
+              if n = 0 then Value.error "integer division by zero";
+              set_int t rd (a / n)
           | Minicu.Ast.Mod ->
-              if bi = 0 then Value.error "integer modulo by zero";
-              set_int t rd (a mod bi)
-          | Minicu.Ast.Lt -> set_bool t rd (a < bi)
-          | Minicu.Ast.Le -> set_bool t rd (a <= bi)
-          | Minicu.Ast.Gt -> set_bool t rd (a > bi)
-          | Minicu.Ast.Ge -> set_bool t rd (a >= bi)
-          | Minicu.Ast.Eq -> set_bool t rd (a = bi)
-          | Minicu.Ast.Ne -> set_bool t rd (a <> bi)
-          | Minicu.Ast.BAnd -> set_int t rd (a land bi)
-          | Minicu.Ast.BOr -> set_int t rd (a lor bi)
-          | Minicu.Ast.BXor -> set_int t rd (a lxor bi)
-          | Minicu.Ast.Shl -> set_int t rd (a lsl bi)
-          | Minicu.Ast.Shr -> set_int t rd (a asr bi)
-          | Minicu.Ast.LAnd | Minicu.Ast.LOr -> fallback ()
-        else if
-          (ta = tag_float || tb = tag_float)
-          && (ta = tag_int || ta = tag_float)
-          && (tb = tag_int || tb = tag_float)
-        then
-          let a = if ta = tag_float then getf t ra else float_of_int (geti t ra)
-          and bf = if tb = tag_float then getf t rb else float_of_int (geti t rb)
-          in
+              if n = 0 then Value.error "integer modulo by zero";
+              set_int t rd (a mod n)
+          | Minicu.Ast.Lt -> set_bool t rd (a < n)
+          | Minicu.Ast.Le -> set_bool t rd (a <= n)
+          | Minicu.Ast.Gt -> set_bool t rd (a > n)
+          | Minicu.Ast.Ge -> set_bool t rd (a >= n)
+          | Minicu.Ast.Eq -> set_bool t rd (a = n)
+          | Minicu.Ast.Ne -> set_bool t rd (a <> n)
+          | Minicu.Ast.BAnd -> set_int t rd (a land n)
+          | Minicu.Ast.BOr -> set_int t rd (a lor n)
+          | Minicu.Ast.BXor -> set_int t rd (a lxor n)
+          | Minicu.Ast.Shl -> set_int t rd (a lsl n)
+          | Minicu.Ast.Shr -> set_int t rd (a asr n)
+          | Minicu.Ast.LAnd | Minicu.Ast.LOr -> fallback ())
+      | 2 -> (
+          let a = getf t ra in
+          let bf = float_of_int n in
           match op with
           | Minicu.Ast.Add -> set_float t rd (a +. bf)
           | Minicu.Ast.Sub -> set_float t rd (a -. bf)
@@ -534,582 +625,540 @@ let interp (p : Bytecode.prog) (t : thread) =
           | Minicu.Ast.Ge -> set_bool t rd (Float.compare a bf >= 0)
           | Minicu.Ast.Eq -> set_bool t rd (a = bf)
           | Minicu.Ast.Ne -> set_bool t rd (a <> bf)
-          | _ -> fallback ()
-        else fallback ());
-        go (pc + 5)
-    | 12 (* binop.int *) -> (
-        (* Same semantics as opcode 11 with an Int right operand; the
-           literal never needs materializing. *)
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
-        let rd = b + wd ops (pc + 2)
-        and ra = b + wd ops (pc + 3)
-        and n = wd ops (pc + 4) in
-        let fallback () =
-          set_value t rd (Runtime.eval_binop op (box t ra) (Value.Int n))
+          | _ -> fallback ())
+      | _ -> fallback ());
+      run p ops t (pc + 5)
+  | 13 (* binop.float *) -> (
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
+      let rd = b + wd ops (pc + 2)
+      and ra = b + wd ops (pc + 3)
+      and f = pool_float p (wd ops (pc + 4)) in
+      let ta = tag_of t ra in
+      let fallback () =
+        set_value t rd (Runtime.eval_binop op (box t ra) (Value.Float f))
+      in
+      if ta = tag_float || ta = tag_int then
+        let a = if ta = tag_float then getf t ra else float_of_int (geti t ra)
         in
-        match tag_of t ra with
-        | 1 -> (
-            let a = geti t ra in
-            match op with
-            | Minicu.Ast.Add -> set_int t rd (a + n)
-            | Minicu.Ast.Sub -> set_int t rd (a - n)
-            | Minicu.Ast.Mul -> set_int t rd (a * n)
-            | Minicu.Ast.Div ->
-                if n = 0 then Value.error "integer division by zero";
-                set_int t rd (a / n)
-            | Minicu.Ast.Mod ->
-                if n = 0 then Value.error "integer modulo by zero";
-                set_int t rd (a mod n)
-            | Minicu.Ast.Lt -> set_bool t rd (a < n)
-            | Minicu.Ast.Le -> set_bool t rd (a <= n)
-            | Minicu.Ast.Gt -> set_bool t rd (a > n)
-            | Minicu.Ast.Ge -> set_bool t rd (a >= n)
-            | Minicu.Ast.Eq -> set_bool t rd (a = n)
-            | Minicu.Ast.Ne -> set_bool t rd (a <> n)
-            | Minicu.Ast.BAnd -> set_int t rd (a land n)
-            | Minicu.Ast.BOr -> set_int t rd (a lor n)
-            | Minicu.Ast.BXor -> set_int t rd (a lxor n)
-            | Minicu.Ast.Shl -> set_int t rd (a lsl n)
-            | Minicu.Ast.Shr -> set_int t rd (a asr n)
-            | Minicu.Ast.LAnd | Minicu.Ast.LOr -> fallback ())
-        | 2 -> (
-            let a = getf t ra in
-            let bf = float_of_int n in
-            match op with
-            | Minicu.Ast.Add -> set_float t rd (a +. bf)
-            | Minicu.Ast.Sub -> set_float t rd (a -. bf)
-            | Minicu.Ast.Mul -> set_float t rd (a *. bf)
-            | Minicu.Ast.Div -> set_float t rd (a /. bf)
-            | Minicu.Ast.Lt -> set_bool t rd (Float.compare a bf < 0)
-            | Minicu.Ast.Le -> set_bool t rd (Float.compare a bf <= 0)
-            | Minicu.Ast.Gt -> set_bool t rd (Float.compare a bf > 0)
-            | Minicu.Ast.Ge -> set_bool t rd (Float.compare a bf >= 0)
-            | Minicu.Ast.Eq -> set_bool t rd (a = bf)
-            | Minicu.Ast.Ne -> set_bool t rd (a <> bf)
-            | _ -> fallback ())
-        | _ -> fallback ());
-        go (pc + 5)
-    | 13 (* binop.float *) -> (
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
-        let rd = b + wd ops (pc + 2)
-        and ra = b + wd ops (pc + 3)
-        and f = Array.unsafe_get fpool (wd ops (pc + 4)) in
-        let ta = tag_of t ra in
-        let fallback () =
-          set_value t rd (Runtime.eval_binop op (box t ra) (Value.Float f))
-        in
-        if ta = tag_float || ta = tag_int then
-          let a = if ta = tag_float then getf t ra else float_of_int (geti t ra)
-          in
-          match op with
-          | Minicu.Ast.Add -> set_float t rd (a +. f)
-          | Minicu.Ast.Sub -> set_float t rd (a -. f)
-          | Minicu.Ast.Mul -> set_float t rd (a *. f)
-          | Minicu.Ast.Div -> set_float t rd (a /. f)
-          | Minicu.Ast.Lt -> set_bool t rd (Float.compare a f < 0)
-          | Minicu.Ast.Le -> set_bool t rd (Float.compare a f <= 0)
-          | Minicu.Ast.Gt -> set_bool t rd (Float.compare a f > 0)
-          | Minicu.Ast.Ge -> set_bool t rd (Float.compare a f >= 0)
-          | Minicu.Ast.Eq -> set_bool t rd (a = f)
-          | Minicu.Ast.Ne -> set_bool t rd (a <> f)
-          | _ -> fallback ()
-        else fallback ());
-        go (pc + 5)
-    | 14 (* cmp.jf *) ->
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
-        go
-          (if cmp2 t op (b + wd ops (pc + 2)) (b + wd ops (pc + 3)) then pc + 5
-           else wd ops (pc + 4))
-    | 15 (* cmp.jf.int *) ->
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
-        go
-          (if cmp1 t op (b + wd ops (pc + 2)) (wd ops (pc + 3)) then pc + 5
-           else wd ops (pc + 4))
-    | 16 (* cmp.jt *) ->
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
-        go
-          (if cmp2 t op (b + wd ops (pc + 2)) (b + wd ops (pc + 3)) then
-             wd ops (pc + 4)
-           else pc + 5)
-    | 17 (* cmp.jt.int *) ->
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
-        go
-          (if cmp1 t op (b + wd ops (pc + 2)) (wd ops (pc + 3)) then
-             wd ops (pc + 4)
-           else pc + 5)
-    | 18 (* cast.int *) ->
-        set_int t (b + wd ops (pc + 1)) (get_int t (b + wd ops (pc + 2)));
-        go (pc + 3)
-    | 19 (* cast.float *) ->
-        set_float t (b + wd ops (pc + 1)) (get_float t (b + wd ops (pc + 2)));
-        go (pc + 3)
-    | 20 (* cast.bool *) ->
-        set_bool t (b + wd ops (pc + 1)) (get_bool t (b + wd ops (pc + 2)));
-        go (pc + 3)
-    | 21 (* cast.dim3 *) ->
-        let x, y, z = get_dim3 t (b + wd ops (pc + 2)) in
-        set_dim3_v t (b + wd ops (pc + 1)) x y z;
-        go (pc + 3)
-    | 22 (* as_ptr *) ->
-        let s = b + wd ops (pc + 2) in
-        need_ptr t s;
-        set_ptr_at t (b + wd ops (pc + 1)) (geti t s) (getib t s);
-        go (pc + 3)
-    | 23 (* dim3 *) ->
-        (* Coerces z, y, x, the order the constructor evaluates them in. A
-           [dim3] of variables, literals and built-in components gets its
-           operands uncoerced, so these coercions can fail, with
-           [cast.int]'s message. *)
-        let vz = get_int t (b + wd ops (pc + 4)) in
-        let vy = get_int t (b + wd ops (pc + 3)) in
-        let vx = get_int t (b + wd ops (pc + 2)) in
-        set_dim3_v t (b + wd ops (pc + 1)) vx vy vz;
-        go (pc + 5)
-    | 24 (* load *) ->
-        let rp = b + wd ops (pc + 2) in
-        need_ptr t rp;
-        let i = get_int t (b + wd ops (pc + 3)) in
-        set_value t
-          (b + wd ops (pc + 1))
-          (Memory.load_at mem (geti t rp) (getib t rp + i));
-        go (pc + 4)
-    | 25 (* load.chk *) ->
-        let rp = b + wd ops (pc + 2) in
-        need_ptr t rp;
-        let i = get_int t (b + wd ops (pc + 3)) in
-        let buf = geti t rp and off = getib t rp + i in
-        let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 4)) in
-        check_access t ~kind:Racecheck.Read ~loc buf off;
-        set_value t (b + wd ops (pc + 1)) (checked_load t ~loc buf off);
-        go (pc + 5)
-    | 26 (* store *) ->
-        let rp = b + wd ops (pc + 1) in
-        need_ptr t rp;
-        let i = get_int t (b + wd ops (pc + 2)) in
-        let v = box t (b + wd ops (pc + 3)) in
-        Memory.store_at mem (geti t rp) (getib t rp + i) v;
-        go (pc + 4)
-    | 27 (* store.chk *) ->
-        let rp = b + wd ops (pc + 1) in
-        need_ptr t rp;
-        let i = get_int t (b + wd ops (pc + 2)) in
-        let buf = geti t rp and off = getib t rp + i in
-        let v = box t (b + wd ops (pc + 3)) in
-        let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 4)) in
-        check_access t ~kind:Racecheck.Write ~loc buf off;
+        match op with
+        | Minicu.Ast.Add -> set_float t rd (a +. f)
+        | Minicu.Ast.Sub -> set_float t rd (a -. f)
+        | Minicu.Ast.Mul -> set_float t rd (a *. f)
+        | Minicu.Ast.Div -> set_float t rd (a /. f)
+        | Minicu.Ast.Lt -> set_bool t rd (Float.compare a f < 0)
+        | Minicu.Ast.Le -> set_bool t rd (Float.compare a f <= 0)
+        | Minicu.Ast.Gt -> set_bool t rd (Float.compare a f > 0)
+        | Minicu.Ast.Ge -> set_bool t rd (Float.compare a f >= 0)
+        | Minicu.Ast.Eq -> set_bool t rd (a = f)
+        | Minicu.Ast.Ne -> set_bool t rd (a <> f)
+        | _ -> fallback ()
+      else fallback ());
+      run p ops t (pc + 5)
+  | 14 (* cmp.jf *) ->
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
+      run p ops t
+        (if cmp2 t op (b + wd ops (pc + 2)) (b + wd ops (pc + 3)) then pc + 5
+         else wd ops (pc + 4))
+  | 15 (* cmp.jf.int *) ->
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
+      run p ops t
+        (if cmp1 t op (b + wd ops (pc + 2)) (wd ops (pc + 3)) then pc + 5
+         else wd ops (pc + 4))
+  | 16 (* cmp.jt *) ->
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
+      run p ops t
+        (if cmp2 t op (b + wd ops (pc + 2)) (b + wd ops (pc + 3)) then
+           wd ops (pc + 4)
+         else pc + 5)
+  | 17 (* cmp.jt.int *) ->
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 1)) in
+      run p ops t
+        (if cmp1 t op (b + wd ops (pc + 2)) (wd ops (pc + 3)) then
+           wd ops (pc + 4)
+         else pc + 5)
+  | 18 (* cast.int *) ->
+      set_int t (b + wd ops (pc + 1)) (get_int t (b + wd ops (pc + 2)));
+      run p ops t (pc + 3)
+  | 19 (* cast.float *) ->
+      set_float t (b + wd ops (pc + 1)) (get_float t (b + wd ops (pc + 2)));
+      run p ops t (pc + 3)
+  | 20 (* cast.bool *) ->
+      set_bool t (b + wd ops (pc + 1)) (get_bool t (b + wd ops (pc + 2)));
+      run p ops t (pc + 3)
+  | 21 (* cast.dim3 *) ->
+      let x, y, z = get_dim3 t (b + wd ops (pc + 2)) in
+      set_dim3_v t (b + wd ops (pc + 1)) x y z;
+      run p ops t (pc + 3)
+  | 22 (* as_ptr *) ->
+      let s = b + wd ops (pc + 2) in
+      need_ptr t s;
+      set_ptr_at t (b + wd ops (pc + 1)) (geti t s) (getib t s);
+      run p ops t (pc + 3)
+  | 23 (* dim3 *) ->
+      (* Coerces z, y, x, the order the constructor evaluates them in. A
+         [dim3] of variables, literals and built-in components gets its
+         operands uncoerced, so these coercions can fail, with
+         [cast.int]'s message. *)
+      let vz = get_int t (b + wd ops (pc + 4)) in
+      let vy = get_int t (b + wd ops (pc + 3)) in
+      let vx = get_int t (b + wd ops (pc + 2)) in
+      set_dim3_v t (b + wd ops (pc + 1)) vx vy vz;
+      run p ops t (pc + 5)
+  | 24 (* load *) ->
+      let rp = b + wd ops (pc + 2) in
+      need_ptr t rp;
+      let i = get_int t (b + wd ops (pc + 3)) in
+      let buf = geti t rp and off = getib t rp + i in
+      load_into t (b + wd ops (pc + 1)) buf off;
+      run p ops t (pc + 4)
+  | 25 (* load.chk *) ->
+      let rp = b + wd ops (pc + 2) in
+      need_ptr t rp;
+      let i = get_int t (b + wd ops (pc + 3)) in
+      let buf = geti t rp and off = getib t rp + i in
+      let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 4)) in
+      check_access t ~kind:Racecheck.Read ~loc buf off;
+      load_reg t (b + wd ops (pc + 1)) off (checked_storage t ~loc buf off);
+      run p ops t (pc + 5)
+  | 26 (* store *) ->
+      let rp = b + wd ops (pc + 1) in
+      need_ptr t rp;
+      let i = get_int t (b + wd ops (pc + 2)) in
+      store_reg t (geti t rp) (getib t rp + i) (b + wd ops (pc + 3));
+      run p ops t (pc + 4)
+  | 27 (* store.chk *) ->
+      let rp = b + wd ops (pc + 1) in
+      need_ptr t rp;
+      let i = get_int t (b + wd ops (pc + 2)) in
+      let buf = geti t rp and off = getib t rp + i in
+      let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 4)) in
+      check_access t ~kind:Racecheck.Write ~loc buf off;
+      (try store_reg t buf off (b + wd ops (pc + 3))
+       with Value.Runtime_error msg -> access_failed t ~loc msg);
+      run p ops t (pc + 5)
+  | 28 (* addr *) ->
+      let rp = b + wd ops (pc + 2) in
+      need_ptr t rp;
+      let i = get_int t (b + wd ops (pc + 3)) in
+      set_ptr_at t (b + wd ops (pc + 1)) (geti t rp) (getib t rp + i);
+      run p ops t (pc + 4)
+  | 29 (* min *) ->
+      (let ra = b + wd ops (pc + 2) and rb = b + wd ops (pc + 3) in
+       let d = b + wd ops (pc + 1) in
+       if tag_of t ra = tag_float || tag_of t rb = tag_float then
+         let bf = get_float t rb in
+         let af = get_float t ra in
+         set_float t d (Float.min af bf)
+       else
+         let bi = get_int t rb in
+         let ai = get_int t ra in
+         set_int t d (min ai bi));
+      run p ops t (pc + 4)
+  | 30 (* max *) ->
+      (let ra = b + wd ops (pc + 2) and rb = b + wd ops (pc + 3) in
+       let d = b + wd ops (pc + 1) in
+       if tag_of t ra = tag_float || tag_of t rb = tag_float then
+         let bf = get_float t rb in
+         let af = get_float t ra in
+         set_float t d (Float.max af bf)
+       else
+         let bi = get_int t rb in
+         let ai = get_int t ra in
+         set_int t d (max ai bi));
+      run p ops t (pc + 4)
+  | 31 (* abs *) ->
+      (let r = b + wd ops (pc + 2) in
+       let d = b + wd ops (pc + 1) in
+       if tag_of t r = tag_float then set_float t d (Float.abs (getf t r))
+       else set_int t d (abs (get_int t r)));
+      run p ops t (pc + 3)
+  | 32 (* float1 *) ->
+      let x = get_float t (b + wd ops (pc + 3)) in
+      set_float t
+        (b + wd ops (pc + 2))
+        (match wd ops (pc + 1) with
+        | 0 -> Float.abs x
+        | 1 -> Float.ceil x
+        | 2 -> Float.floor x
+        | 3 -> Float.sqrt x
+        | 4 -> Float.exp x
+        | _ -> Float.log x);
+      run p ops t (pc + 4)
+  | 33 (* pow *) ->
+      (* Operands are [cast.float] results; y-side first, in the
+         simulator's right-to-left argument order. *)
+      let fy = get_float t (b + wd ops (pc + 3)) in
+      let fx = get_float t (b + wd ops (pc + 2)) in
+      set_float t (b + wd ops (pc + 1)) (Float.pow fx fy);
+      run p ops t (pc + 4)
+  | 34 (* atomic *) ->
+      let aop = Array.unsafe_get atomic_tbl (wd ops (pc + 1)) in
+      let rp = b + wd ops (pc + 3) in
+      need_ptr t rp;
+      let v = box t (b + wd ops (pc + 4)) in
+      let old =
+        Memory.atomic_rmw_at (memory t) (geti t rp) (getib t rp) atomic_combine
+          aop
+          v
+      in
+      set_value t (b + wd ops (pc + 2)) old;
+      run p ops t (pc + 5)
+  | 35 (* atomic.chk *) ->
+      let aop = Array.unsafe_get atomic_tbl (wd ops (pc + 1)) in
+      let rp = b + wd ops (pc + 3) in
+      need_ptr t rp;
+      let buf = geti t rp and off = getib t rp in
+      let v = box t (b + wd ops (pc + 4)) in
+      let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 5)) in
+      check_access t ~kind:Racecheck.Atomic ~loc buf off;
+      let old = checked_load t ~loc buf off in
+      checked_store t ~loc buf off (atomic_combine aop v old);
+      set_value t (b + wd ops (pc + 2)) old;
+      run p ops t (pc + 6)
+  | 36 (* cas *) ->
+      let rp = b + wd ops (pc + 2) in
+      need_ptr t rp;
+      let cmpv = box t (b + wd ops (pc + 3)) in
+      let v = box t (b + wd ops (pc + 4)) in
+      let old =
+        Memory.atomic_rmw_at (memory t) (geti t rp) (getib t rp) cas_combine
+          cmpv v
+      in
+      set_value t (b + wd ops (pc + 1)) old;
+      run p ops t (pc + 5)
+  | 37 (* cas.chk *) ->
+      let rp = b + wd ops (pc + 2) in
+      need_ptr t rp;
+      let buf = geti t rp and off = getib t rp in
+      let cmpv = box t (b + wd ops (pc + 3)) in
+      let v = box t (b + wd ops (pc + 4)) in
+      let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 5)) in
+      check_access t ~kind:Racecheck.Atomic ~loc buf off;
+      let old = checked_load t ~loc buf off in
+      if Value.as_int old = Value.as_int cmpv then
         checked_store t ~loc buf off v;
-        go (pc + 5)
-    | 28 (* addr *) ->
-        let rp = b + wd ops (pc + 2) in
-        need_ptr t rp;
-        let i = get_int t (b + wd ops (pc + 3)) in
-        set_ptr_at t (b + wd ops (pc + 1)) (geti t rp) (getib t rp + i);
-        go (pc + 4)
-    | 29 (* min *) ->
-        (let ra = b + wd ops (pc + 2) and rb = b + wd ops (pc + 3) in
-         let d = b + wd ops (pc + 1) in
-         if tag_of t ra = tag_float || tag_of t rb = tag_float then
-           let bf = get_float t rb in
-           let af = get_float t ra in
-           set_float t d (Float.min af bf)
-         else
-           let bi = get_int t rb in
-           let ai = get_int t ra in
-           set_int t d (min ai bi));
-        go (pc + 4)
-    | 30 (* max *) ->
-        (let ra = b + wd ops (pc + 2) and rb = b + wd ops (pc + 3) in
-         let d = b + wd ops (pc + 1) in
-         if tag_of t ra = tag_float || tag_of t rb = tag_float then
-           let bf = get_float t rb in
-           let af = get_float t ra in
-           set_float t d (Float.max af bf)
-         else
-           let bi = get_int t rb in
-           let ai = get_int t ra in
-           set_int t d (max ai bi));
-        go (pc + 4)
-    | 31 (* abs *) ->
-        (let r = b + wd ops (pc + 2) in
-         let d = b + wd ops (pc + 1) in
-         if tag_of t r = tag_float then set_float t d (Float.abs (getf t r))
-         else set_int t d (abs (get_int t r)));
-        go (pc + 3)
-    | 32 (* float1 *) ->
-        let x = get_float t (b + wd ops (pc + 3)) in
-        set_float t
-          (b + wd ops (pc + 2))
-          (match wd ops (pc + 1) with
-          | 0 -> Float.abs x
-          | 1 -> Float.ceil x
-          | 2 -> Float.floor x
-          | 3 -> Float.sqrt x
-          | 4 -> Float.exp x
-          | _ -> Float.log x);
-        go (pc + 4)
-    | 33 (* pow *) ->
-        (* Operands are [cast.float] results; y-side first, in the
-           simulator's right-to-left argument order. *)
-        let fy = get_float t (b + wd ops (pc + 3)) in
-        let fx = get_float t (b + wd ops (pc + 2)) in
-        set_float t (b + wd ops (pc + 1)) (Float.pow fx fy);
-        go (pc + 4)
-    | 34 (* atomic *) ->
-        let aop = Array.unsafe_get atomic_tbl (wd ops (pc + 1)) in
-        let rp = b + wd ops (pc + 3) in
-        need_ptr t rp;
-        let v = box t (b + wd ops (pc + 4)) in
-        let old =
-          Memory.atomic_rmw_at mem (geti t rp) (getib t rp) atomic_combine aop
-            v
+      set_value t (b + wd ops (pc + 1)) old;
+      run p ops t (pc + 6)
+  | 38 (* malloc *) ->
+      (* Boxed storage: device code may store any kind of value. *)
+      let n = get_int t (b + wd ops (pc + 2)) in
+      set_ptr t
+        (b + wd ops (pc + 1))
+        (Memory.alloc_boxed (memory t) n ~init:(Value.Int 0));
+      run p ops t (pc + 3)
+  | 39 (* warp *) ->
+      if t.blk.Runtime.is_host_ctx then (
+        (match wd ops (pc + 2) with
+        | 3 (* Wk_sync *) -> set_unit t (b + wd ops (pc + 1))
+        | _ -> Value.error "warp collective in host context");
+        run p ops t (pc + 4))
+      else begin
+        let wop =
+          match wd ops (pc + 2) with
+          | 0 -> Runtime.W_scan_excl
+          | 1 -> Runtime.W_sum
+          | 2 -> Runtime.W_max
+          | _ -> Runtime.W_sync
         in
-        set_value t (b + wd ops (pc + 2)) old;
-        go (pc + 5)
-    | 35 (* atomic.chk *) ->
-        let aop = Array.unsafe_get atomic_tbl (wd ops (pc + 1)) in
-        let rp = b + wd ops (pc + 3) in
-        need_ptr t rp;
-        let buf = geti t rp and off = getib t rp in
-        let v = box t (b + wd ops (pc + 4)) in
-        let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 5)) in
-        check_access t ~kind:Racecheck.Atomic ~loc buf off;
-        let old = checked_load t ~loc buf off in
-        checked_store t ~loc buf off (atomic_combine aop v old);
-        set_value t (b + wd ops (pc + 2)) old;
-        go (pc + 6)
-    | 36 (* cas *) ->
-        let rp = b + wd ops (pc + 2) in
-        need_ptr t rp;
-        let cmpv = box t (b + wd ops (pc + 3)) in
-        let v = box t (b + wd ops (pc + 4)) in
-        let old =
-          Memory.atomic_rmw_at mem (geti t rp) (getib t rp) cas_combine cmpv v
-        in
-        set_value t (b + wd ops (pc + 1)) old;
-        go (pc + 5)
-    | 37 (* cas.chk *) ->
-        let rp = b + wd ops (pc + 2) in
-        need_ptr t rp;
-        let buf = geti t rp and off = getib t rp in
-        let cmpv = box t (b + wd ops (pc + 3)) in
-        let v = box t (b + wd ops (pc + 4)) in
-        let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 5)) in
-        check_access t ~kind:Racecheck.Atomic ~loc buf off;
-        let old = checked_load t ~loc buf off in
-        if Value.as_int old = Value.as_int cmpv then
-          checked_store t ~loc buf off v;
-        set_value t (b + wd ops (pc + 1)) old;
-        go (pc + 6)
-    | 38 (* malloc *) ->
-        (* Boxed storage: device code may store any kind of value. *)
-        let n = get_int t (b + wd ops (pc + 2)) in
-        set_ptr t
-          (b + wd ops (pc + 1))
-          (Memory.alloc_boxed mem n ~init:(Value.Int 0));
-        go (pc + 3)
-    | 39 (* warp *) ->
-        if t.blk.Runtime.is_host_ctx then (
-          (match wd ops (pc + 2) with
-          | 3 (* Wk_sync *) -> set_unit t (b + wd ops (pc + 1))
-          | _ -> Value.error "warp collective in host context");
-          go (pc + 4))
-        else begin
-          let wop =
-            match wd ops (pc + 2) with
-            | 0 -> Runtime.W_scan_excl
-            | 1 -> Runtime.W_sum
-            | 2 -> Runtime.W_max
-            | _ -> Runtime.W_sync
-          in
-          t.pc <- pc + 4;
-          t.wdst <- b + wd ops (pc + 1);
-          t.status <-
-            T_at_warp { Runtime.wop; warg = box t (b + wd ops (pc + 3)) }
-        end
-    | 40 (* warp.bcast *) ->
-        if t.blk.Runtime.is_host_ctx then
-          Value.error "warp collective in host context"
-        else begin
-          let lane = geti t (b + wd ops (pc + 3)) in
-          t.pc <- pc + 4;
-          t.wdst <- b + wd ops (pc + 1);
-          t.status <-
-            T_at_warp
-              {
-                Runtime.wop = Runtime.W_bcast lane;
-                warg = box t (b + wd ops (pc + 2));
-              }
-        end
-    | 41 (* call *) ->
-        let callee = Array.unsafe_get p.bp_funcs (wd ops (pc + 2)) in
-        let nargs = wd ops (pc + 4) in
-        let nbase = t.base + t.nregs in
-        grow_regs t (nbase + callee.bf_nregs);
-        if callee.bf_nregs > 0 then
-          Bytes.fill t.tags nbase callee.bf_nregs '\000';
-        for i = 0 to nargs - 1 do
-          copy_reg t (nbase + i) (b + wd ops (pc + 5 + i))
-        done;
-        grow_stack t;
-        let dep = t.depth in
-        t.st_ret.(dep) <- pc + 5 + nargs;
-        t.st_base.(dep) <- t.base;
-        t.st_dst.(dep) <- b + wd ops (pc + 1);
-        t.st_nregs.(dep) <- t.nregs;
-        t.depth <- dep + 1;
-        t.base <- nbase;
-        t.nregs <- callee.bf_nregs;
-        if callee.bf_is_serial then
-          t.blk.Runtime.metrics.Metrics.serialized_launches <-
-            t.blk.Runtime.metrics.Metrics.serialized_launches + 1;
-        go (wd ops (pc + 3))
-    | 42 (* ret.unit *) ->
-        if t.depth = 0 then t.status <- T_done
-        else begin
-          let dep = t.depth - 1 in
-          t.depth <- dep;
-          set_unit t t.st_dst.(dep);
-          t.base <- t.st_base.(dep);
-          t.nregs <- t.st_nregs.(dep);
-          go t.st_ret.(dep)
-        end
-    | 43 (* ret *) ->
-        if t.depth = 0 then t.status <- T_done
-        else begin
-          let dep = t.depth - 1 in
-          t.depth <- dep;
-          copy_reg t t.st_dst.(dep) (b + wd ops (pc + 1));
-          t.base <- t.st_base.(dep);
-          t.nregs <- t.st_nregs.(dep);
-          go t.st_ret.(dep)
-        end
-    | 44 (* jump *) -> go (wd ops (pc + 1))
-    | 45 (* jfalse *) ->
-        go (if get_bool t (b + wd ops (pc + 1)) then pc + 3 else wd ops (pc + 2))
-    | 46 (* jtrue *) ->
-        go (if get_bool t (b + wd ops (pc + 1)) then wd ops (pc + 2) else pc + 3)
-    | 47 (* charge *) ->
-        charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
-        go (pc + 3)
-    | 48 (* split.dim3 *) ->
-        let r = b + wd ops (pc + 4) in
-        let x, y, z =
-          match tag_of t r with
-          | 4 -> (geti t r, getib t r, getic t r)
-          | 1 -> (geti t r, 1, 1)
-          | 0 -> (1, 1, 1)
-          | _ ->
-              Value.error "member assignment on non-dim3 %a" Value.pp (box t r)
-        in
-        set_int t (b + wd ops (pc + 1)) x;
-        set_int t (b + wd ops (pc + 2)) y;
-        set_int t (b + wd ops (pc + 3)) z;
-        go (pc + 5)
-    | 49 (* set.dim3 *) ->
-        let n = get_int t (b + wd ops (pc + 6)) in
-        let x = geti t (b + wd ops (pc + 3))
-        and y = geti t (b + wd ops (pc + 4))
-        and z = geti t (b + wd ops (pc + 5)) in
-        let x, y, z =
-          match Array.unsafe_get p.bp_spool (wd ops (pc + 2)) with
-          | "x" -> (n, y, z)
-          | "y" -> (x, n, z)
-          | "z" -> (x, y, n)
-          | f -> Value.error "dim3 has no member %S" f
-        in
-        set_dim3_v t (b + wd ops (pc + 1)) x y z;
-        go (pc + 7)
-    | 50 (* mload.dim3 *) ->
-        let rp = b + wd ops (pc + 4) in
-        need_ptr t rp;
-        let i = get_int t (b + wd ops (pc + 5)) in
-        let x, y, z =
-          stored_dim3 (Memory.load_at mem (geti t rp) (getib t rp + i))
-        in
-        set_int t (b + wd ops (pc + 1)) x;
-        set_int t (b + wd ops (pc + 2)) y;
-        set_int t (b + wd ops (pc + 3)) z;
-        go (pc + 6)
-    | 51 (* mload.chk *) ->
-        let rp = b + wd ops (pc + 4) in
-        need_ptr t rp;
-        let i = get_int t (b + wd ops (pc + 5)) in
-        let buf = geti t rp and off = getib t rp + i in
-        let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 6)) in
-        check_access t ~kind:Racecheck.Write ~loc buf off;
-        let x, y, z = stored_dim3 (checked_load t ~loc buf off) in
-        set_int t (b + wd ops (pc + 1)) x;
-        set_int t (b + wd ops (pc + 2)) y;
-        set_int t (b + wd ops (pc + 3)) z;
-        go (pc + 7)
-    | 52 (* mstore.dim3 *) ->
-        let rp = b + wd ops (pc + 1) in
-        need_ptr t rp;
-        let i = get_int t (b + wd ops (pc + 2)) in
-        let buf = geti t rp and off = getib t rp + i in
-        let n = get_int t (b + wd ops (pc + 7)) in
-        let x = geti t (b + wd ops (pc + 4))
-        and y = geti t (b + wd ops (pc + 5))
-        and z = geti t (b + wd ops (pc + 6)) in
-        let d =
-          match Array.unsafe_get p.bp_spool (wd ops (pc + 3)) with
-          | "x" -> (n, y, z)
-          | "y" -> (x, n, z)
-          | "z" -> (x, y, n)
-          | f -> Value.error "dim3 has no member %S" f
-        in
-        Memory.store_at mem buf off (Value.Dim3 d);
-        go (pc + 8)
-    | 53 (* mstore.chk *) ->
-        let rp = b + wd ops (pc + 1) in
-        need_ptr t rp;
-        let i = get_int t (b + wd ops (pc + 2)) in
-        let buf = geti t rp and off = getib t rp + i in
-        let n = get_int t (b + wd ops (pc + 7)) in
-        let x = geti t (b + wd ops (pc + 4))
-        and y = geti t (b + wd ops (pc + 5))
-        and z = geti t (b + wd ops (pc + 6)) in
-        let d =
-          match Array.unsafe_get p.bp_spool (wd ops (pc + 3)) with
-          | "x" -> (n, y, z)
-          | "y" -> (x, n, z)
-          | "z" -> (x, y, n)
-          | f -> Value.error "dim3 has no member %S" f
-        in
-        let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 8)) in
-        checked_store t ~loc buf off (Value.Dim3 d);
-        go (pc + 9)
-    | 54 (* shared.hit *) -> (
-        match Hashtbl.find_opt t.blk.Runtime.shared (wd ops (pc + 2)) with
-        | Some ptr ->
-            set_ptr t (b + wd ops (pc + 1)) ptr;
-            go (wd ops (pc + 3))
-        | None -> go (pc + 4))
-    | 55 (* shared.new *) ->
-        let n = get_int t (b + wd ops (pc + 3)) in
-        let dv = Array.unsafe_get p.bp_vpool (wd ops (pc + 4)) in
-        let ptr = Memory.alloc mem n ~init:dv in
-        Hashtbl.add t.blk.Runtime.shared (wd ops (pc + 2)) ptr;
-        set_ptr t (b + wd ops (pc + 1)) ptr;
-        go (pc + 5)
-    | 56 (* launch.chk *) ->
-        let kernel = Array.unsafe_get p.bp_spool (wd ops (pc + 1)) in
-        let g = b + wd ops (pc + 2) in
-        let blkr = b + wd ops (pc + 3) in
-        Runtime.check_launch_shape t.blk.Runtime.cfg ~kernel
-          ~grid:(geti t g, getib t g, getic t g)
-          ~block:(geti t blkr, getib t blkr, getic t blkr);
-        go (pc + 4)
-    | 57 (* launch *) ->
-        let kernel = Array.unsafe_get p.bp_spool (wd ops (pc + 1)) in
-        let g = b + wd ops (pc + 2) in
-        let grid = (geti t g, getib t g, getic t g) in
-        let blkr = b + wd ops (pc + 3) in
-        let block = (geti t blkr, getib t blkr, getic t blkr) in
-        let nargs = wd ops (pc + 4) in
-        let rec collect i =
-          if i = nargs then [] else box t (b + wd ops (pc + 5 + i)) :: collect (i + 1)
-        in
-        let args = collect 0 in
-        t.blk.Runtime.launches <-
-          {
-            Runtime.lr_kernel = kernel;
-            lr_grid = grid;
-            lr_block = block;
-            lr_args = args;
-            lr_issue_cost = t.tot.(0);
-            lr_from_host = t.blk.Runtime.is_host_ctx;
-          }
-          :: t.blk.Runtime.launches;
-        go (pc + 5 + nargs)
-    | 58 (* sync *) ->
-        if t.blk.Runtime.is_host_ctx then go (pc + 1)
-        else begin
-          t.pc <- pc + 1;
-          t.status <- T_at_sync
-        end
-    (* Superinstructions — rotated-loop bottoms fused by the packer. Each
-       arm runs the exact sub-step bodies (charge, increment with opcode-12
-       Add semantics, fused compare-branch) in unfused order. *)
-    | 59 (* loop.cc: charge; d += 1; cmp.jt *) ->
-        charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
-        let d = b + wd ops (pc + 3) in
-        (match tag_of t d with
-        | 1 -> set_int t d (geti t d + 1)
-        | 2 -> set_float t d (getf t d +. 1.0)
+        t.pc <- pc + 4;
+        t.wdst <- b + wd ops (pc + 1);
+        t.status <-
+          T_at_warp { Runtime.wop; warg = box t (b + wd ops (pc + 3)) }
+      end
+  | 40 (* warp.bcast *) ->
+      if t.blk.Runtime.is_host_ctx then
+        Value.error "warp collective in host context"
+      else begin
+        let lane = geti t (b + wd ops (pc + 3)) in
+        t.pc <- pc + 4;
+        t.wdst <- b + wd ops (pc + 1);
+        t.status <-
+          T_at_warp
+            {
+              Runtime.wop = Runtime.W_bcast lane;
+              warg = box t (b + wd ops (pc + 2));
+            }
+      end
+  | 41 (* call *) ->
+      let callee = Array.unsafe_get p.bp_funcs (wd ops (pc + 2)) in
+      let nargs = wd ops (pc + 4) in
+      let nbase = t.base + t.nregs in
+      grow_regs t (nbase + callee.bf_nregs);
+      if callee.bf_nregs > 0 then
+        Bytes.fill t.tags nbase callee.bf_nregs '\000';
+      for i = 0 to nargs - 1 do
+        copy_reg t (nbase + i) (b + wd ops (pc + 5 + i))
+      done;
+      grow_stack t;
+      let dep = t.depth in
+      t.st_ret.(dep) <- pc + 5 + nargs;
+      t.st_base.(dep) <- t.base;
+      t.st_dst.(dep) <- b + wd ops (pc + 1);
+      t.st_nregs.(dep) <- t.nregs;
+      t.depth <- dep + 1;
+      t.base <- nbase;
+      t.nregs <- callee.bf_nregs;
+      if callee.bf_is_serial then
+        t.blk.Runtime.metrics.Metrics.serialized_launches <-
+          t.blk.Runtime.metrics.Metrics.serialized_launches + 1;
+      run p ops t (wd ops (pc + 3))
+  | 42 (* ret.unit *) ->
+      let ret = return t (-1) in
+      if ret >= 0 then run p ops t ret
+  | 43 (* ret *) ->
+      let ret = return t (wd ops (pc + 1)) in
+      if ret >= 0 then run p ops t ret
+  | 44 (* jump *) -> run p ops t (wd ops (pc + 1))
+  | 45 (* jfalse *) ->
+      run p ops t
+        (if get_bool t (b + wd ops (pc + 1)) then pc + 3 else wd ops (pc + 2))
+  | 46 (* jtrue *) ->
+      run p ops t
+        (if get_bool t (b + wd ops (pc + 1)) then wd ops (pc + 2) else pc + 3)
+  | 47 (* charge *) ->
+      charge_tag t (wd ops (pc + 1)) (pool_float p (wd ops (pc + 2)));
+      run p ops t (pc + 3)
+  | 48 (* split.dim3 *) ->
+      let r = b + wd ops (pc + 4) in
+      let x, y, z =
+        match tag_of t r with
+        | 4 -> (geti t r, getib t r, getic t r)
+        | 1 -> (geti t r, 1, 1)
+        | 0 -> (1, 1, 1)
         | _ ->
-            set_value t d
-              (Runtime.eval_binop Minicu.Ast.Add (box t d) (Value.Int 1)));
-        let ra = b + wd ops (pc + 5) and rb = b + wd ops (pc + 6) in
-        (* inline the dominant int-int Lt case (counting loops) *)
-        let taken =
-          if wd ops (pc + 4) = 5 && tag_of t ra = 1 && tag_of t rb = 1 then
-            geti t ra < geti t rb
-          else cmp2 t (Array.unsafe_get binop_tbl (wd ops (pc + 4))) ra rb
-        in
-        go (if taken then wd ops (pc + 7) else pc + 8)
-    | 60 (* loop.cci: charge; d += 1; cmp.jt.int *) ->
-        charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
-        let d = b + wd ops (pc + 3) in
-        (match tag_of t d with
-        | 1 -> set_int t d (geti t d + 1)
-        | 2 -> set_float t d (getf t d +. 1.0)
-        | _ ->
-            set_value t d
-              (Runtime.eval_binop Minicu.Ast.Add (box t d) (Value.Int 1)));
-        let ra = b + wd ops (pc + 5) in
-        (* inline the dominant int Lt case (counting loops) *)
-        let taken =
-          if wd ops (pc + 4) = 5 && tag_of t ra = 1 then
-            geti t ra < wd ops (pc + 6)
-          else
-            cmp1 t
-              (Array.unsafe_get binop_tbl (wd ops (pc + 4)))
-              ra
-              (wd ops (pc + 6))
-        in
-        go (if taken then wd ops (pc + 7) else pc + 8)
-    | 61 (* charge.jt: charge; cmp.jt *) ->
-        charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 3)) in
-        go
-          (if cmp2 t op (b + wd ops (pc + 4)) (b + wd ops (pc + 5)) then
-             wd ops (pc + 6)
-           else pc + 7)
-    | 62 (* charge.jti: charge; cmp.jt.int *) ->
-        charge_tag t (wd ops (pc + 1)) (Array.unsafe_get fpool (wd ops (pc + 2)));
-        let op = Array.unsafe_get binop_tbl (wd ops (pc + 3)) in
-        go
-          (if cmp1 t op (b + wd ops (pc + 4)) (wd ops (pc + 5)) then
-             wd ops (pc + 6)
-           else pc + 7)
-    (* Load superinstructions — an indexed load's operand coercions fused
-       with it by the packer. Each arm runs the unfused sub-steps in order,
-       register writes included. *)
-    | 63 (* as_ptr.ld: as_ptr tp; cast.int ti; load d, tp, ti *) ->
-        let rp = b + wd ops (pc + 2) in
-        need_ptr t rp;
-        let buf = geti t rp and off = getib t rp in
-        set_ptr_at t (b + wd ops (pc + 1)) buf off;
-        let i = get_int t (b + wd ops (pc + 4)) in
-        set_int t (b + wd ops (pc + 3)) i;
-        set_value t (b + wd ops (pc + 5)) (Memory.load_at mem buf (off + i));
-        go (pc + 6)
-    | 64 (* cast.ld: cast.int ti; load d, p, ti *) ->
-        let i = get_int t (b + wd ops (pc + 2)) in
-        set_int t (b + wd ops (pc + 1)) i;
-        let rp = b + wd ops (pc + 4) in
-        need_ptr t rp;
-        set_value t
-          (b + wd ops (pc + 3))
-          (Memory.load_at mem (geti t rp) (getib t rp + i));
-        go (pc + 5)
-    | 65 (* uniform.end *) ->
+            Value.error "member assignment on non-dim3 %a" Value.pp (box t r)
+      in
+      set_int t (b + wd ops (pc + 1)) x;
+      set_int t (b + wd ops (pc + 2)) y;
+      set_int t (b + wd ops (pc + 3)) z;
+      run p ops t (pc + 5)
+  | 49 (* set.dim3 *) ->
+      let n = get_int t (b + wd ops (pc + 6)) in
+      let x = geti t (b + wd ops (pc + 3))
+      and y = geti t (b + wd ops (pc + 4))
+      and z = geti t (b + wd ops (pc + 5)) in
+      let x, y, z =
+        match Array.unsafe_get p.bp_spool (wd ops (pc + 2)) with
+        | "x" -> (n, y, z)
+        | "y" -> (x, n, z)
+        | "z" -> (x, y, n)
+        | f -> Value.error "dim3 has no member %S" f
+      in
+      set_dim3_v t (b + wd ops (pc + 1)) x y z;
+      run p ops t (pc + 7)
+  | 50 (* mload.dim3 *) ->
+      let rp = b + wd ops (pc + 4) in
+      need_ptr t rp;
+      let i = get_int t (b + wd ops (pc + 5)) in
+      let x, y, z =
+        stored_dim3 (Memory.load_at (memory t) (geti t rp) (getib t rp + i))
+      in
+      set_int t (b + wd ops (pc + 1)) x;
+      set_int t (b + wd ops (pc + 2)) y;
+      set_int t (b + wd ops (pc + 3)) z;
+      run p ops t (pc + 6)
+  | 51 (* mload.chk *) ->
+      let rp = b + wd ops (pc + 4) in
+      need_ptr t rp;
+      let i = get_int t (b + wd ops (pc + 5)) in
+      let buf = geti t rp and off = getib t rp + i in
+      let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 6)) in
+      check_access t ~kind:Racecheck.Write ~loc buf off;
+      let x, y, z = stored_dim3 (checked_load t ~loc buf off) in
+      set_int t (b + wd ops (pc + 1)) x;
+      set_int t (b + wd ops (pc + 2)) y;
+      set_int t (b + wd ops (pc + 3)) z;
+      run p ops t (pc + 7)
+  | 52 (* mstore.dim3 *) ->
+      let rp = b + wd ops (pc + 1) in
+      need_ptr t rp;
+      let i = get_int t (b + wd ops (pc + 2)) in
+      let buf = geti t rp and off = getib t rp + i in
+      let n = get_int t (b + wd ops (pc + 7)) in
+      let x = geti t (b + wd ops (pc + 4))
+      and y = geti t (b + wd ops (pc + 5))
+      and z = geti t (b + wd ops (pc + 6)) in
+      let d =
+        match Array.unsafe_get p.bp_spool (wd ops (pc + 3)) with
+        | "x" -> (n, y, z)
+        | "y" -> (x, n, z)
+        | "z" -> (x, y, n)
+        | f -> Value.error "dim3 has no member %S" f
+      in
+      Memory.store_at (memory t) buf off (Value.Dim3 d);
+      run p ops t (pc + 8)
+  | 53 (* mstore.chk *) ->
+      let rp = b + wd ops (pc + 1) in
+      need_ptr t rp;
+      let i = get_int t (b + wd ops (pc + 2)) in
+      let buf = geti t rp and off = getib t rp + i in
+      let n = get_int t (b + wd ops (pc + 7)) in
+      let x = geti t (b + wd ops (pc + 4))
+      and y = geti t (b + wd ops (pc + 5))
+      and z = geti t (b + wd ops (pc + 6)) in
+      let d =
+        match Array.unsafe_get p.bp_spool (wd ops (pc + 3)) with
+        | "x" -> (n, y, z)
+        | "y" -> (x, n, z)
+        | "z" -> (x, y, n)
+        | f -> Value.error "dim3 has no member %S" f
+      in
+      let loc = Array.unsafe_get p.bp_lpool (wd ops (pc + 8)) in
+      checked_store t ~loc buf off (Value.Dim3 d);
+      run p ops t (pc + 9)
+  | 54 (* shared.hit *) -> (
+      match Hashtbl.find_opt t.blk.Runtime.shared (wd ops (pc + 2)) with
+      | Some ptr ->
+          set_ptr t (b + wd ops (pc + 1)) ptr;
+          run p ops t (wd ops (pc + 3))
+      | None -> run p ops t (pc + 4))
+  | 55 (* shared.new *) ->
+      let n = get_int t (b + wd ops (pc + 3)) in
+      let dv = Array.unsafe_get p.bp_vpool (wd ops (pc + 4)) in
+      let ptr = Memory.alloc (memory t) n ~init:dv in
+      Hashtbl.add t.blk.Runtime.shared (wd ops (pc + 2)) ptr;
+      set_ptr t (b + wd ops (pc + 1)) ptr;
+      run p ops t (pc + 5)
+  | 56 (* launch.chk *) ->
+      let kernel = Array.unsafe_get p.bp_spool (wd ops (pc + 1)) in
+      let g = b + wd ops (pc + 2) in
+      let blkr = b + wd ops (pc + 3) in
+      Runtime.check_launch_shape t.blk.Runtime.cfg ~kernel
+        ~grid:(geti t g, getib t g, getic t g)
+        ~block:(geti t blkr, getib t blkr, getic t blkr);
+      run p ops t (pc + 4)
+  | 57 (* launch *) ->
+      let kernel = Array.unsafe_get p.bp_spool (wd ops (pc + 1)) in
+      let g = b + wd ops (pc + 2) in
+      let grid = (geti t g, getib t g, getic t g) in
+      let blkr = b + wd ops (pc + 3) in
+      let block = (geti t blkr, getib t blkr, getic t blkr) in
+      let nargs = wd ops (pc + 4) in
+      let rec collect i =
+        if i = nargs then []
+        else box t (b + wd ops (pc + 5 + i)) :: collect (i + 1)
+      in
+      let args = collect 0 in
+      t.blk.Runtime.launches <-
+        {
+          Runtime.lr_kernel = kernel;
+          lr_grid = grid;
+          lr_block = block;
+          lr_args = args;
+          lr_issue_cost = t.tot.(0);
+          lr_from_host = t.blk.Runtime.is_host_ctx;
+        }
+        :: t.blk.Runtime.launches;
+      run p ops t (pc + 5 + nargs)
+  | 58 (* sync *) ->
+      if t.blk.Runtime.is_host_ctx then run p ops t (pc + 1)
+      else begin
         t.pc <- pc + 1;
-        t.status <- T_at_prefix_end
-    | _ -> assert false
-  in
-  go t.pc
+        t.status <- T_at_sync
+      end
+  (* Superinstructions — rotated-loop bottoms fused by the packer. Each
+     arm runs the exact sub-step bodies (charge, increment with opcode-12
+     Add semantics, fused compare-branch) in unfused order. *)
+  | 59 (* loop.cc: charge; d += 1; cmp.jt *) ->
+      charge_tag t (wd ops (pc + 1)) (pool_float p (wd ops (pc + 2)));
+      let d = b + wd ops (pc + 3) in
+      (match tag_of t d with
+      | 1 -> set_int t d (geti t d + 1)
+      | 2 -> set_float t d (getf t d +. 1.0)
+      | _ ->
+          set_value t d
+            (Runtime.eval_binop Minicu.Ast.Add (box t d) (Value.Int 1)));
+      let ra = b + wd ops (pc + 5) and rb = b + wd ops (pc + 6) in
+      (* inline the dominant int-int Lt case (counting loops) *)
+      let taken =
+        if wd ops (pc + 4) = 5 && tag_of t ra = 1 && tag_of t rb = 1 then
+          geti t ra < geti t rb
+        else cmp2 t (Array.unsafe_get binop_tbl (wd ops (pc + 4))) ra rb
+      in
+      run p ops t (if taken then wd ops (pc + 7) else pc + 8)
+  | 60 (* loop.cci: charge; d += 1; cmp.jt.int *) ->
+      charge_tag t (wd ops (pc + 1)) (pool_float p (wd ops (pc + 2)));
+      let d = b + wd ops (pc + 3) in
+      (match tag_of t d with
+      | 1 -> set_int t d (geti t d + 1)
+      | 2 -> set_float t d (getf t d +. 1.0)
+      | _ ->
+          set_value t d
+            (Runtime.eval_binop Minicu.Ast.Add (box t d) (Value.Int 1)));
+      let ra = b + wd ops (pc + 5) in
+      (* inline the dominant int Lt case (counting loops) *)
+      let taken =
+        if wd ops (pc + 4) = 5 && tag_of t ra = 1 then
+          geti t ra < wd ops (pc + 6)
+        else
+          cmp1 t
+            (Array.unsafe_get binop_tbl (wd ops (pc + 4)))
+            ra
+            (wd ops (pc + 6))
+      in
+      run p ops t (if taken then wd ops (pc + 7) else pc + 8)
+  | 61 (* charge.jt: charge; cmp.jt *) ->
+      charge_tag t (wd ops (pc + 1)) (pool_float p (wd ops (pc + 2)));
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 3)) in
+      run p ops t
+        (if cmp2 t op (b + wd ops (pc + 4)) (b + wd ops (pc + 5)) then
+           wd ops (pc + 6)
+         else pc + 7)
+  | 62 (* charge.jti: charge; cmp.jt.int *) ->
+      charge_tag t (wd ops (pc + 1)) (pool_float p (wd ops (pc + 2)));
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 3)) in
+      run p ops t
+        (if cmp1 t op (b + wd ops (pc + 4)) (wd ops (pc + 5)) then
+           wd ops (pc + 6)
+         else pc + 7)
+  (* Load superinstructions — an indexed load's operand coercions fused
+     with it by the packer. Each arm runs the unfused sub-steps in order,
+     register writes included. *)
+  | 63 (* as_ptr.ld: as_ptr tp; cast.int ti; load d, tp, ti *) ->
+      let rp = b + wd ops (pc + 2) in
+      need_ptr t rp;
+      let buf = geti t rp and off = getib t rp in
+      set_ptr_at t (b + wd ops (pc + 1)) buf off;
+      let i = get_int t (b + wd ops (pc + 4)) in
+      set_int t (b + wd ops (pc + 3)) i;
+      let off = off + i in
+      load_into t (b + wd ops (pc + 5)) buf off;
+      run p ops t (pc + 6)
+  | 64 (* cast.ld: cast.int ti; load d, p, ti *) ->
+      let i = get_int t (b + wd ops (pc + 2)) in
+      set_int t (b + wd ops (pc + 1)) i;
+      let rp = b + wd ops (pc + 4) in
+      need_ptr t rp;
+      let buf = geti t rp and off = getib t rp + i in
+      load_into t (b + wd ops (pc + 3)) buf off;
+      run p ops t (pc + 5)
+  | 65 (* uniform.end *) ->
+      t.pc <- pc + 1;
+      t.status <- T_at_prefix_end
+  (* A basic block's charges, carried into its terminator by the packer
+     (61 and 62 above are the cmp.jt forms). *)
+  | 66 (* charge.jf: charge; cmp.jf *) ->
+      charge_tag t (wd ops (pc + 1)) (pool_float p (wd ops (pc + 2)));
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 3)) in
+      run p ops t
+        (if cmp2 t op (b + wd ops (pc + 4)) (b + wd ops (pc + 5)) then pc + 7
+         else wd ops (pc + 6))
+  | 67 (* charge.jfi: charge; cmp.jf.int *) ->
+      charge_tag t (wd ops (pc + 1)) (pool_float p (wd ops (pc + 2)));
+      let op = Array.unsafe_get binop_tbl (wd ops (pc + 3)) in
+      run p ops t
+        (if cmp1 t op (b + wd ops (pc + 4)) (wd ops (pc + 5)) then pc + 7
+         else wd ops (pc + 6))
+  | 68 (* charge.jump *) ->
+      charge_tag t (wd ops (pc + 1)) (pool_float p (wd ops (pc + 2)));
+      run p ops t (wd ops (pc + 3))
+  | 69 (* charge.ret *) ->
+      charge_tag t (wd ops (pc + 1)) (pool_float p (wd ops (pc + 2)));
+      let ret = return t (wd ops (pc + 3)) in
+      if ret >= 0 then run p ops t ret
+  | _ -> assert false
+
+let interp (p : Bytecode.prog) (t : thread) = run p p.bp_ops t t.pc
 
 (* ------------------------------------------------------------------ *)
 (* Thread pool (per-scheduler scratch arena)                           *)
@@ -1142,14 +1191,36 @@ let make_thread (blk : Runtime.bctx) : thread =
 (* [saved] and [gens] hold what a block's first thread had at the end of
    the kernel's block-uniform prefix: the prefix's registers and the
    costs (in [saved]), and per loaded-through parameter its buffer id and
-   that buffer's write generation (two ints each, in [gens]). *)
+   that buffer's write generation (two ints each, in [gens]). [tidxs] is
+   the [threadIdx] of each thread of a [tshape] block. *)
 type scratch = {
   mutable threads : thread array;
   mutable saved : thread option;
   mutable gens : int array;
+  mutable tidxs : (int * int * int) array;
+  mutable tshape : int * int * int;
 }
 
-let create_scratch () = { threads = [||]; saved = None; gens = [||] }
+let create_scratch () =
+  {
+    threads = [||];
+    saved = None;
+    gens = [||];
+    tidxs = [||];
+    tshape = (0, 0, 0);
+  }
+
+(* The [threadIdx] tuples of a [bdim] block, built once per block shape
+   so that starting a thread allocates nothing. *)
+let thread_indices (s : scratch) ((bx, by, bz) as bdim) =
+  let sx, sy, sz = s.tshape in
+  if sx <> bx || sy <> by || sz <> bz then begin
+    s.tidxs <-
+      Array.init (bx * by * bz) (fun i ->
+          (i mod bx, i / bx mod by, i / (bx * by)));
+    s.tshape <- bdim
+  end;
+  s.tidxs
 
 let ensure_threads (s : scratch) (blk : Runtime.bctx) n =
   let have = Array.length s.threads in
@@ -1176,7 +1247,9 @@ let reset_thread (t : thread) (blk : Runtime.bctx) ~tidx ~default_idx ~entry
   grow_regs t nregs;
   t.nregs <- nregs;
   Bytes.fill t.tags 0 nregs '\000';
-  Array.iteri (fun i v -> set_value t i v) args;
+  for i = 0 to Array.length args - 1 do
+    set_value t i (Array.unsafe_get args i)
+  done;
   t.status <- T_not_started;
   t.wdst <- 0
 
@@ -1278,9 +1351,9 @@ let run_block (s : scratch) (p : Bytecode.prog) (kernel : Bytecode.func)
   let threads = s.threads in
   let nregs = max kernel.bf_nregs 1 in
   let entry = p.bp_woff.(kernel.bf_entry) in
+  let tidxs = thread_indices s bdim in
   for i = 0 to nthreads - 1 do
-    let tx = i mod bx and ty = i / bx mod by and tz = i / (bx * by) in
-    reset_thread threads.(i) blk ~tidx:(tx, ty, tz) ~default_idx ~entry ~nregs
+    reset_thread threads.(i) blk ~tidx:tidxs.(i) ~default_idx ~entry ~nregs
       ~args:arg_values
   done;
   (* The kernel's block-uniform prefix runs once per block: the first
