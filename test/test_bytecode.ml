@@ -1059,9 +1059,176 @@ __global__ void k(int* o) {
       ~cfg:checked ~block:(32, 1, 1) ~kernel:"k" ~mk_args:typed_args typed_src;
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Layer 9: charges survive packing                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Opcode words of the packed stream, one per dispatch, found by walking
+   it with [Bytecode.packed_width]. *)
+let packed_ops (p : Bytecode.prog) =
+  let rec walk w acc =
+    if w >= Array.length p.bp_ops then List.rev acc
+    else walk (w + Bytecode.packed_width p.bp_ops w) (p.bp_ops.(w) :: acc)
+  in
+  walk 0 []
+
+(* The packed opcodes that charge: [charge], the [loop.cc] forms and the
+   charges carried into a compare-branch, jump or return. All read their
+   tag and pool amount from the two words after the opcode. *)
+let charging_ops = [ 47; 59; 60; 61; 62; 66; 67; 68; 69 ]
+
+(* Cycles per tag charged by the packed words [lo, hi). *)
+let packed_charges (p : Bytecode.prog) lo hi =
+  let acc = Array.make Metrics.num_tags 0.0 in
+  let w = ref lo in
+  while !w < hi do
+    if List.mem p.bp_ops.(!w) charging_ops then begin
+      let tag = p.bp_ops.(!w + 1) in
+      acc.(tag) <- acc.(tag) +. p.bp_fpool.(p.bp_ops.(!w + 2))
+    end;
+    w := !w + Bytecode.packed_width p.bp_ops !w
+  done;
+  if !w <> hi then Alcotest.failf "words [%d, %d) decode past %d" lo hi hi;
+  acc
+
+(* Cycles per tag charged by the instructions [lo, hi) of [bp_code]. *)
+let logical_charges (p : Bytecode.prog) lo hi =
+  let acc = Array.make Metrics.num_tags 0.0 in
+  for i = lo to hi - 1 do
+    match p.bp_code.(i) with
+    | Bytecode.I_charge (tag, c) -> acc.(tag) <- acc.(tag) +. c
+    | _ -> ()
+  done;
+  acc
+
+(* Cut points of [bp_code]: function and followup entries, prefix ends
+   and jump targets; after every branch, jump and return; and on both
+   sides of every call, launch, launch check, warp op, sync and
+   [shared.hit]. A charge may move within a span between two cuts and
+   nowhere else. *)
+let charge_cuts (p : Bytecode.prog) =
+  let n = Array.length p.bp_code in
+  let cut = Array.make (n + 1) false in
+  cut.(0) <- true;
+  cut.(n) <- true;
+  Array.iter
+    (fun (f : Bytecode.func) ->
+      cut.(f.bf_entry) <- true;
+      Option.iter (fun e -> cut.(e) <- true) f.bf_followup;
+      Option.iter
+        (fun (u : Bytecode.uniform) -> cut.(u.u_end) <- true)
+        f.bf_uniform)
+    p.bp_funcs;
+  Array.iteri
+    (fun i ins ->
+      match (ins : Bytecode.instr) with
+      | I_cmp_jf (_, _, _, tg)
+      | I_cmp_jf_int (_, _, _, tg)
+      | I_cmp_jt (_, _, _, tg)
+      | I_cmp_jt_int (_, _, _, tg)
+      | I_jump tg
+      | I_jump_if_false (_, tg)
+      | I_jump_if_true (_, tg) ->
+          cut.(tg) <- true;
+          cut.(i + 1) <- true
+      | I_shared_hit (_, _, tg) ->
+          cut.(tg) <- true;
+          cut.(i) <- true;
+          cut.(i + 1) <- true
+      | I_ret _ | I_ret_unit -> cut.(i + 1) <- true
+      | I_call _ | I_launch _ | I_launch_check _ | I_warp _ | I_warp_bcast _
+      | I_sync ->
+          cut.(i) <- true;
+          cut.(i + 1) <- true
+      | _ -> ())
+    p.bp_code;
+  cut
+
+(* Every span between consecutive cuts charges the same cycles per tag in
+   [bp_ops] as in [bp_code]. *)
+let check_charges label (p : Bytecode.prog) =
+  let cut = charge_cuts p in
+  let tags a =
+    String.concat " "
+      (List.filter_map
+         (fun (tag, c) -> if c = 0.0 then None else Some (Fmt.str "%d:%g" tag c))
+         (List.mapi (fun tag c -> (tag, c)) (Array.to_list a)))
+  in
+  let lo = ref 0 in
+  for i = 1 to Array.length p.bp_code do
+    if cut.(i) then begin
+      let logical = logical_charges p !lo i
+      and packed = packed_charges p p.bp_woff.(!lo) p.bp_woff.(i) in
+      if logical <> packed then
+        Alcotest.failf "%s: instructions [%d, %d) charge {%s}, packed {%s}" label
+          !lo i (tags logical) (tags packed);
+      lo := i
+    end
+  done
+
+let conservation_tests =
+  let compile cfg prog = Bytecode.compile cfg prog in
+  let checked = { Config.default with check = true } in
+  [
+    t "charges: every corpus fixture, unchecked and checked" (fun () ->
+        List.iter
+          (fun file ->
+            let src =
+              Test_corpus.read_file (Filename.concat Test_corpus.corpus_dir file)
+            in
+            let prog = Minicu.Parser.program ~file src in
+            check_charges file (compile Config.default prog);
+            check_charges (file ^ " (checked)") (compile checked prog))
+          Test_corpus.fixtures);
+    t "charges: every Small-registry program under all 8 combinations"
+      (fun () ->
+        let seen = Hashtbl.create 8 in
+        List.iter
+          (fun (spec : Benchmarks.Bench_common.spec) ->
+            if not (Hashtbl.mem seen spec.name) then begin
+              Hashtbl.add seen spec.name ();
+              check_charges (spec.name ^ " no-CDP")
+                (compile Config.default (Minicu.Parser.program spec.no_cdp_src));
+              List.iter
+                (fun (label, opts) ->
+                  let r =
+                    Dpopt.Pipeline.run ~opts (Minicu.Parser.program spec.cdp_src)
+                  in
+                  check_charges
+                    (Fmt.str "%s %s" spec.name label)
+                    (compile Config.default r.prog))
+                (Dpopt.Pipeline.enumerate ())
+            end)
+          (Benchmarks.Registry.all ~size:Benchmarks.Registry.Small ()));
+    (* Where the charges go: a branch's block charges in its compare, the
+       last block in its return, and a launch's charge stays before it. *)
+    t "charges ride their block's branch and return, not a launch" (fun () ->
+        let ops src =
+          packed_ops (compile Config.default (Minicu.Parser.program src))
+        in
+        let branch =
+          ops
+            "__global__ void k(int* o, int n) { if (n > 0) { o[0] = 1; \
+             return; } o[1] = 2; }"
+        in
+        Alcotest.(check (list int))
+          "charge.jfi, a store, charge.ret, a store, charge.ret"
+          [ 67; 22; 1; 1; 26; 69; 22; 1; 1; 26; 69 ]
+          branch;
+        let launch =
+          ops
+            {|
+__global__ void c(int* o) { o[0] = 1; }
+__global__ void k(int* o) { o[1] = 2; c<<<1, 1>>>(o); }
+|}
+        in
+        Alcotest.(check bool) "a standalone charge before the launch" true
+          (List.mem 47 launch));
+  ]
+
 let suite =
   disasm_tests @ edge_tests @ sanitizer_tests @ tiny_tests @ small_tests
   @ List.map corpus_digest corpus_runs
   @ [ corpus_coverage ] @ fusion_tests @ sampled_tests @ accounting_tests
   @ granularity_tests @ prefix_tests @ [ prefix_structure_test ]
-  @ rewrite_tests
+  @ rewrite_tests @ conservation_tests
