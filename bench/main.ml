@@ -106,23 +106,30 @@ let micro () =
 (* Engine smoke: the VM's allocation gate                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic acceptance gate of the [@ir] alias. On six loop micro
+(* Deterministic acceptance gate of the [@ir] alias. On nine loop micro
    kernels, every output must equal its closed-form value, and one launch
    must allocate no more minor-heap words at twice the loop trip count
-   than at the trip count itself: the VM's steady state allocates nothing
-   per loop iteration, neither in its registers nor on the memory path.
-   [count-loop], [int-accumulate] and [uniform-prefix] loop before any
-   [threadIdx] read, in a block-uniform prefix (Bytecode.uniform), so one
-   thread of the 256-thread block runs the loop and the others copy its
-   state; [uniform-prefix] loads from the host buffer [keys], which no
-   thread writes. [load-local], [load-expr] and [load-addr] read the
-   256-element buffer [out] every iteration and still loop in all 256
-   threads: [load-local] reads [threadIdx] first, [load-expr] loads from
-   the buffer every thread then stores to, and [load-addr] loads through a
-   pointer formed with [&]. The trip count is BYTECODE_SMOKE_ITERS (see
-   Harness.Env). *)
+   than at the trip count itself, and at most [launch_words] at either:
+   the VM's steady state allocates nothing per loop iteration, neither in
+   its registers nor on the memory path, and starting a thread allocates
+   nothing either (a 256-thread launch allocates about 800 words, all
+   per block and per grid). [count-loop], [int-accumulate] and
+   [uniform-prefix] loop before any [threadIdx] read, in a block-uniform
+   prefix (Bytecode.uniform), so one thread of the 256-thread block runs
+   the loop and the others copy its state; [uniform-prefix] loads from
+   the host buffer [keys], which no thread writes. The other six loop in
+   all 256 threads, after a [threadIdx] read or a store to a buffer the
+   loop reads. [load-local], [load-expr] and [load-addr] read the
+   256-element boxed buffer [out] every iteration: [load-local] reads
+   [threadIdx] first, [load-expr] loads from the buffer every thread then
+   stores to, and [load-addr] loads through a pointer formed with [&].
+   [dim3-local] reads a component of a dim3 local, and [load-wide] and
+   [store-wide] load from and store to [wide], a 2048-element buffer with
+   typed (unboxed int) storage. The trip count is BYTECODE_SMOKE_ITERS
+   (see Harness.Env). *)
 let engine_smoke () =
   let iters = Harness.Env.get "BYTECODE_SMOKE_ITERS" in
+  let launch_words = 1024. in
   (* [uniform-prefix]'s block-wide total: iteration k finds the first of
      keys = 0, 2, 4, ... above k & 255. *)
   let searched n =
@@ -137,7 +144,7 @@ let engine_smoke () =
       (* the rotated-loop bottom is one fused VM dispatch *)
       ( "count-loop",
         {|
-__global__ void micro(int* out, int iters, int* keys) {
+__global__ void micro(int* out, int iters, int* keys, int* wide) {
   int s = 0;
   for (int k = 0; k < iters; k = k + 1) { }
   out[threadIdx.x] = s;
@@ -147,7 +154,7 @@ __global__ void micro(int* out, int iters, int* keys) {
       (* one arithmetic instruction per iteration *)
       ( "int-accumulate",
         {|
-__global__ void micro(int* out, int iters, int* keys) {
+__global__ void micro(int* out, int iters, int* keys, int* wide) {
   int s = 0;
   for (int k = 0; k < iters; k = k + 1) { s = s + k; }
   out[threadIdx.x] = s;
@@ -157,7 +164,7 @@ __global__ void micro(int* out, int iters, int* keys) {
       (* one indexed load per iteration, fused with both operand coercions *)
       ( "load-local",
         {|
-__global__ void micro(int* out, int iters, int* keys) {
+__global__ void micro(int* out, int iters, int* keys, int* wide) {
   int s = 0;
   int j = threadIdx.x;
   for (int k = 0; k < iters; k = k + 1) { s = s + out[j]; }
@@ -168,7 +175,7 @@ __global__ void micro(int* out, int iters, int* keys) {
       (* an index expression between the pointer and index coercions *)
       ( "load-expr",
         {|
-__global__ void micro(int* out, int iters, int* keys) {
+__global__ void micro(int* out, int iters, int* keys, int* wide) {
   int s = 0;
   for (int k = 0; k < iters; k = k + 1) { s = s + out[k & 255]; }
   out[threadIdx.x] = s;
@@ -178,7 +185,7 @@ __global__ void micro(int* out, int iters, int* keys) {
       (* a pointer formed with & and loaded through *)
       ( "load-addr",
         {|
-__global__ void micro(int* out, int iters, int* keys) {
+__global__ void micro(int* out, int iters, int* keys, int* wide) {
   int s = 0;
   for (int k = 0; k < iters; k = k + 1) {
     int* q = &out[k & 255];
@@ -193,7 +200,7 @@ __global__ void micro(int* out, int iters, int* keys) {
          store *)
       ( "uniform-prefix",
         {|
-__global__ void micro(int* out, int iters, int* keys) {
+__global__ void micro(int* out, int iters, int* keys, int* wide) {
   int s = 0;
   for (int k = 0; k < iters; k = k + 1) {
     int lo = 0;
@@ -208,6 +215,38 @@ __global__ void micro(int* out, int iters, int* keys) {
 }
 |},
         fun n tid -> searched n + tid );
+      (* one dim3 component read per iteration *)
+      ( "dim3-local",
+        {|
+__global__ void micro(int* out, int iters, int* keys, int* wide) {
+  int s = 0;
+  dim3 d = dim3(threadIdx.x, 2, 3);
+  for (int k = 0; k < iters; k = k + 1) { s = s + d.x; }
+  out[threadIdx.x] = s;
+}
+|},
+        fun n tid -> n * tid );
+      (* one load from typed storage per iteration *)
+      ( "load-wide",
+        {|
+__global__ void micro(int* out, int iters, int* keys, int* wide) {
+  int s = 0;
+  int j = threadIdx.x;
+  for (int k = 0; k < iters; k = k + 1) { s = s + wide[j]; }
+  out[threadIdx.x] = s;
+}
+|},
+        fun n tid -> n * tid );
+      (* one store to typed storage per iteration *)
+      ( "store-wide",
+        {|
+__global__ void micro(int* out, int iters, int* keys, int* wide) {
+  int j = threadIdx.x;
+  for (int k = 0; k < iters; k = k + 1) { wide[j + 256] = k; }
+  out[threadIdx.x] = wide[j + 256];
+}
+|},
+        fun n _ -> n - 1 );
     ]
   in
   (* Minor words allocated by one launch at trip count [n], measured after
@@ -218,10 +257,11 @@ __global__ void micro(int* out, int iters, int* keys) {
     Gpusim.Device.load_program dev (Minicu.Parser.program src);
     let out = Gpusim.Device.alloc_int_zeros dev 256 in
     let keys = Gpusim.Device.alloc_ints dev (Array.init 256 (fun i -> 2 * i)) in
+    let wide = Gpusim.Device.alloc_ints dev (Array.init 2048 Fun.id) in
     let launch () =
       Gpusim.Device.launch dev ~kernel:"micro" ~grid:(1, 1, 1)
         ~block:(256, 1, 1)
-        ~args:Gpusim.Value.[ Ptr out; Int n; Ptr keys ];
+        ~args:Gpusim.Value.[ Ptr out; Int n; Ptr keys; Ptr wide ];
       ignore (Gpusim.Device.sync dev)
     in
     launch ();
@@ -241,15 +281,18 @@ __global__ void micro(int* out, int iters, int* keys) {
       let w1, ok1 = measure src expected iters in
       let w2, ok2 = measure src expected (2 * iters) in
       let pinned = ok1 && ok2 in
-      if w2 > w1 || not pinned then gate_ok := false;
+      if w2 > w1 || w1 > launch_words || w2 > launch_words || not pinned then
+        gate_ok := false;
       Printf.printf "%-16s %12.0f %12.0f %s\n" name w1 w2
         (if pinned then "pinned" else "MISMATCH"))
     kernels;
   if not !gate_ok then begin
     Printf.printf
       "engine smoke FAILED: a launch allocates more at 2x the trip count \
-       (per-iteration allocation in the VM), or an output differs from its \
-       pinned value\n";
+       (per-iteration allocation in the VM) or more than %.0f words \
+       (per-thread allocation), or an output differs from its pinned \
+       value\n"
+      launch_words;
     exit 1
   end
 
