@@ -478,17 +478,14 @@ and lower_dim3_operands env (x, y, z) =
 and lower_component env dst (x, y, z) f =
   let comps = [| x; y; z |] in
   let k = match f with "x" -> 0 | "y" -> 1 | _ -> 2 in
-  let later = ref false in
-  for i = 0 to k - 1 do
-    if not (is_literal comps.(i)) then later := true
-  done;
+  let later = Array.exists (fun c -> not (is_literal c)) (Array.sub comps 0 k) in
   let r = ref (-1) in
   for i = 2 downto 0 do
     let c = comps.(i) in
     if i = k then
       r :=
         match dst with
-        | Some d when not !later ->
+        | Some d when not later ->
             (if yields_int c then lower_into env d c
              else
                let rc = lower_expr env c in
@@ -1365,7 +1362,7 @@ let pack_width = function
   | I_ret _ -> 2
   | I_jump _ -> 2
   | I_jump_if_false _ | I_jump_if_true _ -> 3
-  | I_charge _ -> 3
+  | I_charge _ -> 0 (* carried; see [pack] *)
   | I_split_dim3 _ -> 5
   | I_set_dim3 _ -> 7
   | I_member_load_dim (_, _, _, _, _, c) -> (
@@ -1528,7 +1525,6 @@ let pack (code : instr array) (funcs : func array) =
     | 64 -> 5
     | _ -> (
         match code.(i) with
-        | I_charge _ -> 0
         | I_ret_unit when ctag.(i) >= 0 -> 4
         | ins -> pack_width ins + if ctag.(i) >= 0 then 2 else 0)
   in

@@ -5,10 +5,12 @@
     byte per register (unit/int/float/bool/dim3/ptr) with payload lanes in
     parallel [int] and [float] arrays. A pointer is its buffer id and
     element offset in the [ia]/[ib] lanes, and every memory access passes
-    those two ints straight to {!Memory}: no pointer record is built. A
-    {!Value.t} is boxed where one crosses the engine's edges — the element
-    a store writes or an atomic combines, a load from typed storage (boxed
-    storage hands back the value it holds), kernel arguments, launch
+    those two ints straight to {!Memory}: no pointer record is built. An
+    int or float moves between typed storage and a register's lanes
+    unboxed, both ways, and a dim3 register's component is read from its
+    lanes. A {!Value.t} is boxed where one crosses the engine's edges — a
+    value stored into boxed storage (boxed storage hands back the value it
+    holds), an atomic's operands and old value, kernel arguments, launch
     requests, warp collectives — and on coercion-error paths.
 
     The interpreter dispatches on the packed word stream
@@ -16,7 +18,11 @@
     decoding an instruction is a handful of adjacent [int array] loads with
     no per-instruction heap block to chase. Jump targets (and the program
     counter) are word offsets; float/string/value/location operands come
-    from the program's side pools.
+    from the program's side pools. A charge the packer carried into a
+    compare-branch, jump or return is charged first, then the branch
+    runs: the costs are read only at a launch, at a block-uniform
+    prefix's end and when the block ends, none of which it was carried
+    past.
 
     Threads are explicit state machines (program counter, frame base, call
     stack): a thread runs until it finishes or parks at a barrier or warp
@@ -52,11 +58,13 @@
     run their prefixes themselves.
 
     Per-block metadata lives in a {!scratch} arena owned by the scheduler:
-    thread records, register banks and call stacks are preallocated and
-    reused across blocks, so a launch allocates nothing per loop
-    iteration (the [@ir] gate checks that it allocates no more at twice
-    the trip count); what it does allocate is per block and per boxed
-    value crossing the edges above. *)
+    thread records, register banks, call stacks and each block shape's
+    [threadIdx] tuples are preallocated and reused across blocks, and the
+    dispatch loop ([run]) is a top-level function, so neither starting a
+    thread nor a loop iteration allocates (the [@ir] gate checks that a
+    launch allocates no more at twice the trip count, and at most 1,024
+    words per 256 threads); what a launch does allocate is per block and
+    per boxed value crossing the edges above. *)
 
 open Bytecode
 
