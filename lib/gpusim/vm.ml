@@ -282,12 +282,14 @@ let access_failed (t : thread) ~loc msg =
     t.blk.Runtime.metrics.Metrics.oob_detected + 1;
   raise (Value.Runtime_error (Fmt.str "%a: %s" Minicu.Loc.pp loc msg))
 
+let[@inline] memory (t : thread) = t.blk.Runtime.mem
+
 let checked_load (t : thread) ~loc buf off =
-  try Memory.load_at t.blk.Runtime.mem buf off
+  try Memory.load_at (memory t) buf off
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
 let checked_store (t : thread) ~loc buf off v =
-  try Memory.store_at t.blk.Runtime.mem buf off v
+  try Memory.store_at (memory t) buf off v
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
 (* The typed memory path: register [d] <- element [off] of [storage], and
@@ -300,17 +302,17 @@ let[@inline] load_reg (t : thread) d off = function
   | Memory.Boxed a -> set_value t d (Array.unsafe_get a off)
 
 let load_into (t : thread) d buf off =
-  load_reg t d off (Memory.storage_at t.blk.Runtime.mem buf off)
+  load_reg t d off (Memory.storage_at (memory t) buf off)
 
 let store_reg (t : thread) buf off r =
-  let mem = t.blk.Runtime.mem in
+  let mem = memory t in
   match tag_of t r with
   | 1 -> Memory.store_int_at mem buf off (geti t r)
   | 2 -> Memory.store_float_at mem buf off t.fa r
   | _ -> Memory.store_at mem buf off (box t r)
 
 let checked_storage (t : thread) ~loc buf off =
-  try Memory.storage_at t.blk.Runtime.mem buf off
+  try Memory.storage_at (memory t) buf off
   with Value.Runtime_error msg -> access_failed t ~loc msg
 
 (* Component [k] (0/1/2 for x/y/z) of a dim3, from its three parts. *)
@@ -430,7 +432,6 @@ let cmp1 (t : thread) op ra n : bool =
   | _ -> Value.as_bool (Runtime.eval_binop op (box t ra) (Value.Int n))
 
 let[@inline] pool_float (p : Bytecode.prog) i = Array.unsafe_get p.bp_fpool i
-let[@inline] memory (t : thread) = t.blk.Runtime.mem
 
 (* Return from the current frame with register [r]'s value (unit if
    [r < 0]): the caller's pc, or -1 once the thread is done. *)

@@ -1,7 +1,7 @@
 (* The bytecode VM's golden suite: everything the simulator's execution
    engine must keep producing, pinned as checked-in values.
 
-   Seven layers, the first five ordered by how bugs have historically
+   Nine layers, the first five ordered by how bugs have historically
    surfaced:
 
      1. golden disassembly of the corpus fixtures — ISA/encoding changes
@@ -30,10 +30,16 @@
      7. block-uniform prefixes — kernels that open with a loop reading no
         [threadIdx], whose runs the VM shortens by running that loop once
         per block, unchecked and checked, and which kernels have such a
-        prefix.
+        prefix;
+     8. the rewritten dispatch paths — [dim3(...).f] projections, operand
+        coercions, charges around branches, launches, barriers and warp
+        collectives, and stores into typed buffers;
+     9. charge conservation — the packed stream charges what [bp_code]
+        charges between every two points where costs may be read.
 
    Layers 6 and 7 were recorded before the VM ran prefixes once per
-   block.
+   block, layer 8 before the type-directed lowering, charge carrying and
+   the typed memory path.
 
    The layer 2-4 goldens were recorded while the simulator still had a
    second, closure-tree interpreter, and both engines reproduced every
@@ -549,15 +555,14 @@ let accounting_tests =
 (* Load superinstructions                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Opcode words the packer emitted, one per dispatch: an instruction
-   consumed by a preceding superinstruction packs to zero words. *)
+(* Opcode words the packer emitted, one per dispatch, found by walking
+   the word stream with [Bytecode.packed_width]. *)
 let packed_opcodes (p : Bytecode.prog) =
-  List.filter_map
-    (fun i ->
-      let w = p.Bytecode.bp_woff.(i) in
-      if p.Bytecode.bp_woff.(i + 1) > w then Some p.Bytecode.bp_ops.(w)
-      else None)
-    (List.init (Array.length p.Bytecode.bp_code) Fun.id)
+  let rec walk w acc =
+    if w >= Array.length p.bp_ops then List.rev acc
+    else walk (w + Bytecode.packed_width p.bp_ops w) (p.bp_ops.(w) :: acc)
+  in
+  walk 0 []
 
 let load_kernel body =
   Fmt.str
@@ -1063,15 +1068,6 @@ __global__ void k(int* o) {
 (* Layer 9: charges survive packing                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Opcode words of the packed stream, one per dispatch, found by walking
-   it with [Bytecode.packed_width]. *)
-let packed_ops (p : Bytecode.prog) =
-  let rec walk w acc =
-    if w >= Array.length p.bp_ops then List.rev acc
-    else walk (w + Bytecode.packed_width p.bp_ops w) (p.bp_ops.(w) :: acc)
-  in
-  walk 0 []
-
 (* The packed opcodes that charge: [charge], the [loop.cc] forms and the
    charges carried into a compare-branch, jump or return. All read their
    tag and pool amount from the two words after the opcode. *)
@@ -1204,7 +1200,7 @@ let conservation_tests =
        last block in its return, and a launch's charge stays before it. *)
     t "charges ride their block's branch and return, not a launch" (fun () ->
         let ops src =
-          packed_ops (compile Config.default (Minicu.Parser.program src))
+          packed_opcodes (compile Config.default (Minicu.Parser.program src))
         in
         let branch =
           ops
