@@ -1,7 +1,7 @@
 (* The bytecode VM's golden suite: everything the simulator's execution
    engine must keep producing, pinned as checked-in values.
 
-   Nine layers, the first five ordered by how bugs have historically
+   Ten layers, the first five ordered by how bugs have historically
    surfaced:
 
      1. golden disassembly of the corpus fixtures — ISA/encoding changes
@@ -35,11 +35,15 @@
         coercions, charges around branches, launches, barriers and warp
         collectives, and stores into typed buffers;
      9. charge conservation — the packed stream charges what [bp_code]
-        charges between every two points where costs may be read.
+        charges between every two points where costs may be read;
+    10. calls of device functions — aliased and assigned parameters,
+        returns, launches, raises, barriers and warp collectives inside
+        a callee, [dim3] arguments, recursion, shared arrays and
+        sanitizer reports around a call.
 
    Layers 6 and 7 were recorded before the VM ran prefixes once per
    block, layer 8 before the type-directed lowering, charge carrying and
-   the typed memory path.
+   the typed memory path, layer 10 while every call ran as a VM call.
 
    The layer 2-4 goldens were recorded while the simulator still had a
    second, closure-tree interpreter, and both engines reproduced every
@@ -897,26 +901,31 @@ let compact_dump dev =
             else String.concat " " vs))
        (device_dump dev))
 
+(* The outcome, simulated time, every metrics field and the compact
+   memory dump of one launch of [kernel], pinned under [key]. *)
+let path_golden ~key ~cfg ~grid ~block ~kernel ~mk_args src =
+  let dev = Device.create ~cfg () in
+  Device.load_program dev (Minicu.Parser.program src);
+  let args = mk_args dev in
+  let outcome =
+    match
+      Device.launch dev ~kernel ~grid ~block ~args;
+      ignore (Device.sync dev)
+    with
+    | () -> "completed"
+    | exception e -> "raised: " ^ Printexc.to_string e
+  in
+  Test_corpus.golden_entry ~golden_name:edges_golden ~key
+    (Fmt.str "%s\ntime=%Lx\n%s\n%s" outcome
+       (Int64.bits_of_float (Device.time dev))
+       (metrics_repr (Device.metrics dev))
+       (compact_dump dev))
+
 let rewrite_golden name ?(cfg = Config.test_config) ?(grid = (1, 1, 1))
     ?(block = (1, 1, 1)) ~kernel ~mk_args src =
   t ("rewritten path: " ^ name) (fun () ->
-      let dev = Device.create ~cfg () in
-      Device.load_program dev (Minicu.Parser.program src);
-      let args = mk_args dev in
-      let outcome =
-        match
-          Device.launch dev ~kernel ~grid ~block ~args;
-          ignore (Device.sync dev)
-        with
-        | () -> "completed"
-        | exception e -> "raised: " ^ Printexc.to_string e
-      in
-      Test_corpus.golden_entry ~golden_name:edges_golden
-        ~key:("rewritten " ^ name)
-        (Fmt.str "%s\ntime=%Lx\n%s\n%s" outcome
-           (Int64.bits_of_float (Device.time dev))
-           (metrics_repr (Device.metrics dev))
-           (compact_dump dev)))
+      path_golden ~key:("rewritten " ^ name) ~cfg ~grid ~block ~kernel ~mk_args
+        src)
 
 let projection_src =
   {|
@@ -1222,9 +1231,311 @@ __global__ void k(int* o) { o[1] = 2; c<<<1, 1>>>(o); }
           (List.mem 47 launch));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Layer 10: calls of device functions                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Edge fixtures for device-function calls: parameters the callee
+   assigns, arguments that alias each other or the call's destination,
+   returns from nested loops, launches, raises, barriers and warp
+   collectives inside the callee, [dim3] arguments of int, float and
+   pointer components, recursion and a callee with its own shared array,
+   locals declared [int] that hold a float, and sanitizer reports inside
+   and around a call. Recorded while every call ran as a VM call, in
+   [vm_edges.golden]. *)
+let call_golden name ?(cfg = Config.test_config) ?(grid = (1, 1, 1))
+    ?(block = (1, 1, 1)) ~kernel ~mk_args src =
+  t ("call path: " ^ name) (fun () ->
+      path_golden ~key:("call " ^ name) ~cfg ~grid ~block ~kernel ~mk_args src)
+
+(* Stores [t.x / 2] and [t.y + t.z] at [o[i]] and [o[i + 1]]. *)
+let put_dim3_src =
+  {|
+__device__ void put(int* o, int i, dim3 t) {
+  o[i] = t.x / 2;
+  o[i + 1] = t.y + t.z;
+}
+|}
+
+let call_tests =
+  let checked = { Config.test_config with check = true } in
+  [
+    call_golden "a callee assigns its int and member-assigns its dim3"
+      ~block:(4, 1, 1) ~kernel:"k"
+      ~mk_args:(fun dev -> out_ints 32 dev @ [ Value.Int 5 ])
+      {|
+__device__ int f(int a, dim3 d) {
+  a = a + 10;
+  d.y = a;
+  return a + d.x + d.y;
+}
+
+__global__ void k(int* o, int n) {
+  int a = threadIdx.x + n;
+  dim3 d = dim3(a, 2, 3);
+  int r = f(a, d);
+  o[threadIdx.x * 8] = r;
+  o[threadIdx.x * 8 + 1] = a;
+  o[threadIdx.x * 8 + 2] = d.x;
+  o[threadIdx.x * 8 + 3] = d.y;
+  o[threadIdx.x * 8 + 4] = d.z;
+  o[threadIdx.x * 8 + 5] = f(a, dim3(a, 2, 3));
+  o[threadIdx.x * 8 + 6] = a;
+}
+|};
+    call_golden "x = f(x, x)" ~block:(4, 1, 1) ~kernel:"k"
+      ~mk_args:(out_ints 16)
+      {|
+__device__ int g(int p, int q) {
+  int s = p * 3;
+  if (s > 10) {
+    return s - q;
+  }
+  return p + q + s;
+}
+
+__device__ int h(int p, int q) {
+  p = p + 1;
+  return p * 10 + q;
+}
+
+__global__ void k(int* o) {
+  int x = threadIdx.x;
+  x = g(x, x);
+  o[threadIdx.x] = x;
+  x = g(x, x + 1);
+  o[4 + threadIdx.x] = x;
+  x = h(x, x);
+  o[8 + threadIdx.x] = x;
+  int y = h(x, x) + x;
+  o[12 + threadIdx.x] = y;
+}
+|};
+    call_golden "o[i] = f(o[i])" ~block:(4, 1, 1) ~kernel:"k"
+      ~mk_args:(fun dev ->
+        [ Value.Ptr (Device.alloc_ints dev [| 3; -4; 7; 0; 9; 1; -2; 5 |]) ])
+      {|
+__device__ int inc(int v) {
+  return v * 2 + 1;
+}
+
+__global__ void k(int* o) {
+  int i = threadIdx.x;
+  o[i] = inc(o[i]);
+  o[i + 4] = inc(o[i]) + inc(o[i + 4]);
+}
+|};
+    call_golden "an early return from a nested loop and return; in a void callee"
+      ~block:(8, 1, 1) ~kernel:"k"
+      ~mk_args:(fun dev ->
+        [
+          Value.Ptr (Device.alloc_ints dev [| 0; 5; 9; 12; 13; 20 |]);
+          Value.Ptr (Device.alloc_int_zeros dev 16);
+          Value.Int 6;
+        ])
+      {|
+__device__ int find(int* a, int n, int key) {
+  for (int i = 0; i < n; i = i + 1) {
+    int j = 0;
+    while (j < 2) {
+      if (a[i] + j == key) {
+        return i * 2 + j;
+      }
+      j = j + 1;
+    }
+  }
+  return 0 - 1;
+}
+
+__device__ void mark(int* o, int i, int v) {
+  if (v < 0) {
+    return;
+  }
+  o[i] = v;
+}
+
+__global__ void k(int* a, int* o, int n) {
+  int t = threadIdx.x;
+  int r = find(a, n, t * 3);
+  mark(o, t, r);
+  o[8 + t] = r;
+}
+|};
+    call_golden "a callee launches after a loop" ~block:(4, 1, 1) ~kernel:"k"
+      ~mk_args:(fun dev -> out_ints 12 dev @ [ Value.Int 3 ])
+      {|
+__global__ void child(int* o, int v) {
+  atomicAdd(&o[threadIdx.x], v);
+}
+
+__device__ int spawn(int* o, int n) {
+  int s = 0;
+  for (int i = 0; i < n; i = i + 1) {
+    if (i % 2 == 1) {
+      continue;
+    }
+    s = s + i;
+  }
+  child<<<1, 2>>>(o, s);
+  return s;
+}
+
+__global__ void k(int* o, int n) {
+  int a = threadIdx.x * 2;
+  int r = spawn(o, n + threadIdx.x);
+  o[4 + threadIdx.x] = r + a;
+  child<<<1, 1>>>(o, a);
+}
+|};
+    call_golden "a callee raises after a store" ~block:(4, 1, 1) ~kernel:"k"
+      ~mk_args:(fun dev -> out_ints 8 dev @ [ Value.Int 2 ])
+      {|
+__device__ int bad(int* o, int i, int d) {
+  o[4 + i] = 7;
+  return 10 / d;
+}
+
+__global__ void k(int* o, int n) {
+  o[threadIdx.x] = 3;
+  o[threadIdx.x] = bad(o, threadIdx.x, n - threadIdx.x);
+}
+|};
+    call_golden "callees park at a barrier and a warp collective"
+      ~block:(64, 1, 1) ~kernel:"k" ~mk_args:(out_ints 128)
+      {|
+__device__ int stage(int* o, int v) {
+  o[threadIdx.x] = v;
+  __syncthreads();
+  return o[(threadIdx.x + 1) % 64];
+}
+
+__device__ int wsum(int v) {
+  int w = warp_sum(v);
+  return w + v;
+}
+
+__global__ void k(int* o) {
+  int a = threadIdx.x * 3;
+  int b = stage(o, a);
+  int c = wsum(b);
+  o[64 + threadIdx.x] = b + c;
+}
+|};
+    call_golden "dim3 arguments of an int local, a float local and built-ins"
+      ~block:(2, 2, 1) ~kernel:"k" ~mk_args:(out_ints 24)
+      (put_dim3_src
+      ^ {|
+__global__ void k(int* o) {
+  int j = threadIdx.x + 4;
+  int base = (threadIdx.y * 2 + threadIdx.x) * 6;
+  put(o, base, dim3(j, 0, threadIdx.y));
+  float f = 2.5;
+  put(o, base + 2, dim3(f, 1, 1));
+  put(o, base + 4, dim3(blockDim.x, j, 5));
+}
+|});
+    call_golden "a dim3 argument of a pointer local raises at the call"
+      ~kernel:"k" ~mk_args:(out_ints 4)
+      (put_dim3_src
+      ^ {|
+__global__ void k(int* o) {
+  int* q = o;
+  o[3] = 1;
+  put(o, 0, dim3(q, 1, 1));
+}
+|});
+    call_golden "a dim3 parameter passed whole to a launch" ~block:(2, 1, 1)
+      ~kernel:"k" ~mk_args:(out_ints 16)
+      {|
+__global__ void child(int* o) {
+  atomicAdd(&o[blockIdx.x * 4 + threadIdx.x], 1 + blockIdx.y);
+}
+
+__device__ void go(int* o, dim3 g, dim3 b) {
+  child<<<g, b>>>(o);
+  o[8 + g.x] = b.x;
+}
+
+__global__ void k(int* o) {
+  int j = 2;
+  go(o, dim3(j, 1, 1), dim3(blockDim.x, 1, 1));
+}
+|};
+    call_golden "a recursive device function" ~block:(6, 1, 1) ~kernel:"k"
+      ~mk_args:(out_ints 6)
+      {|
+__device__ int fact(int n) {
+  if (n <= 1) {
+    return 1;
+  }
+  return n * fact(n - 1);
+}
+
+__global__ void k(int* o) {
+  o[threadIdx.x] = fact(threadIdx.x + 1);
+}
+|};
+    call_golden "a callee with a shared array, called from one with its own"
+      ~block:(8, 1, 1) ~kernel:"k" ~mk_args:(out_ints 8)
+      {|
+__device__ int helper(int v) {
+  __shared__ int s[8];
+  s[threadIdx.x] = v;
+  __syncthreads();
+  return s[(threadIdx.x + 1) % 8];
+}
+
+__global__ void k(int* o) {
+  __shared__ int t[8];
+  t[threadIdx.x] = threadIdx.x * 5;
+  __syncthreads();
+  o[threadIdx.x] = helper(t[(threadIdx.x + 2) % 8]) + t[threadIdx.x];
+}
+|};
+    call_golden "locals declared int that hold a float" ~kernel:"k"
+      ~mk_args:(fun dev ->
+        [ Value.Ptr (Device.alloc_floats dev (Array.make 8 0.25)) ])
+      {|
+__global__ void k(float* o) {
+  int j = 1.5;
+  o[j] = 4.5;
+  o[2] = o[j] + 1.0;
+  int m = 0;
+  m = o[1];
+  o[m + 1] = o[m];
+  o[m] = 9.0;
+}
+|};
+    call_golden "checked: an out-of-bounds store of a call's value"
+      ~cfg:checked ~block:(2, 1, 1) ~kernel:"k" ~mk_args:(out_ints 4)
+      {|
+__device__ int twice(int v) {
+  int w = v * 2;
+  return w;
+}
+
+__global__ void k(int* o) {
+  int i = threadIdx.x;
+  o[i + 3] = twice(i);
+}
+|};
+    call_golden "checked: a race inside a callee" ~cfg:checked
+      ~block:(4, 1, 1) ~kernel:"k" ~mk_args:(out_ints 8)
+      {|
+__device__ void race(int* o, int v) {
+  o[v % 2] = v;
+}
+
+__global__ void k(int* o) {
+  race(o, threadIdx.x);
+  o[2 + threadIdx.x] = 1;
+}
+|};
+  ]
+
 let suite =
   disasm_tests @ edge_tests @ sanitizer_tests @ tiny_tests @ small_tests
   @ List.map corpus_digest corpus_runs
   @ [ corpus_coverage ] @ fusion_tests @ sampled_tests @ accounting_tests
   @ granularity_tests @ prefix_tests @ [ prefix_structure_test ]
-  @ rewrite_tests @ conservation_tests
+  @ rewrite_tests @ conservation_tests @ call_tests
