@@ -24,7 +24,10 @@
 
     As in thresholding, the per-block body is extracted into a device
     function so that [return] statements in the child body terminate one
-    original block's work rather than the whole coarsened block. Coarsening
+    original block's work rather than the whole coarsened block. The
+    simulator's lowering ([Gpusim.Bytecode]) inlines it again, so a
+    coarsened block costs no VM call; the MiniCU keeps the call, and the
+    simulated cycles keep its [call_cost]. Coarsening
     is applied to the x dimension (the paper's example; its evaluation
     kernels are 1-D). *)
 

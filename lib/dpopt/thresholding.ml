@@ -19,7 +19,10 @@
       parameters. Extracting the per-thread body into its own function (a
       small departure from the paper's Fig. 3, which inlines it under the
       loops) makes [return] statements in the child body behave correctly
-      without a goto-elimination pass.
+      without a goto-elimination pass. The simulator's lowering
+      ([Gpusim.Bytecode]) inlines it again, so a serialized child thread
+      costs no VM call; the MiniCU keeps the call, and the simulated
+      cycles keep its [call_cost].
     - [<child>_serial(params, _gDim, _bDim)] — six nested loops (three
       grid dimensions, three block dimensions) invoking the thread body, as
       in Fig. 3 lines 09-15.

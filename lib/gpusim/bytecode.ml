@@ -15,7 +15,17 @@
     Registers are frame-relative indices. Parameters occupy registers
     [0 .. nparams-1]; locals and expression temporaries follow. Register
     numbers are reused across sibling scopes, so [bf_nregs] is the high-water
-    mark, not the lexical slot count. *)
+    mark, not the lexical slot count.
+
+    A call of a leaf device function — one whose body calls no function
+    of the program, such as the per-thread and per-block bodies the
+    thresholding and coarsening passes extract — is lowered as the
+    callee's body in place ([lower_inline]), with the same charges,
+    coercions and effects in the same order as the [call] it replaces.
+    [_serial] entries (whose call counts a serialized launch), functions
+    that call others (recursive ones included) and functions that declare
+    [__shared__] arrays (whose shared ids are numbered per function) keep
+    their [call]. *)
 
 open Minicu
 open Minicu.Ast
@@ -153,6 +163,14 @@ type prog = {
   bp_lpool : Loc.t array;
 }
 
+(* A dim3 component's operand in [member] and [special.comp] words, and
+   its index in a parameter's bound components. *)
+let component_code = function
+  | "x" -> 0
+  | "y" -> 1
+  | "z" -> 2
+  | f -> Value.error "dim3 has no member %S" f
+
 let find_func_exn p name =
   match Hashtbl.find_opt p.bp_index name with
   | Some i -> p.bp_funcs.(i)
@@ -192,18 +210,53 @@ let patch_target em pc target =
 
 type loop_ctx = { breaks : int list ref; continues : int list ref }
 
+(* What the lowering knows of a function before lowering any call of it;
+   computed once per function ([facts_of]). *)
+type facts = {
+  fa_func : Ast.func;
+  fa_inline : bool;
+      (** Calls of it are lowered inline: a [__device__] leaf (its body
+          calls no function of the program) that is no [_serial] entry
+          and declares no [__shared__] array. *)
+  fa_written : string list;  (** Parameters assigned ([p = …], [p.f = …]). *)
+  fa_fixed : string list;
+      (** [dim3] parameters, each named once, never assigned and never
+          redeclared: a [dim3(a, b, c)] argument may bind them to its
+          components. *)
+  fa_ints : string list;  (** Int-valued locals; see [int_locals]. *)
+  fa_returns : int;  (** [return] statements in the body. *)
+  fa_tail : bool;  (** The body's last statement is a [return]. *)
+}
+
+(* Where the [return]s of an inlined body go: each lowers its value into
+   [r_dst] and jumps to the join point, apart from a return that is the
+   body's last statement ([r_tail]), which falls through to it. *)
+type ret_ctx = {
+  r_dst : int;
+  r_used : bool;  (** The call's value is read: unit returns write it. *)
+  r_tail : bool;
+  mutable r_left : int;  (** Returns not lowered yet, the tail included. *)
+  mutable r_joins : int list;
+}
+
 type lenv = {
   funcs : func array;
+  facts : facts array;
   index : (string, int) Hashtbl.t;
   em : emitter;
   mutable slots : (string * int) list;  (** Innermost binding first. *)
+  mutable dims : (string * (int * int * int)) list;
+      (** Parameters bound to the component registers of their argument
+          (inlined bodies only). *)
+  mutable ints : string list;  (** The lowered function's int-valued locals. *)
   mutable next_reg : int;
   mutable max_reg : int;
   mutable shared_ids : int;
   cfg : Config.t;
-  fname : string;
+  mutable fname : string;
   mutable cur_loc : Loc.t;
   mutable loops : loop_ctx list;  (** Innermost loop first. *)
+  mutable ret : ret_ctx option;  (** [Some] inside an inlined body. *)
 }
 
 let tmp env =
@@ -238,22 +291,199 @@ let scoped env f =
 let check_loc env = if env.cfg.check then Some env.cur_loc else None
 
 (* ------------------------------------------------------------------ *)
+(* Statement charges                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let default_value : ty -> Value.t = function
+  | TInt -> Value.Int 0
+  | TFloat -> Value.Float 0.0
+  | TBool -> Value.Bool false
+  | TDim3 -> Value.Dim3 (1, 1, 1)
+  | TPtr _ | TVoid -> Value.Unit
+
+(* --- Charge coalescing -------------------------------------------------
+
+   Each statement's (statically computed) cost is charged as the
+   statement starts executing. Costs are observable at exactly two
+   points: a launch records the thread's running total ([lr_issue_cost]),
+   and per-tag totals are aggregated when the block completes. A thread
+   that enters a straight-line statement run either executes all of it or
+   aborts the whole launch, so one [I_charge] for the run's summed cost —
+   emitted at the run's head — is indistinguishable from per-statement
+   charges, provided no launch can occur after a statement whose cost was
+   pre-charged. Runs therefore end *after* a [Launch]/[Return]/call-bearing
+   statement and *before* any control-flow statement. *)
+
+(* [stmt_charge cfg s] is [Some (tag, cost)] for straight-line statements
+   — the single source of truth for their cost formulas — and [None] for
+   control flow, which charges itself during lowering. *)
+let stmt_charge (cfg : Config.t) (s : stmt) : (int * int) option =
+  let tag = Metrics.index_of_tag s.stag in
+  match s.sdesc with
+  | Decl (_, _, Some e) -> Some (tag, Runtime.expr_cost cfg e + cfg.arith_cost)
+  | Decl (_, _, None) -> Some (tag, 0)
+  | Decl_shared _ -> Some (tag, cfg.arith_cost)
+  | Assign (lv, e) ->
+      Some
+        ( tag,
+          Runtime.expr_cost cfg e
+          + (match lv with
+            | Index _ -> cfg.mem_cost + cfg.arith_cost
+            | Member (Index _, _) -> (2 * cfg.mem_cost) + cfg.arith_cost
+            | _ -> cfg.arith_cost) )
+  | Expr_stmt e -> Some (tag, Runtime.expr_cost cfg e)
+  | Return (Some e) -> Some (tag, Runtime.expr_cost cfg e)
+  | Return None -> Some (tag, 0)
+  | Launch l ->
+      Some
+        ( tag,
+          cfg.launch_issue_cost
+          + Runtime.expr_cost cfg l.l_grid
+          + Runtime.expr_cost cfg l.l_block
+          + List.fold_left (fun acc a -> acc + Runtime.expr_cost cfg a) 0 l.l_args
+        )
+  | Sync | Syncwarp -> Some (tag, cfg.sync_cost)
+  | Threadfence -> Some (tag, cfg.fence_cost)
+  | If _ | While _ | For _ | Break | Continue -> None
+
+let rec expr_has_call = function
+  | Call _ -> true
+  | Int_lit _ | Float_lit _ | Bool_lit _ | Var _ -> false
+  | Unop (_, a) | Member (a, _) | Cast (_, a) | Addr_of a -> expr_has_call a
+  | Binop (_, a, b) | Index (a, b) -> expr_has_call a || expr_has_call b
+  | Ternary (a, b, c) ->
+      expr_has_call a || expr_has_call b || expr_has_call c
+  | Dim3_ctor (a, b, c) ->
+      expr_has_call a || expr_has_call b || expr_has_call c
+
+(* A statement ends a charge run (it stays included, but nothing merges in
+   after it) when executing it can observe the thread's cost total: its own
+   launch, a return, or a call into a function that may itself launch —
+   conservatively, any call at all. *)
+let closes_run (s : stmt) : bool =
+  match s.sdesc with
+  | Launch _ | Return _ -> true
+  | Assign (lv, e) -> expr_has_call lv || expr_has_call e
+  | Decl (_, _, Some e) | Expr_stmt e -> expr_has_call e
+  | Decl (_, _, None) -> false
+  | Decl_shared (_, _, e) -> expr_has_call e
+  | Sync | Syncwarp | Threadfence -> false
+  | If _ | While _ | For _ | Break | Continue -> true
+
+(* ------------------------------------------------------------------ *)
 (* Expression lowering                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [yields_int e]: [e] evaluates to an [Int] whenever it evaluates at all,
-   so a [cast.int] of its register would copy it unchanged. Int literals,
-   [e.f] reads, [(int)] casts, and [+ - * / % & | ^ << >>], unary minus
-   and [?:] over such operands; never a variable, a load or a call, which
-   hold whatever was stored or passed. The walk descends only through
+(* [yields_int ints e]: [e] evaluates to an [Int] whenever it evaluates at
+   all, so a [cast.int] of its register would copy it unchanged. Int
+   literals, [e.f] reads, [(int)] casts, the int-valued locals [ints],
+   and [+ - * / % & | ^ << >>], unary minus and [?:] over such operands;
+   never a parameter, another variable, a load or a call, which hold
+   whatever was passed or stored. The walk descends only through
    operators, so each node is visited from at most one coercion point and
    lowering stays linear in the expression's size. *)
-let rec yields_int = function
+let rec yields_int ints = function
   | Int_lit _ | Member _ | Cast (TInt, _) -> true
+  | Var x -> List.mem x ints
   | Binop ((Add | Sub | Mul | Div | Mod | BAnd | BOr | BXor | Shl | Shr), a, b)
   | Ternary (_, a, b) ->
-      yields_int a && yields_int b
-  | Unop (Neg, a) -> yields_int a
+      yields_int ints a && yields_int ints b
+  | Unop (Neg, a) -> yields_int ints a
+  | _ -> false
+
+(* [int_locals f]: the locals of [f] that only ever hold an [Int]. A name
+   counts when it is no parameter, is never member-assigned or
+   [__shared__], and every [Decl] and [=] of it, in the body and the host
+   followup, is [int x;] or yields an int given the names that count —
+   the largest such set, found by dropping names that break the rule
+   until none does. A declaration does not coerce its initializer, so
+   [int j = 1.5;] holds a float and [j] does not count. *)
+let int_locals (f : Ast.func) =
+  let params = List.map (fun p -> p.p_name) f.f_params in
+  let names, defs, barred =
+    Ast_util.fold_stmts
+      (fun (names, defs, barred) s ->
+        match s.sdesc with
+        | Decl (TInt, x, None) -> (x :: names, defs, barred)
+        | Decl (_, x, None) | Decl_shared (_, x, _)
+        | Assign (Member (Var x, _), _) ->
+            (names, defs, x :: barred)
+        | Decl (_, x, Some e) -> (x :: names, (x, e) :: defs, barred)
+        | Assign (Var x, e) -> (names, (x, e) :: defs, barred)
+        | _ -> (names, defs, barred))
+      ([], [], [])
+      (f.f_body @ Option.value f.f_host_followup ~default:[])
+  in
+  let rec fix ints =
+    let ints' =
+      List.filter
+        (fun x -> List.for_all (fun (y, e) -> y <> x || yields_int ints e) defs)
+        ints
+    in
+    if List.compare_lengths ints' ints = 0 then ints else fix ints'
+  in
+  fix
+    (List.filter
+       (fun x ->
+         not (List.mem x params || List.mem x barred || is_reserved_var x))
+       (List.sort_uniq String.compare names))
+
+let facts_of (f : Ast.func) =
+  let params = List.map (fun p -> p.p_name) f.f_params in
+  let calls =
+    Ast_util.fold_exprs_in_stmts
+      (fun found e ->
+        found || match e with Call (g, _) -> Builtins.find g = None | _ -> false)
+      false f.f_body
+  in
+  let written =
+    Ast_util.fold_stmts
+      (fun acc s ->
+        match s.sdesc with
+        | Assign ((Var x | Member (Var x, _)), _) when List.mem x params ->
+            x :: acc
+        | _ -> acc)
+      [] f.f_body
+  in
+  let declared = Ast_util.declared_names f.f_body in
+  {
+    fa_func = f;
+    fa_inline =
+      f.f_kind = Device && (not calls)
+      && (not (Runtime.has_serial_suffix f.f_name))
+      && not (Ast_util.contains_shared f.f_body);
+    fa_written = written;
+    fa_fixed =
+      List.filter_map
+        (fun p ->
+          let x = p.p_name in
+          if
+            p.p_ty = TDim3
+            && List.length (List.filter (String.equal x) params) = 1
+            && not (List.mem x written || List.mem x declared)
+          then Some x
+          else None)
+        f.f_params;
+    fa_ints = int_locals f;
+    fa_returns =
+      Ast_util.fold_stmts
+        (fun n s -> match s.sdesc with Return _ -> n + 1 | _ -> n)
+        0 f.f_body;
+    fa_tail =
+      (match List.rev f.f_body with
+      | { sdesc = Return _; _ } :: _ -> true
+      | _ -> false);
+  }
+
+(* A [dim3] argument component a parameter may be bound to: it is an int
+   whose evaluation has no effect and cannot fail (an int literal, a
+   built-in component, an int-valued local of the caller). *)
+let infallible ints = function
+  | Int_lit _
+  | Member (Var ("threadIdx" | "blockIdx" | "blockDim" | "gridDim"), ("x" | "y" | "z"))
+    ->
+      true
+  | Var x -> List.mem x ints
   | _ -> false
 
 (* A [dim3] whose components are all variables, literals or built-in
@@ -304,7 +534,13 @@ let rec lower_expr env (e : expr) : int =
       let d = tmp env in
       ins (I_special (d, Sp_grid_dim));
       d
-  | Var x -> slot_of env x "use"
+  | Var x -> (
+      match List.assoc_opt x env.dims with
+      | Some (rx, ry, rz) ->
+          let d = tmp env in
+          ins (I_dim3 (d, rx, ry, rz));
+          d
+      | None -> slot_of env x "use")
   | Member (Var "threadIdx", f) ->
       let d = tmp env in
       ins (I_special_comp (d, Sp_thread_idx, f));
@@ -323,6 +559,8 @@ let rec lower_expr env (e : expr) : int =
       d
   | Member (Dim3_ctor (x, y, z), (("x" | "y" | "z") as f)) ->
       lower_component env None (x, y, z) f
+  | Member (Var x, f) when List.mem_assoc x env.dims ->
+      bound_component env x f
   | Member (a, f) ->
       let ra = lower_expr env a in
       let d = tmp env in
@@ -446,11 +684,17 @@ and lower_addr env (lv : expr) : int =
         env.fname x
   | _ -> Value.error "in %s: '&' requires an indexable lvalue" env.fname
 
+(* The register of component [f] of the parameter [x], bound to its
+   [dim3] argument's components. *)
+and bound_component env x f =
+  let rx, ry, rz = List.assoc x env.dims in
+  match component_code f with 0 -> rx | 1 -> ry | _ -> rz
+
 (* [lower_int env e] is a register holding [e] coerced to an Int: [e]'s
    own when [yields_int e], else a [cast.int] of it. *)
 and lower_int env e =
   let r = lower_expr env e in
-  if yields_int e then r
+  if yields_int env.ints e then r
   else
     let ti = tmp env in
     ignore (emit env.em (I_cast_int (ti, r)));
@@ -486,7 +730,7 @@ and lower_component env dst (x, y, z) f =
       r :=
         match dst with
         | Some d when not later ->
-            (if yields_int c then lower_into env d c
+            (if yields_int env.ints c then lower_into env d c
              else
                let rc = lower_expr env c in
                ignore (emit env.em (I_cast_int (d, rc))));
@@ -508,8 +752,10 @@ and lower_call env f args : int =
 
 (* Every call-like instruction writes its destination strictly after all
    its operands are read (and after memory effects), so [d] may be a live
-   variable slot that also appears among the operands. *)
-and lower_call_into env d f args : unit =
+   variable slot that also appears among the operands; an inlined body
+   writes [d] only in its returns, each the last thing it does. [~used]
+   is false for a call whose value is dropped. *)
+and lower_call_into ?(used = true) env d f args : unit =
   let ins i = ignore (emit env.em i) in
   let nth n = List.nth args n in
   match f with
@@ -588,9 +834,78 @@ and lower_call_into env d f args : unit =
             Value.error "cannot call kernel %S; kernels must be launched" f;
           if List.length args <> cf.bf_nparams then
             Value.error "call to %S: wrong arity" f;
-          let regs = List.map (lower_expr env) args in
-          ins (I_call (d, fi, Array.of_list regs))
+          if env.facts.(fi).fa_inline then
+            lower_inline env ~used d env.facts.(fi) args
+          else
+            let regs = List.map (lower_expr env) args in
+            ins (I_call (d, fi, Array.of_list regs))
       | None -> Value.error "in %s: unknown function %S" env.fname f)
+
+(* A call of a leaf, lowered as the leaf's body in place. The arguments
+   are evaluated left to right, as for [call]. A parameter the body never
+   assigns reads its argument's register, which nothing in the body can
+   write; an assigned one whose argument is a caller's variable (a
+   register below [m]) reads a copy. A [dim3] parameter in [fa_fixed]
+   whose argument is [dim3(a, b, c)] of [infallible] components is bound
+   to their registers, so [p.x] reads [a]'s and only a use of [p] as a
+   whole builds the [dim3]. Inside the body the names, int-valued locals,
+   loops, function name and source location are the callee's; they are
+   the caller's again after it. *)
+and lower_inline env ~used d fa args =
+  let f = fa.fa_func in
+  let m = mark env in
+  let slots = ref [] and dims = ref [] in
+  List.iter2
+    (fun (p : param) a ->
+      match a with
+      | Dim3_ctor (x, y, z)
+        when List.mem p.p_name fa.fa_fixed
+             && List.for_all (infallible env.ints) [ x; y; z ] ->
+          let rz = lower_expr env z in
+          let ry = lower_expr env y in
+          dims := (p.p_name, (lower_expr env x, ry, rz)) :: !dims
+      | _ ->
+          let r = lower_expr env a in
+          let r =
+            if r < m && List.mem p.p_name fa.fa_written then begin
+              let c = tmp env in
+              ignore (emit env.em (I_mov (c, r)));
+              c
+            end
+            else r
+          in
+          slots := (p.p_name, r) :: !slots)
+    f.f_params args;
+  let rc =
+    {
+      r_dst = d;
+      r_used = used;
+      r_tail = fa.fa_tail;
+      r_left = fa.fa_returns;
+      r_joins = [];
+    }
+  in
+  let caller =
+    (env.slots, env.dims, env.ints, env.loops, env.fname, env.cur_loc, env.ret)
+  in
+  env.slots <- !slots;
+  env.dims <- !dims;
+  env.ints <- fa.fa_ints;
+  env.loops <- [];
+  env.fname <- f.f_name;
+  env.ret <- Some rc;
+  lower_stmts env f.f_body;
+  if used && not fa.fa_tail then ignore (emit env.em (I_const_unit d));
+  List.iter (fun pc -> patch_target env.em pc env.em.len) rc.r_joins;
+  let slots, dims, ints, loops, fname, loc, ret = caller in
+  env.slots <- slots;
+  env.dims <- dims;
+  env.ints <- ints;
+  env.loops <- loops;
+  env.fname <- fname;
+  env.cur_loc <- loc;
+  env.ret <- ret;
+  reset env m
 
 (* [lower_cond_jf env c] lowers a branch condition and emits the
    conditional jump, fusing compare-and-branch when [c] is a top-level
@@ -651,15 +966,20 @@ and lower_into env dst (e : expr) : unit =
   | Var "blockIdx" -> ins (I_special (dst, Sp_block_idx))
   | Var "blockDim" -> ins (I_special (dst, Sp_block_dim))
   | Var "gridDim" -> ins (I_special (dst, Sp_grid_dim))
-  | Var x ->
-      let s = slot_of env x "use" in
-      if s <> dst then ins (I_mov (dst, s))
+  | Var x -> (
+      match List.assoc_opt x env.dims with
+      | Some (rx, ry, rz) -> ins (I_dim3 (dst, rx, ry, rz))
+      | None ->
+          let s = slot_of env x "use" in
+          if s <> dst then ins (I_mov (dst, s)))
   | Member (Var "threadIdx", f) -> ins (I_special_comp (dst, Sp_thread_idx, f))
   | Member (Var "blockIdx", f) -> ins (I_special_comp (dst, Sp_block_idx, f))
   | Member (Var "blockDim", f) -> ins (I_special_comp (dst, Sp_block_dim, f))
   | Member (Var "gridDim", f) -> ins (I_special_comp (dst, Sp_grid_dim, f))
   | Member (Dim3_ctor (x, y, z), (("x" | "y" | "z") as f)) ->
       ignore (lower_component env (Some dst) (x, y, z) f)
+  | Member (Var x, f) when List.mem_assoc x env.dims ->
+      ins (I_mov (dst, bound_component env x f))
   | Member (a, f) ->
       let ra = lower_expr env a in
       ins (I_member (dst, ra, f))
@@ -726,83 +1046,7 @@ and lower_into env dst (e : expr) : unit =
 (* Statement lowering                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let default_value : ty -> Value.t = function
-  | TInt -> Value.Int 0
-  | TFloat -> Value.Float 0.0
-  | TBool -> Value.Bool false
-  | TDim3 -> Value.Dim3 (1, 1, 1)
-  | TPtr _ | TVoid -> Value.Unit
-
-(* --- Charge coalescing -------------------------------------------------
-
-   Each statement's (statically computed) cost is charged as the
-   statement starts executing. Costs are observable at exactly two
-   points: a launch records the thread's running total ([lr_issue_cost]),
-   and per-tag totals are aggregated when the block completes. A thread
-   that enters a straight-line statement run either executes all of it or
-   aborts the whole launch, so one [I_charge] for the run's summed cost —
-   emitted at the run's head — is indistinguishable from per-statement
-   charges, provided no launch can occur after a statement whose cost was
-   pre-charged. Runs therefore end *after* a [Launch]/[Return]/call-bearing
-   statement and *before* any control-flow statement. *)
-
-(* [stmt_charge cfg s] is [Some (tag, cost)] for straight-line statements
-   — the single source of truth for their cost formulas — and [None] for
-   control flow, which charges itself during lowering. *)
-let stmt_charge (cfg : Config.t) (s : stmt) : (int * int) option =
-  let tag = Metrics.index_of_tag s.stag in
-  match s.sdesc with
-  | Decl (_, _, Some e) -> Some (tag, Runtime.expr_cost cfg e + cfg.arith_cost)
-  | Decl (_, _, None) -> Some (tag, 0)
-  | Decl_shared _ -> Some (tag, cfg.arith_cost)
-  | Assign (lv, e) ->
-      Some
-        ( tag,
-          Runtime.expr_cost cfg e
-          + (match lv with
-            | Index _ -> cfg.mem_cost + cfg.arith_cost
-            | Member (Index _, _) -> (2 * cfg.mem_cost) + cfg.arith_cost
-            | _ -> cfg.arith_cost) )
-  | Expr_stmt e -> Some (tag, Runtime.expr_cost cfg e)
-  | Return (Some e) -> Some (tag, Runtime.expr_cost cfg e)
-  | Return None -> Some (tag, 0)
-  | Launch l ->
-      Some
-        ( tag,
-          cfg.launch_issue_cost
-          + Runtime.expr_cost cfg l.l_grid
-          + Runtime.expr_cost cfg l.l_block
-          + List.fold_left (fun acc a -> acc + Runtime.expr_cost cfg a) 0 l.l_args
-        )
-  | Sync | Syncwarp -> Some (tag, cfg.sync_cost)
-  | Threadfence -> Some (tag, cfg.fence_cost)
-  | If _ | While _ | For _ | Break | Continue -> None
-
-let rec expr_has_call = function
-  | Call _ -> true
-  | Int_lit _ | Float_lit _ | Bool_lit _ | Var _ -> false
-  | Unop (_, a) | Member (a, _) | Cast (_, a) | Addr_of a -> expr_has_call a
-  | Binop (_, a, b) | Index (a, b) -> expr_has_call a || expr_has_call b
-  | Ternary (a, b, c) ->
-      expr_has_call a || expr_has_call b || expr_has_call c
-  | Dim3_ctor (a, b, c) ->
-      expr_has_call a || expr_has_call b || expr_has_call c
-
-(* A statement ends a charge run (it stays included, but nothing merges in
-   after it) when executing it can observe the thread's cost total: its own
-   launch, a return, or a call into a function that may itself launch —
-   conservatively, any call at all. *)
-let closes_run (s : stmt) : bool =
-  match s.sdesc with
-  | Launch _ | Return _ -> true
-  | Assign (lv, e) -> expr_has_call lv || expr_has_call e
-  | Decl (_, _, Some e) | Expr_stmt e -> expr_has_call e
-  | Decl (_, _, None) -> false
-  | Decl_shared (_, _, e) -> expr_has_call e
-  | Sync | Syncwarp | Threadfence -> false
-  | If _ | While _ | For _ | Break | Continue -> true
-
-let rec lower_stmt ?(self_charge = true) env (s : stmt) : unit =
+and lower_stmt ?(self_charge = true) env (s : stmt) : unit =
   env.cur_loc <- s.sloc;
   let ins i = ignore (emit env.em i) in
   let cfg = env.cfg in
@@ -971,17 +1215,32 @@ let rec lower_stmt ?(self_charge = true) env (s : stmt) : unit =
           List.iter
             (fun pc -> patch_target env.em pc step_start)
             !(ctx.continues))
-  | Return None -> ins I_ret_unit
-  | Return (Some e) ->
-      charge_self ();
-      let m = mark env in
-      let r = lower_expr env e in
-      ins (I_ret r);
-      reset env m
+  | Return r -> (
+      match (env.ret, r) with
+      | None, None -> ins I_ret_unit
+      | None, Some e ->
+          charge_self ();
+          let m = mark env in
+          let r = lower_expr env e in
+          ins (I_ret r);
+          reset env m
+      | Some rc, _ ->
+          (match r with
+          | Some e ->
+              charge_self ();
+              let m = mark env in
+              lower_into env rc.r_dst e;
+              reset env m
+          | None -> if rc.r_used then ins (I_const_unit rc.r_dst));
+          rc.r_left <- rc.r_left - 1;
+          if not (rc.r_tail && rc.r_left = 0) then
+            rc.r_joins <- emit env.em (I_jump (-1)) :: rc.r_joins)
   | Expr_stmt e ->
       charge_self ();
       let m = mark env in
-      ignore (lower_expr env e);
+      (match e with
+      | Call (f, args) -> lower_call_into ~used:false env (tmp env) f args
+      | _ -> ignore (lower_expr env e));
       reset env m
   | Launch l ->
       charge_self ();
@@ -1255,6 +1514,7 @@ let uniform_prefix code ~entry ~stop ~nparams ~nregs =
     63 as_ptr.ld  [tp; s; ti; si; d]         as_ptr tp, s; cast.int ti, si;
                                              load d, tp, ti
     64 cast.ld    [ti; si; d; p]             cast.int ti, si; load d, p, ti
+    70 as_ptr.ldi [tp; s; ti; d]             as_ptr tp, s; load d, tp, ti
 
    and a basic block's charges carried into its last instruction (see
    [pack]):
@@ -1324,12 +1584,6 @@ let warp_code = function
   | Wk_max -> 2
   | Wk_sync -> 3
 
-let component_code = function
-  | "x" -> 0
-  | "y" -> 1
-  | "z" -> 2
-  | f -> Value.error "dim3 has no member %S" f
-
 let pack_width = function
   | I_const_unit _ -> 2
   | I_const_int _ | I_const_float _ | I_const_bool _ -> 3
@@ -1386,6 +1640,7 @@ let op_words =
     4; 5; 1; 2; 2; 3; 3; 3; 5; 7; (* 40-49 *)
     6; 7; 8; 9; 4; 5; 4; 5; 1; 8; (* 50-59 *)
     8; 7; 7; 6; 5; 1; 7; 7; 4; 4; (* 60-69 *)
+    5; (* 70 *)
   |]
 
 let packed_width ops w =
@@ -1399,13 +1654,15 @@ let packed_width ops w =
 
      charge; d = d + 1; cmp.jt ...  ->  loop.cc / loop.cci   (For bottoms)
      as_ptr tp; cast.int ti; load   ->  as_ptr.ld  (a[j], j a variable)
+     as_ptr tp; load                ->  as_ptr.ldi (a[i], i int-valued)
      cast.int ti; load              ->  cast.ld    (a[e], the index coercion)
 
    only when no jump target (or function entry/followup, or the end of a
    block-uniform prefix) lands on an interior instruction — a [continue]
    into a For step keeps the unfused encoding. A load fuses only
    unchecked, reading exactly the temporaries the coercions just wrote,
-   and those must be distinct registers. The fused VM arms run the exact
+   and those must be distinct registers (for [as_ptr.ldi], the pointer
+   temporary and the index). The fused VM arms run the exact
    sub-step bodies in the same order.
 
    It also carries each charge down its basic block. A thread's costs are
@@ -1458,6 +1715,7 @@ let pack (code : instr array) (funcs : func array) =
           | Some (I_cast_int (ti, _)), Some (I_load (_, p, ix, None))
             when p = tp && ix = ti && tp <> ti ->
               (3, 63)
+          | Some (I_load (_, p, ix, None)), _ when p = tp && ix <> tp -> (2, 70)
           | _ -> (1, 0))
       | I_cast_int (ti, _) -> (
           match nxt 1 with
@@ -1522,7 +1780,7 @@ let pack (code : instr array) (funcs : func array) =
     | -1 -> 0
     | 59 | 60 -> 8
     | 63 -> 6
-    | 64 -> 5
+    | 64 | 70 -> 5
     | _ -> (
         match code.(i) with
         | I_ret_unit when ctag.(i) >= 0 -> 4
@@ -1601,6 +1859,15 @@ let pack (code : instr array) (funcs : func array) =
             put si;
             put d;
             put p
+        | _ -> assert false)
+    | 70 -> (
+        put 70;
+        match (code.(i), code.(i + 1)) with
+        | I_as_ptr (tp, s), I_load (d, _, ti, _) ->
+            put tp;
+            put s;
+            put ti;
+            put d
         | _ -> assert false)
     | _ -> (
     match code.(i) with
@@ -1941,15 +2208,19 @@ let compile (cfg : Config.t) (prog : program) : prog =
   in
   let index = Hashtbl.create 16 in
   Array.iteri (fun i bf -> Hashtbl.add index bf.bf_name i) funcs;
+  let facts = Array.of_list (List.map facts_of prog) in
   let em = { buf = Array.make 256 I_ret_unit; len = 0 } in
   List.iteri
     (fun fi (f : Ast.func) ->
       let env =
         {
           funcs;
+          facts;
           index;
           em;
           slots = [];
+          dims = [];
+          ints = facts.(fi).fa_ints;
           next_reg = 0;
           max_reg = 0;
           shared_ids = 0;
@@ -1957,6 +2228,7 @@ let compile (cfg : Config.t) (prog : program) : prog =
           fname = f.f_name;
           cur_loc = Loc.dummy;
           loops = [];
+          ret = None;
         }
       in
       List.iter (fun p -> ignore (bind env p.p_name)) f.f_params;

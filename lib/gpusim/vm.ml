@@ -24,6 +24,12 @@
     prefix's end and when the block ends, none of which it was carried
     past.
 
+    A [call] pushes a frame only for the calls the lowering keeps:
+    [_serial] entries, functions that call others and functions that
+    declare [__shared__] arrays. Calls of other device functions are
+    lowered inline ({!Bytecode}), so the per-thread and per-block bodies
+    the passes extract run in their caller's frame.
+
     Threads are explicit state machines (program counter, frame base, call
     stack): a thread runs until it finishes or parks at a barrier or warp
     collective, and resuming it runs it immediately to its next
@@ -1140,6 +1146,14 @@ let rec run (p : Bytecode.prog) (ops : int array) (t : thread) pc =
       need_ptr t rp;
       let buf = geti t rp and off = getib t rp + i in
       load_into t (b + wd ops (pc + 3)) buf off;
+      run p ops t (pc + 5)
+  | 70 (* as_ptr.ldi: as_ptr tp, s; load d, tp, ti *) ->
+      let rp = b + wd ops (pc + 2) in
+      need_ptr t rp;
+      let buf = geti t rp and off = getib t rp in
+      set_ptr_at t (b + wd ops (pc + 1)) buf off;
+      let off = off + get_int t (b + wd ops (pc + 3)) in
+      load_into t (b + wd ops (pc + 4)) buf off;
       run p ops t (pc + 5)
   | 65 (* uniform.end *) ->
       t.pc <- pc + 1;

@@ -39,7 +39,8 @@
     10. calls of device functions — aliased and assigned parameters,
         returns, launches, raises, barriers and warp collectives inside
         a callee, [dim3] arguments, recursion, shared arrays and
-        sanitizer reports around a call.
+        sanitizer reports around a call — and which calls the lowering
+        keeps.
 
    Layers 6 and 7 were recorded before the VM ran prefixes once per
    block, layer 8 before the type-directed lowering, charge carrying and
@@ -1533,9 +1534,66 @@ __global__ void k(int* o) {
 |};
   ]
 
+(* Which calls stay calls. The passes extract a child's per-thread and
+   per-block bodies into [*_serial_thread] and [*_block_body] functions,
+   which the lowering inlines; what may still be a [call] is a [_serial]
+   entry (its call counts a serialized launch), a function that calls
+   another, or one that declares a shared array. *)
+let call_structure_test =
+  t "calls: every Small-registry program under all 8 combinations" (fun () ->
+      let has sub s =
+        let n = String.length sub in
+        let rec at i =
+          i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+        in
+        at 0
+      in
+      let serial_calls = ref 0 in
+      let check label (p : Bytecode.prog) =
+        Array.iter
+          (function
+            | Bytecode.I_call (_, fi, _) ->
+                let name = p.bp_funcs.(fi).bf_name in
+                let f = Minicu.Ast.find_func_exn p.bp_ast name in
+                let calls =
+                  Minicu.Ast_util.fold_exprs_in_stmts
+                    (fun found e ->
+                      found
+                      ||
+                      match e with
+                      | Minicu.Ast.Call (g, _) -> Minicu.Builtins.find g = None
+                      | _ -> false)
+                    false f.f_body
+                in
+                if has "_serial_thread" name || has "_block_body" name then
+                  Alcotest.failf "%s: calls %s" label name;
+                if Runtime.has_serial_suffix name then incr serial_calls
+                else if not (calls || Minicu.Ast_util.contains_shared f.f_body)
+                then Alcotest.failf "%s: calls the leaf %s" label name
+            | _ -> ())
+          p.bp_code
+      in
+      let seen = Hashtbl.create 8 in
+      List.iter
+        (fun (spec : Benchmarks.Bench_common.spec) ->
+          if not (Hashtbl.mem seen spec.name) then begin
+            Hashtbl.add seen spec.name ();
+            List.iter
+              (fun (label, opts) ->
+                let r =
+                  Dpopt.Pipeline.run ~opts (Minicu.Parser.program spec.cdp_src)
+                in
+                check
+                  (Fmt.str "%s %s" spec.name label)
+                  (Bytecode.compile Config.default r.prog))
+              (Dpopt.Pipeline.enumerate ())
+          end)
+        (Benchmarks.Registry.all ~size:Benchmarks.Registry.Small ());
+      if !serial_calls = 0 then Alcotest.fail "no _serial entry is called")
+
 let suite =
   disasm_tests @ edge_tests @ sanitizer_tests @ tiny_tests @ small_tests
   @ List.map corpus_digest corpus_runs
   @ [ corpus_coverage ] @ fusion_tests @ sampled_tests @ accounting_tests
   @ granularity_tests @ prefix_tests @ [ prefix_structure_test ]
-  @ rewrite_tests @ conservation_tests @ call_tests
+  @ rewrite_tests @ conservation_tests @ call_tests @ [ call_structure_test ]
