@@ -588,16 +588,20 @@ let fusion_tests =
   [
     t "indexed loads fuse with their operand coercions" (fun () ->
         let cfg = Config.test_config in
-        let local = fused ~cfg "int j = k; s = s + o[j];" in
+        let local = fused ~cfg "int j = n - k; s = s + o[j];" in
         Alcotest.(check bool) "as_ptr.ld for o[j]" true (has 63 local);
-        let expr = fused ~cfg "s = s + o[k & 3];" in
-        Alcotest.(check bool) "cast.ld for o[k & 3]" true (has 64 expr);
-        Alcotest.(check bool) "no as_ptr.ld for o[k & 3]" false (has 63 expr);
+        let int_local = fused ~cfg "int j = k; s = s + o[j];" in
+        Alcotest.(check bool) "as_ptr.ldi for o[j], j int-valued" true
+          (has 70 int_local);
+        let expr = fused ~cfg "s = s + o[(n - k) & 3];" in
+        Alcotest.(check bool) "cast.ld for o[(n - k) & 3]" true (has 64 expr);
+        Alcotest.(check bool) "no as_ptr.ld for o[(n - k) & 3]" false
+          (has 63 expr);
         let checked =
           fused ~cfg:{ cfg with Config.check = true } "int j = k; s = s + o[j];"
         in
         Alcotest.(check bool) "checked loads stay unfused" false
-          (has 63 checked || has 64 checked));
+          (has 63 checked || has 64 checked || has 70 checked));
     (* The fused arms run the unfused sub-steps in order, so a failing
        operand or access raises exactly what the separate instructions
        raise. *)
