@@ -106,7 +106,7 @@ let micro () =
 (* Engine smoke: the VM's allocation gate                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic acceptance gate of the [@ir] alias. On nine loop micro
+(* Deterministic acceptance gate of the [@ir] alias. On ten loop micro
    kernels, every output must equal its closed-form value, and one launch
    must allocate no more minor-heap words at twice the loop trip count
    than at the trip count itself, and at most [launch_words] at either:
@@ -117,7 +117,7 @@ let micro () =
    [uniform-prefix] loop before any [threadIdx] read, in a block-uniform
    prefix (Bytecode.uniform), so one thread of the 256-thread block runs
    the loop and the others copy its state; [uniform-prefix] loads from
-   the host buffer [keys], which no thread writes. The other six loop in
+   the host buffer [keys], which no thread writes. The other seven loop in
    all 256 threads, after a [threadIdx] read or a store to a buffer the
    loop reads. [load-local], [load-expr] and [load-addr] read the
    256-element boxed buffer [out] every iteration: [load-local] reads
@@ -125,7 +125,10 @@ let micro () =
    stores to, and [load-addr] loads through a pointer formed with [&].
    [dim3-local] reads a component of a dim3 local, and [load-wide] and
    [store-wide] load from and store to [wide], a 2048-element buffer with
-   typed (unboxed int) storage. The trip count is BYTECODE_SMOKE_ITERS
+   typed (unboxed int) storage. [call-loop] calls a leaf device function
+   with [wide] and [dim3(j, 0, 0)] every iteration: the lowering inlines
+   the call and binds the parameter to [j]'s register, so the loop makes
+   no VM call and builds no dim3. The trip count is BYTECODE_SMOKE_ITERS
    (see Harness.Env). *)
 let engine_smoke () =
   let iters = Harness.Env.get "BYTECODE_SMOKE_ITERS" in
@@ -161,7 +164,9 @@ __global__ void micro(int* out, int iters, int* keys, int* wide) {
 }
 |},
         fun n _ -> n * (n - 1) / 2 );
-      (* one indexed load per iteration, fused with both operand coercions *)
+      (* one indexed load per iteration, fused with its pointer coercion
+         ([as_ptr.ldi]: [j] is an int-valued local, whose index needs
+         none) *)
       ( "load-local",
         {|
 __global__ void micro(int* out, int iters, int* keys, int* wide) {
@@ -247,6 +252,22 @@ __global__ void micro(int* out, int iters, int* keys, int* wide) {
 }
 |},
         fun n _ -> n - 1 );
+      (* a call of a leaf device function per iteration, with a pointer
+         and a dim3 of an int-valued local, which the lowering inlines *)
+      ( "call-loop",
+        {|
+__device__ int pick(int* w, dim3 t) {
+  return w[t.x] + t.y;
+}
+
+__global__ void micro(int* out, int iters, int* keys, int* wide) {
+  int s = 0;
+  int j = threadIdx.x;
+  for (int k = 0; k < iters; k = k + 1) { s = s + pick(wide, dim3(j, 0, 0)); }
+  out[threadIdx.x] = s;
+}
+|},
+        fun n tid -> n * tid );
     ]
   in
   (* Minor words allocated by one launch at trip count [n], measured after
