@@ -223,7 +223,7 @@ type facts = {
       (** [dim3] parameters, each named once, never assigned and never
           redeclared: a [dim3(a, b, c)] argument may bind them to its
           components. *)
-  fa_ints : string list;  (** Int-valued locals; see [int_locals]. *)
+  fa_ints : (string, unit) Hashtbl.t;  (** Int-valued locals; see [int_locals]. *)
   fa_returns : int;  (** [return] statements in the body. *)
   fa_tail : bool;  (** The body's last statement is a [return]. *)
 }
@@ -248,7 +248,8 @@ type lenv = {
   mutable dims : (string * (int * int * int)) list;
       (** Parameters bound to the component registers of their argument
           (inlined bodies only). *)
-  mutable ints : string list;  (** The lowered function's int-valued locals. *)
+  mutable ints : (string, unit) Hashtbl.t;
+      (** The lowered function's int-valued locals. *)
   mutable next_reg : int;
   mutable max_reg : int;
   mutable shared_ids : int;
@@ -384,7 +385,7 @@ let closes_run (s : stmt) : bool =
    lowering stays linear in the expression's size. *)
 let rec yields_int ints = function
   | Int_lit _ | Member _ | Cast (TInt, _) -> true
-  | Var x -> List.mem x ints
+  | Var x -> Hashtbl.mem ints x
   | Binop ((Add | Sub | Mul | Div | Mod | BAnd | BOr | BXor | Shl | Shr), a, b)
   | Ternary (_, a, b) ->
       yields_int ints a && yields_int ints b
@@ -399,60 +400,64 @@ let rec yields_int ints = function
    until none does. A declaration does not coerce its initializer, so
    [int j = 1.5;] holds a float and [j] does not count. *)
 let int_locals (f : Ast.func) =
-  let params = List.map (fun p -> p.p_name) f.f_params in
-  let names, defs, barred =
-    Ast_util.fold_stmts
-      (fun (names, defs, barred) s ->
-        match s.sdesc with
-        | Decl (TInt, x, None) -> (x :: names, defs, barred)
-        | Decl (_, x, None) | Decl_shared (_, x, _)
-        | Assign (Member (Var x, _), _) ->
-            (names, defs, x :: barred)
-        | Decl (_, x, Some e) -> (x :: names, (x, e) :: defs, barred)
-        | Assign (Var x, e) -> (names, (x, e) :: defs, barred)
-        | _ -> (names, defs, barred))
-      ([], [], [])
-      (f.f_body @ Option.value f.f_host_followup ~default:[])
+  (* Each name's definitions: [Some e] must yield an int ([int x;] writes
+     0), [None] bars the name. *)
+  let defs = Hashtbl.create 16 in
+  List.iter (fun p -> Hashtbl.add defs p.p_name None) f.f_params;
+  let visit () s =
+    match s.sdesc with
+    | Decl (TInt, x, None) -> Hashtbl.add defs x (Some (Int_lit 0))
+    | Decl (_, x, None) | Decl_shared (_, x, _) | Assign (Member (Var x, _), _)
+      ->
+        Hashtbl.add defs x None
+    | Decl (_, x, Some e) | Assign (Var x, e) -> Hashtbl.add defs x (Some e)
+    | _ -> ()
   in
-  let rec fix ints =
-    let ints' =
-      List.filter
-        (fun x -> List.for_all (fun (y, e) -> y <> x || yields_int ints e) defs)
-        ints
-    in
-    if List.compare_lengths ints' ints = 0 then ints else fix ints'
+  Ast_util.fold_stmts visit () f.f_body;
+  Option.iter (Ast_util.fold_stmts visit ()) f.f_host_followup;
+  let ints = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun x _ -> if not (is_reserved_var x) then Hashtbl.replace ints x ())
+    defs;
+  let holds x =
+    List.for_all
+      (function Some e -> yields_int ints e | None -> false)
+      (Hashtbl.find_all defs x)
   in
-  fix
-    (List.filter
-       (fun x ->
-         not (List.mem x params || List.mem x barred || is_reserved_var x))
-       (List.sort_uniq String.compare names))
+  let rec fix () =
+    match Hashtbl.fold (fun x () bad -> if holds x then bad else x :: bad) ints [] with
+    | [] -> ints
+    | bad ->
+        List.iter (Hashtbl.remove ints) bad;
+        fix ()
+  in
+  fix ()
 
 let facts_of (f : Ast.func) =
   let params = List.map (fun p -> p.p_name) f.f_params in
+  let written = ref [] and declared = ref [] and returns = ref 0 in
+  Ast_util.fold_stmts
+    (fun () s ->
+      match s.sdesc with
+      | Assign ((Var x | Member (Var x, _)), _) when List.mem x params ->
+          written := x :: !written
+      | Decl (_, x, _) | Decl_shared (_, x, _) -> declared := x :: !declared
+      | Return _ -> incr returns
+      | _ -> ())
+    () f.f_body;
   let calls =
     Ast_util.fold_exprs_in_stmts
       (fun found e ->
         found || match e with Call (g, _) -> Builtins.find g = None | _ -> false)
       false f.f_body
   in
-  let written =
-    Ast_util.fold_stmts
-      (fun acc s ->
-        match s.sdesc with
-        | Assign ((Var x | Member (Var x, _)), _) when List.mem x params ->
-            x :: acc
-        | _ -> acc)
-      [] f.f_body
-  in
-  let declared = Ast_util.declared_names f.f_body in
   {
     fa_func = f;
     fa_inline =
       f.f_kind = Device && (not calls)
       && (not (Runtime.has_serial_suffix f.f_name))
       && not (Ast_util.contains_shared f.f_body);
-    fa_written = written;
+    fa_written = !written;
     fa_fixed =
       List.filter_map
         (fun p ->
@@ -460,15 +465,12 @@ let facts_of (f : Ast.func) =
           if
             p.p_ty = TDim3
             && List.length (List.filter (String.equal x) params) = 1
-            && not (List.mem x written || List.mem x declared)
+            && not (List.mem x !written || List.mem x !declared)
           then Some x
           else None)
         f.f_params;
     fa_ints = int_locals f;
-    fa_returns =
-      Ast_util.fold_stmts
-        (fun n s -> match s.sdesc with Return _ -> n + 1 | _ -> n)
-        0 f.f_body;
+    fa_returns = !returns;
     fa_tail =
       (match List.rev f.f_body with
       | { sdesc = Return _; _ } :: _ -> true
@@ -483,7 +485,7 @@ let infallible ints = function
   | Member (Var ("threadIdx" | "blockIdx" | "blockDim" | "gridDim"), ("x" | "y" | "z"))
     ->
       true
-  | Var x -> List.mem x ints
+  | Var x -> Hashtbl.mem ints x
   | _ -> false
 
 (* A [dim3] whose components are all variables, literals or built-in
@@ -979,7 +981,8 @@ and lower_into env dst (e : expr) : unit =
   | Member (Dim3_ctor (x, y, z), (("x" | "y" | "z") as f)) ->
       ignore (lower_component env (Some dst) (x, y, z) f)
   | Member (Var x, f) when List.mem_assoc x env.dims ->
-      ins (I_mov (dst, bound_component env x f))
+      let r = bound_component env x f in
+      if r <> dst then ins (I_mov (dst, r))
   | Member (a, f) ->
       let ra = lower_expr env a in
       ins (I_member (dst, ra, f))
