@@ -417,7 +417,9 @@ let int_locals (f : Ast.func) =
   Option.iter (Ast_util.fold_stmts visit ()) f.f_host_followup;
   let ints = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun x _ -> if not (is_reserved_var x) then Hashtbl.replace ints x ())
+    (fun x _ ->
+      if not (is_reserved_var x || List.mem None (Hashtbl.find_all defs x)) then
+        Hashtbl.replace ints x ())
     defs;
   let holds x =
     List.for_all
