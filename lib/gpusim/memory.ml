@@ -17,9 +17,16 @@
       edges) the boxed representation costs 3 words and a cache miss per
       element. Smaller buffers store boxed {!Value.t}s.
     - Nobody does ({!alloc_boxed}): the aggregation pass's capture buffers
-      (argument, configuration and counter arrays allocated at launch) and
-      device [malloc] hold pointers, floats and ints alike, so they are
-      always boxed, whatever their size.
+      (argument, configuration and counter arrays allocated at launch)
+      hold pointers, floats and ints alike, so they are always boxed,
+      whatever their size.
+    - Device [malloc] ({!malloc}) cannot know it either, but its elements
+      start as [Int 0], and the one benchmark that mallocs (BT) stores
+      only floats into them. Its storage is a [float array] with a
+      per-element written flag: an element reads as [Int 0] until a float
+      is stored into it. Boxed, each stored float cost 5 words, and a
+      process's peak heap rose and fell with where the major GC's cycles
+      fell against those buffers.
 
     A store of a differently-typed value into a typed buffer converts
     that buffer to boxed storage in place, then stores, so loads return
@@ -41,6 +48,7 @@ type storage =
   | Boxed of Value.t array
   | Ints of int array
   | Floats of float array
+  | Floats_or_zeros of float array * Bytes.t
 
 type buffer = {
   mutable storage : storage;  (** Typed storage may become [Boxed]. *)
@@ -68,7 +76,7 @@ let grow t =
    boxed, byte-for-byte as before. *)
 let typed_threshold = 1024
 
-let make_storage ~typed n (init : Value.t) =
+let make_storage ~typed (init : Value.t) n =
   if (not typed) || n < typed_threshold then Boxed (Array.make n init)
   else
     match init with
@@ -76,12 +84,11 @@ let make_storage ~typed n (init : Value.t) =
     | Value.Float v -> Floats (Array.make n v)
     | _ -> Boxed (Array.make n init)
 
-let add_buffer ~typed t n ~init : Value.ptr =
+let add_buffer t n make : Value.ptr =
   if n < 0 then Value.error "negative allocation size %d" n;
   grow t;
   let id = t.count in
-  t.table.(id) <-
-    Some { storage = make_storage ~typed n init; live = true; gen = 0 };
+  t.table.(id) <- Some { storage = make n; live = true; gen = 0 };
   t.count <- t.count + 1;
   t.allocated_elems <- t.allocated_elems + n;
   { buf = id; off = 0 }
@@ -89,11 +96,17 @@ let add_buffer ~typed t n ~init : Value.ptr =
 (** [alloc t n ~init] allocates a buffer of [n] elements initialized to
     [init], returning a pointer to its first element. Large [Int]/[Float]
     initializers get typed storage. *)
-let alloc t n ~init = add_buffer ~typed:true t n ~init
+let alloc t n ~init = add_buffer t n (make_storage ~typed:true init)
 
 (** [alloc_boxed t n ~init] is {!alloc} with boxed storage at any size, for
     buffers whose element kind the allocator cannot know. *)
-let alloc_boxed t n ~init = add_buffer ~typed:false t n ~init
+let alloc_boxed t n ~init = add_buffer t n (make_storage ~typed:false init)
+
+(** [malloc t n] allocates [n] elements that read as [Int 0], stored as
+    floats with a written flag each. *)
+let malloc t n =
+  add_buffer t n (fun n ->
+      Floats_or_zeros (Array.make n 0.0, Bytes.make n '\000'))
 
 let buffer_exn t id =
   if id < 0 || id >= t.count then Value.error "invalid buffer id %d" id;
@@ -105,7 +118,7 @@ let storage_len b =
   match b.storage with
   | Boxed a -> Array.length a
   | Ints a -> Array.length a
-  | Floats a -> Array.length a
+  | Floats a | Floats_or_zeros (a, _) -> Array.length a
 
 (** [free t p] releases the buffer [p] points into. Subsequent accesses
     raise. Freeing a non-base pointer or a dead buffer raises. *)
@@ -133,6 +146,11 @@ let snapshot b =
   | Boxed a -> Array.copy a
   | Ints a -> Array.map (fun n -> Value.Int n) a
   | Floats a -> Array.map (fun f -> Value.Float f) a
+  | Floats_or_zeros (a, w) ->
+      Array.mapi
+        (fun i f ->
+          if Bytes.unsafe_get w i = '\000' then Value.Int 0 else Value.Float f)
+        a
 
 (** [storage_at t buf off] checks an access to element [off] of buffer
     [buf] and returns the buffer's storage, for a reader that takes
@@ -145,13 +163,16 @@ let load_at t buf off : Value.t =
   | Boxed a -> Array.unsafe_get a off
   | Ints a -> Value.Int (Array.unsafe_get a off)
   | Floats a -> Value.Float (Array.unsafe_get a off)
+  | Floats_or_zeros (a, w) ->
+      if Bytes.unsafe_get w off = '\000' then Value.Int 0
+      else Value.Float (Array.unsafe_get a off)
 
 (* [b]'s element [off] becomes [v], which typed storage cannot hold: a
    typed buffer converts to boxed storage first. *)
 let store_boxed b off v =
   match b.storage with
   | Boxed a -> Array.unsafe_set a off v
-  | Ints _ | Floats _ ->
+  | Ints _ | Floats _ | Floats_or_zeros _ ->
       let a = snapshot b in
       a.(off) <- v;
       b.storage <- Boxed a
@@ -169,6 +190,9 @@ let store_at t buf off (v : Value.t) =
   match (b.storage, v) with
   | Ints a, Value.Int n -> Array.unsafe_set a off n
   | Floats a, Value.Float f -> Array.unsafe_set a off f
+  | Floats_or_zeros (a, w), Value.Float f ->
+      Array.unsafe_set a off f;
+      Bytes.unsafe_set w off '\001'
   | _ -> store_boxed b off v
 
 (** [store_int_at t buf off n] is [store_at t buf off (Value.Int n)]; it
@@ -186,6 +210,9 @@ let store_float_at t buf off (src : float array) i =
   let b = written t buf off in
   match b.storage with
   | Floats a -> Array.unsafe_set a off (Array.unsafe_get src i)
+  | Floats_or_zeros (a, w) ->
+      Array.unsafe_set a off (Array.unsafe_get src i);
+      Bytes.unsafe_set w off '\001'
   | _ -> store_boxed b off (Value.Float (Array.unsafe_get src i))
 
 (** [atomic_rmw_at t buf off f x y] replaces element [off] of buffer [buf]

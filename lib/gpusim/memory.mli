@@ -7,9 +7,10 @@
     [Int]/[Float]-initialized buffers ({!alloc}) are stored unboxed
     ([int array] / [float array]); the first store of another kind converts
     such a buffer to boxed storage in place. Buffers whose element kind the
-    allocator cannot know — aggregation capture buffers and device
-    [malloc] ({!alloc_boxed}) — and all small buffers are boxed. Observable
-    behavior is identical either way.
+    allocator cannot know — aggregation capture buffers ({!alloc_boxed}) —
+    and all small buffers are boxed. Device [malloc] ({!malloc}) stores
+    floats unboxed and converts on the first store of another kind.
+    Observable behavior is identical either way.
 
     Every buffer counts the writes made to it ({!generation}): the VM
     reads the count to know that a buffer is unchanged between two
@@ -26,6 +27,9 @@ type storage =
   | Boxed of Value.t array
   | Ints of int array
   | Floats of float array
+  | Floats_or_zeros of float array * Bytes.t
+      (** Device [malloc]'s: element [i] is [Int 0] while byte [i] is
+          ['\000'], and [Float a.(i)] once a float has been stored there. *)
 
 val create : unit -> t
 
@@ -37,6 +41,12 @@ val alloc : t -> int -> init:Value.t -> Value.ptr
 (** [alloc_boxed t n ~init] is {!alloc} with boxed storage at any size, for
     buffers that may hold values of any kind. *)
 val alloc_boxed : t -> int -> init:Value.t -> Value.ptr
+
+(** [malloc t n] is [alloc_boxed t n ~init:(Int 0)] with
+    [Floats_or_zeros] storage: stored floats stay unboxed, and the first
+    store of another kind converts the buffer to boxed storage.
+    @raise Value.Runtime_error if [n < 0]. *)
+val malloc : t -> int -> Value.ptr
 
 (** [free t p] releases [p]'s buffer. [p] must be the base pointer of a
     live buffer. *)

@@ -306,6 +306,9 @@ let[@inline] load_reg (t : thread) d off = function
   | Memory.Ints a -> set_int t d (Array.unsafe_get a off)
   | Memory.Floats a -> set_float t d (Array.unsafe_get a off)
   | Memory.Boxed a -> set_value t d (Array.unsafe_get a off)
+  | Memory.Floats_or_zeros (a, w) ->
+      if Bytes.unsafe_get w off = '\000' then set_int t d 0
+      else set_float t d (Array.unsafe_get a off)
 
 let load_into (t : thread) d buf off =
   load_reg t d off (Memory.storage_at (memory t) buf off)
@@ -855,11 +858,8 @@ let rec run (p : Bytecode.prog) (ops : int array) (t : thread) pc =
       set_value t (b + wd ops (pc + 1)) old;
       run p ops t (pc + 6)
   | 38 (* malloc *) ->
-      (* Boxed storage: device code may store any kind of value. *)
       let n = get_int t (b + wd ops (pc + 2)) in
-      set_ptr t
-        (b + wd ops (pc + 1))
-        (Memory.alloc_boxed (memory t) n ~init:(Value.Int 0));
+      set_ptr t (b + wd ops (pc + 1)) (Memory.malloc (memory t) n);
       run p ops t (pc + 3)
   | 39 (* warp *) ->
       if t.blk.Runtime.is_host_ctx then (

@@ -159,4 +159,17 @@ let suite =
             "__global__ void k(int* o) { { } { { o[0] = 3; } } }"
         in
         Alcotest.(check (array int)) "ok" [| 3 |] got);
+    t "device malloc: an unwritten element loads as Int 0, a stored float \
+       as itself" (fun () ->
+        let dev = Device.create ~cfg:Config.test_config () in
+        Device.load_program dev
+          (Minicu.Parser.program
+             "__global__ void k(int* o) { float* f = (float*)malloc(2); f[1] \
+              = 2.5; o[0] = f[0] + 1; o[1] = f[1] + 1; }");
+        let out = Device.alloc_int_zeros dev 2 in
+        Device.launch dev ~kernel:"k" ~grid:(1, 1, 1) ~block:(1, 1, 1)
+          ~args:[ Value.Ptr out ];
+        ignore (Device.sync dev);
+        Alcotest.(check bool) "kinds" true
+          (Device.dump_memory dev ~first:1 = [ Value.[| Int 1; Float 3.5 |] ]));
   ]

@@ -283,6 +283,52 @@ let typed_suite =
           (Memory.load m ip = Value.Float 0.25 && Memory.load m fp = Value.Int 2);
         Alcotest.(check int) "every element readable" n
           (Array.length (Memory.read_array m ip n)));
+    t "malloc: unwritten elements read Int 0, stored floats stay unboxed"
+      (fun () ->
+        let m = Memory.create () in
+        let p = Memory.malloc m 6 in
+        Memory.store m { p with off = 1 } (Value.Float 2.5);
+        Memory.write_floats m { p with off = 3 } [| -0.0; 7.0 |];
+        let expected =
+          Value.[| Int 0; Float 2.5; Int 0; Float (-0.0); Float 7.0; Int 0 |]
+        in
+        Alcotest.(check bool) "loads" true
+          (Array.init 6 (fun i -> Memory.load m { p with off = i }) = expected);
+        Alcotest.(check bool) "dump" true
+          (Memory.dump m ~first:1 = [ expected ]);
+        Alcotest.(check bool) "still floats" true
+          (match Memory.storage_at m p.buf 0 with
+          | Memory.Floats_or_zeros _ -> true
+          | _ -> false);
+        let gen = Memory.generation m p.buf in
+        Alcotest.(check bool) "atomic on an unwritten element" true
+          (Memory.atomic_rmw m { p with off = 5 } (fun _ -> Value.Float 1.5)
+           = Value.Int 0
+          && Memory.load m { p with off = 5 } = Value.Float 1.5);
+        Alcotest.(check int) "the atomic counts a write" (gen + 1)
+          (Memory.generation m p.buf));
+    t "malloc: a non-float store converts to boxed, every element kept"
+      (fun () ->
+        let m = Memory.create () in
+        let p = Memory.malloc m 4 in
+        Memory.store m { p with off = 0 } (Value.Float 0.5);
+        Memory.store m { p with off = 2 } (Value.Int 9);
+        Alcotest.(check bool) "elements" true
+          (Array.init 4 (fun i -> Memory.load m { p with off = i })
+          = Value.[| Float 0.5; Int 0; Int 9; Int 0 |]);
+        Alcotest.(check bool) "boxed" true
+          (match Memory.storage_at m p.buf 0 with
+          | Memory.Boxed _ -> true
+          | _ -> false));
+    access_fails "malloc: out of bounds"
+      "out-of-bounds access: offset 3 in buffer 0 of size 3" (fun m ->
+        { (Memory.malloc m 3) with off = 3 });
+    access_fails "malloc: use after free" "use after free (buffer 0)" (fun m ->
+        let p = Memory.malloc m 3 in
+        Memory.free m p;
+        p);
+    raises_rte "malloc: negative size" (fun () ->
+        Memory.malloc (Memory.create ()) (-1));
   ]
 
 let suite = mem_suite @ eq_suite @ value_suite @ typed_suite
