@@ -24,9 +24,9 @@
       start as [Int 0], and the one benchmark that mallocs (BT) stores
       only floats into them. Its storage is a [float array] with a
       per-element written flag: an element reads as [Int 0] until a float
-      is stored into it. Boxed, each stored float cost 5 words, and a
-      process's peak heap rose and fell with where the major GC's cycles
-      fell against those buffers.
+      is stored into it. Boxed, each stored float would cost 5 words,
+      and BT's buffers would set a sweep-small process's peak heap, which
+      then moves with where the major GC's cycles fall.
 
     A store of a differently-typed value into a typed buffer converts
     that buffer to boxed storage in place, then stores, so loads return
